@@ -6,6 +6,10 @@ sign, the symmetric uniform, the standard Gaussian, the real projection
 cos(2*pi*U) of a Steinhaus variable, and finite symmetric atomic laws.
 These cover every closed-form example the constants need while keeping
 all moments exact.
+
+k-fold sum moments E|V~_1 + ... + V~_k|^p come from closed forms, exact
+atomic convolution powers, FFT powers of gridconv cell masses, or the
+3-sigma Monte Carlo mean (mc_abs_moment) that every Monte Carlo route shares.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import discrete, specfun
+from . import discrete, gridconv, specfun
 from .errors import DegenerateLawError, DomainError, UnsupportedMethodError
 from .result import ConstantResult
 
@@ -246,6 +250,17 @@ def sample_signed(V: BaseDistribution, rng: np.random.Generator, n: int) -> np.n
     return mags * signs
 
 
+def sample_count_sums(
+    V: BaseDistribution, rng: np.random.Generator, counts: np.ndarray
+) -> np.ndarray:
+    """Entry i is the sum of counts[i] independent draws of V."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(counts.size)
+    idx = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(idx, weights=sample_signed(V, rng, total), minlength=counts.size)
+
+
 # ---------------------------------------------------------------------------
 # k-fold sums: E|V~_1 + ... + V~_k|^p
 
@@ -293,33 +308,6 @@ def _gaussian_grid_halfwidth(k: int, p: float, tol: float) -> float:
     return L
 
 
-def _subgaussian_tail_moment(p: float, k: int, sigma2: float, T: float) -> float:
-    """Upper bound on E[|S_k|^p ; |S_k| > T] for a sum of k independent
-    symmetric sigma2-sub-Gaussian summands (Hoeffding for bounded laws)."""
-    u = T * T / (2.0 * k * sigma2)
-    if u <= 0.0:
-        return math.inf
-    log_pref = (
-        math.log(p)
-        + 0.5 * p * math.log(2.0 * k * sigma2)
-        + specfun.log_gamma(0.5 * p)
-    )
-    q = specfun.reg_upper_inc_gamma(0.5 * p, u)
-    if q == 0.0:
-        return 0.0
-    return math.exp(log_pref + math.log(q))
-
-
-def grid_cell_masses(V: BaseDistribution, L: float, n_cells: int):
-    """Cell centers and exact per-cell masses of the signed law on [-L, L]."""
-    h = 2.0 * L / n_cells
-    edges = -L + h * np.arange(n_cells + 1)
-    cdf_vals = np.array([V.cdf(float(e)) for e in edges])
-    masses = np.diff(cdf_vals)
-    centers = edges[:-1] + 0.5 * h
-    return centers, np.maximum(masses, 0.0)
-
-
 def kfold_moments_from_masses(
     masses: np.ndarray, L: float, ks, p: float, sigma2: float, tol: float
 ):
@@ -353,69 +341,60 @@ def kfold_moments_from_masses(
         k_done = k
         conv = irfft(power, nfft)[: k * (n_cells - 1) + 1]
         positions = -k * L + (np.arange(conv.size) + 0.5 * k) * h
-        T = 3.0 * math.sqrt(k * sigma2)
-        tail = _subgaussian_tail_moment(p, k, sigma2, T)
-        while tail > 0.01 * tol and T < k * L:
-            T += math.sqrt(k * sigma2)
-            tail = _subgaussian_tail_moment(p, k, sigma2, T)
-        if T >= k * L:
-            tail = 0.0  # full support retained, nothing discarded
-        keep = np.abs(positions) <= T
-        conv = conv[keep]
-        weights = np.abs(positions[keep]) ** p
-        # clamp FFT noise; account for what the floor can hide
-        floor = 1e-18 * float(conv.max(initial=0.0))
-        hidden = floor * float(weights.sum())
-        conv = np.where(conv > floor, conv, 0.0)
-        by_k[k] = (float(np.dot(weights, conv)), tail + hidden)
+        T, tail = gridconv.truncation_radius(p, k * sigma2, tol, k * L)
+        value, hidden = gridconv.window_abs_moment(positions, conv, p, T)
+        by_k[k] = (value, tail + hidden)
     values = [by_k[k][0] for k in ks]
     certified = [by_k[k][1] for k in ks]
     return values, certified
 
 
-def grid_moments_for_ks(V: BaseDistribution, ks, p: float, n_cells: int, tol: float):
-    """E|S_k|^p for each requested k from the exact cell masses of V."""
-    k_top = max(ks)
-    bound = V.support_bound()
-    L = bound if bound is not None else _gaussian_grid_halfwidth(k_top, p, tol)
-    sigma2 = bound * bound if bound is not None else 1.0
-    _, masses = grid_cell_masses(V, L, n_cells)
-    return kfold_moments_from_masses(masses, L, ks, p, sigma2, tol)
-
-
-def atom_cell_masses(signed_atoms: dict, L: float, n_cells: int) -> np.ndarray:
-    """Cell-mass vector for an atomic law, each atom split between the two
-    neighboring cell centers so its mean is preserved exactly."""
-    h = 2.0 * L / n_cells
-    masses = np.zeros(n_cells)
-    for loc, m in signed_atoms.items():
-        pos = (loc + L) / h - 0.5
-        j0 = int(math.floor(pos))
-        frac = pos - j0
-        j0 = min(max(j0, 0), n_cells - 1)
-        j1 = min(max(j0 + 1, 0), n_cells - 1)
-        masses[j0] += m * (1.0 - frac)
-        masses[j1] += m * frac
-    return masses
-
-
 def kfold_grid_moments(
     V: BaseDistribution, ks, p: float, tol: float, n_cells: int = 8192
 ):
-    """Two-resolution grid moments with a per-k error estimate.
+    """Two-resolution grid moments from the exact cell masses of V, with a
+    per-k error estimate.
 
     Returns (values, errors); values come from the finer grid, errors are
     triple the coarse/fine difference (conservative for any convergence
     order >= 1) plus the certified truncation contributions.
     """
     ks = list(ks)
-    coarse, _ = grid_moments_for_ks(V, ks, p, n_cells, tol)
-    fine, certified = grid_moments_for_ks(V, ks, p, 2 * n_cells, tol)
-    errs = [
-        3.0 * abs(a - b) + c + 1e-14 * abs(b)
-        for a, b, c in zip(coarse, fine, certified)
-    ]
+    bound = V.support_bound()
+    L = bound if bound is not None else _gaussian_grid_halfwidth(max(ks), p, tol)
+    sigma2 = bound * bound if bound is not None else 1.0
+    runs = []
+    for cells in (n_cells, 2 * n_cells):
+        masses = gridconv.from_cdf(V.cdf, -L, L, cells).masses
+        runs.append(kfold_moments_from_masses(masses, L, ks, p, sigma2, tol))
+    (coarse, _), (fine, certified) = runs
+    errs = [3.0 * abs(a - b) + c for a, b, c in zip(coarse, fine, certified)]
     return fine, errs
+
+
+def atomic_kfold_moments(law: dict, ks, p: float, max_support: int):
+    """E|S_k|^p for each requested k by exact convolution powers of a
+    signed atomic law.
+
+    Returns ({k: value}, support size of the largest power); raises
+    OverflowError once a power's support exceeds max_support.
+    """
+    wanted = set(ks)
+    values = {}
+    acc = {0.0: 1.0}
+    for k in range(1, max(wanted) + 1):
+        acc = discrete.convolve_atoms(acc, law, max_support=max_support)
+        if k in wanted:
+            values[k] = discrete.abs_moment_atoms(acc, p)
+    return values, len(acc)
+
+
+def mc_abs_moment(samples: np.ndarray, p: float) -> tuple[float, float]:
+    """Monte Carlo mean of |S|^p over the sampled sums and its 3-sigma
+    statistical error bound."""
+    powers = np.abs(samples) ** p
+    err = 3.0 * float(powers.std(ddof=1)) / math.sqrt(powers.size)
+    return float(powers.mean()), err
 
 
 def kfold_abs_moment(
@@ -455,17 +434,16 @@ def kfold_abs_moment(
 
     if method == "grid":
         if base.is_atomic:
-            law = base.signed_atoms()
-            acc = {0.0: 1.0}
-            for _ in range(k):
-                acc = discrete.convolve_atoms(acc, law, max_support=2_000_000)
-            val = discrete.abs_moment_atoms(acc, p)
-            diag["support"] = len(acc)
+            values, support = atomic_kfold_moments(
+                base.signed_atoms(), [k], p, max_support=2_000_000
+            )
+            val = values[k]
+            diag["support"] = support
             return ConstantResult(val, "grid/atoms_exact", 1e-13 * k * val, diag)
         n_cells = 8192
         while True:
             vals, errs = kfold_grid_moments(base, [k], p, tol, n_cells)
-            val, err = vals[0], errs[0]
+            val, err = vals[0], errs[0] + 1e-14 * abs(vals[0])
             if err <= tol * max(1.0, abs(val)) or n_cells >= 32768:
                 break
             n_cells *= 2
@@ -482,9 +460,7 @@ def kfold_abs_moment(
             s = rng.integers(0, 2, size=n_samples) * 2 - 1
             max_summand = max(max_summand, float(np.max(x))) if n_samples else 0.0
             total += x * s
-        powers = np.abs(total) ** p
-        val = float(powers.mean())
-        err = 3.0 * float(powers.std(ddof=1)) / math.sqrt(n_samples)
+        val, err = mc_abs_moment(total, p)
         diag.update({"n_samples": n_samples, "max_abs_summand": max_summand})
         return ConstantResult(val, "monte_carlo", err, diag)
 

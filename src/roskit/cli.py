@@ -28,6 +28,9 @@ CSV_COLUMNS = [
 
 _MATCH_FAMILIES = ("fminus", "fplus", "gminus", "gplus")
 
+# most p values one table sweep evaluates
+MAX_TABLE_POINTS = 10_000
+
 VERIFY_SUITES = (
     "search",
     "poissonisation",
@@ -315,6 +318,8 @@ def _verify_records(suite, p, v_spec, A, B, n, trials, seed, tol):
                    holds=rep.best_value <= rep.theorem_value * (1.0 + 1e-6))
         records.append(rec)
     elif suite in ("poissonisation", "lower-bound"):
+        if n > constants.MAX_ENUM_SUMMANDS:
+            raise InputError(f"--n {n} exceeds the summand cap {constants.MAX_ENUM_SUMMANDS}")
         for trial in range(trials):
             count = int(rng.integers(1, n + 1))
             laws = []
@@ -460,6 +465,8 @@ def table_cmd(p_min, p_max, p_step, v_spec, A, B, positive, complex_case,
         count = int(math.floor((p_max - p_min) / p_step + 1e-9)) + 1
         if count < 1:
             raise InputError("empty p grid")
+        if count > MAX_TABLE_POINTS:
+            raise InputError(f"p grid has {count} points; the cap is {MAX_TABLE_POINTS}")
         grid = [p_min + i * p_step for i in range(count)]
         V = basedist.parse_base_spec(v_spec)
         v_label = "steinhaus" if complex_case else basedist.format_base_spec(V)

@@ -39,6 +39,10 @@ __all__ = [
     "witness_construction",
 ]
 
+# exact enumeration of a sum law handles at most this many summands: the
+# support of n three-point summands has up to 3^n points
+MAX_ENUM_SUMMANDS = 12
+
 
 @dataclass(frozen=True)
 class MomentBudget:
@@ -66,10 +70,6 @@ class MomentBudget:
                     raise FeasibilityError(
                         f"infeasible budget pair a={a_j} > b={b_j}"
                     )
-
-    @classmethod
-    def global_pair(cls, p: float, A: float, B: float) -> "MomentBudget":
-        return cls(p, global_budgets=(float(A), float(B)))
 
     @classmethod
     def per_pair(cls, p: float, a, b) -> "MomentBudget":
@@ -143,28 +143,26 @@ def mixture_sup(
         )
 
     if p == 4.0:
-        lower = _lower_branch_sup(p, A, B)
-        diag["lower_branch_value"] = lower
-        allowance = max(tol, 1e-6) * value + err
-        if abs(value - lower) > allowance:
-            raise BranchMismatchError(
-                f"p=4 branches disagree: compound-Poisson {value!r} vs "
-                f"closed form {lower!r} (allowance {allowance:.3e})"
-            )
+        _check_p4_branches(value, _lower_branch_sup(p, A, B), err, tol, diag)
     return ConstantResult(value, f"mixture_sup/{cp_res.method}", err, diag)
+
+
+def _check_p4_branches(value: float, lower: float, err: float, tol: float, diag: dict):
+    """At p = 4 the compound Poisson value must equal the closed form of the
+    p < 4 branch; records the closed form and raises on disagreement."""
+    diag["lower_branch_value"] = lower
+    allowance = max(tol, 1e-6) * value + err
+    if abs(value - lower) > allowance:
+        raise BranchMismatchError(
+            f"p=4 branches disagree: compound-Poisson {value!r} vs "
+            f"closed form {lower!r} (allowance {allowance:.3e})"
+        )
 
 
 def rosenthal_constant_symmetric(p: float, tol: float = 1e-9) -> ConstantResult:
     """The optimal constant for sums of independent symmetric variables:
     (1 + E|Z|^p)^(1/p) below p = 4, the Poisson random-sign norm above."""
-    if not p > 2.0:
-        raise DomainError("rosenthal_constant_symmetric requires p > 2")
-    sup = mixture_sup(p, basedist.rademacher(), 1.0, 1.0, tol)
-    value = sup.value ** (1.0 / p)
-    err = sup.error_bound / (p * max(value, 1e-300) ** (p - 1.0))
-    diag = dict(sup.diagnostics)
-    diag["sup_value"] = sup.value
-    return ConstantResult(value, sup.method, err, diag)
+    return mixture_constant(p, basedist.rademacher(), tol)
 
 
 def mixture_constant(p: float, V: BaseDistribution, tol: float = 1e-9) -> ConstantResult:
@@ -234,21 +232,8 @@ def complex_constant(p: float, tol: float = 1e-9) -> ConstantResult:
         "cp_method": cp_res.method,
     }
     if p == 4.0:
-        diag["lower_branch_value"] = lower
-        allowance = max(tol, 1e-6) * value + err
-        if abs(value - lower) > allowance:
-            raise BranchMismatchError(
-                f"p=4 complex branches disagree: {value!r} vs {lower!r}"
-            )
+        _check_p4_branches(value, lower, err, tol, diag)
     return ConstantResult(value, f"complex/{cp_res.method}", err, diag)
-
-
-def _three_point_parameters(p: float, pairs) -> tuple[list, list]:
-    scales, activations = [], []
-    for a_j, b_j in pairs:
-        scales.append((b_j**p / a_j**2) ** (1.0 / (p - 2.0)))
-        activations.append((a_j / b_j) ** (2.0 * p / (p - 2.0)))
-    return scales, activations
 
 
 def utev_3point_sup(
@@ -267,21 +252,14 @@ def utev_3point_sup(
     mu_j = (a_j / b_j)^(2p/(p-2)).  Returns the supremum together with the
     (c_j, mu_j) description of the extremal tuple.
     """
-    if p < 4.0:
-        raise DomainError("utev_3point_sup requires p >= 4")
-    if budget.per_summand is None:
-        raise DomainError("utev_3point_sup needs per-summand budgets")
-    pairs = budget.per_summand
-    n = len(pairs)
-    scales, activations = _three_point_parameters(p, pairs)
-    if any(mu > 1.0 + 1e-12 for mu in activations):
-        raise FeasibilityError("activation above 1; budgets require a_j <= b_j")
+    scales, activations = _thinned_extremiser(p, basedist.rademacher(), budget, "utev_3point_sup")
+    n = len(scales)
     diag = {"n": n, "scales": scales, "activations": activations}
 
     if mode == "exact_enum":
-        if n > 12:
+        if n > MAX_ENUM_SUMMANDS:
             raise UnsupportedMethodError(
-                "exact enumeration supports n <= 12; use monte_carlo"
+                f"exact enumeration supports n <= {MAX_ENUM_SUMMANDS}; use monte_carlo"
             )
         laws = []
         for c, mu in zip(scales, activations):
@@ -291,16 +269,9 @@ def utev_3point_sup(
         diag["support"] = len(dist)
         result = ConstantResult(value, "exact_enum", 1e-13 * n * max(value, 1.0), diag)
     elif mode == "monte_carlo":
-        if rng is None:
-            raise DomainError("monte_carlo mode requires an explicit rng")
-        total = np.zeros(n_samples)
-        for c, mu in zip(scales, activations):
-            theta = rng.random(n_samples) < mu
-            signs = rng.integers(0, 2, size=n_samples) * 2 - 1
-            total += c * theta * signs
-        powers = np.abs(total) ** p
-        value = float(powers.mean())
-        err = 3.0 * float(powers.std(ddof=1)) / math.sqrt(n_samples)
+        value, err = _thinned_mc_moment(
+            p, basedist.rademacher(), scales, activations, rng, n_samples
+        )
         diag["n_samples"] = n_samples
         result = ConstantResult(value, "monte_carlo", err, diag)
     else:
@@ -308,14 +279,36 @@ def utev_3point_sup(
     return result, list(zip(scales, activations))
 
 
-def _thinned_mixture_parameters(p: float, V: BaseDistribution, pairs):
+def _thinned_extremiser(p: float, V: BaseDistribution, budget: MomentBudget, caller: str):
+    """Scale c_j and activation mu_j of the thinned copy c_j theta_j V that
+    meets each per-summand budget pair (a_j, b_j) with equality (p >= 4)."""
+    if p < 4.0:
+        raise DomainError(f"{caller} requires p >= 4")
+    if budget.per_summand is None:
+        raise DomainError(f"{caller} needs per-summand budgets")
     nv2 = math.sqrt(basedist.abs_moment(V, 2.0))
     nvp = basedist.abs_moment(V, p) ** (1.0 / p)
     scales, activations = [], []
-    for a_j, b_j in pairs:
+    for a_j, b_j in budget.per_summand:
         scales.append(((b_j / nvp) ** p / (a_j / nv2) ** 2) ** (1.0 / (p - 2.0)))
         activations.append((a_j * nvp / (b_j * nv2)) ** (2.0 * p / (p - 2.0)))
-    return scales, activations
+    if any(mu > 1.0 + 1e-12 for mu in activations):
+        raise FeasibilityError(
+            "infeasible budget: required activation exceeds 1 "
+            "(b_j/a_j below the base law's p-to-2 norm ratio)"
+        )
+    return scales, [min(mu, 1.0) for mu in activations]
+
+
+def _thinned_mc_moment(p: float, V: BaseDistribution, scales, activations, rng, n_samples: int):
+    """Monte Carlo E|sum_j c_j theta_j V_j|^p and its 3-sigma bound."""
+    if rng is None:
+        raise DomainError("monte_carlo mode requires an explicit rng")
+    total = np.zeros(n_samples)
+    for c, mu in zip(scales, activations):
+        theta = rng.random(n_samples) < mu
+        total += c * theta * basedist.sample_signed(V, rng, n_samples)
+    return basedist.mc_abs_moment(total, p)
 
 
 def mixture_individual_sup(
@@ -334,19 +327,8 @@ def mixture_individual_sup(
     with equality.  Evaluated by exact enumeration (atomic V), grid
     convolution (continuous V), or Monte Carlo.
     """
-    if p < 4.0:
-        raise DomainError("mixture_individual_sup requires p >= 4")
-    if budget.per_summand is None:
-        raise DomainError("mixture_individual_sup needs per-summand budgets")
-    pairs = budget.per_summand
-    n = len(pairs)
-    scales, activations = _thinned_mixture_parameters(p, V, pairs)
-    if any(mu > 1.0 + 1e-12 for mu in activations):
-        raise FeasibilityError(
-            "infeasible budget: required activation exceeds 1 "
-            "(b_j/a_j below the base law's p-to-2 norm ratio)"
-        )
-    activations = [min(mu, 1.0) for mu in activations]
+    scales, activations = _thinned_extremiser(p, V, budget, "mixture_individual_sup")
+    n = len(scales)
     diag = {"n": n, "scales": scales, "activations": activations, "V": V.kind}
 
     if mode == "auto":
@@ -355,9 +337,9 @@ def mixture_individual_sup(
     if mode == "exact_enum":
         if not V.is_atomic:
             raise UnsupportedMethodError("exact enumeration needs an atomic base law")
-        if n > 12:
+        if n > MAX_ENUM_SUMMANDS:
             raise UnsupportedMethodError(
-                "exact enumeration supports n <= 12; use monte_carlo"
+                f"exact enumeration supports n <= {MAX_ENUM_SUMMANDS}; use monte_carlo"
             )
         base_law = V.signed_atoms()
         laws = []
@@ -384,16 +366,7 @@ def mixture_individual_sup(
         return ConstantResult(fine, "grid", err, diag)
 
     if mode == "monte_carlo":
-        if rng is None:
-            raise DomainError("monte_carlo mode requires an explicit rng")
-        total = np.zeros(n_samples)
-        for c, mu in zip(scales, activations):
-            theta = rng.random(n_samples) < mu
-            draws = basedist.sample_signed(V, rng, n_samples)
-            total += c * theta * draws
-        powers = np.abs(total) ** p
-        value = float(powers.mean())
-        err = 3.0 * float(powers.std(ddof=1)) / math.sqrt(n_samples)
+        value, err = _thinned_mc_moment(p, V, scales, activations, rng, n_samples)
         diag["n_samples"] = n_samples
         return ConstantResult(value, "monte_carlo", err, diag)
 
@@ -497,17 +470,8 @@ def witness_construction(
             "exact first-block sampling supports the random-sign and Gaussian "
             "base laws; pass estimate_moment=False for other kinds"
         )
-    counts = rng.binomial(n, lam / n, size=n_samples)
-    total_jumps = int(counts.sum())
-    block2 = np.zeros(n_samples)
-    if total_jumps:
-        mags = basedist.sample_abs(V, rng, total_jumps)
-        signs = rng.integers(0, 2, size=total_jumps) * 2 - 1
-        idx = np.repeat(np.arange(n_samples), counts)
-        block2 = np.bincount(idx, weights=mags * signs, minlength=n_samples)
-    powers = np.abs(block1 + gamma * block2) ** p
-    estimate = float(powers.mean())
-    err = 3.0 * float(powers.std(ddof=1)) / math.sqrt(n_samples)
+    block2 = basedist.sample_count_sums(V, rng, rng.binomial(n, lam / n, size=n_samples))
+    estimate, err = basedist.mc_abs_moment(block1 + gamma * block2, p)
     analytic_lower = alpha**p * walk_moment + gamma**p * lam * nvp**p
     diag = {
         "lambda": lam,

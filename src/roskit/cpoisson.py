@@ -7,8 +7,10 @@ the exact series
     E|T|^p = exp(-lambda) * sum_k  lambda^k / k!  *  E|S_k|^p
 
 truncated where the crude but rigorous bound E|S_k|^p <= (k ||jump||_p)^p
-certifies the discarded tail.  Even integer moments have an independent
-cumulant shortcut used as an oracle for the series.
+certifies the discarded tail.  The per-k moments E|S_k|^p come from the
+basedist k-fold kernels; atomic jumps with many atoms or an overflowing
+exact support take the whole series on one char grid instead.  Even integer
+moments have an independent cumulant shortcut used as an oracle for the series.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basedist, discrete
+from . import basedist, gridconv
 from .basedist import ConditionedBase
 from .errors import DomainError, UnsupportedMethodError
 from .result import ConstantResult
@@ -49,18 +51,18 @@ def _log_poisson_weight(lam: float, k: int) -> float:
     return -lam + k * math.log(lam) - math.lgamma(k + 1)
 
 
+def _power_term(lam: float, p: float, k: int) -> float:
+    # w_k k^p, the k-th term of E xi^p for xi ~ Poisson(lambda)
+    return math.exp(_log_poisson_weight(lam, k) + p * math.log(k))
+
+
 def _truncation_depth(lam: float, p: float, m_p: float, tol: float):
     """Smallest K with  sum_{k>K} w_k (k^p m_p) < tol, plus that tail value."""
     k_cap = max(80, int(20.0 * lam + 10.0 * p + 80))
-    bounds = []
-    for k in range(1, k_cap + 1):
-        bounds.append(math.exp(_log_poisson_weight(lam, k) + p * math.log(k)) * m_p)
+    bounds = [_power_term(lam, p, k) * m_p for k in range(1, k_cap + 1)]
     # extend the cap until the terms are vanishingly small
     while bounds[-1] > 1e-9 * tol and k_cap < 100_000:
-        for k in range(k_cap + 1, 2 * k_cap + 1):
-            bounds.append(
-                math.exp(_log_poisson_weight(lam, k) + p * math.log(k)) * m_p
-            )
+        bounds += [_power_term(lam, p, k) * m_p for k in range(k_cap + 1, 2 * k_cap + 1)]
         k_cap *= 2
     suffix = 0.0
     K = len(bounds)
@@ -81,18 +83,11 @@ def _per_k_moments_atoms(jump, ks, p):
     law = jump.base.signed_atoms()
     if len(law) >= 8:
         raise OverflowError("many-atom law; grid route is cheaper")
-    k_top = max(ks)
-    values, errors = {}, {}
-    acc = {0.0: 1.0}
-    for k in range(1, k_top + 1):
-        acc = discrete.convolve_atoms(acc, law, max_support=_ATOM_SUPPORT_CAP)
-        if k in ks:
-            values[k] = discrete.abs_moment_atoms(acc, p)
-            errors[k] = 1e-13 * k * values[k]
-    return values, errors
+    values, _ = basedist.atomic_kfold_moments(law, ks, p, _ATOM_SUPPORT_CAP)
+    return values, {k: 1e-13 * k * v for k, v in values.items()}
 
 
-def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, K: int, tail: float):
     """Whole-series value on a grid via the exponential of the jump law's
     characteristic vector: two FFTs per resolution instead of one inverse
     transform per series term.
@@ -127,13 +122,7 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int
             np.arange(n_cells) * h,
             (np.arange(n_cells) - n_cells) * h,
         )
-        keep = np.abs(positions) <= K * bound
-        dist = dist[keep]
-        weights = np.abs(positions[keep]) ** p
-        floor = 1e-18 * float(dist.max(initial=0.0))
-        hidden = floor * float(weights.sum())
-        dist = np.where(dist > floor, dist, 0.0)
-        vals.append((float(np.dot(weights, dist)), hidden))
+        vals.append(gridconv.window_abs_moment(positions, dist, p, K * bound))
     (coarse, _), (fine, hidden) = vals
     err = 3.0 * abs(fine - coarse) + hidden + 2.0 * tail
     return fine, err
@@ -175,19 +164,16 @@ def cp_abs_moment(
             per_k, per_k_err = _per_k_moments_atoms(spec.jump, ks, p)
             route = "atoms_exact"
         except OverflowError:
-            value, err = _cp_char_grid_moment(spec, p, tol, K, tail)
+            value, err = _cp_char_grid_moment(spec, p, K, tail)
             diag.update(
                 {"K": K, "per_k_method": "atoms_char_grid", "jump_p_moment": m_p,
                  "tail_bound": tail}
             )
             return ConstantResult(value, "cp_series/atoms_char_grid", err, diag)
     else:
-        vals_c, _ = basedist.grid_moments_for_ks(spec.jump.base, ks, p, 8192, tol)
-        vals_f, cert = basedist.grid_moments_for_ks(spec.jump.base, ks, p, 16384, tol)
-        per_k = dict(zip(ks, vals_f))
-        per_k_err = {
-            k: 3.0 * abs(f - c) + e for k, f, c, e in zip(ks, vals_f, vals_c, cert)
-        }
+        vals, errs = basedist.kfold_grid_moments(spec.jump.base, ks, p, tol, 8192)
+        per_k = dict(zip(ks, vals))
+        per_k_err = dict(zip(ks, errs))
         route = "grid"
 
     value = math.fsum(w * per_k[k] for k, w in zip(ks, weights))
@@ -226,15 +212,7 @@ def cp_sample(spec: CompoundPoissonSpec, rng: np.random.Generator, n: int) -> np
     """n i.i.d. draws of T; deterministic given the generator state."""
     if n < 0:
         raise DomainError("sample count must be nonnegative")
-    counts = rng.poisson(spec.lam, size=n)
-    total = int(counts.sum())
-    out = np.zeros(n)
-    if total == 0:
-        return out
-    mags = basedist.sample_abs(spec.jump.base, rng, total)
-    signs = rng.integers(0, 2, size=total) * 2 - 1
-    idx = np.repeat(np.arange(n), counts)
-    return np.bincount(idx, weights=mags * signs, minlength=n)
+    return basedist.sample_count_sums(spec.jump.base, rng, rng.poisson(spec.lam, size=n))
 
 
 def poisson_power_moment(lam: float, p: float, tol: float = 1e-9) -> ConstantResult:
@@ -247,8 +225,6 @@ def poisson_power_moment(lam: float, p: float, tol: float = 1e-9) -> ConstantRes
     if lam == 0.0:
         return ConstantResult(0.0, "poisson_series/empty", 0.0, diag)
     K, tail = _truncation_depth(lam, p, 1.0, tol)
-    value = math.fsum(
-        math.exp(_log_poisson_weight(lam, k) + p * math.log(k)) for k in range(1, K + 1)
-    )
+    value = math.fsum(_power_term(lam, p, k) for k in range(1, K + 1))
     diag.update({"K": K, "tail_bound": tail})
     return ConstantResult(value, "poisson_series", tail, diag)

@@ -1,11 +1,14 @@
-"""Convolution of laws represented as cell masses on uniform grids.
+"""Grid kernels: cell masses on uniform grids, their convolution and moments.
 
 A GridLaw carries cell masses at positions x0 + j*h plus an optional dict
 of exact atoms kept off the grid.  Convolving two laws convolves the mass
 vectors (FFT), shifts mass vectors by atom locations (mean-preserving
 two-cell splits for off-grid shifts), and adds atom locations exactly.
-Absolute moments are evaluated with a sub-Gaussian support truncation so
-the |x|^p weights never amplify the rectified FFT noise floor.
+
+The kernels shared by every grid route of the package live here: exact
+cell masses from a CDF (from_cdf), the sub-Gaussian truncation radius with
+its certified tail (truncation_radius), and the |x|^p moment of a mass
+window with the rectified FFT noise floor clamped (window_abs_moment).
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .basedist import _subgaussian_tail_moment
+from . import specfun
 from .errors import GridTooSmallError
 
-__all__ = ["GridLaw", "convolve_grid", "nfold_grid", "truncated_abs_moment"]
+__all__ = ["GridLaw", "convolve_grid", "from_cdf", "nfold_grid", "truncated_abs_moment",
+           "truncation_radius", "window_abs_moment"]
 
 
 @dataclass
@@ -139,8 +143,59 @@ def nfold_grid(laws: list[GridLaw]) -> GridLaw:
     return acc
 
 
+def _subgaussian_tail_moment(p: float, sigma2: float, T: float) -> float:
+    """Upper bound on E[|S|^p ; |S| > T] for a sum S of independent
+    symmetric sub-Gaussian summands with total variance proxy sigma2
+    (Hoeffding for bounded laws)."""
+    u = T * T / (2.0 * sigma2)
+    if u <= 0.0:
+        return math.inf
+    log_pref = (
+        math.log(p)
+        + 0.5 * p * math.log(2.0 * sigma2)
+        + specfun.log_gamma(0.5 * p)
+    )
+    q = specfun.reg_upper_inc_gamma(0.5 * p, u)
+    if q == 0.0:
+        return 0.0
+    return math.exp(log_pref + math.log(q))
+
+
+def truncation_radius(p: float, sigma2: float, tol: float, full: float) -> tuple[float, float]:
+    """Smallest T = (3 + j) sqrt(sigma2) whose certified tail moment beyond
+    T is below tol / 100, or the first T >= full (the whole support, with
+    nothing discarded).  Returns (T, tail bound)."""
+    step = math.sqrt(sigma2)
+    T = 3.0 * step
+    tail = _subgaussian_tail_moment(p, sigma2, T)
+    while tail > 0.01 * tol and T < full:
+        T += step
+        tail = _subgaussian_tail_moment(p, sigma2, T)
+    if T >= full:
+        tail = 0.0
+    return T, tail
+
+
+def window_abs_moment(
+    positions: np.ndarray, masses: np.ndarray, p: float, T: float
+) -> tuple[float, float]:
+    """sum |x|^p m(x) over the cells with |x| <= T.
+
+    Masses at most 10^-18 times the largest one are FFT noise and are
+    zeroed, so the |x|^p weights cannot amplify them; returns the moment
+    and the most that floor can hide.
+    """
+    keep = np.abs(positions) <= T
+    masses = masses[keep]
+    weights = np.abs(positions[keep]) ** p
+    floor = 1e-18 * float(masses.max(initial=0.0))
+    hidden = floor * float(weights.sum())
+    masses = np.where(masses > floor, masses, 0.0)
+    return float(np.dot(weights, masses)), hidden
+
+
 def truncated_abs_moment(
-    law: GridLaw, p: float, sigma2_total: float, tol: float, n_summands: int = 1
+    law: GridLaw, p: float, sigma2_total: float, tol: float
 ) -> tuple[float, float]:
     """E|X|^p over the law with certified truncation of the far support.
 
@@ -148,22 +203,8 @@ def truncated_abs_moment(
     of the per-summand proxies); returns the moment and a certified error
     contribution (discarded tail bound + what the noise floor can hide).
     """
-    positions = law.positions
-    full = law.effective_bound()
-    T = 3.0 * math.sqrt(sigma2_total)
-    tail = _subgaussian_tail_moment(p, 1, sigma2_total, T)
-    while tail > 0.01 * tol and T < full:
-        T += math.sqrt(sigma2_total)
-        tail = _subgaussian_tail_moment(p, 1, sigma2_total, T)
-    if T >= full:
-        tail = 0.0
-    keep = np.abs(positions) <= T
-    conv = law.masses[keep]
-    weights = np.abs(positions[keep]) ** p
-    floor = 1e-18 * float(conv.max(initial=0.0))
-    hidden = floor * float(weights.sum())
-    conv = np.where(conv > floor, conv, 0.0)
-    value = float(np.dot(weights, conv))
+    T, tail = truncation_radius(p, sigma2_total, tol, law.effective_bound())
+    value, hidden = window_abs_moment(law.positions, law.masses, p, T)
     value += math.fsum(m * abs(loc) ** p for loc, m in law.atoms.items() if loc != 0.0)
     return value, tail + hidden
 

@@ -180,14 +180,11 @@ def grid_density(law, n_cells: int = 8192) -> GridDensity:
     cont_mass = 1.0 - math.fsum(m for _, m in atoms)
     if cont_mass <= 1e-15:
         return GridDensity(-L, L, 2.0 * L / max(n_cells, 1), np.zeros(n_cells), atoms)
-    h = 2.0 * L / n_cells
-    edges = -L + h * np.arange(n_cells + 1)
-    cdf_vals = np.array([law.cdf(float(e)) for e in edges])
-    masses = np.maximum(np.diff(cdf_vals), 0.0)
-    total = masses.sum()
+    cells = gridconv.from_cdf(law.cdf, -L, L, n_cells)
+    total = cells.masses.sum()
     if total > 0.0:
-        masses *= cont_mass / total  # absorb the truncated 1e-16-level tail
-    return GridDensity(-L, L, h, masses / h, atoms)
+        cells.masses *= cont_mass / total  # absorb the truncated 1e-16-level tail
+    return GridDensity(-L, L, cells.h, cells.masses / cells.h, atoms)
 
 
 def _coarsen(law: gridconv.GridLaw) -> gridconv.GridLaw:
@@ -332,36 +329,28 @@ def search_sup_U(
     best_value = -math.inf
     best_config: dict = {}
     violations = 0
+    # the random allocations, then the equal splits (reported as trial -1)
+    candidates = []
     for trial in range(trials):
         rng = np.random.default_rng(children[trial])
         n = int(rng.integers(1, n_max + 1))
-        shares_2 = rng.dirichlet(np.ones(n))
-        shares_p = rng.dirichlet(np.ones(n))
+        candidates.append((trial, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))))
+    candidates += [(-1, np.full(n, 1.0 / n), np.full(n, 1.0 / n)) for n in range(1, n_max + 1)]
+    iid_values = []
+    for trial, shares_2, shares_p in candidates:
         scales, activations = _solve_candidate(p, V, A, B, shares_2, shares_p)
         value, err = _candidate_moment(p, V, scales, activations, tol)
-        if value - err > theorem.value * (1.0 + 1e-6) + theorem.error_bound:
+        if trial < 0:
+            iid_values.append(value)
+        elif value - err > theorem.value * (1.0 + 1e-6) + theorem.error_bound:
             violations += 1
         if value > best_value:
             best_value = value
             best_config = {
-                "n": n,
+                "n": len(scales),
                 "scales": list(scales),
                 "activations": list(activations),
                 "trial": trial,
-            }
-    iid_values = []
-    for n in range(1, n_max + 1):
-        shares = np.full(n, 1.0 / n)
-        scales, activations = _solve_candidate(p, V, A, B, shares, shares)
-        value, _ = _candidate_moment(p, V, scales, activations, tol)
-        iid_values.append(value)
-        if value > best_value:
-            best_value = value
-            best_config = {
-                "n": n,
-                "scales": list(scales),
-                "activations": list(activations),
-                "trial": -1,
             }
     gap = (theorem.value - best_value) / theorem.value
     return SearchReport(
@@ -635,13 +624,17 @@ def check_interlacing(source, member, z: float, p: float, tol: float = 1e-9):
     return holds, lhs, rhs
 
 
-def _ordering_triple(source, minus, plus, n: int, p: float, n_cells: int, tol: float):
-    out = []
-    for law in (minus, source, plus):
-        dens = grid_density(law, n_cells)
-        res = nfold_moment([dens] * n, p, tol)
-        out.append(res)
-    return out
+def _check_ordering(n: int, source, p: float, n_cells: int, tol: float, match_minus, match_plus):
+    a = math.sqrt(source.abs_moment(2.0))
+    b = source.abs_moment(p) ** (1.0 / p)
+    target = logconcave.MatchTarget(p, a, b)
+    res_m, res_s, res_p = (
+        nfold_moment([grid_density(law, n_cells)] * n, p, tol)
+        for law in (match_minus(target), source, match_plus(target))
+    )
+    err = res_m.error_bound + res_s.error_bound + res_p.error_bound
+    holds = (res_m.value <= res_s.value + err) and (res_s.value <= res_p.value + err)
+    return holds, (res_m.value, res_s.value, res_p.value), err
 
 
 def check_logconcave_ordering(
@@ -651,27 +644,18 @@ def check_logconcave_ordering(
     E|sum minus|^p <= E|sum source|^p <= E|sum plus|^p.
 
     Returns (holds, (v_minus, v_source, v_plus), combined_error)."""
-    a = math.sqrt(source.abs_moment(2.0))
-    b = source.abs_moment(p) ** (1.0 / p)
-    target = logconcave.MatchTarget(p, a, b)
-    minus = logconcave.match_density_minus(target)
-    plus = logconcave.match_density_plus(target)
-    res_m, res_s, res_p = _ordering_triple(source, minus, plus, n, p, n_cells, tol)
-    err = res_m.error_bound + res_s.error_bound + res_p.error_bound
-    holds = (res_m.value <= res_s.value + err) and (res_s.value <= res_p.value + err)
-    return holds, (res_m.value, res_s.value, res_p.value), err
+    return _check_ordering(
+        n, source, p, n_cells, tol,
+        logconcave.match_density_minus, logconcave.match_density_plus,
+    )
 
 
 def check_tail_ordering(
     n: int, source, p: float, n_cells: int = 8192, tol: float = 1e-9
 ):
     """Same bracketing with the log-concave-tail families (atom-aware)."""
-    a = math.sqrt(source.abs_moment(2.0))
-    b = source.abs_moment(p) ** (1.0 / p)
-    target = logconcave.MatchTarget(p, a, b)
-    minus = logconcave.match_tail(target, "minus")
-    plus = logconcave.match_tail(target, "plus")
-    res_m, res_s, res_p = _ordering_triple(source, minus, plus, n, p, n_cells, tol)
-    err = res_m.error_bound + res_s.error_bound + res_p.error_bound
-    holds = (res_m.value <= res_s.value + err) and (res_s.value <= res_p.value + err)
-    return holds, (res_m.value, res_s.value, res_p.value), err
+    return _check_ordering(
+        n, source, p, n_cells, tol,
+        lambda target: logconcave.match_tail(target, "minus"),
+        lambda target: logconcave.match_tail(target, "plus"),
+    )

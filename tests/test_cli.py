@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -165,6 +166,15 @@ class TestVerifyCommand:
         assert res.exit_code == 0
         assert all(rec["holds"] for rec in parse_json_lines(res.output))
 
+    @pytest.mark.parametrize("suite", ["poissonisation", "lower-bound"])
+    def test_enumeration_cap_exit_2(self, suite):
+        # 40 three-point summands would enumerate up to 3^40 support points
+        t0 = time.perf_counter()
+        res = run_cli("verify", suite, "--n", "40", "--trials", "1")
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exit_code == 2
+        assert "cap 12" in res.stderr
+
 
 class TestTableCommand:
     def test_csv_columns_fixed(self):
@@ -182,6 +192,14 @@ class TestTableCommand:
     def test_bad_grid_exit_2(self):
         res = run_cli("table", "--p-min", "3", "--p-max", "5", "--p-step", "-1")
         assert res.exit_code == 2
+
+    def test_grid_cap_exit_2(self):
+        # 550,001 points, rejected before any p value is built or evaluated
+        t0 = time.perf_counter()
+        res = run_cli("table", "--p-min", "2.5", "--p-max", "8", "--p-step", "1e-5")
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exit_code == 2
+        assert "550001 points" in res.stderr and "cap is 10000" in res.stderr
 
     def test_threads_env_same_output(self, monkeypatch):
         args = ["table", "--p-min", "2.5", "--p-max", "5.0", "--p-step", "0.5"]

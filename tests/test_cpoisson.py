@@ -11,6 +11,10 @@ RAD = bd.condition_nonzero(bd.rademacher())
 UNIF = bd.condition_nonzero(bd.uniform(1.0))
 GAUSS = bd.condition_nonzero(bd.gaussian())
 ATOMS = bd.condition_nonzero(bd.symmetric_atoms([(0.7, 0.4), (1.3, 0.6)]))
+COSINE = bd.condition_nonzero(bd.cosine_projection())  # per-k grid route
+TEN_ATOMS = bd.condition_nonzero(  # char grid route (too many atoms to enumerate)
+    bd.symmetric_atoms([(0.3 * i + 0.1, 0.1) for i in range(10)])
+)
 
 
 class TestSeries:
@@ -39,7 +43,7 @@ class TestSeries:
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.8, 3.0])
     @pytest.mark.parametrize("p", [4, 6])
-    @pytest.mark.parametrize("jump", [RAD, UNIF, GAUSS, ATOMS])
+    @pytest.mark.parametrize("jump", [RAD, UNIF, GAUSS, ATOMS, COSINE, TEN_ATOMS])
     def test_series_matches_cumulants(self, lam, p, jump):
         spec = cp.CompoundPoissonSpec(lam, jump)
         series = cp.cp_abs_moment(spec, float(p), tol=1e-9)

@@ -1,0 +1,160 @@
+"""Print one line per evaluation route of roskit, for before/after comparison.
+
+Each line is the ``repr`` of what a public entry point returns (value,
+method tag, error bound and diagnostics), so a refactor that is meant to
+leave every number unchanged can be checked by running this script at both
+commits and comparing the outputs byte for byte.  The script imports roskit
+from the ``src`` directory next to it, never from an installed copy, so for
+the other commit copy it into a checkout of that commit:
+
+    mkdir -p ../base && git archive BASE_COMMIT | tar -x -C ../base
+    mkdir -p ../base/tools && cp tools/route_outputs.py ../base/tools/
+    python ../base/tools/route_outputs.py > before.txt
+    python tools/route_outputs.py > after.txt
+    cmp before.txt after.txt
+
+The routes cover every ``method`` tag on the five base kinds (closed forms,
+the exact walk and Gaussian routes, exact and char-grid atomic routes, the
+per-k FFT grid, the individual-budget grid and enumeration routes, the four
+Monte Carlo estimators, a hash of compound Poisson draws), the randomized
+search, both ordering checks, and the stdout of the seven CLI invocations of
+acceptance criterion 10.  It takes about 10 s.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+from click.testing import CliRunner  # noqa: E402
+
+from roskit import basedist as bd  # noqa: E402
+from roskit import constants as ct  # noqa: E402
+from roskit import cpoisson as cp  # noqa: E402
+from roskit import verify as vf  # noqa: E402
+from roskit.cli import main as cli_main  # noqa: E402
+from roskit.errors import RoskitError  # noqa: E402
+
+CLI_INVOCATIONS = [
+    ["constant", "--p", "4", "--V", "rademacher", "--seed", "3"],
+    ["sup", "--positive", "--p", "2", "--A", "1", "--B", "1"],
+    ["match", "--family", "fminus", "--p", "4", "--a", "1", "--b", "1.35"],
+    ["verify", "search", "--p", "5", "--V", "uniform:w=1", "--n", "3",
+     "--trials", "20", "--seed", "11"],
+    ["verify", "h-signature", "--p", "4.5", "--trials", "25", "--seed", "6"],
+    ["table", "--p-min", "2.5", "--p-max", "4.5", "--p-step", "0.5",
+     "--format", "csv", "--seed", "1"],
+    ["extremal", "--p", "3", "--n", "5000", "--alpha", "0.95", "--seed", "12"],
+]
+
+THREE_ATOMS = bd.symmetric_atoms([(0.0, 0.3), (1.0, 0.4), (2.5, 0.3)])
+TEN_ATOMS = bd.symmetric_atoms([(0.3 * i + 0.1, 0.1) for i in range(10)])
+# three-point laws (location, activation) whose Poissonised jump law has six
+# generic atoms: the exact k-fold support passes the 50,000 cap, so the
+# compound Poisson series falls back to the char grid
+TRIPLE = [
+    (1.5731788245917877, 0.847678800005605),
+    (0.30742540036145816, 0.6236840950679153),
+    (1.1414238828695873, 0.22959026010806696),
+]
+BASES = {
+    "rademacher": bd.rademacher(),
+    "uniform": bd.uniform(1.0),
+    "gaussian": bd.gaussian(),
+    "cosine": bd.cosine_projection(),
+    "atoms3": THREE_ATOMS,
+    "atoms10": TEN_ATOMS,
+}
+
+
+def show(label, fn, *args, **kwargs):
+    """Print the repr of fn(*args, **kwargs), or of the roskit error it raises."""
+    try:
+        out = fn(*args, **kwargs)
+    except RoskitError as exc:
+        out = exc
+    print(f"{label}: {out!r}", flush=True)
+
+
+def routes():
+    for p in (3.0, 4.0, 5.0, 6.0):
+        for name, V in BASES.items():
+            show(f"mixture_sup p={p} {name}", ct.mixture_sup, p, V, 1.0, 1.0, 1e-6)
+    show("mixture_sup p=5 uniform A=1.3", ct.mixture_sup, 5.0, BASES["uniform"], 1.3, 1.0, 1e-6)
+    for p in (1.5, 2.0, 3.0):
+        show(f"positive_sum_sup p={p}", ct.positive_sum_sup, p, 1.0, 1.2)
+    for p in (3.0, 4.0, 5.0):
+        show(f"complex_constant p={p}", ct.complex_constant, p, 1e-6)
+        show(f"rosenthal_constant_symmetric p={p}", ct.rosenthal_constant_symmetric, p)
+        show(f"mixture_constant p={p} uniform", ct.mixture_constant, p, BASES["uniform"], 1e-6)
+
+    # compound Poisson routes, including the atomic support-overflow fallback
+    for lam in (0.5, 1.8):
+        for name, V in BASES.items():
+            spec = cp.CompoundPoissonSpec(lam, bd.condition_nonzero(V))
+            show(f"cp_abs_moment lam={lam} {name}", cp.cp_abs_moment, spec, 5.0, 1e-6)
+    lam = math.fsum(mass for _, mass in TRIPLE)
+    jump = bd.condition_nonzero(bd.symmetric_atoms(sorted((c, m / lam) for c, m in TRIPLE)))
+    show("cp_abs_moment overflowing atoms", cp.cp_abs_moment,
+         cp.CompoundPoissonSpec(lam, jump), 5.0, 1e-6)
+    show("poisson_power_moment", cp.poisson_power_moment, 2.5, 3.5)
+    for name in ("uniform", "atoms3"):
+        spec = cp.CompoundPoissonSpec(1.8, bd.condition_nonzero(BASES[name]))
+        draws = cp.cp_sample(spec, np.random.default_rng(4), 5000)
+        show(f"cp_sample {name} sha256", lambda: hashlib.sha256(draws.tobytes()).hexdigest())
+
+    # k-fold sums: exact, grid (atomic and FFT) and Monte Carlo
+    for name, V in BASES.items():
+        cond = bd.condition_nonzero(V)
+        for k in (1, 3):
+            if V.kind in ("rademacher", "gaussian"):
+                show(f"kfold exact k={k} {name}", bd.kfold_abs_moment, cond, k, 5.0, "exact")
+            show(f"kfold grid k={k} {name}", bd.kfold_abs_moment, cond, k, 5.0, "grid", 1e-6)
+        show(f"kfold monte_carlo {name}", bd.kfold_abs_moment, cond, 3, 5.0, "monte_carlo",
+             rng=np.random.default_rng(5), n_samples=20_000)
+
+    # per-summand budgets: three-point and thinned-mixture extremisers
+    budget = ct.MomentBudget.per_pair(5.0, [1.0, 0.7], [1.3, 1.1])
+    show("utev exact_enum", ct.utev_3point_sup, 5.0, budget)
+    show("utev monte_carlo", ct.utev_3point_sup, 5.0, budget, mode="monte_carlo",
+         rng=np.random.default_rng(7), n_samples=20_000)
+    wide = ct.MomentBudget.per_pair(5.0, [1.0, 0.7], [1.6, 1.4])
+    for name, V in BASES.items():
+        show(f"individual auto {name}", ct.mixture_individual_sup, 5.0, V, wide, tol=1e-6)
+        show(f"individual monte_carlo {name}", ct.mixture_individual_sup, 5.0, V, wide,
+             mode="monte_carlo", rng=np.random.default_rng(8), n_samples=20_000)
+    for name in ("rademacher", "gaussian"):
+        show(f"witness {name}", ct.witness_construction, 3.0, BASES[name], 1.0, 1.0, 500, 0.9,
+             rng=np.random.default_rng(9), n_samples=20_000)
+
+    # verification routes
+    for name in ("rademacher", "uniform"):
+        for p in (3.0, 5.0):
+            show(f"search_sup_U p={p} {name}", vf.search_sup_U, p, BASES[name], 1.0, 1.0,
+                 n_max=3, trials=4, seed=2)
+    show("check_logconcave_ordering", vf.check_logconcave_ordering,
+         2, vf.GaussianSource(), 5.0, n_cells=2048)
+    show("check_tail_ordering", vf.check_tail_ordering,
+         2, vf.LogisticSource(0.8), 5.0, n_cells=2048)
+    three = [{c: m / 2.0, -c: m / 2.0, 0.0: 1.0 - m} for c, m in TRIPLE]
+    show("check_poissonisation", vf.check_poissonisation, three, 5.0, 1e-6)
+    show("check_easy_lower_bound", vf.check_easy_lower_bound, three, 5.0)
+
+
+def cli():
+    runner = CliRunner()
+    for args in CLI_INVOCATIONS:
+        res = runner.invoke(cli_main, args, catch_exceptions=False)
+        print(f"cli {' '.join(args)} -> exit {res.exit_code}")
+        sys.stdout.write(res.output)
+        sys.stdout.flush()
+
+
+if __name__ == "__main__":
+    routes()
+    cli()
