@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import discrete, gridconv, specfun
 from .errors import DegenerateLawError, DomainError, UnsupportedMethodError
@@ -104,19 +105,16 @@ class BaseDistribution:
                 out[-loc] = mass / 2.0
         return out
 
-    def cdf(self, x: float) -> float:
-        """CDF of the signed law (continuous kinds only)."""
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
+        """CDF of the signed law (continuous kinds only), elementwise:
+        cdf(edges: ndarray) -> ndarray, and a scalar for a scalar."""
         if self.kind == "uniform":
             w = self.half_width
-            return min(1.0, max(0.0, (x + w) / (2.0 * w)))
+            return np.clip((x + w) / (2.0 * w), 0.0, 1.0)
         if self.kind == "gaussian":
-            return 0.5 * math.erfc(-x / math.sqrt(2.0))
+            return 0.5 * special.erfc(-x / math.sqrt(2.0))
         if self.kind == "cosine":
-            if x <= -1.0:
-                return 0.0
-            if x >= 1.0:
-                return 1.0
-            return 1.0 - math.acos(x) / math.pi
+            return 1.0 - np.arccos(np.clip(x, -1.0, 1.0)) / math.pi
         raise UnsupportedMethodError(f"no continuous CDF for kind {self.kind!r}")
 
 

@@ -311,6 +311,10 @@ def _verify_records(suite, p, v_spec, A, B, n, trials, seed, tol):
     rng = np.random.default_rng(seed)
     records: list[dict] = []
 
+    enumerates = suite in ("poissonisation", "lower-bound") or (suite == "search" and V.is_atomic)
+    if enumerates and n > constants.MAX_ENUM_SUMMANDS:
+        raise InputError(f"--n {n} exceeds the summand cap {constants.MAX_ENUM_SUMMANDS}")
+
     if suite == "search":
         rep = verify.search_sup_U(p, V, A, B, n_max=n, trials=trials, seed=seed, tol=tol)
         rec = rep.to_record()
@@ -318,8 +322,6 @@ def _verify_records(suite, p, v_spec, A, B, n, trials, seed, tol):
                    holds=rep.best_value <= rep.theorem_value * (1.0 + 1e-6))
         records.append(rec)
     elif suite in ("poissonisation", "lower-bound"):
-        if n > constants.MAX_ENUM_SUMMANDS:
-            raise InputError(f"--n {n} exceeds the summand cap {constants.MAX_ENUM_SUMMANDS}")
         for trial in range(trials):
             count = int(rng.integers(1, n + 1))
             laws = []

@@ -9,6 +9,9 @@ The kernels shared by every grid route of the package live here: exact
 cell masses from a CDF (from_cdf), the sub-Gaussian truncation radius with
 its certified tail (truncation_radius), and the |x|^p moment of a mass
 window with the rectified FFT noise floor clamped (window_abs_moment).
+
+Every CDF in the package is an array function, cdf(edges: ndarray) ->
+ndarray, that also accepts a scalar; from_cdf calls it once per grid.
 """
 
 from __future__ import annotations
@@ -56,11 +59,13 @@ class GridLaw:
 
 
 def from_cdf(cdf, lo: float, hi: float, n_cells: int, atoms: dict | None = None) -> GridLaw:
-    """Exact cell masses of the continuous part described by cdf on [lo, hi]."""
+    """Exact cell masses of the continuous part described by cdf on [lo, hi].
+
+    cdf is called once, on the whole edge vector: cdf(edges: ndarray) -> ndarray.
+    """
     h = (hi - lo) / n_cells
     edges = lo + h * np.arange(n_cells + 1)
-    vals = np.array([cdf(float(e)) for e in edges])
-    masses = np.maximum(np.diff(vals), 0.0)
+    masses = np.maximum(np.diff(cdf(edges)), 0.0)
     return GridLaw(lo + 0.5 * h, h, masses, dict(atoms or {}))
 
 

@@ -101,17 +101,14 @@ class PlateauExpDensity:
             return self.normalizer() if ax <= self.alpha else 0.0
         return self.normalizer() * math.exp(-self.gamma * max(ax - self.alpha, 0.0))
 
-    def cdf(self, x: float) -> float:
-        if x < 0.0:
-            return 1.0 - self.cdf(-x)
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
+        ax = np.abs(x)
         c = self.normalizer()
-        if self.limit == "uniform":
-            return 0.5 + c * min(x, self.alpha)
-        head = c * min(x, self.alpha)
-        tail = 0.0
-        if x > self.alpha:
-            tail = c / self.gamma * (1.0 - math.exp(-self.gamma * (x - self.alpha)))
-        return 0.5 + head + tail
+        upper = 0.5 + c * np.minimum(ax, self.alpha)
+        if self.limit != "uniform":
+            decay = np.exp(-self.gamma * np.maximum(ax - self.alpha, 0.0))
+            upper = upper + c / self.gamma * (1.0 - decay)
+        return np.where(x < 0.0, 1.0 - upper, upper)[()]
 
     def abs_moment(self, r: float) -> float:
         if not r > 0.0:
@@ -185,16 +182,17 @@ class TruncatedExpDensity:
             return self.normalizer()
         return self.normalizer() * math.exp(-self.gamma * ax)
 
-    def cdf(self, x: float) -> float:
-        if x < 0.0:
-            return 1.0 - self.cdf(-x)
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
+        ax = np.abs(x)
         if self.limit == "uniform":
-            return 0.5 + min(x, self.alpha) / (2.0 * self.alpha)
-        if self.limit == "exponential":
-            return 1.0 - 0.5 * math.exp(-self.gamma * x)
-        num = 1.0 - math.exp(-self.gamma * min(x, self.alpha))
-        den = 1.0 - math.exp(-self.alpha * self.gamma)
-        return 0.5 + 0.5 * num / den
+            upper = 0.5 + np.minimum(ax, self.alpha) / (2.0 * self.alpha)
+        elif self.limit == "exponential":
+            upper = 1.0 - 0.5 * np.exp(-self.gamma * ax)
+        else:
+            num = 1.0 - np.exp(-self.gamma * np.minimum(ax, self.alpha))
+            den = 1.0 - math.exp(-self.alpha * self.gamma)
+            upper = 0.5 + 0.5 * num / den
+        return np.where(x < 0.0, 1.0 - upper, upper)[()]
 
     def abs_moment(self, r: float) -> float:
         if not r > 0.0:
@@ -281,13 +279,13 @@ class TailLawMinus:
             return 0.0
         return 0.5 * self.rate * math.exp(-self.rate * (ax - self.offset))
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """CDF of the continuous part (the whole law unless two-point)."""
         if self.limit == "two_point":
-            return 0.0
-        if x < 0.0:
-            return 1.0 - self.cdf(-x)
-        return 1.0 - 0.5 * self.survival(x)
+            return np.zeros(np.shape(x))[()]
+        decay = np.exp(-self.rate * np.maximum(np.abs(x) - self.offset, 0.0))
+        upper = 1.0 - 0.5 * decay
+        return np.where(x < 0.0, 1.0 - upper, upper)[()]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         signs = rng.integers(0, 2, size=n) * 2 - 1
@@ -362,18 +360,14 @@ class TailLawPlus:
             return 0.0
         return 0.5 * self.rate * math.exp(-self.rate * ax)
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """CDF of the continuous part only (atoms reported separately)."""
         if self.limit == "two_point":
-            return 0.0
-        cont = self._cont_mass()
-        if x < 0.0:
-            return cont - self.cdf(-x)
-        inner = min(x, self.cutoff) if not math.isinf(self.cutoff) else x
-        return 0.5 * cont + 0.5 * (1.0 - math.exp(-self.rate * inner))
-
-    def _cont_mass(self) -> float:
-        return 1.0 - self.atom_mass()
+            return np.zeros(np.shape(x))[()]
+        cont = 1.0 - self.atom_mass()
+        decay = np.exp(-self.rate * np.minimum(np.abs(x), self.cutoff))
+        upper = 0.5 * cont + 0.5 * (1.0 - decay)
+        return np.where(x < 0.0, cont - upper, upper)[()]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         signs = rng.integers(0, 2, size=n) * 2 - 1

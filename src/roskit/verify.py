@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from . import basedist, constants, cpoisson, discrete, gridconv, logconcave, specfun
 from .errors import (
@@ -56,8 +56,8 @@ class GaussianSource:
     def pdf(self, x: float) -> float:
         return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
-    def cdf(self, x: float) -> float:
-        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
+        return 0.5 * special.erfc(-x / math.sqrt(2.0))
 
     def abs_moment(self, r: float) -> float:
         return specfun.gaussian_abs_moment(r)
@@ -81,8 +81,8 @@ class LogisticSource:
         u = math.exp(-abs(x) / self.scale)
         return u / (self.scale * (1.0 + u) ** 2)
 
-    def cdf(self, x: float) -> float:
-        return 1.0 / (1.0 + math.exp(-x / self.scale))
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
+        return 1.0 / (1.0 + np.exp(-x / self.scale))
 
     def abs_moment(self, r: float) -> float:
         val, _ = integrate.quad(

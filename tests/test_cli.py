@@ -175,6 +175,15 @@ class TestVerifyCommand:
         assert res.exit_code == 2
         assert "cap 12" in res.stderr
 
+    def test_search_enumeration_cap_exit_2(self):
+        # an atomic base law makes every candidate an exact enumeration
+        t0 = time.perf_counter()
+        res = run_cli("verify", "search", "--p", "5", "--V", "rademacher",
+                      "--n", "20", "--trials", "3")
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exit_code == 2
+        assert "cap 12" in res.stderr
+
 
 class TestTableCommand:
     def test_csv_columns_fixed(self):

@@ -6,6 +6,7 @@ from scipy import integrate
 
 from roskit import logconcave as lc
 from roskit import specfun
+from roskit import verify as vf
 from roskit.errors import DomainError, FeasibilityError
 
 
@@ -309,13 +310,18 @@ class TestEvalAndSampling:
         assert abs(sq.mean() - 1.0) <= 3.0 * se
 
     def test_cdf_matches_pdf(self):
-        for law, lo in (
-            (lc.PlateauExpDensity(0.8, 1.4), -40.0),
-            (lc.TruncatedExpDensity(2.2, 0.9), -2.2),
+        # the tail laws' pdf and cdf describe the continuous part only
+        for law, lo, kink in (
+            (lc.PlateauExpDensity(0.8, 1.4), -40.0, 0.8),
+            (lc.TruncatedExpDensity(2.2, 0.9), -2.2, 2.2),
+            (lc.TailLawMinus(1.5, 0.6), -40.0, 0.6),
+            (lc.TailLawPlus(1.1, 2.2), -2.2, 2.2),
+            (vf.GaussianSource(), -40.0, 0.0),
+            (vf.LogisticSource(0.8), -40.0, 0.0),
         ):
             for x in (-1.5, -0.2, 0.4, 1.9):
                 num, _ = integrate.quad(
-                    law.pdf, lo, x, limit=300, points=[-law.alpha, 0.0, law.alpha]
+                    law.pdf, lo, x, limit=300, points=[-kink, 0.0, kink]
                 )
                 assert law.cdf(x) == pytest.approx(num, abs=1e-9)
 

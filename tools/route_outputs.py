@@ -19,13 +19,29 @@ per-k FFT grid, the individual-budget grid and enumeration routes, the four
 Monte Carlo estimators, a hash of compound Poisson draws), the randomized
 search, both ordering checks, and the stdout of the seven CLI invocations of
 acceptance criterion 10.  It takes about 10 s.
+
+A change that may move values in the last bits (say, numpy's ``exp`` in
+place of ``math.exp``) is checked with the compare mode instead of ``cmp``:
+
+    python tools/route_outputs.py --compare before.txt after.txt
+
+It pairs the lines of the two files.  Every differing line must keep its
+text apart from its numbers (labels, ``method`` tags, diagnostics keys),
+and must carry a ``value`` (a number, or a tuple of numbers for the
+ordering checks) and an ``error_bound``.  For each differing line it prints
+the largest relative change among the line's numbers and how far each
+moved value went, as a fraction of the line's error_bound.  It exits 1 if
+the files differ in any other way or a value moved beyond its error_bound.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import math
+import re
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -62,6 +78,7 @@ TRIPLE = [
     (0.30742540036145816, 0.6236840950679153),
     (1.1414238828695873, 0.22959026010806696),
 ]
+Ordering = namedtuple("Ordering", "holds value error_bound")
 BASES = {
     "rademacher": bd.rademacher(),
     "uniform": bd.uniform(1.0),
@@ -137,10 +154,10 @@ def routes():
         for p in (3.0, 5.0):
             show(f"search_sup_U p={p} {name}", vf.search_sup_U, p, BASES[name], 1.0, 1.0,
                  n_max=3, trials=4, seed=2)
-    show("check_logconcave_ordering", vf.check_logconcave_ordering,
-         2, vf.GaussianSource(), 5.0, n_cells=2048)
-    show("check_tail_ordering", vf.check_tail_ordering,
-         2, vf.LogisticSource(0.8), 5.0, n_cells=2048)
+    show("check_logconcave_ordering", lambda: Ordering(*vf.check_logconcave_ordering(
+        2, vf.GaussianSource(), 5.0, n_cells=2048)))
+    show("check_tail_ordering", lambda: Ordering(*vf.check_tail_ordering(
+        2, vf.LogisticSource(0.8), 5.0, n_cells=2048)))
     three = [{c: m / 2.0, -c: m / 2.0, 0.0: 1.0 - m} for c, m in TRIPLE]
     show("check_poissonisation", vf.check_poissonisation, three, 5.0, 1e-6)
     show("check_easy_lower_bound", vf.check_easy_lower_bound, three, 5.0)
@@ -155,6 +172,56 @@ def cli():
         sys.stdout.flush()
 
 
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)(?![\w.])")
+VALUE = re.compile(r"(?<![\w\"])(?:value=|\"value\": )(\([^()]*\)|[^,()\s]+)")
+BOUND = re.compile(r"(?:error_bound=|\"error_bound\": )([^,()\s}]+)")
+
+
+def compare_line(before: str, after: str) -> tuple[str, bool]:
+    """Judge one differing line pair: (report, passed)."""
+    if NUMBER.sub("#", before) != NUMBER.sub("#", after):
+        return "text differs apart from the numbers", False
+    pairs = zip(NUMBER.findall(before), NUMBER.findall(after))
+    rel = max(abs(float(a) - float(b)) / max(abs(float(a)), abs(float(b))) for a, b in pairs
+              if a != b)
+    values, bounds = VALUE.findall(after), BOUND.findall(after)
+    if not values or len(values) != len(bounds):
+        return f"largest relative change {rel:.2g}, but no value with an error_bound", False
+    shares = []
+    for v_before, v_after, bound in zip(VALUE.findall(before), values, bounds):
+        for a, b in zip(NUMBER.findall(v_before), NUMBER.findall(v_after)):
+            moved, limit = abs(float(a) - float(b)), float(bound)
+            shares.append(moved / limit if limit else math.inf if moved else 0.0)
+    share = max(shares)
+    verdict = "within" if share <= 1.0 else "OUTSIDE"
+    return (f"largest relative change {rel:.2g}; value moved {share:.2g} of its "
+            f"error_bound: {verdict}"), share <= 1.0
+
+
+def compare(before_path: str, after_path: str) -> int:
+    before = Path(before_path).read_text().splitlines()
+    after = Path(after_path).read_text().splitlines()
+    if len(before) != len(after):
+        print(f"line counts differ: {len(before)} against {len(after)}")
+        return 1
+    failed = differing = 0
+    for number, (b, a) in enumerate(zip(before, after), 1):
+        if a == b:
+            continue
+        differing += 1
+        report, passed = compare_line(b, a)
+        failed += not passed
+        print(f"line {number} {a.split(':', 1)[0]}: {report}")
+    print(f"{len(after)} lines, {differing} differ, {failed} fail")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="judge two saved outputs instead of printing one")
+    args = parser.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
     routes()
     cli()
