@@ -139,6 +139,14 @@ def symmetric_atoms(atoms) -> BaseDistribution:
     return BaseDistribution("atoms", atoms=pairs)
 
 
+def parse_number(chunk: str, context: str) -> float:
+    """float(chunk), or a DomainError naming the chunk and the text around it."""
+    try:
+        return float(chunk)
+    except ValueError:
+        raise DomainError(f"bad number {chunk!r} in {context!r}") from None
+
+
 def parse_base_spec(text: str) -> BaseDistribution:
     """Parse the textual constructor syntax used by the CLI.
 
@@ -159,7 +167,7 @@ def parse_base_spec(text: str) -> BaseDistribution:
             key, _, val = rest.partition("=")
             if key != "w":
                 raise DomainError(f"bad uniform parameter {rest!r}")
-            w = float(val)
+            w = parse_number(val, text)
         return uniform(w)
     if head == "atoms":
         if not rest:
@@ -169,7 +177,7 @@ def parse_base_spec(text: str) -> BaseDistribution:
             loc_s, _, mass_s = chunk.partition(":")
             if not mass_s:
                 raise DomainError(f"bad atom entry {chunk!r}")
-            pairs.append((float(loc_s), float(mass_s)))
+            pairs.append((parse_number(loc_s, chunk), parse_number(mass_s, chunk)))
         return symmetric_atoms(pairs)
     raise DomainError(f"unknown base distribution spec {text!r}")
 
@@ -375,7 +383,7 @@ def atomic_kfold_moments(law: dict, ks, p: float, max_support: int):
     signed atomic law.
 
     Returns ({k: value}, support size of the largest power); raises
-    OverflowError once a power's support exceeds max_support.
+    SupportOverflowError once a power's support exceeds max_support.
     """
     wanted = set(ks)
     values = {}

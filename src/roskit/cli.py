@@ -83,7 +83,7 @@ def _fail(exc: Exception) -> int:
 def _parse_list(text: str | None) -> list[float] | None:
     if text is None:
         return None
-    return [float(chunk) for chunk in text.split(",") if chunk != ""]
+    return [basedist.parse_number(chunk, text) for chunk in text.split(",") if chunk != ""]
 
 
 def _check_tol(tol: float | None) -> float | None:

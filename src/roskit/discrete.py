@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .errors import SupportOverflowError
+
 SIG_DIGITS = 12
 _POW10 = np.array([float(10**i) for i in range(23)])  # exact doubles
 _CHUNK_PAIRS = 1 << 16  # bounds the temporaries to a few MB
@@ -63,10 +65,11 @@ def _round_sig_array(x: np.ndarray) -> np.ndarray:
 def convolve_atoms(d1: dict, d2: dict, max_support: int | None = None) -> dict:
     """Law of X + Y for independent atomic X, Y.
 
-    Raises OverflowError once the merged support exceeds max_support, so
-    callers can fall back to a grid method.  Pairs are taken d1-major in
-    chunks; each mass accumulates its products in pair order (np.add.at)
-    and keys keep their first-appearance order, as in the double loop.
+    Raises SupportOverflowError (an OverflowError) once the merged support
+    exceeds max_support, so callers can fall back to a grid method.  Pairs
+    are taken d1-major in chunks; each mass accumulates its products in pair
+    order (np.add.at) and keys keep their first-appearance order, as in the
+    double loop.
     """
     x1, m1 = (np.fromiter(v, float, len(d1)) for v in (d1.keys(), d1.values()))
     x2, m2 = (np.fromiter(v, float, len(d2)) for v in (d2.keys(), d2.values()))
@@ -86,7 +89,7 @@ def convolve_atoms(d1: dict, d2: dict, max_support: int | None = None) -> dict:
         ids[old] = seen_ids[pos[old]]
         ids[fresh] = total.size + np.arange(fresh.size)
         if max_support is not None and total.size + fresh.size > max_support:
-            raise OverflowError(
+            raise SupportOverflowError(
                 f"atomic convolution support {total.size + fresh.size} "
                 f"exceeds cap {max_support}"
             )

@@ -27,6 +27,11 @@ class UnsupportedMethodError(InputError):
     """Requested evaluation method does not apply to this distribution kind."""
 
 
+class SupportOverflowError(InputError, OverflowError):
+    """An exact atomic law whose support outgrew its cap; grid routes catch
+    it as OverflowError and fall back, the CLI reports it as bad input."""
+
+
 class FeasibilityError(InputError):
     """Moment target outside the feasible interval of a distribution class."""
 

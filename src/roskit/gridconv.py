@@ -155,11 +155,7 @@ def _subgaussian_tail_moment(p: float, sigma2: float, T: float) -> float:
     u = T * T / (2.0 * sigma2)
     if u <= 0.0:
         return math.inf
-    log_pref = (
-        math.log(p)
-        + 0.5 * p * math.log(2.0 * sigma2)
-        + specfun.log_gamma(0.5 * p)
-    )
+    log_pref = math.log(p) + 0.5 * p * math.log(2.0 * sigma2) + math.lgamma(0.5 * p)
     q = specfun.reg_upper_inc_gamma(0.5 * p, u)
     if q == 0.0:
         return 0.0

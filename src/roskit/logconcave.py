@@ -47,9 +47,7 @@ _BOUNDARY_RTOL = 1e-12
 
 
 def _offset_exp_integral(r: float, offset: float, rate: float) -> float:
-    """J = integral_0^inf (offset + u)^r exp(-rate u) du, for r >= 0."""
-    if offset == 0.0:
-        return math.exp(specfun.log_gamma(r + 1.0) - (r + 1.0) * math.log(rate))
+    """J = integral_0^inf (offset + u)^r exp(-rate u) du, for offset > 0 and r > -1."""
     if float(r).is_integer() and r >= 0:
         r_int = int(r)
         return math.fsum(
@@ -116,7 +114,7 @@ class PlateauExpDensity:
         if self.limit == "uniform":
             return self.alpha**r / (r + 1.0)
         if self.limit == "exponential":
-            return math.exp(specfun.log_gamma(r + 1.0) - r * math.log(self.gamma))
+            return math.exp(math.lgamma(r + 1.0) - r * math.log(self.gamma))
         num = self.alpha ** (r + 1.0) / (r + 1.0) + _offset_exp_integral(
             r, self.alpha, self.gamma
         )
@@ -200,10 +198,10 @@ class TruncatedExpDensity:
         if self.limit == "uniform":
             return self.alpha**r / (r + 1.0)
         if self.limit == "exponential":
-            return math.exp(specfun.log_gamma(r + 1.0) - r * math.log(self.gamma))
+            return math.exp(math.lgamma(r + 1.0) - r * math.log(self.gamma))
         kappa = self.alpha * self.gamma
         p_reg = specfun.reg_lower_inc_gamma(r + 1.0, kappa)
-        log_val = specfun.log_gamma(r + 1.0) - r * math.log(self.gamma)
+        log_val = math.lgamma(r + 1.0) - r * math.log(self.gamma)
         return math.exp(log_val) * p_reg / (1.0 - math.exp(-kappa))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -262,7 +260,7 @@ class TailLawMinus:
         if self.limit == "two_point":
             return self.offset**r
         if self.limit == "exponential":
-            return math.exp(specfun.log_gamma(r + 1.0) - r * math.log(self.rate))
+            return math.exp(math.lgamma(r + 1.0) - r * math.log(self.rate))
         return self.offset**r + r * _offset_exp_integral(r - 1.0, self.offset, self.rate)
 
     def atoms(self) -> dict:
@@ -336,9 +334,9 @@ class TailLawPlus:
         if self.limit == "two_point":
             return self.cutoff**r
         if self.limit == "exponential":
-            return math.exp(specfun.log_gamma(r + 1.0) - r * math.log(self.rate))
+            return math.exp(math.lgamma(r + 1.0) - r * math.log(self.rate))
         p_reg = specfun.reg_lower_inc_gamma(r, self.rate * self.cutoff)
-        return r * math.exp(specfun.log_gamma(r) - r * math.log(self.rate)) * p_reg
+        return r * math.exp(math.lgamma(r) - r * math.log(self.rate)) * p_reg
 
     def atom_mass(self) -> float:
         if self.limit == "two_point":
@@ -406,7 +404,7 @@ def feasibility_interval_density(p: float):
     if not p > 2.0:
         raise DomainError("feasibility interval requires p > 2")
     lo = math.sqrt(3.0) * (p + 1.0) ** (-1.0 / p)
-    hi = math.exp(specfun.log_gamma(p + 1.0) / p) / math.sqrt(2.0)
+    hi = math.exp(math.lgamma(p + 1.0) / p) / math.sqrt(2.0)
     return lo, hi
 
 

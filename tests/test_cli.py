@@ -40,9 +40,11 @@ class TestConstantCommand:
         res = run_cli("constant", "--p", "2")
         assert res.exit_code == 2
 
-    def test_unknown_v_spec_exit_2(self):
-        res = run_cli("constant", "--p", "4", "--V", "triangular")
+    @pytest.mark.parametrize("v_spec", ["triangular", "uniform:w=abc", "atoms:a:0.5"])
+    def test_unknown_v_spec_exit_2(self, v_spec):
+        res = run_cli("constant", "--p", "4", "--V", v_spec)
         assert res.exit_code == 2
+        assert "error" in json.loads(res.stderr)
 
     def test_bad_tolerance_exit_2(self):
         res = run_cli("constant", "--p", "4", "--tol", "2.0")
@@ -77,10 +79,20 @@ class TestSupCommand:
         assert rec["variant"] == "individual"
         assert rec["value"] > 0
 
-    def test_infeasible_budgets_exit_2(self):
-        res = run_cli("sup", "--p", "4", "--a", "1.5", "--b", "1.0")
+    @pytest.mark.parametrize("a,b", [("1.5", "1.0"), ("1,x", "1,2")])
+    def test_infeasible_budgets_exit_2(self, a, b):
+        res = run_cli("sup", "--p", "4", "--a", a, "--b", b)
         assert res.exit_code == 2
         assert "error" in res.stderr
+
+    def test_support_cap_exit_2(self):
+        # nine thinned three-atom summands: the exact sum law outgrows its cap
+        b = ",".join(repr(round(3.0 + 0.137 * j, 3)) for j in range(9))
+        res = run_cli("sup", "--p", "5", "--V", "atoms:0.5:0.3,1:0.3,2:0.4",
+                      "--a", ",".join(["1"] * 9), "--b", b)
+        assert res.exit_code == 2
+        assert json.loads(res.stderr)["error"] == "SupportOverflowError"
+        assert "cap 2000000" in res.stderr
 
 
 class TestExtremalCommand:
@@ -183,6 +195,14 @@ class TestVerifyCommand:
         assert time.perf_counter() - t0 < 1.0
         assert res.exit_code == 2
         assert "cap 12" in res.stderr
+
+    def test_search_support_cap_exit_2(self):
+        # within the --n cap, but each candidate summand has 7 support points
+        res = run_cli("verify", "search", "--p", "5", "--V", "atoms:0.5:0.3,1:0.3,2:0.4",
+                      "--n", "12", "--trials", "3", "--seed", "0")
+        assert res.exit_code == 2
+        assert json.loads(res.stderr)["error"] == "SupportOverflowError"
+        assert "cap 1000000" in res.stderr
 
 
 class TestTableCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from roskit import specfun
@@ -28,6 +30,9 @@ class TestLogGamma:
             x = float(x)
             lhs = specfun.log_gamma(x + 1.0) - specfun.log_gamma(x) - math.log(x)
             assert abs(lhs) <= 1e-12
+
+    def test_returns_float(self):
+        assert type(specfun.log_gamma(2.5)) is float
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -97,6 +102,24 @@ class TestUpperIncGamma:
             assert specfun.log_upper_gamma_exp_scaled(s, x) == pytest.approx(
                 math.log(val), rel=1e-10
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.floats(0.05, 60.0))
+    def test_scaled_continuous_at_switch(self, s):
+        # x < s+1 goes through scipy's Q(s, x), x >= s+1 through the continued
+        # fraction; the scaled integrals on either side agree to 1e-12 relative
+        x = s + 1.0
+        below = specfun.log_upper_gamma_exp_scaled(s, math.nextafter(x, 0.0))
+        above = specfun.log_upper_gamma_exp_scaled(s, x)
+        assert math.exp(below - above) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.0, 0.7, 9.0, math.inf])
+    def test_returns_float(self, x):
+        # a leaked np.float64 would print as np.float64(...) in CLI output
+        assert type(specfun.reg_lower_inc_gamma(2.5, x)) is float
+        assert type(specfun.reg_upper_inc_gamma(2.5, x)) is float
+        if math.isfinite(x):
+            assert type(specfun.log_upper_gamma_exp_scaled(2.5, x)) is float
 
 
 class TestGaussianAbsMoment:

@@ -28,7 +28,9 @@ place of ``math.exp``) is checked with the compare mode instead of ``cmp``:
 It pairs the lines of the two files.  Every differing line must keep its
 text apart from its numbers (labels, ``method`` tags, diagnostics keys),
 and must carry a ``value`` (a number, or a tuple of numbers for the
-ordering checks) and an ``error_bound``.  For each differing line it prints
+ordering checks) and an ``error_bound``; a CSV row under a
+``cli.CSV_COLUMNS`` header carries them in its ``value`` and
+``error_bound`` columns.  For each differing line it prints
 the largest relative change among the line's numbers and how far each
 moved value went, as a fraction of the line's error_bound.  It exits 1 if
 the files differ in any other way or a value moved beyond its error_bound.
@@ -53,6 +55,7 @@ from roskit import basedist as bd  # noqa: E402
 from roskit import constants as ct  # noqa: E402
 from roskit import cpoisson as cp  # noqa: E402
 from roskit import verify as vf  # noqa: E402
+from roskit.cli import CSV_COLUMNS  # noqa: E402
 from roskit.cli import main as cli_main  # noqa: E402
 from roskit.errors import RoskitError  # noqa: E402
 
@@ -177,18 +180,29 @@ VALUE = re.compile(r"(?<![\w\"])(?:value=|\"value\": )(\([^()]*\)|[^,()\s]+)")
 BOUND = re.compile(r"(?:error_bound=|\"error_bound\": )([^,()\s}]+)")
 
 
-def compare_line(before: str, after: str) -> tuple[str, bool]:
+def values_and_bounds(line: str, columns: list[str] | None) -> tuple[list[str], list[str]]:
+    """The value and error_bound texts of a line: the columns of those names
+    for a CSV row under a ``CSV_COLUMNS`` header, else the named fields."""
+    if columns is None:
+        return VALUE.findall(line), BOUND.findall(line)
+    row = dict(zip(columns, line.split(",")))
+    if row.get("value") and row.get("error_bound"):
+        return [row["value"]], [row["error_bound"]]
+    return [], []
+
+
+def compare_line(before: str, after: str, columns: list[str] | None = None) -> tuple[str, bool]:
     """Judge one differing line pair: (report, passed)."""
     if NUMBER.sub("#", before) != NUMBER.sub("#", after):
         return "text differs apart from the numbers", False
     pairs = zip(NUMBER.findall(before), NUMBER.findall(after))
     rel = max(abs(float(a) - float(b)) / max(abs(float(a)), abs(float(b))) for a, b in pairs
               if a != b)
-    values, bounds = VALUE.findall(after), BOUND.findall(after)
+    values, bounds = values_and_bounds(after, columns)
     if not values or len(values) != len(bounds):
         return f"largest relative change {rel:.2g}, but no value with an error_bound", False
     shares = []
-    for v_before, v_after, bound in zip(VALUE.findall(before), values, bounds):
+    for v_before, v_after, bound in zip(values_and_bounds(before, columns)[0], values, bounds):
         for a, b in zip(NUMBER.findall(v_before), NUMBER.findall(v_after)):
             moved, limit = abs(float(a) - float(b)), float(bound)
             shares.append(moved / limit if limit else math.inf if moved else 0.0)
@@ -205,11 +219,16 @@ def compare(before_path: str, after_path: str) -> int:
         print(f"line counts differ: {len(before)} against {len(after)}")
         return 1
     failed = differing = 0
+    columns = None  # set while inside the rows of a CSV table
     for number, (b, a) in enumerate(zip(before, after), 1):
+        if a == ",".join(CSV_COLUMNS):
+            columns = CSV_COLUMNS
+        elif a.startswith("cli "):
+            columns = None
         if a == b:
             continue
         differing += 1
-        report, passed = compare_line(b, a)
+        report, passed = compare_line(b, a, columns)
         failed += not passed
         print(f"line {number} {a.split(':', 1)[0]}: {report}")
     print(f"{len(after)} lines, {differing} differ, {failed} fail")
