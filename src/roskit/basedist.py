@@ -8,8 +8,9 @@ These cover every closed-form example the constants need while keeping
 all moments exact.
 
 k-fold sum moments E|V~_1 + ... + V~_k|^p come from closed forms, exact
-atomic convolution powers, FFT powers of gridconv cell masses, or the
-3-sigma Monte Carlo mean (mc_abs_moment) that every Monte Carlo route shares.
+atomic convolution powers, the gridconv spectral kernel with phi^k in
+place of the compound Poisson exp(lambda (phi - 1)), or the 3-sigma Monte
+Carlo mean (mc_abs_moment) that every Monte Carlo route shares.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from . import discrete, gridconv, specfun
-from .errors import DegenerateLawError, DomainError, UnsupportedMethodError
+from .errors import DegenerateLawError, DomainError, InputError, UnsupportedMethodError
 from .result import ConstantResult
 
 __all__ = [
@@ -90,6 +91,13 @@ class BaseDistribution:
             return self.atoms[-1][0]
         return None
 
+    def variance_proxy(self) -> float:
+        """The tightest s^2 used here with E exp(tV) <= exp(s^2 t^2 / 2)."""
+        if self.is_atomic:
+            return _atomic_variance_proxy(self.signed_atoms())
+        # sinh(tb) / (tb) <= exp(t^2 b^2 / 6); I_0(t) <= exp(t^2 / 4)
+        return {"uniform": self.half_width**2 / 3.0, "cosine": 0.5, "gaussian": 1.0}[self.kind]
+
     def signed_atoms(self) -> dict:
         """Signed law as {location: mass} for atomic kinds."""
         if self.kind == "rademacher":
@@ -116,6 +124,19 @@ class BaseDistribution:
         if self.kind == "cosine":
             return 1.0 - np.arccos(np.clip(x, -1.0, 1.0)) / math.pi
         raise UnsupportedMethodError(f"no continuous CDF for kind {self.kind!r}")
+
+
+def _atomic_variance_proxy(law: dict) -> float:
+    """A certified s^2 >= sup_t 2 L(t) / t^2, L(t) = log E cosh(tV), for a
+    finite symmetric law {location: mass}: near E V^2 = m2 where Hoeffding
+    gives b^2 = max V^2.  Below t = 0.1 / b, L(t) <= m2 (cosh(tb) - 1) / b^2
+    termwise; above 2 b / m2, L(t) <= tb; between, L increases, so 2 L(t_{j+1})
+    / t_j^2 bounds the ratio on [t_j, t_{j+1}] of a geometric grid."""
+    locs, masses = np.array(list(law)), np.array(list(law.values()))
+    b, m2 = float(locs.max()), float((masses * locs**2).sum())
+    t = (0.1 / b) * 1.001 ** np.arange(int(math.log(20.0 * b * b / m2) / math.log(1.001)) + 3)
+    L = special.logsumexp(np.outer(t[1:], locs), axis=1, b=masses)
+    return max(m2 * (math.cosh(0.1) - 1.0) / 0.005, float((2.0 * L / t[:-1] ** 2).max()))
 
 
 def rademacher() -> BaseDistribution:
@@ -314,70 +335,6 @@ def _gaussian_grid_halfwidth(k: int, p: float, tol: float) -> float:
     return L
 
 
-def kfold_moments_from_masses(
-    masses: np.ndarray, L: float, ks, p: float, sigma2: float, tol: float
-):
-    """E|S_k|^p for each requested k by FFT powers of a cell-mass vector.
-
-    The vector describes cell masses at centers -L + (j + 1/2) h on
-    [-L, L].  Per k, the sum's support is truncated where a sub-Gaussian
-    tail bound (variance proxy sigma2 per summand) certifies the discarded
-    moment mass; this keeps the |x|^p weights away from the rectified FFT
-    noise floor far out.  Returns per-k values and per-k certified
-    truncation/threshold contributions.
-    """
-    from scipy.fft import irfft, next_fast_len, rfft
-
-    ks = list(ks)
-    k_top = max(ks)
-    n_cells = masses.size
-    h = 2.0 * L / n_cells
-    total = masses.sum()
-    if total > 0:
-        masses = masses / total  # renormalize the (tiny) truncated mass
-
-    nfft = next_fast_len(k_top * n_cells + 1)
-    base_f = rfft(masses, nfft)
-    by_k: dict = {}
-    power = np.ones_like(base_f)
-    k_done = 0
-    for k in sorted(set(ks)):
-        for _ in range(k - k_done):
-            power = power * base_f
-        k_done = k
-        conv = irfft(power, nfft)[: k * (n_cells - 1) + 1]
-        positions = -k * L + (np.arange(conv.size) + 0.5 * k) * h
-        T, tail = gridconv.truncation_radius(p, k * sigma2, tol, k * L)
-        value, hidden = gridconv.window_abs_moment(positions, conv, p, T)
-        by_k[k] = (value, tail + hidden)
-    values = [by_k[k][0] for k in ks]
-    certified = [by_k[k][1] for k in ks]
-    return values, certified
-
-
-def kfold_grid_moments(
-    V: BaseDistribution, ks, p: float, tol: float, n_cells: int = 8192
-):
-    """Two-resolution grid moments from the exact cell masses of V, with a
-    per-k error estimate.
-
-    Returns (values, errors); values come from the finer grid, errors are
-    triple the coarse/fine difference (conservative for any convergence
-    order >= 1) plus the certified truncation contributions.
-    """
-    ks = list(ks)
-    bound = V.support_bound()
-    L = bound if bound is not None else _gaussian_grid_halfwidth(max(ks), p, tol)
-    sigma2 = bound * bound if bound is not None else 1.0
-    runs = []
-    for cells in (n_cells, 2 * n_cells):
-        masses = gridconv.from_cdf(V.cdf, -L, L, cells).masses
-        runs.append(kfold_moments_from_masses(masses, L, ks, p, sigma2, tol))
-    (coarse, _), (fine, certified) = runs
-    errs = [3.0 * abs(a - b) + c for a, b, c in zip(coarse, fine, certified)]
-    return fine, errs
-
-
 def atomic_kfold_moments(law: dict, ks, p: float, max_support: int):
     """E|S_k|^p for each requested k by exact convolution powers of a
     signed atomic law.
@@ -415,7 +372,8 @@ def kfold_abs_moment(
     """E|S_k|^p for S_k the sum of k i.i.d. copies of the conditioned base.
 
     method "exact" needs a closed form (random sign walk or Gaussian);
-    "grid" uses discretized self-convolution (exact for atomic kinds);
+    "grid" uses the spectral kernel with phi^k (exact enumeration for
+    atomic kinds);
     "monte_carlo" averages over sampled sums with independent fair signs.
     """
     if p <= 0:
@@ -446,13 +404,21 @@ def kfold_abs_moment(
             val = values[k]
             diag["support"] = support
             return ConstantResult(val, "grid/atoms_exact", 1e-13 * k * val, diag)
-        n_cells = 8192
-        while True:
-            vals, errs = kfold_grid_moments(base, [k], p, tol, n_cells)
-            val, err = vals[0], errs[0] + 1e-14 * abs(vals[0])
-            if err <= tol * max(1.0, abs(val)) or n_cells >= 32768:
+        L = base.support_bound() or _gaussian_grid_halfwidth(k, p, tol)
+        # window |x| <= T with a certified sub-Gaussian tail beyond it
+        T, tail = gridconv.truncation_radius(p, k * base.variance_proxy(), tol, k * L)
+        for n_cells in (8192, 16384, 32768):
+            try:
+                val, err = gridconv.spectral_abs_moment(
+                    base.cdf, L, lambda phi: phi**k, p, k, T, n_cells)
+            except InputError:  # a refinement past the grid cap keeps the coarser value
+                if n_cells == 8192:
+                    raise
+                n_cells //= 2
                 break
-            n_cells *= 2
+            err += tail + 1e-14 * abs(val)
+            if err <= tol * max(1.0, abs(val)):
+                break
         diag["n_cells"] = 2 * n_cells
         return ConstantResult(val, "grid/fft", err, diag)
 

@@ -7,10 +7,11 @@ the exact series
     E|T|^p = exp(-lambda) * sum_k  lambda^k / k!  *  E|S_k|^p
 
 truncated where the crude but rigorous bound E|S_k|^p <= (k ||jump||_p)^p
-certifies the discarded tail.  The per-k moments E|S_k|^p come from the
-basedist k-fold kernels; atomic jumps with many atoms or an overflowing
-exact support take the whole series on one char grid instead.  Even integer
-moments have an independent cumulant shortcut used as an oracle for the series.
+certifies the discarded tail.  Random-sign, Gaussian and small atomic
+jumps sum it term by term; every other jump law takes the whole series on
+the gridconv spectral kernel (exp(lambda (phi - 1)) between one rfft and
+one irfft, up to MAX_GRID_CELLS).  Even integer moments have an independent
+cumulant shortcut used as an oracle for both routes.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basedist, gridconv
+from . import basedist, gridconv, specfun
 from .basedist import ConditionedBase
 from .errors import DomainError, UnsupportedMethodError
+from .gridconv import MAX_GRID_CELLS
 from .result import ConstantResult
 
 __all__ = [
+    "MAX_GRID_CELLS",
     "CompoundPoissonSpec",
     "cp_abs_moment",
     "cp_even_moment_cumulant",
@@ -34,6 +37,7 @@ __all__ = [
 ]
 
 _ATOM_SUPPORT_CAP = 50_000
+_GRID_BASE = 8192  # coarse spectral grid: 8193 cells over [-b, b]; the fine one doubles it
 
 
 @dataclass(frozen=True)
@@ -77,55 +81,32 @@ def _truncation_depth(lam: float, p: float, m_p: float, tol: float):
     return max(K, 1), suffix
 
 
-def _per_k_moments_atoms(jump, ks, p):
-    """Exact dict convolutions of the jump law; OverflowError signals the
-    deduplicated support blowing up (caller falls back to the grid)."""
-    law = jump.base.signed_atoms()
-    if len(law) >= 8:
-        raise OverflowError("many-atom law; grid route is cheaper")
-    values, _ = basedist.atomic_kfold_moments(law, ks, p, _ATOM_SUPPORT_CAP)
-    return values, {k: 1e-13 * k * v for k, v in values.items()}
+def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, K: int, tail: float,
+                         tol: float):
+    """Whole-series value by the spectral kernel with exp(lam (phi - 1)),
+    two FFTs per resolution, on a grid holding sums of up to K + 3 jumps;
+    the error bound sums the terms documented below."""
+    base = spec.jump.base
+    bound = base.support_bound()
+    weights = [math.exp(_log_poisson_weight(spec.lam, k)) for k in range(1, K + 1)]
+    # window |x| <= T, with sum_{k<=K} w_k E[|S_k|^p; |S_k| > T] certified < tol / 100
+    T, window_tail = gridconv.truncation_radius(p, base.variance_proxy(), tol, bound, weights)
 
+    def poissonise(phi):
+        # exp(lam (phi - 1)) less the k = 0 atom e^-lam at 0, in place: it weighs
+        # nothing in |x|^p but would set the FFT noise for small lam
+        phi *= spec.lam
+        np.expm1(phi, out=phi)
+        phi *= math.exp(-spec.lam)
+        return phi
 
-def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, K: int, tail: float):
-    """Whole-series value on a grid via the exponential of the jump law's
-    characteristic vector: two FFTs per resolution instead of one inverse
-    transform per series term.
-
-    Contributions of the terms beyond K live outside the retained window
-    |x| <= K * bound (or alias back into it); both effects are covered by
-    twice the certified series tail at K.
-    """
-    from scipy.fft import irfft, next_fast_len, rfft
-
-    law = spec.jump.base.signed_atoms()
-    bound = spec.jump.base.support_bound()
-    span = bound * (K + 3)
-    vals = []
-    for n_base in (8192, 16384):
-        h = 2.0 * bound / n_base
-        n_cells = next_fast_len(int(math.ceil(2.0 * span / h)))
-        # wrap-around axis: index = position / h mod n_cells, so the k-fold
-        # circular convolutions of every order share one position decoding
-        masses = np.zeros(n_cells)
-        for loc, m in law.items():
-            idx_f = loc / h
-            base = int(math.floor(idx_f))
-            frac = idx_f - base
-            masses[base % n_cells] += m * (1.0 - frac)
-            masses[(base + 1) % n_cells] += m * frac
-        char = rfft(masses)
-        dist = irfft(np.exp(spec.lam * (char - 1.0)), n_cells)
-        half = n_cells // 2
-        positions = np.where(
-            np.arange(n_cells) <= half,
-            np.arange(n_cells) * h,
-            (np.arange(n_cells) - n_cells) * h,
-        )
-        vals.append(gridconv.window_abs_moment(positions, dist, p, K * bound))
-    (coarse, _), (fine, hidden) = vals
-    err = 3.0 * abs(fine - coarse) + hidden + 2.0 * tail
-    return fine, err
+    jump = base.signed_atoms() if base.is_atomic else base.cdf
+    # 3 x the coarse/fine gap plus the measured round-off term
+    value, err = gridconv.spectral_abs_moment(jump, bound, poissonise, p, K + 3, T, _GRID_BASE)
+    # sums of more than K + 3 jumps may wrap into the window, weighing <= T^p there
+    alias = T**p * specfun.reg_lower_inc_gamma(K + 4.0, spec.lam)
+    # the series tail beyond K counts once: terms K < k <= K + 3 on the grid only fall short
+    return value, err + window_tail + tail + alias
 
 
 def cp_abs_moment(
@@ -134,7 +115,8 @@ def cp_abs_moment(
     """E|T|^p by the truncated Poisson series over k-fold jump sums.
 
     The reported error bound is the certified series tail plus the
-    propagated per-k evaluation errors.
+    propagated per-k errors, or the spectral grid's (_cp_char_grid_moment),
+    whose grid raises InputError past MAX_GRID_CELLS before allocation.
     """
     if not p > 2.0:
         raise DomainError("cp_abs_moment requires p > 2")
@@ -147,7 +129,6 @@ def cp_abs_moment(
         raise DomainError("jump law has no finite p-th moment")
     K, tail = _truncation_depth(lam, p, m_p, tol)
     ks = list(range(1, K + 1))
-    weights = [math.exp(_log_poisson_weight(lam, k)) for k in ks]
 
     kind = spec.jump.base.kind
     if kind == "rademacher":
@@ -159,26 +140,24 @@ def cp_abs_moment(
         per_k = {k: k ** (p / 2.0) * ez for k in ks}
         per_k_err = {k: 1e-14 * per_k[k] for k in ks}
         route = "exact_gaussian"
-    elif kind == "atoms":
+    elif kind == "atoms" and len(law := spec.jump.base.signed_atoms()) < 8:
+        # exact dict convolutions, unless the deduplicated support overflows
         try:
-            per_k, per_k_err = _per_k_moments_atoms(spec.jump, ks, p)
+            per_k, _ = basedist.atomic_kfold_moments(law, ks, p, _ATOM_SUPPORT_CAP)
+            per_k_err = {k: 1e-13 * k * v for k, v in per_k.items()}
             route = "atoms_exact"
         except OverflowError:
-            value, err = _cp_char_grid_moment(spec, p, K, tail)
-            diag.update(
-                {"K": K, "per_k_method": "atoms_char_grid", "jump_p_moment": m_p,
-                 "tail_bound": tail}
-            )
-            return ConstantResult(value, "cp_series/atoms_char_grid", err, diag)
-    else:
-        vals, errs = basedist.kfold_grid_moments(spec.jump.base, ks, p, tol, 8192)
-        per_k = dict(zip(ks, vals))
-        per_k_err = dict(zip(ks, errs))
-        route = "grid"
+            route = "atoms_char_grid"
+    else:  # many-atom laws are cheaper on the grid than enumerated
+        route = "atoms_char_grid" if kind == "atoms" else "grid"
+    diag.update({"K": K, "per_k_method": route, "jump_p_moment": m_p, "tail_bound": tail})
+    if route.endswith("grid"):
+        value, err = _cp_char_grid_moment(spec, p, K, tail, tol)
+        return ConstantResult(value, f"cp_series/{route}", err, diag)
 
+    weights = [math.exp(_log_poisson_weight(lam, k)) for k in ks]
     value = math.fsum(w * per_k[k] for k, w in zip(ks, weights))
     propagated = math.fsum(w * per_k_err[k] for k, w in zip(ks, weights))
-    diag.update({"K": K, "per_k_method": route, "jump_p_moment": m_p, "tail_bound": tail})
     return ConstantResult(value, f"cp_series/{route}", tail + propagated, diag)
 
 

@@ -119,7 +119,10 @@ def thin_atoms(d: dict, activation: float) -> dict:
 
 
 def abs_moment_atoms(d: dict, p: float) -> float:
-    return math.fsum(m * abs(x) ** p for x, m in d.items() if x != 0.0)
+    locs = np.fromiter(d.keys(), float, len(d))
+    masses = np.fromiter(d.values(), float, len(d))
+    keep = locs != 0.0
+    return math.fsum((masses[keep] * np.abs(locs[keep]) ** p).tolist())
 
 
 def nfold_atoms(laws: list[dict], max_support: int | None = None) -> dict:

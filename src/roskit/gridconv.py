@@ -7,8 +7,10 @@ two-cell splits for off-grid shifts), and adds atom locations exactly.
 
 The kernels shared by every grid route of the package live here: exact
 cell masses from a CDF (from_cdf), the sub-Gaussian truncation radius with
-its certified tail (truncation_radius), and the |x|^p moment of a mass
-window with the rectified FFT noise floor clamped (window_abs_moment).
+its certified tail (truncation_radius), the |x|^p moment of a mass window
+with the measured FFT noise floor clamped (window_abs_moment), and the
+spectral kernel for sums of i.i.d. summands, a fixed count or a Poisson
+count of them, on one wrap-around grid (spectral_abs_moment).
 
 Every CDF in the package is an array function, cdf(edges: ndarray) ->
 ndarray, that also accepts a scalar; from_cdf calls it once per grid.
@@ -23,10 +25,13 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from . import specfun
-from .errors import GridTooSmallError
+from .errors import GridTooSmallError, InputError
 
-__all__ = ["GridLaw", "convolve_grid", "from_cdf", "nfold_grid", "truncated_abs_moment",
-           "truncation_radius", "window_abs_moment"]
+__all__ = ["GridLaw", "MAX_GRID_CELLS", "convolve_grid", "from_cdf", "nfold_grid",
+           "spectral_abs_moment", "truncated_abs_moment", "truncation_radius",
+           "window_abs_moment"]
+
+MAX_GRID_CELLS = 1 << 23  # longest spectral grid: 64 MB per float64 vector
 
 
 @dataclass
@@ -162,37 +167,83 @@ def _subgaussian_tail_moment(p: float, sigma2: float, T: float) -> float:
     return math.exp(log_pref + math.log(q))
 
 
-def truncation_radius(p: float, sigma2: float, tol: float, full: float) -> tuple[float, float]:
-    """Smallest T = (3 + j) sqrt(sigma2) whose certified tail moment beyond
-    T is below tol / 100, or the first T >= full (the whole support, with
-    nothing discarded).  Returns (T, tail bound)."""
-    step = math.sqrt(sigma2)
+def truncation_radius(
+    p: float, sigma2: float, tol: float, full: float, weights=(1.0,)
+) -> tuple[float, float]:
+    """Smallest T = (3 + j) s whose certified tail moment beyond T is below
+    tol / 100, and that tail: the mixture sum_k weights[k-1] S_k's, S_k a sum
+    of k summands of variance proxy sigma2 and |X| <= full each (one by
+    default), s the square root of the mixture's mean proxy."""
+    step = math.sqrt(sigma2 * np.average(np.arange(1, len(weights) + 1), weights=weights))
+
+    def tail_at(T):
+        return math.fsum(w * _subgaussian_tail_moment(p, k * sigma2, T)
+                         for k, w in enumerate(weights, 1) if T < k * full)
+
     T = 3.0 * step
-    tail = _subgaussian_tail_moment(p, sigma2, T)
-    while tail > 0.01 * tol and T < full:
+    while (tail := tail_at(T)) > 0.01 * tol:
         T += step
-        tail = _subgaussian_tail_moment(p, sigma2, T)
-    if T >= full:
-        tail = 0.0
     return T, tail
 
 
 def window_abs_moment(
     positions: np.ndarray, masses: np.ndarray, p: float, T: float
 ) -> tuple[float, float]:
-    """sum |x|^p m(x) over the cells with |x| <= T.
+    """sum |x|^p m(x) over the cells with |x| <= T, and the round-off term.
 
-    Masses at most 10^-18 times the largest one are FFT noise and are
-    zeroed, so the |x|^p weights cannot amplify them; returns the moment
-    and the most that floor can hide.
+    True masses are nonnegative, so the largest |negative mass| measures the
+    FFT noise: masses at most that floor (or 10^-18 times the largest) are
+    zeroed, so the |x|^p weights cannot amplify them, and floor * sum |x|^p
+    is the round-off term.  numpy's pairwise sum wakes no BLAS thread pool.
     """
     keep = np.abs(positions) <= T
     masses = masses[keep]
     weights = np.abs(positions[keep]) ** p
-    floor = 1e-18 * float(masses.max(initial=0.0))
+    floor = max(1e-18 * float(masses.max(initial=0.0)), -float(masses.min(initial=0.0)))
     hidden = floor * float(weights.sum())
     masses = np.where(masses > floor, masses, 0.0)
-    return float(np.dot(weights, masses)), hidden
+    return float((weights * masses).sum()), hidden
+
+
+def spectral_abs_moment(jump, b: float, transform, p: float, count: int, T: float,
+                        n_base: int) -> tuple[float, float]:
+    """E|S|^p over |S| <= T for the sum S whose characteristic vector is
+    transform(phi): phi ** k for k summands, exp(lam (phi - 1)) for a
+    Poisson(lam) count.  Returns the value on 2 n_base + 1 cells over [-b, b]
+    and 3 x its gap to n_base + 1 cells (conservative for convergence order
+    >= 1) plus the round-off term; the window tail and sums of more than
+    count summands, which may wrap, are the caller's to bound.
+
+    jump, the summand's law on [-b, b], is a CDF (cell centres on j h, +-b
+    on cell edges) or a {location: mass} dict (each atom split between its
+    two cells, keeping its mean).  A grid longer than MAX_GRID_CELLS raises
+    InputError before it is allocated.
+    """
+    vals = []
+    for n in (2 * n_base, n_base):  # the longer grid first: its size meets the cap
+        h = 2.0 * b / (n + 1)
+        size = next_fast_len(count * (n + 3) + 1)  # a summand's |j| <= (n + 3) / 2
+        if size > MAX_GRID_CELLS:
+            raise InputError(f"spectral grid of {size} cells for sums of up to {count} "
+                             f"summands exceeds the cap MAX_GRID_CELLS = {MAX_GRID_CELLS}")
+        masses = np.zeros(size)
+        if callable(jump):
+            cells = from_cdf(jump, -b, b, n + 1).masses  # centres j h, |j| <= n / 2
+            masses[: n // 2 + 1] = cells[n // 2 :]
+            masses[size - n // 2 :] = cells[: n // 2]
+        else:
+            for loc, m in jump.items():
+                base = math.floor(loc / h)
+                frac = loc / h - base
+                masses[base % size] += m * (1.0 - frac)
+                masses[(base + 1) % size] += m * frac
+        masses = transform(rfft(masses))  # rebinding frees each vector once used
+        dist = irfft(masses, size)
+        reach = min(int(T / h), (size - 1) // 2)
+        window = np.concatenate((dist[size - reach :], dist[: reach + 1]))
+        vals.append(window_abs_moment(h * np.arange(-reach, reach + 1), window, p, T))
+    (fine, hidden), (coarse, _) = vals
+    return fine, 3.0 * abs(fine - coarse) + hidden
 
 
 def truncated_abs_moment(

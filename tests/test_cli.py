@@ -94,6 +94,15 @@ class TestSupCommand:
         assert json.loads(res.stderr)["error"] == "SupportOverflowError"
         assert "cap 2000000" in res.stderr
 
+    def test_grid_cap_exit_2(self):
+        # lambda ~ 4072: the compound Poisson grid for ~4,700 jumps passes
+        # cpoisson.MAX_GRID_CELLS and is refused before it is allocated
+        start = time.perf_counter()
+        res = run_cli("sup", "--p", "5", "--V", "uniform:w=1", "--A", "10", "--B", "1")
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert "MAX_GRID_CELLS = 8388608" in json.loads(res.stderr)["message"]
+
 
 class TestExtremalCommand:
     def test_witness_below_four(self):

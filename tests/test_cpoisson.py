@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from roskit import basedist as bd
+from roskit import constants as ct
 from roskit import cpoisson as cp
 from roskit.errors import DomainError, UnsupportedMethodError
 
@@ -11,7 +14,7 @@ RAD = bd.condition_nonzero(bd.rademacher())
 UNIF = bd.condition_nonzero(bd.uniform(1.0))
 GAUSS = bd.condition_nonzero(bd.gaussian())
 ATOMS = bd.condition_nonzero(bd.symmetric_atoms([(0.7, 0.4), (1.3, 0.6)]))
-COSINE = bd.condition_nonzero(bd.cosine_projection())  # per-k grid route
+COSINE = bd.condition_nonzero(bd.cosine_projection())  # spectral grid route
 TEN_ATOMS = bd.condition_nonzero(  # char grid route (too many atoms to enumerate)
     bd.symmetric_atoms([(0.3 * i + 0.1, 0.1) for i in range(10)])
 )
@@ -70,6 +73,36 @@ class TestSeries:
             cp.cp_abs_moment(cp.CompoundPoissonSpec(1.0, RAD), 2.0)
         with pytest.raises(DomainError):
             cp.CompoundPoissonSpec(-1.0, RAD)
+
+
+def _uniform_jump(b):
+    return bd.condition_nonzero(bd.uniform(b))
+
+
+class TestHonestBound:
+    """|value - cumulant oracle| <= error_bound on the spectral grid routes,
+    with no allowance beyond the reported bound."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        jump=st.one_of(st.floats(0.05, 20.0).map(_uniform_jump), st.just(COSINE),
+                       st.just(TEN_ATOMS)),
+        lam=st.floats(0.05, 80.0),
+        p=st.sampled_from([4, 6, 8]),
+        tol=st.sampled_from([1e-6, 1e-9]),
+    )
+    # high p at a tight tol, where the |x|^8 weights amplify the FFT noise most
+    @example(jump=UNIF, lam=12.0, p=8, tol=1e-9)
+    def test_cp_abs_moment(self, jump, lam, p, tol):
+        spec = cp.CompoundPoissonSpec(lam, jump)
+        res = cp.cp_abs_moment(spec, float(p), tol)
+        assert res.method.endswith("grid")
+        assert abs(res.value - cp.cp_even_moment_cumulant(spec, p)) <= res.error_bound
+
+    def test_mixture_sup_large_intensity(self):
+        res = ct.mixture_sup(6.0, bd.uniform(1.0), 3.0, 1.0, 1e-6)
+        assert res.diagnostics["lambda"] > 50.0
+        assert abs(res.value - res.diagnostics["cp_cumulant_value"]) <= res.error_bound
 
 
 class TestCumulantOracle:

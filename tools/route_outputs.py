@@ -14,11 +14,11 @@ the other commit copy it into a checkout of that commit:
     cmp before.txt after.txt
 
 The routes cover every ``method`` tag on the five base kinds (closed forms,
-the exact walk and Gaussian routes, exact and char-grid atomic routes, the
-per-k FFT grid, the individual-budget grid and enumeration routes, the four
-Monte Carlo estimators, a hash of compound Poisson draws), the randomized
-search, both ordering checks, and the stdout of the seven CLI invocations of
-acceptance criterion 10.  It takes about 10 s.
+the exact walk and Gaussian routes, exact atomic routes, the spectral grid
+for compound Poisson sums and k-fold powers, the individual-budget grid and
+enumeration routes, the four Monte Carlo estimators, a hash of compound
+Poisson draws), the randomized search, both ordering checks, and the stdout
+of the seven CLI invocations of acceptance criterion 10.  It takes about 5 s.
 
 A change that may move values in the last bits (say, numpy's ``exp`` in
 place of ``math.exp``) is checked with the compare mode instead of ``cmp``:
@@ -122,6 +122,8 @@ def routes():
     jump = bd.condition_nonzero(bd.symmetric_atoms(sorted((c, m / lam) for c, m in TRIPLE)))
     show("cp_abs_moment overflowing atoms", cp.cp_abs_moment,
          cp.CompoundPoissonSpec(lam, jump), 5.0, 1e-6)
+    show("cp_abs_moment lam=12 p=8 uniform", cp.cp_abs_moment,
+         cp.CompoundPoissonSpec(12.0, bd.condition_nonzero(BASES["uniform"])), 8.0, 1e-9)
     show("poisson_power_moment", cp.poisson_power_moment, 2.5, 3.5)
     for name in ("uniform", "atoms3"):
         spec = cp.CompoundPoissonSpec(1.8, bd.condition_nonzero(BASES[name]))
@@ -135,6 +137,8 @@ def routes():
             if V.kind in ("rademacher", "gaussian"):
                 show(f"kfold exact k={k} {name}", bd.kfold_abs_moment, cond, k, 5.0, "exact")
             show(f"kfold grid k={k} {name}", bd.kfold_abs_moment, cond, k, 5.0, "grid", 1e-6)
+        if name == "gaussian":
+            show(f"kfold grid k=5 {name}", bd.kfold_abs_moment, cond, 5, 5.0, "grid", 1e-6)
         show(f"kfold monte_carlo {name}", bd.kfold_abs_moment, cond, 3, 5.0, "monte_carlo",
              rng=np.random.default_rng(5), n_samples=20_000)
 
