@@ -409,14 +409,15 @@ def kfold_abs_moment(
         T, tail = gridconv.truncation_radius(p, k * base.variance_proxy(), tol, k * L)
         for n_cells in (8192, 16384, 32768):
             try:
-                val, err = gridconv.spectral_abs_moment(
-                    base.cdf, L, lambda phi: phi**k, p, k, T, n_cells)
+                res = gridconv.spectral_abs_moment(
+                    [gridconv.Summand(base.cdf, L, count=k)], gridconv.edge_steps(L, n_cells), p, T)
             except InputError:  # a refinement past the grid cap keeps the coarser value
                 if n_cells == 8192:
                     raise
                 n_cells //= 2
                 break
-            err += tail + 1e-14 * abs(val)
+            val = res.fine
+            err = 3.0 * abs(res.fine - res.coarse) + res.hidden + tail + 1e-14 * abs(val)
             if err <= tol * max(1.0, abs(val)):
                 break
         diag["n_cells"] = 2 * n_cells

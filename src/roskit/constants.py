@@ -11,6 +11,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -324,8 +325,8 @@ def mixture_individual_sup(
     budgets ||X_j||_2 <= a_j, ||X_j||_p <= b_j, for p >= 4.
 
     Attained by Bernoulli-thinned scaled copies of V meeting both budgets
-    with equality.  Evaluated by exact enumeration (atomic V), grid
-    convolution (continuous V), or Monte Carlo.
+    with equality.  Evaluated by exact enumeration (atomic V), the spectral
+    grid sum (continuous V), or Monte Carlo.
     """
     scales, activations = _thinned_extremiser(p, V, budget, "mixture_individual_sup")
     n = len(scales)
@@ -351,16 +352,7 @@ def mixture_individual_sup(
         return ConstantResult(value, "exact_enum", 1e-13 * n * max(value, 1.0), diag)
 
     if mode == "grid":
-        vals = []
-        for n_cells in (4096, 8192):
-            laws = []
-            for c, mu in zip(scales, activations):
-                laws.append(_thinned_scaled_grid_law(V, c, mu, n_cells, tol, p))
-            total = gridconv.nfold_grid(laws)
-            sigma2 = sum(law.variance_proxy() for law in laws)
-            val, cert = gridconv.truncated_abs_moment(total, p, sigma2, tol)
-            vals.append((val, cert))
-        (coarse, _), (fine, cert) = vals
+        fine, coarse, cert = _thinned_grid_moment(p, V, scales, activations, 8192, tol)
         err = 3.0 * abs(fine - coarse) + cert + 1e-13 * abs(fine)
         diag["n_cells"] = 8192
         return ConstantResult(fine, "grid", err, diag)
@@ -373,19 +365,43 @@ def mixture_individual_sup(
     raise UnsupportedMethodError(f"unknown mode {mode!r}")
 
 
-def _thinned_scaled_grid_law(
-    V: BaseDistribution, c: float, mu: float, n_cells: int, tol: float, p: float = 6.0
-) -> gridconv.GridLaw:
-    """Grid law of c * theta * V with activation mu (atom at 0 on-grid)."""
+# A summand active with probability below this is conditioned on: thinned in
+# the grid, its masses would sit at the FFT noise, which the window clamps away.
+_SPIKE_ACTIVATION = 1e-6
+
+
+def _thinned_grid_moment(p: float, V: BaseDistribution, scales, activations, n_cells: int,
+                         tol: float):
+    """E|sum_j c_j theta_j V_j|^p for continuous V on the spectral kernel, at
+    the steps that cover the finest summand with n_cells + 1 and
+    n_cells / 2 + 1 cells, coarsened by gridconv.sum_steps.  Returns (fine,
+    coarse, certified truncation and round-off terms).
+
+    Summands with an activation below _SPIKE_ACTIVATION are conditioned on:
+    the sum's law is the mixture, over which of them are active, of sums
+    in which they enter unthinned, each on grids of its own."""
     bound = V.support_bound()
     L = bound if bound is not None else basedist._gaussian_grid_halfwidth(1, max(p, 6.0), tol)
-    lo, hi = -c * L, c * L
-    if n_cells % 2 == 0:
-        n_cells += 1  # odd count puts a cell center exactly at 0
-    law = gridconv.from_cdf(lambda x: V.cdf(x / c), lo, hi, n_cells)
-    law.masses *= mu
-    law.masses[n_cells // 2] += 1.0 - mu
-    return law
+    pairs = [(c, mu) for c, mu in zip(scales, activations) if c > 0.0 and mu > 0.0]
+    spikes = [(c, mu) for c, mu in pairs if mu < _SPIKE_ACTIVATION]
+    total = np.zeros(3)
+    for active in itertools.product((False, True), repeat=len(spikes)):
+        term = [(c, mu) for c, mu in pairs if mu >= _SPIKE_ACTIVATION]
+        term += [(c, 1.0) for (c, _), on in zip(spikes, active) if on]
+        if not term:
+            continue
+        # activation mu thins c V: mass 1 - mu at 0, the centre of a cell
+        summands = [gridconv.Summand(lambda x, c=c, mu=mu: mu * V.cdf(x / c), c * L,
+                                     {0.0: 1.0 - mu}) for c, mu in term]
+        steps = gridconv.sum_steps(summands, gridconv.edge_steps(min(c for c, _ in term) * L,
+                                                                 n_cells // 2))
+        # Hoeffding: each summand is symmetric with |c theta V| <= c L
+        T, tail = gridconv.truncation_radius(
+            p, math.fsum((c * L) ** 2 for c, _ in term), tol, L * math.fsum(c for c, _ in term))
+        res = gridconv.spectral_abs_moment(summands, steps, p, T)
+        weight = math.prod(mu if on else 1.0 - mu for (_, mu), on in zip(spikes, active))
+        total += weight * np.array([res.fine, res.coarse, tail + res.hidden])
+    return tuple(float(x) for x in total)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 _ATOM_SUPPORT_CAP = 50_000
-_GRID_BASE = 8192  # coarse spectral grid: 8193 cells over [-b, b]; the fine one doubles it
+_GRID_BASE = 8192  # spectral grids of 8193 and 16385 cells over [-b, b]
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,17 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, K: int, tail: floa
         phi *= math.exp(-spec.lam)
         return phi
 
-    jump = base.signed_atoms() if base.is_atomic else base.cdf
-    # 3 x the coarse/fine gap plus the measured round-off term
-    value, err = gridconv.spectral_abs_moment(jump, bound, poissonise, p, K + 3, T, _GRID_BASE)
+    jump = (gridconv.Summand(None, bound, base.signed_atoms()) if base.is_atomic
+            else gridconv.Summand(base.cdf, bound))
+    res = gridconv.spectral_abs_moment([jump], gridconv.edge_steps(bound, _GRID_BASE), p, T,
+                                       poissonise, K + 3)
+    # 3 x the coarse/fine gap (conservative for convergence order >= 1) plus
+    # the measured round-off term
+    err = 3.0 * abs(res.fine - res.coarse) + res.hidden
     # sums of more than K + 3 jumps may wrap into the window, weighing <= T^p there
     alias = T**p * specfun.reg_lower_inc_gamma(K + 4.0, spec.lam)
     # the series tail beyond K counts once: terms K < k <= K + 3 on the grid only fall short
-    return value, err + window_tail + tail + alias
+    return res.fine, err + window_tail + tail + alias
 
 
 def cp_abs_moment(

@@ -1,16 +1,18 @@
-"""Grid kernels: cell masses on uniform grids, their convolution and moments.
+"""Grid kernels: cell masses on uniform grids, and moments of sums of
+independent summands by one product of characteristic vectors.
 
-A GridLaw carries cell masses at positions x0 + j*h plus an optional dict
-of exact atoms kept off the grid.  Convolving two laws convolves the mass
-vectors (FFT), shifts mass vectors by atom locations (mean-preserving
-two-cell splits for off-grid shifts), and adds atom locations exactly.
-
-The kernels shared by every grid route of the package live here: exact
-cell masses from a CDF (from_cdf), the sub-Gaussian truncation radius with
-its certified tail (truncation_radius), the |x|^p moment of a mass window
-with the measured FFT noise floor clamped (window_abs_moment), and the
-spectral kernel for sums of i.i.d. summands, a fixed count or a Poisson
-count of them, on one wrap-around grid (spectral_abs_moment).
+Every grid route of the package runs on the kernels here: exact cell
+masses from a CDF (from_cdf), the sub-Gaussian truncation radius with its
+certified tail (truncation_radius), the |x|^p moment of a mass window with
+the measured FFT noise floor clamped (window_abs_moment), and the spectral
+kernel (spectral_abs_moment).  The kernel puts each independent Summand's
+masses on one wrap-around grid, takes one rfft per distinct summand,
+multiplies them (k copies enter as phi^k), maps the product when the count
+is random (exp(lam (phi - 1)) for a Poisson count) and takes one irfft,
+at a fine and a coarse step that each caller turns into its own error
+estimate: steps with a law's support ends on cell edges (edge_steps), or
+h and 2 h for a GridLaw; a sum of unequal summands coarsens its finest
+summand's steps until it fits SUM_GRID_CELLS cells (sum_steps).
 
 Every CDF in the package is an array function, cdf(edges: ndarray) ->
 ndarray, that also accepts a scalar; from_cdf calls it once per grid.
@@ -20,47 +22,90 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from . import specfun
-from .errors import GridTooSmallError, InputError
+from .errors import InputError
 
-__all__ = ["GridLaw", "MAX_GRID_CELLS", "convolve_grid", "from_cdf", "nfold_grid",
-           "spectral_abs_moment", "truncated_abs_moment", "truncation_radius",
+__all__ = ["GridLaw", "MAX_GRID_CELLS", "SUM_GRID_CELLS", "SpectralMoment", "Summand",
+           "edge_steps", "from_cdf", "spectral_abs_moment", "sum_steps", "truncation_radius",
            "window_abs_moment"]
 
 MAX_GRID_CELLS = 1 << 23  # longest spectral grid: 64 MB per float64 vector
+SUM_GRID_CELLS = MAX_GRID_CELLS >> 5  # a sum of unequal summands coarsens its step to fit
+
+
+@dataclass(frozen=True)
+class Summand:
+    """An independent summand of a spectral sum, repeated count times.
+
+    cdf, or None, is the CDF of its continuous part, which lies in
+    [-half, half]; its cells are centred on (j + offset) h, offset 0 or 1/2.
+    atoms is a {location: mass} dict with every |location| <= half.
+    """
+
+    cdf: Callable | None
+    half: float
+    atoms: dict = field(default_factory=dict)
+    count: int = 1
+    offset: float = 0.0
+
+    def reach(self, h: float) -> int:
+        """Largest |j| of a grid point (j + offset) h that can carry mass."""
+        return int(self.half / h + self.offset) + 1
+
+    def masses(self, h: float, size: int) -> np.ndarray:
+        """The summand's masses on a wrap-around grid of size points."""
+        out = np.zeros(size)
+
+        def split(x, m):  # mass m at index x, shared by its two nearest points keeping its mean
+            base = math.floor(x)
+            out[base % size] += m * (1.0 - (x - base))
+            out[(base + 1) % size] += m * (x - base)
+
+        r = self.reach(h)
+        if self.cdf is not None:
+            lo = (self.offset - r - 0.5) * h
+            cells = from_cdf(self.cdf, lo, lo + (2 * r + 1) * h, 2 * r + 1).masses  # j = -r..r
+            out[: r + 1] = cells[r:]
+            out[size - r :] = cells[:r]
+            # a cell cut by -+half keeps its mass at the middle of its part inside,
+            # so that the cell-centre error stays of second order in h
+            for j in {math.floor(sign * self.half / h - self.offset + 0.5) for sign in (-1, 1)}:
+                inside = np.clip((j + self.offset + np.array([-0.5, 0.5])) * h, -self.half,
+                                 self.half)
+                moved, out[j % size] = out[j % size], 0.0
+                split(inside.mean() / h - self.offset, moved)
+        for loc, m in self.atoms.items():
+            split(loc / h - self.offset, m)
+        return out
 
 
 @dataclass
 class GridLaw:
+    """Cell masses at x0 + j h (cell j is [x0 + (j - 1/2) h, x0 + (j + 1/2) h])
+    plus a {location: mass} dict of exact atoms kept off the grid."""
+
     x0: float
     h: float
     masses: np.ndarray
     atoms: dict = field(default_factory=dict)
 
-    @property
-    def positions(self) -> np.ndarray:
-        return self.x0 + self.h * np.arange(self.masses.size)
-
     def total_mass(self) -> float:
         return float(self.masses.sum()) + math.fsum(self.atoms.values())
 
-    def effective_bound(self) -> float:
-        """Largest |x| carrying grid or atom mass (every grid law is bounded)."""
-        nz = np.nonzero(self.masses > 0.0)[0]
-        b = 0.0
-        if nz.size:
-            b = max(abs(self.x0 + self.h * nz[0]), abs(self.x0 + self.h * nz[-1]))
-        for loc in self.atoms:
-            b = max(b, abs(loc))
-        return b
-
-    def variance_proxy(self) -> float:
-        b = self.effective_bound()
-        return b * b
+    def summand(self, count: int = 1) -> Summand:
+        """The law, symmetric about 0, as a spectral summand: its cells as the
+        piecewise-constant density they describe, so that at steps h and 2 h
+        the kernel's cells are this law's cells and their merged pairs."""
+        edges = self.x0 + self.h * (np.arange(self.masses.size + 1) - 0.5)
+        cum = np.concatenate(([0.0], np.cumsum(self.masses)))
+        half = max([-edges[0], edges[-1]] + [abs(loc) for loc in self.atoms])
+        return Summand(lambda x: np.interp(x, edges, cum), half, dict(self.atoms), count,
+                       0.5 if self.masses.size % 2 == 0 else 0.0)
 
 
 def from_cdf(cdf, lo: float, hi: float, n_cells: int, atoms: dict | None = None) -> GridLaw:
@@ -74,83 +119,19 @@ def from_cdf(cdf, lo: float, hi: float, n_cells: int, atoms: dict | None = None)
     return GridLaw(lo + 0.5 * h, h, masses, dict(atoms or {}))
 
 
-def _shift_masses(masses: np.ndarray, cells: float) -> tuple[int, np.ndarray]:
-    """Shift a mass vector by a (possibly fractional) number of cells.
-
-    Returns the integer base offset and the shifted vector (one cell
-    longer); the fractional part is split between neighbors so the mean is
-    preserved exactly.
-    """
-    base = int(math.floor(cells))
-    frac = cells - base
-    out = np.zeros(masses.size + 1)
-    out[:-1] += masses * (1.0 - frac)
-    out[1:] += masses * frac
-    return base, out
+def edge_steps(b: float, n: int) -> tuple[float, float]:
+    """A fine and a coarse step with +-b on cell edges: 2 n + 1 and n + 1
+    cells centred on multiples of the step cover [-b, b]."""
+    return 2.0 * b / (2 * n + 1), 2.0 * b / (n + 1)
 
 
-def convolve_grid(a: GridLaw, b: GridLaw) -> GridLaw:
-    """Law of X + Y for independent X ~ a, Y ~ b (steps must match)."""
-    if abs(a.h - b.h) > 1e-12 * max(a.h, b.h):
-        raise ValueError("grid steps must match; resample first")
-    h = a.h
-    pieces: list[tuple[float, np.ndarray]] = []  # (x0, masses)
-
-    if a.masses.size and b.masses.size:
-        n = a.masses.size + b.masses.size - 1
-        nfft = next_fast_len(n)
-        conv = irfft(rfft(a.masses, nfft) * rfft(b.masses, nfft), nfft)[:n]
-        pieces.append((a.x0 + b.x0, np.maximum(conv, 0.0)))
-
-    for law, other in ((a, b), (b, a)):
-        if not law.atoms or not other.masses.size:
-            continue
-        for loc, mass in law.atoms.items():
-            base, shifted = _shift_masses(other.masses * mass, loc / h)
-            pieces.append((other.x0 + base * h, shifted))
-
-    atoms: dict = {}
-    for loc_a, m_a in a.atoms.items():
-        for loc_b, m_b in b.atoms.items():
-            key = loc_a + loc_b
-            atoms[key] = atoms.get(key, 0.0) + m_a * m_b
-
-    if not pieces:
-        return GridLaw(0.0, h, np.zeros(0), atoms)
-
-    x0 = min(p[0] for p in pieces)
-    end = max(p[0] + (p[1].size - 1) * h for p in pieces)
-    size = int(round((end - x0) / h)) + 1
-    masses = np.zeros(size)
-    for px0, pm in pieces:
-        start = int(round((px0 - x0) / h))
-        masses[start : start + pm.size] += pm
-    return GridLaw(x0, h, masses, atoms)
-
-
-def resample(law: GridLaw, h: float) -> GridLaw:
-    """Mass-preserving resample onto step h (mean-preserving two-cell split)."""
-    if abs(law.h - h) <= 1e-12 * h:
-        return law
-    old_pos = law.positions
-    lo = float(old_pos[0]) - law.h
-    n_new = int(math.ceil((old_pos[-1] + law.h - lo) / h)) + 2
-    idx_f = (old_pos - lo) / h
-    base = np.floor(idx_f).astype(int)
-    frac = idx_f - base
-    masses = np.zeros(n_new)
-    np.add.at(masses, base, law.masses * (1.0 - frac))
-    np.add.at(masses, base + 1, law.masses * frac)
-    return GridLaw(lo, h, masses, dict(law.atoms))
-
-
-def nfold_grid(laws: list[GridLaw]) -> GridLaw:
-    """Convolve a list of laws, resampling to the finest common step."""
-    h = min(law.h for law in laws)
-    acc = resample(laws[0], h)
-    for law in laws[1:]:
-        acc = convolve_grid(acc, resample(law, h))
-    return acc
+def sum_steps(summands: list[Summand], steps: tuple[float, float]) -> tuple[float, float]:
+    """The (fine, coarse) steps a caller asks for, both coarsened by one
+    factor until the sum of the summands spans at most SUM_GRID_CELLS fine
+    cells."""
+    span = math.fsum(2.0 * s.half * s.count for s in summands)
+    factor = max(1.0, span / (SUM_GRID_CELLS * steps[0]))
+    return steps[0] * factor, steps[1] * factor
 
 
 def _subgaussian_tail_moment(p: float, sigma2: float, T: float) -> float:
@@ -205,65 +186,51 @@ def window_abs_moment(
     return float((weights * masses).sum()), hidden
 
 
-def spectral_abs_moment(jump, b: float, transform, p: float, count: int, T: float,
-                        n_base: int) -> tuple[float, float]:
-    """E|S|^p over |S| <= T for the sum S whose characteristic vector is
-    transform(phi): phi ** k for k summands, exp(lam (phi - 1)) for a
-    Poisson(lam) count.  Returns the value on 2 n_base + 1 cells over [-b, b]
-    and 3 x its gap to n_base + 1 cells (conservative for convergence order
-    >= 1) plus the round-off term; the window tail and sums of more than
-    count summands, which may wrap, are the caller's to bound.
+class SpectralMoment(NamedTuple):
+    fine: float  # the windowed moment at the fine step
+    coarse: float  # the same at the coarse step
+    hidden: float  # the round-off term of the fine value
+    mass: float  # total mass on the fine grid: the product's DC term
 
-    jump, the summand's law on [-b, b], is a CDF (cell centres on j h, +-b
-    on cell edges) or a {location: mass} dict (each atom split between its
-    two cells, keeping its mean).  A grid longer than MAX_GRID_CELLS raises
-    InputError before it is allocated.
+
+def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: float,
+                        T: float, transform=None, copies: int = 1) -> SpectralMoment:
+    """E|S|^p over |S| <= T for the sum S of independent summands, on one
+    wrap-around grid at each of the (fine, coarse) steps.
+
+    The characteristic vector of S is the product of every summand's
+    phi ** count, mapped by transform when it is given (exp(lam (phi - 1))
+    for a Poisson(lam) count of such sums; the offsets must then be 0).
+    The grid holds copies of the summands' sum without wrapping; the window
+    tail, and mass a random count may wrap into the window, are the
+    caller's to bound.  A grid longer than MAX_GRID_CELLS raises InputError
+    before it is allocated.
     """
+    offset = sum(s.count * s.offset for s in summands)  # index k sits at (k + offset) step
     vals = []
-    for n in (2 * n_base, n_base):  # the longer grid first: its size meets the cap
-        h = 2.0 * b / (n + 1)
-        size = next_fast_len(count * (n + 3) + 1)  # a summand's |j| <= (n + 3) / 2
+    for step in steps:  # the longer grid first: its size meets the cap
+        cells = copies * sum(s.count * (2 * s.reach(step) + 1) for s in summands)
+        size = next_fast_len(cells + 1)
         if size > MAX_GRID_CELLS:
-            raise InputError(f"spectral grid of {size} cells for sums of up to {count} "
+            n = copies * sum(s.count for s in summands)
+            raise InputError(f"spectral grid of {size} cells for sums of up to {n} "
                              f"summands exceeds the cap MAX_GRID_CELLS = {MAX_GRID_CELLS}")
-        masses = np.zeros(size)
-        if callable(jump):
-            cells = from_cdf(jump, -b, b, n + 1).masses  # centres j h, |j| <= n / 2
-            masses[: n // 2 + 1] = cells[n // 2 :]
-            masses[size - n // 2 :] = cells[: n // 2]
-        else:
-            for loc, m in jump.items():
-                base = math.floor(loc / h)
-                frac = loc / h - base
-                masses[base % size] += m * (1.0 - frac)
-                masses[(base + 1) % size] += m * frac
-        masses = transform(rfft(masses))  # rebinding frees each vector once used
-        dist = irfft(masses, size)
-        reach = min(int(T / h), (size - 1) // 2)
-        window = np.concatenate((dist[size - reach :], dist[: reach + 1]))
-        vals.append(window_abs_moment(h * np.arange(-reach, reach + 1), window, p, T))
-    (fine, hidden), (coarse, _) = vals
-    return fine, 3.0 * abs(fine - coarse) + hidden
-
-
-def truncated_abs_moment(
-    law: GridLaw, p: float, sigma2_total: float, tol: float
-) -> tuple[float, float]:
-    """E|X|^p over the law with certified truncation of the far support.
-
-    sigma2_total is a sub-Gaussian variance proxy for the whole sum (sum
-    of the per-summand proxies); returns the moment and a certified error
-    contribution (discarded tail bound + what the noise floor can hide).
-    """
-    T, tail = truncation_radius(p, sigma2_total, tol, law.effective_bound())
-    value, hidden = window_abs_moment(law.positions, law.masses, p, T)
-    value += math.fsum(m * abs(loc) ** p for loc, m in law.atoms.items() if loc != 0.0)
-    return value, tail + hidden
-
-
-def check_mass_conservation(law: GridLaw, expected: float, tol: float) -> None:
-    leak = abs(law.total_mass() - expected)
-    if leak > tol:
-        raise GridTooSmallError(
-            f"mass leak {leak:.3e} beyond the grid exceeds tolerance {tol:.1e}"
-        )
+        phi = None
+        for s in summands:
+            factor = rfft(s.masses(step, size))
+            if s.count != 1:
+                factor **= s.count
+            phi = factor if phi is None else phi * factor
+        if transform is not None:
+            phi = transform(phi)
+        mass = float(phi[0].real)
+        half_span = 0.5 * (size - 1)  # indices past it wrap
+        lo = math.ceil(max(-T / step, -half_span) - offset)
+        hi = math.floor(min(T / step, half_span) - offset)
+        window = np.roll(irfft(phi, size), -lo)[: hi - lo + 1]
+        del phi, factor
+        positions = np.arange(lo, hi + 1) + offset
+        positions *= step
+        vals.append((*window_abs_moment(positions, window, p, T), mass))
+    (fine, hidden, mass), (coarse, _, _) = vals
+    return SpectralMoment(fine, coarse, hidden, mass)

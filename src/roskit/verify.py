@@ -1,10 +1,12 @@
 """Independent numerical oracles and property checks.
 
 Everything here double-checks a closed-form claim through a different
-route: n-fold grid convolutions for sum moments, randomized search over
-feasible tuples against the theorem-side suprema, sign-change counting
-for density differences, convexity and determinant checks for the
-auxiliary functions, and the compound Poisson domination of finite sums.
+route: sum moments of grid densities and of search candidates on the
+gridconv spectral kernel (one product of the summands' characteristic
+vectors per grid step), randomized search over feasible tuples against the
+theorem-side suprema, sign-change counting for density differences,
+convexity and determinant checks for the auxiliary functions, and the
+compound Poisson domination of finite sums.
 """
 
 from __future__ import annotations
@@ -16,11 +18,7 @@ import numpy as np
 from scipy import integrate, special
 
 from . import basedist, constants, cpoisson, discrete, gridconv, logconcave, specfun
-from .errors import (
-    DomainError,
-    GridTooSmallError,
-    InvalidComparisonError,
-)
+from .errors import DomainError, GridTooSmallError, InputError, InvalidComparisonError
 from .result import ConstantResult
 
 __all__ = [
@@ -187,37 +185,51 @@ def grid_density(law, n_cells: int = 8192) -> GridDensity:
     return GridDensity(-L, L, cells.h, cells.masses / cells.h, atoms)
 
 
-def _coarsen(law: gridconv.GridLaw) -> gridconv.GridLaw:
-    masses = law.masses
-    if masses.size % 2:
-        masses = np.append(masses, 0.0)
-    pairs = masses[0::2] + masses[1::2]
-    return gridconv.GridLaw(law.x0 + 0.5 * law.h, 2.0 * law.h, pairs, dict(law.atoms))
-
-
 def _nfold_value(laws: list[gridconv.GridLaw], p: float, tol: float):
-    total = gridconv.nfold_grid(laws)
-    gridconv.check_mass_conservation(total, 1.0, 1e-6)
-    sigma2 = sum(law.variance_proxy() for law in laws)
-    return gridconv.truncated_abs_moment(total, p, sigma2, tol)
+    """E|sum of independent grid laws|^p at the finest law's step h and at
+    2 h, and the certified truncation and round-off terms; a law object
+    listed k times enters once, as phi^k.  Leaked mass raises
+    GridTooSmallError; a sum wider than MAX_GRID_CELLS cells of the finest
+    step raises InputError (coarsened that far, it would blur its summands)."""
+    counts: dict = {}
+    for law in laws:
+        counts.setdefault(id(law), [law, 0])[1] += 1
+    summands = [law.summand(k) for law, k in counts.values()]
+    h = min(law.h for law in laws)
+    reach = math.fsum(s.half * s.count for s in summands)
+    cells = round(2.0 * reach / h)
+    if cells > gridconv.MAX_GRID_CELLS:
+        raise InputError(f"a sum of {len(laws)} grid laws spans {cells} cells of "
+                         f"step {h:.3g}, past the cap MAX_GRID_CELLS = {gridconv.MAX_GRID_CELLS}")
+    # Hoeffding: each summand is symmetric with |X| <= half
+    T, tail = gridconv.truncation_radius(
+        p, math.fsum(s.half**2 * s.count for s in summands), tol, reach)
+    res = gridconv.spectral_abs_moment(summands, gridconv.sum_steps(summands, (h, 2.0 * h)), p, T)
+    leak = abs(res.mass - 1.0)
+    if leak > 1e-6:
+        raise GridTooSmallError(f"mass leak {leak:.3e} beyond the grid exceeds tolerance 1e-06")
+    return res.fine, res.coarse, tail + res.hidden
 
 
 def nfold_moment(densities: list[GridDensity], p: float, tol: float = 1e-9) -> ConstantResult:
-    """E|X_1 + ... + X_n|^p by iterated FFT convolution of grid densities.
+    """E|X_1 + ... + X_n|^p of independent grid densities by the spectral
+    kernel, at the finest density's step and at twice it (both coarsened to
+    fit gridconv.SUM_GRID_CELLS).
 
-    The error bound is the difference against a run with 2x-coarsened
-    inputs plus the certified truncation terms.
+    The value is the second-order Richardson extrapolation of the two; the
+    error bound is 1.5 x their gap, conservative even for first-order
+    convergence at density edges, plus the certified truncation and
+    round-off terms.
     """
     if not densities:
         raise DomainError("need at least one density")
     if not p > 0.0:
         raise DomainError("nfold_moment requires p > 0")
-    fine_laws = [d.to_mass_law() for d in densities]
-    fine_value, certified = _nfold_value(fine_laws, p, tol)
-    coarse_value, _ = _nfold_value([_coarsen(l) for l in fine_laws], p, tol)
+    # one mass law per distinct density object, so that n copies enter as phi^n
+    mass_laws = {key: d.to_mass_law() for key, d in {id(d): d for d in densities}.items()}
+    fine_value, coarse_value, certified = _nfold_value(
+        [mass_laws[id(d)] for d in densities], p, tol)
     diff = fine_value - coarse_value
-    # second-order Richardson; the reported bound stays conservative even
-    # for first-order convergence at density edges
     value = fine_value + diff / 3.0
     err = 1.5 * abs(diff) + certified + 1e-13 * abs(value)
     diag = {
@@ -268,16 +280,8 @@ def _candidate_moment(
         ]
         dist = discrete.nfold_atoms(laws, max_support=1_000_000)
         return discrete.abs_moment_atoms(dist, p), 1e-12
-    laws = [
-        constants._thinned_scaled_grid_law(V, c, mu, 2048, tol, p)
-        for c, mu in zip(scales, activations)
-    ]
-    total = gridconv.nfold_grid(laws)
-    sigma2 = sum(law.variance_proxy() for law in laws)
-    value, certified = gridconv.truncated_abs_moment(total, p, sigma2, tol)
-    coarse = gridconv.nfold_grid([_coarsen(l) for l in laws])
-    coarse_val, _ = gridconv.truncated_abs_moment(coarse, p, sigma2, tol)
-    return value, abs(value - coarse_val) + certified + 1e-12 * abs(value)
+    value, coarse, certified = constants._thinned_grid_moment(p, V, scales, activations, 2048, tol)
+    return value, abs(value - coarse) + certified + 1e-12 * abs(value)
 
 
 def _solve_candidate(p, V, A, B, shares_2, shares_p):

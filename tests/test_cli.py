@@ -196,6 +196,24 @@ class TestVerifyCommand:
         assert res.exit_code == 2
         assert "cap 12" in res.stderr
 
+    @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
+    def test_ordering_many_summands(self, suite):
+        # 200 summands: the step coarsens so the sum fits the grid budget
+        t0 = time.perf_counter()
+        res = run_cli("verify", suite, "--p", "5", "--n", "200")
+        assert time.perf_counter() - t0 < 10.0
+        assert res.exit_code == 0
+        assert parse_json_lines(res.output)[0]["holds"]
+
+    @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
+    def test_ordering_cap_exit_2(self, suite):
+        # 1000 summands of 16384 cells pass MAX_GRID_CELLS before any grid is built
+        t0 = time.perf_counter()
+        res = run_cli("verify", suite, "--p", "5", "--n", "1000")
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exit_code == 2
+        assert "MAX_GRID_CELLS = 8388608" in json.loads(res.stderr)["message"]
+
     def test_search_enumeration_cap_exit_2(self):
         # an atomic base law makes every candidate an exact enumeration
         t0 = time.perf_counter()

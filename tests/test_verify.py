@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import special
 
 from roskit import basedist as bd
 from roskit import constants as ct
@@ -78,6 +80,27 @@ class TestNfoldMoment:
             # a grid cut inside the support fails at construction
             vf.GridDensity(-1.0, 1.0, 2.0 / 64, np.full(64, 0.4))
 
+    @pytest.mark.parametrize("scale", [0.7405, 1.0718, 1.8661])
+    def test_logistic_p8_within_bound(self, scale):
+        # four summands with heavy tails at p = 8: the clamp after every
+        # sequential convolution once biased this sum beyond its bound
+        res = vf.nfold_moment([vf.grid_density(vf.LogisticSource(scale), 16384)] * 4, 8.0)
+        want = _logistic_sum_even_moment(scale, 4, 8)
+        assert abs(res.value - want) <= res.error_bound
+
+
+def _logistic_sum_even_moment(scale: float, n: int, p: int) -> float:
+    """E S^p, p even, for the sum S of n i.i.d. logistic laws of the given
+    scale: the cumulants kappa_2k = 2 (2k - 1)! zeta(2k) s^2k add over the
+    summands, and m_j = sum_k C(j - 1, k - 1) kappa_k m_(j - k)."""
+    kappa = [0.0] * (p + 1)
+    for k in range(2, p + 1, 2):
+        kappa[k] = n * 2.0 * math.factorial(k - 1) * float(special.zeta(k)) * scale**k
+    m = [1.0]
+    for j in range(1, p + 1):
+        m.append(math.fsum(math.comb(j - 1, k - 1) * kappa[k] * m[j - k] for k in range(1, j + 1)))
+    return m[p]
+
 
 class TestSearch:
     def test_rademacher_never_beats_theorem(self):
@@ -102,6 +125,16 @@ class TestSearch:
         assert len(iid) == 6
         # equal-split candidates improve with n on average (trend, not assert-per-step)
         assert iid[-1] >= iid[0]
+
+    def test_wide_scale_ratio_stays_bounded(self):
+        # one candidate's summand scales differ by orders of magnitude here;
+        # resampled to the finest step, this search once took a minute and
+        # 3.5 GB
+        t0 = time.perf_counter()
+        rep = vf.search_sup_U(3.0, bd.uniform(1.0), 0.7, 1.0, n_max=6, trials=30, seed=6)
+        assert time.perf_counter() - t0 < 15.0
+        assert rep.details["violations"] == 0
+        assert rep.best_value <= rep.theorem_value * (1.0 + 1e-6)
 
     def test_replay_deterministic(self):
         a = vf.search_sup_U(5.0, bd.rademacher(), 1.0, 1.0, 4, 30, seed=11)

@@ -17,8 +17,12 @@ The routes cover every ``method`` tag on the five base kinds (closed forms,
 the exact walk and Gaussian routes, exact atomic routes, the spectral grid
 for compound Poisson sums and k-fold powers, the individual-budget grid and
 enumeration routes, the four Monte Carlo estimators, a hash of compound
-Poisson draws), the randomized search, both ordering checks, and the stdout
-of the seven CLI invocations of acceptance criterion 10.  It takes about 5 s.
+Poisson draws), the randomized search, n-fold sums of grid densities, both
+ordering checks, and the stdout of the seven CLI invocations of acceptance
+criterion 10.  The grid sums include summands whose scales differ 35-fold
+(individual budgets) and by four orders of magnitude (search seed 6).  It
+takes 2-4 s; a commit that resamples grid sums to the finest step spends
+about a minute and 3.5 GB on search seed 6.
 
 A change that may move values in the last bits (say, numpy's ``exp`` in
 place of ``math.exp``) is checked with the compare mode instead of ``cmp``:
@@ -152,6 +156,10 @@ def routes():
         show(f"individual auto {name}", ct.mixture_individual_sup, 5.0, V, wide, tol=1e-6)
         show(f"individual monte_carlo {name}", ct.mixture_individual_sup, 5.0, V, wide,
              mode="monte_carlo", rng=np.random.default_rng(8), n_samples=20_000)
+    # two summands whose scales differ 35-fold share one grid
+    apart = ct.MomentBudget.per_pair(5.0, [1.0, 0.01], [1.6, 0.03])
+    show("individual grid uniform scale ratio 35", ct.mixture_individual_sup, 5.0,
+         BASES["uniform"], apart, mode="grid", tol=1e-6)
     for name in ("rademacher", "gaussian"):
         show(f"witness {name}", ct.witness_construction, 3.0, BASES[name], 1.0, 1.0, 500, 0.9,
              rng=np.random.default_rng(9), n_samples=20_000)
@@ -161,6 +169,10 @@ def routes():
         for p in (3.0, 5.0):
             show(f"search_sup_U p={p} {name}", vf.search_sup_U, p, BASES[name], 1.0, 1.0,
                  n_max=3, trials=4, seed=2)
+    show("search_sup_U p=3.0 uniform seed 6", vf.search_sup_U, 3.0, BASES["uniform"], 0.7, 1.0,
+         n_max=6, trials=30, seed=6)
+    show("nfold_moment logistic n=4 p=8", vf.nfold_moment,
+         [vf.grid_density(vf.LogisticSource(1.0718), 16384)] * 4, 8.0)
     show("check_logconcave_ordering", lambda: Ordering(*vf.check_logconcave_ordering(
         2, vf.GaussianSource(), 5.0, n_cells=2048)))
     show("check_tail_ordering", lambda: Ordering(*vf.check_tail_ordering(
