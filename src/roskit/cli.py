@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import click
 import numpy as np
 
-from . import basedist, constants, gridconv, logconcave, verify
+from . import basedist, constants, logconcave, verify
 from .errors import InputError, RoskitError
 from .result import _plain
 
@@ -30,9 +30,6 @@ _MATCH_FAMILIES = ("fminus", "fplus", "gminus", "gplus")
 
 # most p values one table sweep evaluates
 MAX_TABLE_POINTS = 10_000
-
-# cells of each grid density in verify ordering / tail-ordering
-ORDERING_CELLS = 16384
 
 VERIFY_SUITES = (
     "search",
@@ -317,10 +314,6 @@ def _verify_records(suite, p, v_spec, A, B, n, trials, seed, tol):
     enumerates = suite in ("poissonisation", "lower-bound") or (suite == "search" and V.is_atomic)
     if enumerates and n > constants.MAX_ENUM_SUMMANDS:
         raise InputError(f"--n {n} exceeds the summand cap {constants.MAX_ENUM_SUMMANDS}")
-    # the n-fold sum of a density spans n * ORDERING_CELLS cells of its step
-    if suite in ("ordering", "tail-ordering") and n * ORDERING_CELLS > gridconv.MAX_GRID_CELLS:
-        raise InputError(f"--n {n}: the sum spans {n * ORDERING_CELLS} cells, past the cap "
-                         f"MAX_GRID_CELLS = {gridconv.MAX_GRID_CELLS}")
 
     if suite == "search":
         rep = verify.search_sup_U(p, V, A, B, n_max=n, trials=trials, seed=seed, tol=tol)
@@ -407,22 +400,22 @@ def _verify_records(suite, p, v_spec, A, B, n, trials, seed, tol):
                 })
     elif suite == "ordering":
         holds, vals, err = verify.check_logconcave_ordering(
-            n, verify.GaussianSource(), p, n_cells=ORDERING_CELLS
+            n, verify.GaussianSource(), p, n_cells=16384
         )
         records.append({
             "command": "verify", "suite": suite, "p": p, "n": n, "seed": seed,
             "minus": vals[0], "source": vals[1], "plus": vals[2],
-            "combined_error": err, "grid_cells": ORDERING_CELLS, "holds": holds,
+            "combined_error": err, "grid_cells": 16384, "holds": holds,
         })
     elif suite == "tail-ordering":
         lo, hi = logconcave.feasibility_interval_tail(p)
         ratio = 0.5 * (lo + hi)
         source = logconcave.match_tail(logconcave.MatchTarget(p, 1.0, ratio), "minus")
-        holds, vals, err = verify.check_tail_ordering(n, source, p, n_cells=ORDERING_CELLS)
+        holds, vals, err = verify.check_tail_ordering(n, source, p, n_cells=16384)
         records.append({
             "command": "verify", "suite": suite, "p": p, "n": n, "seed": seed,
             "source_ratio": ratio, "minus": vals[0], "source": vals[1],
-            "plus": vals[2], "combined_error": err, "grid_cells": ORDERING_CELLS,
+            "plus": vals[2], "combined_error": err, "grid_cells": 16384,
             "holds": holds,
         })
     else:

@@ -11,8 +11,8 @@ cross-checks.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,42 +365,49 @@ def mixture_individual_sup(
     raise UnsupportedMethodError(f"unknown mode {mode!r}")
 
 
-# A summand active with probability below this is conditioned on: thinned in
-# the grid, its masses would sit at the FFT noise, which the window clamps away.
-_SPIKE_ACTIVATION = 1e-6
+def _thinned_grid_sum(p: float, V: BaseDistribution, L: float, groups: Counter, n_cells: int,
+                      tol: float):
+    """(SpectralMoment, window tail, summands, fine step) of the sum of count theta c V
+    per (c, mu): count, P(theta = 1) = mu, on the finest summand's edge_steps(n_cells / 2)."""
+    # activation mu thins c V: mass 1 - mu at 0, the centre of a cell
+    summands = [gridconv.Summand(lambda x, c=c, mu=mu: mu * V.cdf(x / c), c * L,
+                                 {0.0: 1.0 - mu}, k) for (c, mu), k in groups.items()]
+    steps = gridconv.sum_steps(summands, gridconv.edge_steps(min(groups)[0] * L, n_cells // 2))
+    # Hoeffding: each summand is symmetric with |c theta V| <= c L
+    T, tail = gridconv.truncation_radius(p, math.fsum(s.count * s.half**2 for s in summands), tol,
+                                         math.fsum(s.count * s.half for s in summands))
+    return gridconv.spectral_abs_moment(summands, steps, p, T), tail, summands, steps[0]
 
 
 def _thinned_grid_moment(p: float, V: BaseDistribution, scales, activations, n_cells: int,
                          tol: float):
-    """E|sum_j c_j theta_j V_j|^p for continuous V on the spectral kernel, at
-    the steps that cover the finest summand with n_cells + 1 and
-    n_cells / 2 + 1 cells, coarsened by gridconv.sum_steps.  Returns (fine,
-    coarse, certified truncation and round-off terms).
+    """(fine, coarse, certified terms) of E|sum_j c_j theta_j V_j|^p, continuous V.
 
-    Summands with an activation below _SPIKE_ACTIVATION are conditioned on:
-    the sum's law is the mixture, over which of them are active, of sums
-    in which they enter unthinned, each on grids of its own."""
+    A rare summand, whose active mass per fine cell mu / (2 reach + 1) is at most the
+    thinned sum's noise floor, would be zeroed with the noise: the sum is conditioned on
+    none or exactly one rare summand active (then unthinned); two or more add at most
+    sum_(i<j) mu_i mu_j (||S||_p given theta_i = theta_j = 1)^p, by Minkowski."""
     bound = V.support_bound()
     L = bound if bound is not None else basedist._gaussian_grid_halfwidth(1, max(p, 6.0), tol)
-    pairs = [(c, mu) for c, mu in zip(scales, activations) if c > 0.0 and mu > 0.0]
-    spikes = [(c, mu) for c, mu in pairs if mu < _SPIKE_ACTIVATION]
+    groups = Counter((c, mu) for c, mu in zip(scales, activations) if c > 0.0 and mu > 0.0)
+    res, tail, summands, h = _thinned_grid_sum(p, V, L, groups, n_cells, tol)
+    rare = [key for key, s in zip(groups, summands) if key[1] / (2 * s.reach(h) + 1) <= res.floor]
+    if not rare:
+        return res.fine, res.coarse, tail + res.hidden
+    base = Counter({key: k for key, k in groups.items() if key not in rare})
+    p_none = math.prod((1.0 - mu) ** groups[c, mu] for c, mu in rare)
+    terms = [(p_none, base)] if base else []
+    # exactly one of the k copies of (c, mu) active: k mu (1 - mu)^(k - 1) times the rest off
+    terms += [(p_none * groups[c, mu] * mu / (1.0 - mu), base + Counter({(c, 1.0): 1}))
+              for c, mu in rare]
     total = np.zeros(3)
-    for active in itertools.product((False, True), repeat=len(spikes)):
-        term = [(c, mu) for c, mu in pairs if mu >= _SPIKE_ACTIVATION]
-        term += [(c, 1.0) for (c, _), on in zip(spikes, active) if on]
-        if not term:
-            continue
-        # activation mu thins c V: mass 1 - mu at 0, the centre of a cell
-        summands = [gridconv.Summand(lambda x, c=c, mu=mu: mu * V.cdf(x / c), c * L,
-                                     {0.0: 1.0 - mu}) for c, mu in term]
-        steps = gridconv.sum_steps(summands, gridconv.edge_steps(min(c for c, _ in term) * L,
-                                                                 n_cells // 2))
-        # Hoeffding: each summand is symmetric with |c theta V| <= c L
-        T, tail = gridconv.truncation_radius(
-            p, math.fsum((c * L) ** 2 for c, _ in term), tol, L * math.fsum(c for c, _ in term))
-        res = gridconv.spectral_abs_moment(summands, steps, p, T)
-        weight = math.prod(mu if on else 1.0 - mu for (_, mu), on in zip(spikes, active))
+    for weight, term in terms:
+        res, tail, _, _ = _thinned_grid_sum(p, V, L, term, n_cells, tol)
         total += weight * np.array([res.fine, res.coarse, tail + res.hidden])
+    if sum(groups[key] for key in rare) > 1:  # sum_(i<j) mu_i mu_j <= (sum mu)^2 / 2
+        norm = math.fsum(k * c * mu ** (1 / p) for (c, mu), k in groups.items())
+        total[2] += 0.5 * math.fsum(groups[c, mu] * mu for c, mu in rare) ** 2 * (
+            (norm + 2.0 * max(rare)[0]) ** p * basedist.abs_moment(V, p))
     return tuple(float(x) for x in total)
 
 

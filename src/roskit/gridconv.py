@@ -169,8 +169,8 @@ def truncation_radius(
 
 def window_abs_moment(
     positions: np.ndarray, masses: np.ndarray, p: float, T: float
-) -> tuple[float, float]:
-    """sum |x|^p m(x) over the cells with |x| <= T, and the round-off term.
+) -> tuple[float, float, float]:
+    """sum |x|^p m(x) over the cells with |x| <= T, the round-off term and the noise floor.
 
     True masses are nonnegative, so the largest |negative mass| measures the
     FFT noise: masses at most that floor (or 10^-18 times the largest) are
@@ -183,7 +183,7 @@ def window_abs_moment(
     floor = max(1e-18 * float(masses.max(initial=0.0)), -float(masses.min(initial=0.0)))
     hidden = floor * float(weights.sum())
     masses = np.where(masses > floor, masses, 0.0)
-    return float((weights * masses).sum()), hidden
+    return float((weights * masses).sum()), hidden, floor
 
 
 class SpectralMoment(NamedTuple):
@@ -191,6 +191,7 @@ class SpectralMoment(NamedTuple):
     coarse: float  # the same at the coarse step
     hidden: float  # the round-off term of the fine value
     mass: float  # total mass on the fine grid: the product's DC term
+    floor: float  # the fine grid's measured noise floor: smaller masses were zeroed
 
 
 def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: float,
@@ -232,5 +233,5 @@ def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: 
         positions = np.arange(lo, hi + 1) + offset
         positions *= step
         vals.append((*window_abs_moment(positions, window, p, T), mass))
-    (fine, hidden, mass), (coarse, _, _) = vals
-    return SpectralMoment(fine, coarse, hidden, mass)
+    (fine, hidden, floor, mass), (coarse, *_) = vals
+    return SpectralMoment(fine, coarse, hidden, mass, floor)

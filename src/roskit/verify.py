@@ -185,22 +185,23 @@ def grid_density(law, n_cells: int = 8192) -> GridDensity:
     return GridDensity(-L, L, cells.h, cells.masses / cells.h, atoms)
 
 
-def _nfold_value(laws: list[gridconv.GridLaw], p: float, tol: float):
-    """E|sum of independent grid laws|^p at the finest law's step h and at
-    2 h, and the certified truncation and round-off terms; a law object
-    listed k times enters once, as phi^k.  Leaked mass raises
-    GridTooSmallError; a sum wider than MAX_GRID_CELLS cells of the finest
-    step raises InputError (coarsened that far, it would blur its summands)."""
+def _nfold_value(laws, p: float, tol: float):
+    """E|sum of independent grid laws|^p at the finest law's step h and at 2 h, and the
+    certified truncation and round-off terms; k equal laws enter once, as phi^k.  Leaked
+    mass raises GridTooSmallError; a sum wider than MAX_GRID_CELLS cells of step h raises
+    InputError (coarsened that far, it would blur its summands)."""
     counts: dict = {}
     for law in laws:
-        counts.setdefault(id(law), [law, 0])[1] += 1
+        key = (law.x0, law.h, law.masses.tobytes(), tuple(sorted(law.atoms.items())))
+        counts.setdefault(key, [law, 0])[1] += 1
     summands = [law.summand(k) for law, k in counts.values()]
-    h = min(law.h for law in laws)
+    h = min(law.h for law, _ in counts.values())
     reach = math.fsum(s.half * s.count for s in summands)
     cells = round(2.0 * reach / h)
     if cells > gridconv.MAX_GRID_CELLS:
-        raise InputError(f"a sum of {len(laws)} grid laws spans {cells} cells of "
-                         f"step {h:.3g}, past the cap MAX_GRID_CELLS = {gridconv.MAX_GRID_CELLS}")
+        raise InputError(f"a sum of {sum(s.count for s in summands)} grid laws spans {cells} "
+                         f"cells of step {h:.3g}, past the cap MAX_GRID_CELLS = "
+                         f"{gridconv.MAX_GRID_CELLS}")
     # Hoeffding: each summand is symmetric with |X| <= half
     T, tail = gridconv.truncation_radius(
         p, math.fsum(s.half**2 * s.count for s in summands), tol, reach)
@@ -212,23 +213,17 @@ def _nfold_value(laws: list[gridconv.GridLaw], p: float, tol: float):
 
 
 def nfold_moment(densities: list[GridDensity], p: float, tol: float = 1e-9) -> ConstantResult:
-    """E|X_1 + ... + X_n|^p of independent grid densities by the spectral
-    kernel, at the finest density's step and at twice it (both coarsened to
-    fit gridconv.SUM_GRID_CELLS).
-
-    The value is the second-order Richardson extrapolation of the two; the
-    error bound is 1.5 x their gap, conservative even for first-order
-    convergence at density edges, plus the certified truncation and
-    round-off terms.
+    """E|X_1 + ... + X_n|^p of independent grid densities by the spectral kernel, at the
+    finest density's step and at twice it (both coarsened to fit gridconv.SUM_GRID_CELLS):
+    their second-order Richardson extrapolation, with 1.5 x their gap (conservative even
+    for first-order convergence at density edges) plus the certified terms as its bound.
     """
     if not densities:
         raise DomainError("need at least one density")
     if not p > 0.0:
         raise DomainError("nfold_moment requires p > 0")
-    # one mass law per distinct density object, so that n copies enter as phi^n
-    mass_laws = {key: d.to_mass_law() for key, d in {id(d): d for d in densities}.items()}
     fine_value, coarse_value, certified = _nfold_value(
-        [mass_laws[id(d)] for d in densities], p, tol)
+        (d.to_mass_law() for d in densities), p, tol)
     diff = fine_value - coarse_value
     value = fine_value + diff / 3.0
     err = 1.5 * abs(diff) + certified + 1e-13 * abs(value)

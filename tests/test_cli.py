@@ -198,12 +198,23 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
     def test_ordering_many_summands(self, suite):
-        # 200 summands: the step coarsens so the sum fits the grid budget
+        # 200 summands: the step coarsens so the sum fits the grid budget; the
+        # combined error there is wider than the gaps, so only the run is checked
         t0 = time.perf_counter()
         res = run_cli("verify", suite, "--p", "5", "--n", "200")
         assert time.perf_counter() - t0 < 10.0
         assert res.exit_code == 0
-        assert parse_json_lines(res.output)[0]["holds"]
+
+    @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
+    def test_ordering_separates_on_coarsened_step(self, suite):
+        # 32 summands of 16384 cells: the step is coarsened twofold, and the
+        # combined error stays below the gaps (the tail-ordering source is
+        # the minus member itself, so there only the plus gap is strict)
+        rec = parse_json_lines(run_cli("verify", suite, "--p", "5", "--n", "32").output)[0]
+        assert rec["holds"]
+        assert rec["combined_error"] < rec["plus"] - rec["source"]
+        if suite == "ordering":
+            assert rec["combined_error"] < rec["source"] - rec["minus"]
 
     @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
     def test_ordering_cap_exit_2(self, suite):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -244,6 +245,31 @@ class TestMixtureIndividual:
             rng=np.random.default_rng(17), n_samples=1_000_000,
         )
         assert abs(grid.value - mc.value) <= mc.error_bound + grid.error_bound
+
+    def test_thirty_rare_summands_bounded(self):
+        # activations near 4e-17 put each rare summand's active cells below
+        # the FFT noise floor, so each is conditioned on: one grid sum with
+        # none active and one per distinct scale with exactly one active
+        p, k = 5.0, 30
+        budget = ct.MomentBudget.per_pair(p, [1e-5] * k + [1.0], [1.0] * k + [1.5])
+        t0 = time.perf_counter()
+        res = ct.mixture_individual_sup(p, bd.uniform(1.0), budget)
+        assert time.perf_counter() - t0 < 5.0
+        (c, *_, cb), (mu, *_, mub) = res.diagnostics["scales"], res.diagnostics["activations"]
+        # E|B + c V|^5 = ((c + B)^6 + (c - B)^6) / (12 c) for |B| <= c, B = cb theta U
+        even = math.fsum(math.comb(6, j) * c ** (6 - j) * cb**j / (j + 1) for j in (0, 2, 4, 6))
+        one_on = (1.0 - mub) * c**5 / 6.0 + mub * even / (6.0 * c)
+        want = (1.0 - mu) ** k * 1.5**p + k * mu * (1.0 - mu) ** (k - 1) * one_on
+        assert abs(res.value - want) <= res.error_bound
+
+    def test_thirty_equal_thinned_summands_one_grid_sum(self):
+        # activations near 4e-7 stay above the noise floor: thirty equal
+        # summands enter one grid sum as phi^30
+        budget = ct.MomentBudget.per_pair(5.0, [0.01] * 30, [1.0] * 30)
+        t0 = time.perf_counter()
+        res = ct.mixture_individual_sup(5.0, bd.uniform(1.0), budget)
+        assert time.perf_counter() - t0 < 5.0
+        assert res.method == "grid"
 
     def test_infeasible_ratio(self):
         # b/a below the base law's p-to-2 norm ratio forces activation > 1
