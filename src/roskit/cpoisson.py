@@ -9,8 +9,11 @@ the exact series
 truncated where the crude but rigorous bound E|S_k|^p <= (k ||jump||_p)^p
 certifies the discarded tail.  Random-sign, Gaussian and small atomic
 jumps sum it term by term; every other jump law takes the whole series on
-the gridconv spectral kernel (exp(lambda (phi - 1)) between one rfft and
-one irfft, up to MAX_GRID_CELLS).  Even integer moments have an independent
+the gridconv spectral kernel: exp(lambda (phi - 1)) of the jump's real
+characteristic vector between one cosine transform and its inverse, on a
+grid whose period is sized by the window |x| <= T the moment reads (about
+sigma sqrt(lambda) wide, not by the K + 3 jumps of the series), up to
+MAX_GRID_CELLS.  Even integer moments have an independent
 cumulant shortcut used as an oracle for both routes.
 """
 
@@ -20,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import basedist, gridconv, specfun
 from .basedist import ConditionedBase
@@ -50,65 +54,90 @@ class CompoundPoissonSpec:
             raise DomainError("Poisson intensity must be finite and nonnegative")
 
 
-def _log_poisson_weight(lam: float, k: int) -> float:
-    # log( e^-lam lam^k / k! ), in log space so lam up to 1e3 stays finite
-    return -lam + k * math.log(lam) - math.lgamma(k + 1)
+def _poisson_terms(lam: float, p: float, ks: np.ndarray) -> np.ndarray:
+    # w_k k^p for xi ~ Poisson(lambda), w_k = e^-lam lam^k / k!, in log space so
+    # that a large lam stays finite
+    return np.exp(-lam + ks * math.log(lam) - gammaln(ks + 1.0) + p * np.log(ks))
 
 
-def _power_term(lam: float, p: float, k: int) -> float:
-    # w_k k^p, the k-th term of E xi^p for xi ~ Poisson(lambda)
-    return math.exp(_log_poisson_weight(lam, k) + p * math.log(k))
+def _poisson_weights(lam: float, K: int) -> np.ndarray:
+    """P(xi = k) for k = 1..K."""
+    return _poisson_terms(lam, 0.0, np.arange(1.0, K + 1))
 
 
 def _truncation_depth(lam: float, p: float, m_p: float, tol: float):
-    """Smallest K with  sum_{k>K} w_k (k^p m_p) < tol, plus that tail value."""
-    k_cap = max(80, int(20.0 * lam + 10.0 * p + 80))
-    bounds = [_power_term(lam, p, k) * m_p for k in range(1, k_cap + 1)]
-    # extend the cap until the terms are vanishingly small
-    while bounds[-1] > 1e-9 * tol and k_cap < 100_000:
-        bounds += [_power_term(lam, p, k) * m_p for k in range(k_cap + 1, 2 * k_cap + 1)]
+    """Smallest K with  sum_{k>K} w_k (k^p m_p) < tol, plus that tail value.
+
+    The terms are summed from k_cap down, k_cap doubling until its term is
+    vanishingly small.  Terms below the Poisson bulk are left out unless the
+    walk reaches them."""
+    spread = 20.0 * math.sqrt(lam) + 10.0 * p + 80.0  # the bulk is lam +- a few sqrt(lam)
+    k_cap = max(80, int(lam + spread))
+    while (_poisson_terms(lam, p, np.array([k_cap]))[0] * m_p > 1e-9 * tol
+           and k_cap < 100_000 + 2.0 * lam):
         k_cap *= 2
-    suffix = 0.0
-    K = len(bounds)
-    # walk backwards accumulating the certified tail
-    for k in range(len(bounds), 0, -1):
-        if suffix + bounds[k - 1] >= tol:
+    k_lo = max(1, int(lam - spread))
+    while True:
+        ks = np.arange(float(k_lo), k_cap + 1)
+        # suffix[i]: the terms from ks[i] on, added from the top down
+        suffix = np.cumsum((_poisson_terms(lam, p, ks) * m_p)[::-1])[::-1]
+        past = np.flatnonzero(suffix >= tol)
+        if past.size or k_lo == 1:
             break
-        suffix += bounds[k - 1]
-        K = k - 1
-    if K == len(bounds):
+        k_lo = 1
+    if not past.size:  # every term fits the tolerance: K = 1, and all of them are the tail
+        return 1, float(suffix[0])
+    K = int(ks[past[-1]])
+    if K == k_cap:
         raise DomainError("series truncation failed (tolerance unreachably small)")
-    return max(K, 1), suffix
+    return K, float(suffix[past[-1] + 1])
 
 
 def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, K: int, tail: float,
                          tol: float):
     """Whole-series value by the spectral kernel with exp(lam (phi - 1)),
-    two FFTs per resolution, on a grid holding sums of up to K + 3 jumps;
-    the error bound sums the terms documented below."""
+    two transforms per resolution, on a grid whose period holds the window
+    |x| <= T and keeps sums of up to K + 3 jumps out of it up to a second
+    radius T2; the error bound sums the terms documented below."""
+    lam = spec.lam
     base = spec.jump.base
     bound = base.support_bound()
-    weights = [math.exp(_log_poisson_weight(spec.lam, k)) for k in range(1, K + 1)]
+    sigma2 = base.variance_proxy()
+    steps = gridconv.edge_steps(bound, _GRID_BASE)
+    # the grid's sum of k jumps lies within k steps of the true sum; one jump's width spare
+    slack = (K + 3) * steps[1] + 2.0 * bound
+    # T and T2 are at least 3 root mean proxies of the sums of 1..K jumps, by
+    # E[xi | 1 <= xi <= K] = lam P(xi <= K - 1) / P(1 <= xi <= K): a grid past the
+    # cap is refused before the radius searches
+    mean_k = lam * specfun.reg_upper_inc_gamma(K, lam) / (
+        specfun.reg_upper_inc_gamma(K + 1.0, lam) - math.exp(-lam))
+    gridconv.grid_size(math.ceil((6.0 * math.sqrt(sigma2 * mean_k) + slack) / steps[0]))
+    weights = _poisson_weights(lam, K + 3)
     # window |x| <= T, with sum_{k<=K} w_k E[|S_k|^p; |S_k| > T] certified < tol / 100
-    T, window_tail = gridconv.truncation_radius(p, base.variance_proxy(), tol, bound, weights)
+    T, window_tail = gridconv.truncation_radius(p, sigma2, tol, bound, weights[:K])
+    # sums of up to K + 3 jumps wrap into the window only from beyond T2
+    T2, alias = gridconv.wrap_radius(p, sigma2, tol, bound, T, weights)
 
     def poissonise(phi):
         # exp(lam (phi - 1)) less the k = 0 atom e^-lam at 0, in place: it weighs
-        # nothing in |x|^p but would set the FFT noise for small lam
-        phi *= spec.lam
-        np.expm1(phi, out=phi)
-        phi *= math.exp(-spec.lam)
+        # nothing in |x|^p but would set the FFT noise for small lam.  Each form
+        # on its own mask stays finite past lam ~ 709, where e^-lam expm1(lam phi)
+        # overflows for phi > 0
+        up = phi > 0.0
+        x = lam * phi[up]
+        phi[up] = np.exp(x - lam) * -np.expm1(-x)
+        down = ~up
+        phi[down] = math.exp(-lam) * np.expm1(lam * phi[down])
         return phi
 
     jump = (gridconv.Summand(None, bound, base.signed_atoms()) if base.is_atomic
             else gridconv.Summand(base.cdf, bound))
-    res = gridconv.spectral_abs_moment([jump], gridconv.edge_steps(bound, _GRID_BASE), p, T,
-                                       poissonise, K + 3)
+    res = gridconv.spectral_abs_moment([jump], steps, p, T, T + T2 + slack, poissonise)
     # 3 x the coarse/fine gap (conservative for convergence order >= 1) plus
     # the measured round-off term
     err = 3.0 * abs(res.fine - res.coarse) + res.hidden
-    # sums of more than K + 3 jumps may wrap into the window, weighing <= T^p there
-    alias = T**p * specfun.reg_lower_inc_gamma(K + 4.0, spec.lam)
+    # sums of more than K + 3 jumps may wrap into the window too, weighing <= T^p there
+    alias += T**p * specfun.reg_lower_inc_gamma(K + 4.0, lam)
     # the series tail beyond K counts once: terms K < k <= K + 3 on the grid only fall short
     return res.fine, err + window_tail + tail + alias
 
@@ -132,7 +161,7 @@ def cp_abs_moment(
     if not math.isfinite(m_p):
         raise DomainError("jump law has no finite p-th moment")
     K, tail = _truncation_depth(lam, p, m_p, tol)
-    ks = list(range(1, K + 1))
+    ks = range(1, K + 1)
 
     kind = spec.jump.base.kind
     if kind == "rademacher":
@@ -159,7 +188,7 @@ def cp_abs_moment(
         value, err = _cp_char_grid_moment(spec, p, K, tail, tol)
         return ConstantResult(value, f"cp_series/{route}", err, diag)
 
-    weights = [math.exp(_log_poisson_weight(lam, k)) for k in ks]
+    weights = _poisson_weights(lam, K)
     value = math.fsum(w * per_k[k] for k, w in zip(ks, weights))
     propagated = math.fsum(w * per_k_err[k] for k, w in zip(ks, weights))
     return ConstantResult(value, f"cp_series/{route}", tail + propagated, diag)
@@ -208,6 +237,6 @@ def poisson_power_moment(lam: float, p: float, tol: float = 1e-9) -> ConstantRes
     if lam == 0.0:
         return ConstantResult(0.0, "poisson_series/empty", 0.0, diag)
     K, tail = _truncation_depth(lam, p, 1.0, tol)
-    value = math.fsum(_power_term(lam, p, k) for k in range(1, K + 1))
+    value = math.fsum(_poisson_terms(lam, p, np.arange(1.0, K + 1)))
     diag.update({"K": K, "tail_bound": tail})
     return ConstantResult(value, "poisson_series", tail, diag)

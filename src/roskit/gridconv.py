@@ -3,16 +3,28 @@ independent summands by one product of characteristic vectors.
 
 Every grid route of the package runs on the kernels here: exact cell
 masses from a CDF (from_cdf), the sub-Gaussian truncation radius with its
-certified tail (truncation_radius), the |x|^p moment of a mass window with
-the measured FFT noise floor clamped (window_abs_moment), and the spectral
+certified tail (truncation_radius) and the second radius that sizes a
+grid's period (wrap_radius), the |x|^p moment of a mass window with the
+measured FFT noise floor clamped (window_abs_moment), and the spectral
 kernel (spectral_abs_moment).  The kernel puts each independent Summand's
-masses on one wrap-around grid, takes one rfft per distinct summand,
-multiplies them (k copies enter as phi^k), maps the product when the count
-is random (exp(lam (phi - 1)) for a Poisson count) and takes one irfft,
-at a fine and a coarse step that each caller turns into its own error
-estimate: steps with a law's support ends on cell edges (edge_steps), or
-h and 2 h for a GridLaw; a sum of unequal summands coarsens its finest
-summand's steps until it fits SUM_GRID_CELLS cells (sum_steps).
+masses on one wrap-around grid of even length N.  Every summand is
+symmetric about 0, so its characteristic vector is real: the cosine
+transform of its one-sided masses, DCT-I for cells centred on multiples of
+the step and DCT-II for cells half a step off, one per distinct summand.
+Their product (k copies enter as phi^k), its map when the count is random
+(exp(lam (phi - 1)) for a Poisson count) and one inverse cosine transform
+run on float64 vectors of N/2 + 1 entries and give the sum's one-sided
+masses, each point weighed for itself and its mirror.  Each runs at a fine
+and a coarse step that each caller turns into its own error estimate:
+steps with a law's support ends on cell edges (edge_steps), or h and 2 h
+for a GridLaw; a sum of unequal summands coarsens its finest summand's
+steps until it fits SUM_GRID_CELLS cells (sum_steps).
+
+The grid's period comes from the window the moment reads, |x| <= T: a
+period of T + T2, one step per summand and one summand's width lets mass
+wrap into the window only from sums beyond a second radius T2, whose
+certified tail bounds what that mass adds.  A fixed-count sum never takes a
+period longer than its whole sum, the default.
 
 Every CDF in the package is an array function, cdf(edges: ndarray) ->
 ndarray, that also accepts a scalar; from_cdf calls it once per grid.
@@ -25,14 +37,14 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import dct, idct, next_fast_len
+from scipy.special import gammaincc
 
-from . import specfun
 from .errors import InputError
 
 __all__ = ["GridLaw", "MAX_GRID_CELLS", "SUM_GRID_CELLS", "SpectralMoment", "Summand",
-           "edge_steps", "from_cdf", "spectral_abs_moment", "sum_steps", "truncation_radius",
-           "window_abs_moment"]
+           "edge_steps", "from_cdf", "grid_size", "spectral_abs_moment", "sum_steps",
+           "truncation_radius", "window_abs_moment", "wrap_radius"]
 
 MAX_GRID_CELLS = 1 << 23  # longest spectral grid: 64 MB per float64 vector
 SUM_GRID_CELLS = MAX_GRID_CELLS >> 5  # a sum of unequal summands coarsens its step to fit
@@ -134,32 +146,27 @@ def sum_steps(summands: list[Summand], steps: tuple[float, float]) -> tuple[floa
     return steps[0] * factor, steps[1] * factor
 
 
-def _subgaussian_tail_moment(p: float, sigma2: float, T: float) -> float:
-    """Upper bound on E[|S|^p ; |S| > T] for a sum S of independent
-    symmetric sub-Gaussian summands with total variance proxy sigma2
-    (Hoeffding for bounded laws)."""
-    u = T * T / (2.0 * sigma2)
-    if u <= 0.0:
-        return math.inf
-    log_pref = math.log(p) + 0.5 * p * math.log(2.0 * sigma2) + math.lgamma(0.5 * p)
-    q = specfun.reg_upper_inc_gamma(0.5 * p, u)
-    if q == 0.0:
-        return 0.0
-    return math.exp(log_pref + math.log(q))
-
-
 def truncation_radius(
     p: float, sigma2: float, tol: float, full: float, weights=(1.0,)
 ) -> tuple[float, float]:
     """Smallest T = (3 + j) s whose certified tail moment beyond T is below
     tol / 100, and that tail: the mixture sum_k weights[k-1] S_k's, S_k a sum
     of k summands of variance proxy sigma2 and |X| <= full each (one by
-    default), s the square root of the mixture's mean proxy."""
-    step = math.sqrt(sigma2 * np.average(np.arange(1, len(weights) + 1), weights=weights))
+    default), s the square root of the mixture's mean proxy.
+
+    E[|S_k|^p ; |S_k| > T] <= p (2 k sigma2)^(p/2) Gamma(p/2) Q(p/2, T^2 / (2 k sigma2))
+    for symmetric sub-Gaussian summands (Hoeffding for bounded laws), Q the
+    regularized upper gamma, evaluated over every k at once."""
+    w = np.asarray(weights, dtype=float)
+    k = np.arange(1, w.size + 1)
+    step = math.sqrt(sigma2 * np.average(k, weights=w))
+    log_pref = math.log(p) + 0.5 * p * np.log(2.0 * sigma2 * k) + math.lgamma(0.5 * p)
 
     def tail_at(T):
-        return math.fsum(w * _subgaussian_tail_moment(p, k * sigma2, T)
-                         for k, w in enumerate(weights, 1) if T < k * full)
+        live = T < k * full  # S_k cannot pass k full
+        q = gammaincc(0.5 * p, T * T / (2.0 * sigma2 * k[live]))
+        hit = q > 0.0
+        return float(np.sum(w[live][hit] * np.exp(log_pref[live][hit] + np.log(q[hit]))))
 
     T = 3.0 * step
     while (tail := tail_at(T)) > 0.01 * tol:
@@ -167,20 +174,28 @@ def truncation_radius(
     return T, tail
 
 
-def window_abs_moment(
-    positions: np.ndarray, masses: np.ndarray, p: float, T: float
-) -> tuple[float, float, float]:
-    """sum |x|^p m(x) over the cells with |x| <= T, the round-off term and the noise floor.
+def wrap_radius(p: float, sigma2: float, tol: float, full: float, T: float,
+                weights=(1.0,)) -> tuple[float, float]:
+    """A radius T2 >= T for the period of a grid that reads the window |x| <= T,
+    and the bound (T / T2)^p tail(T2) on what mass wrapping into the window
+    adds there.  T2 is a second truncation_radius (same arguments) at
+    tol / 1000.  A period of T + T2, one step per summand (a grid sum lies
+    within that of the true one) and one summand's width lets only mass beyond
+    T2 wrap into the window."""
+    T2, tail = truncation_radius(p, sigma2, 1e-3 * tol, full, weights)
+    T2 = max(T2, T)
+    return T2, (T / T2) ** p * tail
+
+
+def window_abs_moment(masses: np.ndarray, weights: np.ndarray) -> tuple[float, float, float]:
+    """sum w m over a window, the round-off term and the noise floor.
 
     True masses are nonnegative, so the largest |negative mass| measures the
     FFT noise: masses at most that floor (or 10^-18 times the largest) are
-    zeroed, so the |x|^p weights cannot amplify them, and floor * sum |x|^p
-    is the round-off term.  numpy's pairwise sum wakes no BLAS thread pool.
+    zeroed, so the |x|^p weights cannot amplify them, and floor * sum w is
+    the round-off term.  numpy's pairwise sum wakes no BLAS thread pool.
     """
-    keep = np.abs(positions) <= T
-    masses = masses[keep]
-    weights = np.abs(positions[keep]) ** p
-    floor = max(1e-18 * float(masses.max(initial=0.0)), -float(masses.min(initial=0.0)))
+    floor = float(max(1e-18 * masses.max(initial=0.0), -masses.min(initial=0.0)))
     hidden = floor * float(weights.sum())
     masses = np.where(masses > floor, masses, 0.0)
     return float((weights * masses).sum()), hidden, floor
@@ -194,44 +209,81 @@ class SpectralMoment(NamedTuple):
     floor: float  # the fine grid's measured noise floor: smaller masses were zeroed
 
 
-def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: float,
-                        T: float, transform=None, copies: int = 1) -> SpectralMoment:
-    """E|S|^p over |S| <= T for the sum S of independent summands, on one
-    wrap-around grid at each of the (fine, coarse) steps.
+def grid_size(cells: int) -> int:
+    """The length of a grid of at least cells + 1 points: even, so that its
+    one-sided masses have the cosine transforms of its period, and twice a
+    real-transform fast length.  InputError, before anything is allocated,
+    past MAX_GRID_CELLS."""
+    size = 2 * next_fast_len(cells // 2 + 1, real=True)
+    if size > MAX_GRID_CELLS:
+        raise InputError(f"spectral grid of {size} cells exceeds the cap "
+                         f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
+    return size
 
-    The characteristic vector of S is the product of every summand's
+
+def _spectrum(s: Summand, step: float, size: int) -> np.ndarray:
+    """The summand's characteristic vector at the frequencies k = 0..size/2,
+    real since it is symmetric: the cosine transform of its one-sided masses
+    (those at +-x averaged), DCT-I for points on multiples of the step and
+    DCT-II for points half a step off, which vanishes at k = size/2."""
+    out = s.masses(step, size)
+    half = size // 2
+    if s.offset:  # (j + 1/2) and -(j + 1/2) sit at j and -1 - j
+        return np.append(dct(0.5 * (out[:half] + out[: half - 1 : -1]), type=2), 0.0)
+    side = out[: half + 1]  # j and -j sit at j and size - j
+    side[1:half] += out[:half:-1]
+    side[1:half] *= 0.5
+    return dct(side, type=1)
+
+
+def _power(phi: np.ndarray, n: int) -> np.ndarray:
+    # phi ** n by repeated squaring: numpy's float pow costs ~30 multiplications per element
+    out = None
+    while True:
+        if n & 1:
+            out = phi if out is None else out * phi
+        n >>= 1
+        if not n:
+            return out
+        phi = phi * phi
+
+
+def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: float,
+                        T: float, period: float = math.inf, transform=None) -> SpectralMoment:
+    """E|S|^p over |S| <= T for the sum S of independent symmetric summands, on
+    one wrap-around grid at each of the (fine, coarse) steps.
+
+    The characteristic vector of S is the product of every summand's real
     phi ** count, mapped by transform when it is given (exp(lam (phi - 1))
-    for a Poisson(lam) count of such sums; the offsets must then be 0).
-    The grid holds copies of the summands' sum without wrapping; the window
-    tail, and mass a random count may wrap into the window, are the
-    caller's to bound.  A grid longer than MAX_GRID_CELLS raises InputError
-    before it is allocated.
+    for a Poisson(lam) count of such sums; the offsets must then be 0), and
+    its inverse cosine transform gives S's one-sided masses.  Each grid spans
+    period, or the summands' whole sum when that is shorter (a transform's
+    random count has no whole sum: its period is required).  The window
+    tail, and any mass that wraps into the window, are the caller's to
+    bound.  A grid longer than MAX_GRID_CELLS raises InputError before it is
+    allocated.
     """
-    offset = sum(s.count * s.offset for s in summands)  # index k sits at (k + offset) step
+    offset = math.fmod(sum(s.count * s.offset for s in summands), 1.0)  # S sits at (j + offset) step
     vals = []
+    table = None  # 2 |j + offset|^p: the points +-(j + offset) share it
     for step in steps:  # the longer grid first: its size meets the cap
-        cells = copies * sum(s.count * (2 * s.reach(step) + 1) for s in summands)
-        size = next_fast_len(cells + 1)
-        if size > MAX_GRID_CELLS:
-            n = copies * sum(s.count for s in summands)
-            raise InputError(f"spectral grid of {size} cells for sums of up to {n} "
-                             f"summands exceeds the cap MAX_GRID_CELLS = {MAX_GRID_CELLS}")
+        whole = math.inf if transform else sum(s.count * (2 * s.reach(step) + 1) for s in summands)
+        size = grid_size(math.ceil(min(whole, period / step)))
         phi = None
         for s in summands:
-            factor = rfft(s.masses(step, size))
-            if s.count != 1:
-                factor **= s.count
+            factor = _power(_spectrum(s, step, size), s.count)
             phi = factor if phi is None else phi * factor
         if transform is not None:
             phi = transform(phi)
-        mass = float(phi[0].real)
-        half_span = 0.5 * (size - 1)  # indices past it wrap
-        lo = math.ceil(max(-T / step, -half_span) - offset)
-        hi = math.floor(min(T / step, half_span) - offset)
-        window = np.roll(irfft(phi, size), -lo)[: hi - lo + 1]
+        mass = float(phi[0])
+        half = size // 2
+        side = idct(phi[:half], type=2) if offset else idct(phi, type=1)
         del phi, factor
-        positions = np.arange(lo, hi + 1) + offset
-        positions *= step
-        vals.append((*window_abs_moment(positions, window, p, T), mass))
+        last = math.floor(min(T / step, half - 0.5) - offset)  # index half wraps to -half
+        if table is None or table.size <= last:
+            table = 2.0 * np.abs(np.arange(last + 1) + offset) ** p
+        value, hidden, floor = window_abs_moment(side[: last + 1], table[: last + 1])
+        scale = float(step) ** p
+        vals.append((value * scale, hidden * scale, floor, mass))
     (fine, hidden, floor, mass), (coarse, *_) = vals
     return SpectralMoment(fine, coarse, hidden, mass, floor)

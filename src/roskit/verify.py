@@ -244,8 +244,10 @@ def nfold_moment(densities: list[GridDensity], p: float, tol: float = 1e-9) -> C
 @dataclass
 class SearchReport:
     best_value: float
+    best_error_bound: float  # the best candidate's own bound
     best_config: dict
     theorem_value: float
+    theorem_error_bound: float
     gap: float
     trials: int
     seed: int
@@ -254,8 +256,10 @@ class SearchReport:
     def to_record(self) -> dict:
         return {
             "best_value": self.best_value,
+            "best_error_bound": self.best_error_bound,
             "best_config": self.best_config,
             "theorem_value": self.theorem_value,
+            "theorem_error_bound": self.theorem_error_bound,
             "gap": self.gap,
             "trials": self.trials,
             "seed": self.seed,
@@ -288,8 +292,8 @@ def _solve_candidate(p, V, A, B, shares_2, shares_p):
     nvp = basedist.abs_moment(V, p) ** (1.0 / p)
     scales, activations = [], []
     for s2, sp in zip(shares_2, shares_p):
-        budget_2 = s2 * A * A / nv2**2
-        budget_p = sp * B**p / nvp**p
+        budget_2 = float(s2) * A * A / nv2**2
+        budget_p = float(sp) * B**p / nvp**p
         if budget_2 <= 0.0 or budget_p <= 0.0:
             scales.append(0.0)
             activations.append(0.0)
@@ -325,7 +329,7 @@ def search_sup_U(
     theorem = constants.mixture_sup(p, V, A, B, tol=1e-9)
     rng_master = np.random.SeedSequence(seed)
     children = rng_master.spawn(trials)
-    best_value = -math.inf
+    best_value = best_error = -math.inf
     best_config: dict = {}
     violations = 0
     # the random allocations, then the equal splits (reported as trial -1)
@@ -344,7 +348,7 @@ def search_sup_U(
         elif value - err > theorem.value * (1.0 + 1e-6) + theorem.error_bound:
             violations += 1
         if value > best_value:
-            best_value = value
+            best_value, best_error = value, err
             best_config = {
                 "n": len(scales),
                 "scales": list(scales),
@@ -354,8 +358,10 @@ def search_sup_U(
     gap = (theorem.value - best_value) / theorem.value
     return SearchReport(
         best_value=best_value,
+        best_error_bound=best_error,
         best_config=best_config,
         theorem_value=theorem.value,
+        theorem_error_bound=theorem.error_bound,
         gap=gap,
         trials=trials,
         seed=seed,

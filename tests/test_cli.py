@@ -95,13 +95,20 @@ class TestSupCommand:
         assert "cap 2000000" in res.stderr
 
     def test_grid_cap_exit_2(self):
-        # lambda ~ 4072: the compound Poisson grid for ~4,700 jumps passes
-        # cpoisson.MAX_GRID_CELLS and is refused before it is allocated
+        # lambda ~ 158,000: even the least grid the window |x| <= T could take
+        # passes cpoisson.MAX_GRID_CELLS, and is refused before it is allocated
         start = time.perf_counter()
-        res = run_cli("sup", "--p", "5", "--V", "uniform:w=1", "--A", "10", "--B", "1")
+        res = run_cli("sup", "--p", "5", "--V", "uniform:w=1", "--A", "30", "--B", "1")
         assert time.perf_counter() - start < 1.0
         assert res.exit_code == 2
         assert "MAX_GRID_CELLS = 8388608" in json.loads(res.stderr)["message"]
+
+    def test_window_sized_grid_fits(self):
+        # lambda ~ 4072: a grid holding sums of ~4,700 jumps would pass the cap;
+        # the one sized by the window fits it
+        res = run_cli("sup", "--p", "5", "--V", "uniform:w=1", "--A", "10", "--B", "1")
+        assert res.exit_code == 0
+        assert parse_json_lines(res.output)[0]["method"] == "mixture_sup/cp_series/grid"
 
 
 class TestExtremalCommand:

@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from roskit import basedist as bd
 from roskit import constants as ct
 from roskit import cpoisson as cp
+from roskit import gridconv
+from roskit import verify as vf
 from roskit.errors import DomainError, UnsupportedMethodError
 
 RAD = bd.condition_nonzero(bd.rademacher())
@@ -75,6 +79,63 @@ class TestSeries:
             cp.CompoundPoissonSpec(-1.0, RAD)
 
 
+def _walk_depth(lam, p, m_p, tol):
+    """The term-by-term walk _truncation_depth replaces: K and the tail."""
+    def term(k):
+        return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1) + p * math.log(k)) * m_p
+
+    bounds = [term(k) for k in range(1, int(20.0 * lam + 10.0 * p + 80) + 1)]
+    suffix, K = 0.0, len(bounds)
+    for k in range(len(bounds), 0, -1):
+        if suffix + bounds[k - 1] >= tol:
+            break
+        suffix += bounds[k - 1]
+        K = k - 1
+    return max(K, 1), suffix
+
+
+def _loop_radius(p, sigma2, tol, full, weights):
+    """The per-(T, k) loop truncation_radius replaces: T and its tail."""
+    def tail_moment(s2, T):
+        q = special.gammaincc(0.5 * p, T * T / (2.0 * s2))
+        if q == 0.0:
+            return 0.0
+        return math.exp(math.log(p) + 0.5 * p * math.log(2.0 * s2) + math.lgamma(0.5 * p)
+                        + math.log(q))
+
+    step = math.sqrt(sigma2 * np.average(np.arange(1, len(weights) + 1), weights=weights))
+    T = 3.0 * step
+    while (tail := math.fsum(w * tail_moment(k * sigma2, T) for k, w in enumerate(weights, 1)
+                             if T < k * full)) > 0.01 * tol:
+        T += step
+    return T, tail
+
+
+class TestVectorisedSeries:
+    """The array forms of the series depth and the truncation radius against the
+    scalar loops they replace: the same K and T, tails to 1e-12 relative."""
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.05, 1.9, 73.6, 1000.0])
+    @pytest.mark.parametrize("p", [2.5, 8.0])
+    @pytest.mark.parametrize("m_p", [1e-12, 50.0])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9])
+    def test_truncation_depth(self, lam, p, m_p, tol):
+        K, tail = cp._truncation_depth(lam, p, m_p, tol)
+        K_loop, tail_loop = _walk_depth(lam, p, m_p, tol)
+        assert K == K_loop
+        assert tail == pytest.approx(tail_loop, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.05, 5.0, 300.0])
+    @pytest.mark.parametrize("p", [4.0, 8.0])
+    def test_truncation_radius(self, lam, p):
+        K = cp._truncation_depth(lam, p, 0.2, 1e-9)[0]
+        weights = cp._poisson_weights(lam, K)
+        T, tail = gridconv.truncation_radius(p, 1 / 3, 1e-9, 1.0, weights)
+        T_loop, tail_loop = _loop_radius(p, 1 / 3, 1e-9, 1.0, list(weights))
+        assert T == T_loop
+        assert tail == pytest.approx(tail_loop, rel=1e-12)
+
+
 def _uniform_jump(b):
     return bd.condition_nonzero(bd.uniform(b))
 
@@ -103,6 +164,56 @@ class TestHonestBound:
         res = ct.mixture_sup(6.0, bd.uniform(1.0), 3.0, 1.0, 1e-6)
         assert res.diagnostics["lambda"] > 50.0
         assert abs(res.value - res.diagnostics["cp_cumulant_value"]) <= res.error_bound
+
+    def test_mixture_sup_window_sized_grid(self):
+        # lambda ~ 1964: the grid is sized by the window, not by the ~2,200 jumps
+        res = ct.mixture_sup(6.0, bd.uniform(1.0), 10.0, 1.0, 1e-6)
+        assert res.diagnostics["lambda"] > 1900.0
+        assert abs(res.value - res.diagnostics["cp_cumulant_value"]) <= res.error_bound
+
+    def test_intensity_past_exp_overflow(self):
+        # e^-lam expm1(lam phi) overflows for lam phi > 709
+        spec = cp.CompoundPoissonSpec(1000.0, UNIF)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = cp.cp_abs_moment(spec, 8.0, 1e-9)
+        assert math.isfinite(res.value) and math.isfinite(res.error_bound)
+        assert abs(res.value - cp.cp_even_moment_cumulant(spec, 8)) <= res.error_bound
+
+
+def _numbers(x):
+    """Every leaf of a nested record."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (list, tuple)):
+        return [leaf for item in x for leaf in _numbers(item)]
+    return [x]
+
+
+class TestPythonFloats:
+    """Reprs and CLI JSON show plain numbers: no numpy scalar leaves the kernel."""
+
+    @pytest.mark.parametrize("jump", [UNIF, RAD])
+    def test_cp_abs_moment(self, jump):
+        res = cp.cp_abs_moment(cp.CompoundPoissonSpec(1.8, jump), 5.0, 1e-6)
+        leaves = _numbers([res.value, res.error_bound, res.diagnostics])
+        assert type(res.value) is float and type(res.error_bound) is float
+        assert all(type(x) in (float, int, str) for x in leaves)
+
+    def test_spectral_moment(self):
+        # numpy scalars in, Python floats out
+        half = np.float64(1.0)
+        law = bd.uniform(1.0)
+        res = gridconv.spectral_abs_moment([gridconv.Summand(law.cdf, half, count=3)],
+                                           gridconv.edge_steps(half, 512), 5.0, 2.5, 6.0 * half)
+        assert all(type(x) is float for x in res)
+
+    @pytest.mark.parametrize("V", [bd.uniform(1.0), bd.rademacher()])
+    def test_search_record(self, V):
+        rec = vf.search_sup_U(5.0, V, 1.0, 1.0, n_max=3, trials=4, seed=2).to_record()
+        assert all(type(rec[key]) is float for key in ("best_value", "best_error_bound",
+                                                      "theorem_value", "theorem_error_bound"))
+        assert all(type(x) in (float, int, str) for x in _numbers(rec))
 
 
 class TestCumulantOracle:

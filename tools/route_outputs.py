@@ -20,9 +20,10 @@ enumeration routes, the four Monte Carlo estimators, a hash of compound
 Poisson draws), the randomized search, n-fold sums of grid densities, both
 ordering checks, and the stdout of the seven CLI invocations of acceptance
 criterion 10.  The grid sums include summands whose scales differ 35-fold
-(individual budgets) and by four orders of magnitude (search seed 6).  It
-takes 2-4 s; a commit that resamples grid sums to the finest step spends
-about a minute and 3.5 GB on search seed 6.
+(individual budgets) and by four orders of magnitude (search seed 6), and
+compound Poisson sums of about 1,000 and 2,000 jumps (lambda = 1000 and
+1964).  It takes 3-5 s; a commit that resamples grid sums to the finest
+step spends about a minute and 3.5 GB on search seed 6.
 
 A change that may move values in the last bits (say, numpy's ``exp`` in
 place of ``math.exp``) is checked with the compare mode instead of ``cmp``:
@@ -32,9 +33,10 @@ place of ``math.exp``) is checked with the compare mode instead of ``cmp``:
 It pairs the lines of the two files.  Every differing line must keep its
 text apart from its numbers (labels, ``method`` tags, diagnostics keys),
 and must carry a ``value`` (a number, or a tuple of numbers for the
-ordering checks) and an ``error_bound``; a CSV row under a
-``cli.CSV_COLUMNS`` header carries them in its ``value`` and
-``error_bound`` columns.  For each differing line it prints
+ordering checks) and an ``error_bound``, or the search's ``best_value`` and
+``theorem_value`` with their ``best_error_bound`` and
+``theorem_error_bound``; a CSV row under a ``cli.CSV_COLUMNS`` header
+carries them in its ``value`` and ``error_bound`` columns.  For each differing line it prints
 the largest relative change among the line's numbers and how far each
 moved value went, as a fraction of the line's error_bound.  It exits 1 if
 the files differ in any other way or a value moved beyond its error_bound.
@@ -110,6 +112,7 @@ def routes():
         for name, V in BASES.items():
             show(f"mixture_sup p={p} {name}", ct.mixture_sup, p, V, 1.0, 1.0, 1e-6)
     show("mixture_sup p=5 uniform A=1.3", ct.mixture_sup, 5.0, BASES["uniform"], 1.3, 1.0, 1e-6)
+    show("mixture_sup p=6 uniform A=10", ct.mixture_sup, 6.0, BASES["uniform"], 10.0, 1.0, 1e-6)
     for p in (1.5, 2.0, 3.0):
         show(f"positive_sum_sup p={p}", ct.positive_sum_sup, p, 1.0, 1.2)
     for p in (3.0, 4.0, 5.0):
@@ -128,6 +131,9 @@ def routes():
          cp.CompoundPoissonSpec(lam, jump), 5.0, 1e-6)
     show("cp_abs_moment lam=12 p=8 uniform", cp.cp_abs_moment,
          cp.CompoundPoissonSpec(12.0, bd.condition_nonzero(BASES["uniform"])), 8.0, 1e-9)
+    # past e^709, where e^-lam expm1(lam phi) overflows, on a grid sized by its window
+    show("cp_abs_moment lam=1000 p=8 uniform", cp.cp_abs_moment,
+         cp.CompoundPoissonSpec(1000.0, bd.condition_nonzero(BASES["uniform"])), 8.0, 1e-9)
     show("poisson_power_moment", cp.poisson_power_moment, 2.5, 3.5)
     for name in ("uniform", "atoms3"):
         spec = cp.CompoundPoissonSpec(1.8, bd.condition_nonzero(BASES[name]))
@@ -192,15 +198,22 @@ def cli():
 
 
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)(?![\w.])")
-VALUE = re.compile(r"(?<![\w\"])(?:value=|\"value\": )(\([^()]*\)|[^,()\s]+)")
-BOUND = re.compile(r"(?:error_bound=|\"error_bound\": )([^,()\s}]+)")
+# value / error_bound, and the search's best_ and theorem_ pairs, as repr fields or JSON keys
+PREFIX = r"(?<![\w\"])(\"?)(best_|theorem_|)"
+VALUE = re.compile(PREFIX + r"value(?:=|\": )(\([^()]*\)|[^,()\s]+)")
+BOUND = re.compile(PREFIX + r"error_bound(?:=|\": )([^,()\s}]+)")
 
 
 def values_and_bounds(line: str, columns: list[str] | None) -> tuple[list[str], list[str]]:
-    """The value and error_bound texts of a line: the columns of those names
-    for a CSV row under a ``CSV_COLUMNS`` header, else the named fields."""
+    """The value texts of a line and the error_bound text of each: the columns
+    of those names for a CSV row under a ``CSV_COLUMNS`` header, else the
+    named fields, each value paired with the bound of its own prefix."""
     if columns is None:
-        return VALUE.findall(line), BOUND.findall(line)
+        bounds: dict = {}
+        for _, prefix, bound in BOUND.findall(line):
+            bounds.setdefault(prefix, []).append(bound)
+        values = VALUE.findall(line)
+        return [v for _, _, v in values], [bounds[p].pop(0) for _, p, _ in values if bounds.get(p)]
     row = dict(zip(columns, line.split(",")))
     if row.get("value") and row.get("error_bound"):
         return [row["value"]], [row["error_bound"]]
