@@ -408,20 +408,19 @@ def kfold_abs_moment(
         sigma2 = k * base.variance_proxy()
         # window |x| <= T with a certified sub-Gaussian tail beyond it, plus what
         # wraps into it on a grid shorter than the whole sum
-        T, tail = gridconv.truncation_radius(p, sigma2, tol, k * L)
-        T2, alias = gridconv.wrap_radius(p, sigma2, tol, k * L, T)
+        T, T2, tail = gridconv.window_radii(p, sigma2, tol, k * L)
         for n_cells in (8192, 16384, 32768):
             steps = gridconv.edge_steps(L, n_cells)
             try:
                 res = gridconv.spectral_abs_moment([gridconv.Summand(base.cdf, L, count=k)], steps,
-                                                   p, T, T + T2 + k * steps[1] + 2.0 * L)
+                                                   p, T, T2)
             except InputError:  # a refinement past the grid cap keeps the coarser value
                 if n_cells == 8192:
                     raise
                 n_cells //= 2
                 break
             val = res.fine
-            err = 3.0 * abs(res.fine - res.coarse) + res.hidden + tail + alias + 1e-14 * abs(val)
+            err = 3.0 * abs(res.fine - res.coarse) + res.hidden + tail + 1e-14 * abs(val)
             if err <= tol * max(1.0, abs(val)):
                 break
         diag["n_cells"] = 2 * n_cells

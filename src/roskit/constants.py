@@ -369,7 +369,7 @@ def _thinned_grid_sum(p: float, V: BaseDistribution, L: float, groups: Counter, 
                       tol: float):
     """(SpectralMoment, window and wrap tail, summands, fine step) of the sum of count
     theta c V per (c, mu): count, P(theta = 1) = mu, on the finest summand's
-    edge_steps(n_cells / 2), over a period sized by the window (gridconv.wrap_radius)."""
+    edge_steps(n_cells / 2), over a period sized by the window (gridconv.window_radii)."""
     # activation mu thins c V: mass 1 - mu at 0, the centre of a cell
     summands = [gridconv.Summand(lambda x, c=c, mu=mu: mu * V.cdf(x / c), c * L,
                                  {0.0: 1.0 - mu}, k) for (c, mu), k in groups.items()]
@@ -377,11 +377,8 @@ def _thinned_grid_sum(p: float, V: BaseDistribution, L: float, groups: Counter, 
     # Hoeffding: each summand is symmetric with |c theta V| <= c L
     sigma2 = math.fsum(s.count * s.half**2 for s in summands)
     full = math.fsum(s.count * s.half for s in summands)
-    T, tail = gridconv.truncation_radius(p, sigma2, tol, full)
-    T2, alias = gridconv.wrap_radius(p, sigma2, tol, full, T)
-    period = T + T2 + sum(s.count for s in summands) * steps[1] + 2.0 * max(s.half for s in summands)
-    return (gridconv.spectral_abs_moment(summands, steps, p, T, period), tail + alias, summands,
-            steps[0])
+    T, T2, tail = gridconv.window_radii(p, sigma2, tol, full)
+    return gridconv.spectral_abs_moment(summands, steps, p, T, T2), tail, summands, steps[0]
 
 
 def _thinned_grid_moment(p: float, V: BaseDistribution, scales, activations, n_cells: int,

@@ -104,19 +104,22 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, K: int, tail: floa
     bound = base.support_bound()
     sigma2 = base.variance_proxy()
     steps = gridconv.edge_steps(bound, _GRID_BASE)
-    # the grid's sum of k jumps lies within k steps of the true sum; one jump's width spare
-    slack = (K + 3) * steps[1] + 2.0 * bound
+    jump = (gridconv.Summand(None, bound, base.signed_atoms()) if base.is_atomic
+            else gridconv.Summand(base.cdf, bound))
     # T and T2 are at least 3 root mean proxies of the sums of 1..K jumps, by
-    # E[xi | 1 <= xi <= K] = lam P(xi <= K - 1) / P(1 <= xi <= K): a grid past the
-    # cap is refused before the radius searches
+    # E[xi | 1 <= xi <= K] = lam P(xi <= K - 1) / P(1 <= xi <= K), the latter
+    # without cancellation for small lam: a grid past the cap is refused
+    # before the radius searches
     mean_k = lam * specfun.reg_upper_inc_gamma(K, lam) / (
-        specfun.reg_upper_inc_gamma(K + 1.0, lam) - math.exp(-lam))
-    gridconv.grid_size(math.ceil((6.0 * math.sqrt(sigma2 * mean_k) + slack) / steps[0]))
+        -math.expm1(-lam) - specfun.reg_lower_inc_gamma(K + 1.0, lam))
+    least = 3.0 * math.sqrt(sigma2 * mean_k)
+    gridconv.grid_size(math.ceil(gridconv.grid_period([jump], steps, least, least, K + 3)
+                                 / steps[0]))
     weights = _poisson_weights(lam, K + 3)
-    # window |x| <= T, with sum_{k<=K} w_k E[|S_k|^p; |S_k| > T] certified < tol / 100
-    T, window_tail = gridconv.truncation_radius(p, sigma2, tol, bound, weights[:K])
-    # sums of up to K + 3 jumps wrap into the window only from beyond T2
-    T2, alias = gridconv.wrap_radius(p, sigma2, tol, bound, T, weights)
+    # window |x| <= T, with sum_{k<=K} w_k E[|S_k|^p; |S_k| > T] certified < tol / 100;
+    # sums of up to K + 3 jumps wrap into the window only from beyond T2, and
+    # window_tail bounds both
+    T, T2, window_tail = gridconv.window_radii(p, sigma2, tol, bound, weights[:K], weights)
 
     def poissonise(phi):
         # exp(lam (phi - 1)) less the k = 0 atom e^-lam at 0, in place: it weighs
@@ -130,14 +133,12 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, K: int, tail: floa
         phi[down] = math.exp(-lam) * np.expm1(lam * phi[down])
         return phi
 
-    jump = (gridconv.Summand(None, bound, base.signed_atoms()) if base.is_atomic
-            else gridconv.Summand(base.cdf, bound))
-    res = gridconv.spectral_abs_moment([jump], steps, p, T, T + T2 + slack, poissonise)
+    res = gridconv.spectral_abs_moment([jump], steps, p, T, T2, poissonise, K + 3)
     # 3 x the coarse/fine gap (conservative for convergence order >= 1) plus
     # the measured round-off term
     err = 3.0 * abs(res.fine - res.coarse) + res.hidden
     # sums of more than K + 3 jumps may wrap into the window too, weighing <= T^p there
-    alias += T**p * specfun.reg_lower_inc_gamma(K + 4.0, lam)
+    alias = T**p * specfun.reg_lower_inc_gamma(K + 4.0, lam)
     # the series tail beyond K counts once: terms K < k <= K + 3 on the grid only fall short
     return res.fine, err + window_tail + tail + alias
 

@@ -3,8 +3,8 @@ independent summands by one product of characteristic vectors.
 
 Every grid route of the package runs on the kernels here: exact cell
 masses from a CDF (from_cdf), the sub-Gaussian truncation radius with its
-certified tail (truncation_radius) and the second radius that sizes a
-grid's period (wrap_radius), the |x|^p moment of a mass window with the
+certified tail (truncation_radius) and the pair of radii that sizes a
+grid's period (window_radii), the |x|^p moment of a mass window with the
 measured FFT noise floor clamped (window_abs_moment), and the spectral
 kernel (spectral_abs_moment).  The kernel puts each independent Summand's
 masses on one wrap-around grid of even length N.  Every summand is
@@ -21,10 +21,11 @@ for a GridLaw; a sum of unequal summands coarsens its finest summand's
 steps until it fits SUM_GRID_CELLS cells (sum_steps).
 
 The grid's period comes from the window the moment reads, |x| <= T: a
-period of T + T2, one step per summand and one summand's width lets mass
-wrap into the window only from sums beyond a second radius T2, whose
-certified tail bounds what that mass adds.  A fixed-count sum never takes a
-period longer than its whole sum, the default.
+period of T + T2, one step per summand and one summand's width (grid_period)
+lets mass wrap into the window only from sums beyond a second radius T2,
+whose certified tail bounds what that mass adds (window_radii).  A
+fixed-count sum never takes a period longer than its whole sum, the
+default.
 
 Every CDF in the package is an array function, cdf(edges: ndarray) ->
 ndarray, that also accepts a scalar; from_cdf calls it once per grid.
@@ -43,8 +44,8 @@ from scipy.special import gammaincc
 from .errors import InputError
 
 __all__ = ["GridLaw", "MAX_GRID_CELLS", "SUM_GRID_CELLS", "SpectralMoment", "Summand",
-           "edge_steps", "from_cdf", "grid_size", "spectral_abs_moment", "sum_steps",
-           "truncation_radius", "window_abs_moment", "wrap_radius"]
+           "edge_steps", "from_cdf", "grid_period", "grid_size", "spectral_abs_moment", "sum_steps",
+           "truncation_radius", "window_abs_moment", "window_radii"]
 
 MAX_GRID_CELLS = 1 << 23  # longest spectral grid: 64 MB per float64 vector
 SUM_GRID_CELLS = MAX_GRID_CELLS >> 5  # a sum of unequal summands coarsens its step to fit
@@ -174,17 +175,19 @@ def truncation_radius(
     return T, tail
 
 
-def wrap_radius(p: float, sigma2: float, tol: float, full: float, T: float,
-                weights=(1.0,)) -> tuple[float, float]:
-    """A radius T2 >= T for the period of a grid that reads the window |x| <= T,
-    and the bound (T / T2)^p tail(T2) on what mass wrapping into the window
-    adds there.  T2 is a second truncation_radius (same arguments) at
-    tol / 1000.  A period of T + T2, one step per summand (a grid sum lies
-    within that of the true one) and one summand's width lets only mass beyond
-    T2 wrap into the window."""
-    T2, tail = truncation_radius(p, sigma2, 1e-3 * tol, full, weights)
+def window_radii(p: float, sigma2: float, tol: float, full: float, weights=(1.0,),
+                 wrap_weights=None) -> tuple[float, float, float]:
+    """(T, T2, bound) for a grid that reads the window |x| <= T: T is the
+    truncation_radius (same arguments), T2 >= T a second one at tol / 1000
+    over wrap_weights (weights by default), the counts of every sum the grid
+    holds.  spectral_abs_moment's period lets only mass beyond T2 wrap into
+    the window, where it weighs at most (T / T2)^p tail(T2); bound is that
+    plus the window's own tail."""
+    T, tail = truncation_radius(p, sigma2, tol, full, weights)
+    T2, wrap_tail = truncation_radius(p, sigma2, 1e-3 * tol, full,
+                                      weights if wrap_weights is None else wrap_weights)
     T2 = max(T2, T)
-    return T2, (T / T2) ** p * tail
+    return T, T2, tail + (T / T2) ** p * wrap_tail
 
 
 def window_abs_moment(masses: np.ndarray, weights: np.ndarray) -> tuple[float, float, float]:
@@ -237,7 +240,7 @@ def _spectrum(s: Summand, step: float, size: int) -> np.ndarray:
 
 
 def _power(phi: np.ndarray, n: int) -> np.ndarray:
-    # phi ** n by repeated squaring: numpy's float pow costs ~30 multiplications per element
+    # phi ** n by repeated squaring: numpy's float pow takes ~60 ns per element
     out = None
     while True:
         if n & 1:
@@ -248,8 +251,19 @@ def _power(phi: np.ndarray, n: int) -> np.ndarray:
         phi = phi * phi
 
 
+def grid_period(summands: list[Summand], steps: tuple[float, float], T: float, T2: float,
+                jumps: int | None = None) -> float:
+    """The period of a grid that reads the window |x| <= T of a sum of up to
+    jumps summands (the summands' counts by default): T + T2, one coarse step
+    per summand, since a grid sum lies within that of the true one, and the
+    widest summand's width.  Only sums beyond T2 then wrap into the window."""
+    n = sum(s.count for s in summands) if jumps is None else jumps
+    return T + T2 + n * steps[1] + 2.0 * max(s.half for s in summands)
+
+
 def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: float,
-                        T: float, period: float = math.inf, transform=None) -> SpectralMoment:
+                        T: float, T2: float = math.inf, transform=None,
+                        jumps: int | None = None) -> SpectralMoment:
     """E|S|^p over |S| <= T for the sum S of independent symmetric summands, on
     one wrap-around grid at each of the (fine, coarse) steps.
 
@@ -257,12 +271,15 @@ def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: 
     phi ** count, mapped by transform when it is given (exp(lam (phi - 1))
     for a Poisson(lam) count of such sums; the offsets must then be 0), and
     its inverse cosine transform gives S's one-sided masses.  Each grid spans
-    period, or the summands' whole sum when that is shorter (a transform's
-    random count has no whole sum: its period is required).  The window
-    tail, and any mass that wraps into the window, are the caller's to
-    bound.  A grid longer than MAX_GRID_CELLS raises InputError before it is
-    allocated.
+    grid_period(summands, steps, T, T2, jumps), or the summands' whole sum
+    when that is shorter: a fixed-count sum with T2 = inf takes its whole
+    sum, and a transform's random count, which has none, needs a finite T2
+    and jumps, the most summands whose sums T2 bounds.  The window tail, and
+    what wraps into the window from beyond T2 (window_radii), are the
+    caller's to bound.  A grid longer than MAX_GRID_CELLS raises InputError
+    before it is allocated.
     """
+    period = grid_period(summands, steps, T, T2, jumps)
     offset = math.fmod(sum(s.count * s.offset for s in summands), 1.0)  # S sits at (j + offset) step
     vals = []
     table = None  # 2 |j + offset|^p: the points +-(j + offset) share it

@@ -171,6 +171,23 @@ class TestHonestBound:
         assert res.diagnostics["lambda"] > 1900.0
         assert abs(res.value - res.diagnostics["cp_cumulant_value"]) <= res.error_bound
 
+    def test_mixture_sup_vanishing_intensity(self):
+        # lambda ~ 4e-17, where 1 - e^-lambda rounds to 0: one jump carries the
+        # whole budget, so the value tends to B^p = 1
+        res = ct.mixture_sup(5.0, bd.uniform(1.0), 1e-5, 1.0)
+        assert res.diagnostics["lambda"] < 1e-16
+        assert math.isfinite(res.value) and math.isfinite(res.error_bound)
+        assert abs(res.value - 1.0) <= res.error_bound
+
+    @pytest.mark.parametrize("jump", [UNIF, TEN_ATOMS])
+    @pytest.mark.parametrize("lam", [1e-20, 1e-12, 1e-8])
+    def test_vanishing_intensity(self, jump, lam):
+        # a tolerance below lambda, so that the value is no mere series tail
+        spec = cp.CompoundPoissonSpec(lam, jump)
+        res = cp.cp_abs_moment(spec, 6.0, 1e-6 * lam)
+        assert res.method.endswith("grid")
+        assert abs(res.value - cp.cp_even_moment_cumulant(spec, 6)) <= res.error_bound
+
     def test_intensity_past_exp_overflow(self):
         # e^-lam expm1(lam phi) overflows for lam phi > 709
         spec = cp.CompoundPoissonSpec(1000.0, UNIF)
