@@ -339,8 +339,9 @@ def atomic_kfold_moments(law: dict, ks, p: float, max_support: int):
     """E|S_k|^p for each requested k by exact convolution powers of a
     signed atomic law.
 
-    Returns ({k: value}, support size of the largest power); raises
-    SupportOverflowError once a power's support exceeds max_support.
+    Returns ({k: (value, error bound)}, support size of the largest power),
+    the bound from discrete.enum_abs_moment; raises SupportOverflowError once
+    a power's support exceeds max_support.
     """
     wanted = set(ks)
     values = {}
@@ -348,7 +349,7 @@ def atomic_kfold_moments(law: dict, ks, p: float, max_support: int):
     for k in range(1, max(wanted) + 1):
         acc = discrete.convolve_atoms(acc, law, max_support=max_support)
         if k in wanted:
-            values[k] = discrete.abs_moment_atoms(acc, p)
+            values[k] = discrete.enum_abs_moment(acc, p, [law] * k)
     return values, len(acc)
 
 
@@ -401,9 +402,9 @@ def kfold_abs_moment(
             values, support = atomic_kfold_moments(
                 base.signed_atoms(), [k], p, max_support=2_000_000
             )
-            val = values[k]
             diag["support"] = support
-            return ConstantResult(val, "grid/atoms_exact", 1e-13 * k * val, diag)
+            val, err = values[k]
+            return ConstantResult(val, "grid/atoms_exact", err, diag)
         L = base.support_bound() or _gaussian_grid_halfwidth(k, p, tol)
         sigma2 = k * base.variance_proxy()
         # window |x| <= T with a certified sub-Gaussian tail beyond it, plus what

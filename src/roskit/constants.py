@@ -266,9 +266,9 @@ def utev_3point_sup(
         for c, mu in zip(scales, activations):
             laws.append({-c: mu / 2.0, 0.0: 1.0 - mu, c: mu / 2.0})
         dist = discrete.nfold_atoms(laws)
-        value = discrete.abs_moment_atoms(dist, p)
+        value, err = discrete.enum_abs_moment(dist, p, laws)
         diag["support"] = len(dist)
-        result = ConstantResult(value, "exact_enum", 1e-13 * n * max(value, 1.0), diag)
+        result = ConstantResult(value, "exact_enum", err, diag)
     elif mode == "monte_carlo":
         value, err = _thinned_mc_moment(
             p, basedist.rademacher(), scales, activations, rng, n_samples
@@ -347,9 +347,9 @@ def mixture_individual_sup(
         for c, mu in zip(scales, activations):
             laws.append(discrete.thin_atoms(discrete.scale_atoms(base_law, c), mu))
         dist = discrete.nfold_atoms(laws, max_support=2_000_000)
-        value = discrete.abs_moment_atoms(dist, p)
+        value, err = discrete.enum_abs_moment(dist, p, laws)
         diag["support"] = len(dist)
-        return ConstantResult(value, "exact_enum", 1e-13 * n * max(value, 1.0), diag)
+        return ConstantResult(value, "exact_enum", err, diag)
 
     if mode == "grid":
         fine, coarse, cert = _thinned_grid_moment(p, V, scales, activations, 8192, tol)

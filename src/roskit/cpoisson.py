@@ -7,8 +7,10 @@ the exact series
     E|T|^p = exp(-lambda) * sum_k  lambda^k / k!  *  E|S_k|^p
 
 truncated where the crude but rigorous bound E|S_k|^p <= (k ||jump||_p)^p
-certifies the discarded tail.  Random-sign, Gaussian and small atomic
-jumps sum it term by term; every other jump law takes the whole series on
+certifies the discarded tail.  Random-sign jumps take the Skellam law of T
+in one sum over n <= K; Gaussian jumps, and atomic jumps whose lattice
+count bounds every k-fold support by _ATOM_SUPPORT_CAP, sum it term by
+term; every other jump law takes the whole series on
 the gridconv spectral kernel: exp(lambda (phi - 1)) of the jump's real
 characteristic vector between one cosine transform and its inverse, on a
 grid whose period is sized by the window |x| <= T the moment reads (about
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, ive
 
 from . import basedist, gridconv, specfun
 from .basedist import ConditionedBase
@@ -149,8 +151,9 @@ def cp_abs_moment(
     """E|T|^p by the truncated Poisson series over k-fold jump sums.
 
     The reported error bound is the certified series tail plus the
-    propagated per-k errors, or the spectral grid's (_cp_char_grid_moment),
-    whose grid raises InputError past MAX_GRID_CELLS before allocation.
+    propagated per-k errors (discrete.enum_abs_moment's for atomic jumps),
+    or the spectral grid's (_cp_char_grid_moment), whose grid raises
+    InputError past MAX_GRID_CELLS before allocation.
     """
     if not p > 2.0:
         raise DomainError("cp_abs_moment requires p > 2")
@@ -164,34 +167,35 @@ def cp_abs_moment(
     K, tail = _truncation_depth(lam, p, m_p, tol)
     ks = range(1, K + 1)
 
-    kind = spec.jump.base.kind
-    if kind == "rademacher":
-        per_k = {k: basedist._rademacher_walk_moment(k, p) for k in ks}
-        per_k_err = {k: 1e-14 * k * per_k[k] for k in ks}
-        route = "exact_walk"
-    elif kind == "gaussian":
-        ez = basedist.abs_moment(spec.jump.base, p)
-        per_k = {k: k ** (p / 2.0) * ez for k in ks}
-        per_k_err = {k: 1e-14 * per_k[k] for k in ks}
-        route = "exact_gaussian"
-    elif kind == "atoms" and len(law := spec.jump.base.signed_atoms()) < 8:
-        # exact dict convolutions, unless the deduplicated support overflows
-        try:
-            per_k, _ = basedist.atomic_kfold_moments(law, ks, p, _ATOM_SUPPORT_CAP)
-            per_k_err = {k: 1e-13 * k * v for k, v in per_k.items()}
-            route = "atoms_exact"
-        except OverflowError:
-            route = "atoms_char_grid"
-    else:  # many-atom laws are cheaper on the grid than enumerated
-        route = "atoms_char_grid" if kind == "atoms" else "grid"
+    base = spec.jump.base
+    route = {"rademacher": "exact_walk", "gaussian": "exact_gaussian"}.get(base.kind, "grid")
+    if base.kind == "atoms":
+        # S_k takes values among n . a for the m magnitudes a and n in Z^m with
+        # |n|_1 <= k, whose count bounds every power's exactly merged support;
+        # laws of 8 or more signed atoms are cheaper on the grid than enumerated
+        m = len(base.atoms)
+        points = sum(2**i * math.comb(m, i) * math.comb(K, i) for i in range(m + 1))
+        route = "atoms_exact" if 2 * m < 8 and points <= _ATOM_SUPPORT_CAP else "atoms_char_grid"
     diag.update({"K": K, "per_k_method": route, "jump_p_moment": m_p, "tail_bound": tail})
     if route.endswith("grid"):
         value, err = _cp_char_grid_moment(spec, p, K, tail, tol)
         return ConstantResult(value, f"cp_series/{route}", err, diag)
+    if route == "exact_walk":
+        # T = N1 - N2 for independent Poisson(lam / 2) counts, so P(|T| = n) =
+        # 2 e^-lam I_n(lam) (Skellam), and |T| <= xi leaves at most the series
+        # tail; ive errs by about 1e-13 relative out at n = 10 sqrt(lam)
+        n = np.arange(1.0, K + 1)
+        value = 2.0 * math.fsum((n**p * ive(n, lam)).tolist())
+        return ConstantResult(value, "cp_series/exact_walk", tail + 1e-13 * value, diag)
 
+    if route == "exact_gaussian":
+        ez = basedist.abs_moment(base, p)
+        per_k = {k: (k ** (p / 2.0) * ez, 1e-14 * k ** (p / 2.0) * ez) for k in ks}
+    else:
+        per_k, _ = basedist.atomic_kfold_moments(base.signed_atoms(), ks, p, _ATOM_SUPPORT_CAP)
     weights = _poisson_weights(lam, K)
-    value = math.fsum(w * per_k[k] for k, w in zip(ks, weights))
-    propagated = math.fsum(w * per_k_err[k] for k, w in zip(ks, weights))
+    value = math.fsum(w * per_k[k][0] for k, w in zip(ks, weights))
+    propagated = math.fsum(w * per_k[k][1] for k, w in zip(ks, weights))
     return ConstantResult(value, f"cp_series/{route}", tail + propagated, diag)
 
 

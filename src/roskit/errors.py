@@ -28,8 +28,8 @@ class UnsupportedMethodError(InputError):
 
 
 class SupportOverflowError(InputError, OverflowError):
-    """An exact atomic law whose support outgrew its cap; grid routes catch
-    it as OverflowError and fall back, the CLI reports it as bad input."""
+    """An exact atomic law whose support outgrew its cap; the CLI reports it
+    as bad input."""
 
 
 class FeasibilityError(InputError):

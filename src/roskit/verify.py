@@ -277,8 +277,8 @@ def _candidate_moment(
             discrete.thin_atoms(discrete.scale_atoms(base_law, c), mu)
             for c, mu in zip(scales, activations)
         ]
-        dist = discrete.nfold_atoms(laws, max_support=1_000_000)
-        return discrete.abs_moment_atoms(dist, p), 1e-12
+        return discrete.enum_abs_moment(discrete.nfold_atoms(laws, max_support=1_000_000), p,
+                                        laws)
     value, coarse, certified = constants._thinned_grid_moment(p, V, scales, activations, 2048, tol)
     return value, abs(value - coarse) + certified + 1e-12 * abs(value)
 
@@ -393,13 +393,7 @@ def _validate_symmetric_atomic(law: dict) -> dict:
     for loc, mass in law.items():
         if loc != 0.0 and abs(law.get(-loc, 0.0) - mass) > 1e-12:
             raise DomainError("atomic law is not symmetric")
-    # canonicalize locations to the convolution dedup precision so the
-    # two sides of each inequality see identical support points
-    out: dict = {}
-    for loc, mass in law.items():
-        key = discrete.round_sig(loc)
-        out[key] = out.get(key, 0.0) + mass
-    return out
+    return law
 
 
 def check_poissonisation(laws: list[dict], p: float, tol: float = 1e-9):

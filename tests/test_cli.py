@@ -103,6 +103,15 @@ class TestSupCommand:
         assert res.exit_code == 2
         assert "MAX_GRID_CELLS = 8388608" in json.loads(res.stderr)["message"]
 
+    def test_random_sign_large_intensity(self):
+        # lambda ~ 83,900: one Skellam sum over |T| <= K, where summing a
+        # binomial walk for every k <= K ran for minutes
+        start = time.perf_counter()
+        res = run_cli("sup", "--p", "5", "--V", "rademacher", "--A", "30", "--B", "1")
+        assert time.perf_counter() - start < 2.0
+        assert res.exit_code == 0
+        assert parse_json_lines(res.output)[0]["cp_method"] == "cp_series/exact_walk"
+
     def test_window_sized_grid_fits(self):
         # lambda ~ 4072: a grid holding sums of ~4,700 jumps would pass the cap;
         # the one sized by the window fits it

@@ -1,6 +1,8 @@
+import itertools
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +12,18 @@ from roskit import specfun
 from roskit.errors import DomainError, FeasibilityError, UnsupportedMethodError
 
 EZ3 = specfun.gaussian_abs_moment(3.0)
+THREE_ATOMS = bd.symmetric_atoms([(0.0, 0.3), (1.0, 0.4), (2.5, 0.3)])
+TEN_ATOMS = bd.symmetric_atoms([(0.3 * i + 0.1, 0.1) for i in range(10)])
+
+
+def _mp_enum_moment(laws, p):
+    """E|sum of independent laws|^p over every atom tuple, in 40-digit mpmath;
+    laws are lists of (location, mass) with mpmath or float entries."""
+    with mpmath.workdps(40):
+        return float(mpmath.fsum(
+            mpmath.fprod(mpmath.mpf(m) for _, m in combo)
+            * abs(mpmath.fsum(mpmath.mpf(x) for x, _ in combo)) ** p
+            for combo in itertools.product(*laws)))
 
 
 class TestRosenthalConstant:
@@ -217,6 +231,12 @@ class TestUtevThreePoint:
         with pytest.raises(FeasibilityError):
             ct.MomentBudget.per_pair(4.0, [1.2], [1.0])
 
+    def test_exact_enum_against_mpmath(self):
+        # rounding each sum to 12 digits drifts 1.0e-10 from the mpmath value here
+        res, ext = ct.utev_3point_sup(5.0, ct.MomentBudget.per_pair(5.0, [1.0, 0.7], [1.3, 1.1]))
+        laws = [[(-c, mu / 2.0), (0.0, 1.0 - mu), (c, mu / 2.0)] for c, mu in ext]
+        assert abs(res.value - _mp_enum_moment(laws, 5.0)) <= res.error_bound
+
 
 class TestMixtureIndividual:
     def test_rademacher_reduces_to_three_point(self):
@@ -224,6 +244,19 @@ class TestMixtureIndividual:
         lhs = ct.mixture_individual_sup(4.0, bd.rademacher(), budget)
         rhs, _ = ct.utev_3point_sup(4.0, budget)
         assert lhs.value == pytest.approx(rhs.value, rel=1e-12)
+
+    @pytest.mark.parametrize("V", [bd.rademacher(), THREE_ATOMS, TEN_ATOMS])
+    def test_exact_enum_against_mpmath(self, V):
+        # thinned copies c theta V, each atom at the exact product c x
+        budget = ct.MomentBudget.per_pair(5.0, [1.0, 0.7], [1.6, 1.4])
+        res = ct.mixture_individual_sup(5.0, V, budget)
+        assert res.method == "exact_enum"
+        laws = []
+        with mpmath.workdps(40):
+            for c, mu in zip(res.diagnostics["scales"], res.diagnostics["activations"]):
+                law = [(mpmath.mpf(c) * x, mu * m) for x, m in V.signed_atoms().items() if x]
+                laws.append(law + [(0.0, 1.0 - mpmath.fsum(m for _, m in law))])
+        assert abs(res.value - _mp_enum_moment(laws, 5.0)) <= res.error_bound
 
     def test_gaussian_attains_own_moments(self):
         p = 5.0

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,9 @@ COSINE = bd.condition_nonzero(bd.cosine_projection())  # spectral grid route
 TEN_ATOMS = bd.condition_nonzero(  # char grid route (too many atoms to enumerate)
     bd.symmetric_atoms([(0.3 * i + 0.1, 0.1) for i in range(10)])
 )
+# three generic magnitudes: an 18-fold sum has 4,579 support points
+SIX_ATOMS = bd.condition_nonzero(bd.symmetric_atoms(
+    [(0.30742540036145816, 0.36), (1.1414238828695873, 0.13), (1.5731788245917877, 0.51)]))
 
 
 class TestSeries:
@@ -109,6 +113,44 @@ def _loop_radius(p, sigma2, tol, full, weights):
                              if T < k * full)) > 0.01 * tol:
         T += step
     return T, tail
+
+
+class TestExactRoutes:
+    @pytest.mark.parametrize("lam", [0.7, 2.0, 30.0])
+    @pytest.mark.parametrize("p", [3.0, 5.0])
+    def test_skellam_against_mpmath_walks(self, lam, p):
+        # the series by definition, Poisson weights times binomial walk moments,
+        # to a depth whose Poisson tail is below 1e-25
+        depth = int(4 * lam) + 60
+        with mpmath.workdps(30):
+            power = [mpmath.mpf(j) ** p for j in range(depth + 1)]
+            ref = float(mpmath.fsum(
+                mpmath.exp(-lam) * mpmath.mpf(lam) ** k / mpmath.factorial(k)
+                * mpmath.fsum(math.comb(k, i) * power[abs(2 * i - k)] for i in range(k + 1))
+                / mpmath.mpf(2) ** k
+                for k in range(1, depth + 1)))
+        res = cp.cp_abs_moment(cp.CompoundPoissonSpec(lam, RAD), p, tol=1e-12)
+        assert res.method == "cp_series/exact_walk"
+        assert abs(res.value - ref) <= res.error_bound <= 1e-12 + 2e-13 * ref
+
+    @pytest.mark.parametrize("p", [4, 6, 8])
+    def test_skellam_large_intensity(self, p):
+        spec = cp.CompoundPoissonSpec(84_300.0, RAD)
+        res = cp.cp_abs_moment(spec, float(p), tol=1e-9)
+        oracle = cp.cp_even_moment_cumulant(spec, p)
+        assert abs(res.value - oracle) <= res.error_bound <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("jump,lam,route", [
+        (SIX_ATOMS, 1.7, "atoms_exact"),  # lattice count 17,343 at K = 23
+        (ATOMS, 1.8, "atoms_exact"),
+        (ATOMS, 100.0, "atoms_char_grid"),  # K = 216: 2 K^2 + 2 K + 1 > 50,000
+        (TEN_ATOMS, 1.8, "atoms_char_grid"),
+    ])
+    def test_atomic_routing(self, jump, lam, route):
+        spec = cp.CompoundPoissonSpec(lam, jump)
+        res = cp.cp_abs_moment(spec, 6.0, tol=1e-9)
+        assert res.method == f"cp_series/{route}"
+        assert abs(res.value - cp.cp_even_moment_cumulant(spec, 6)) <= res.error_bound
 
 
 class TestVectorisedSeries:
