@@ -31,19 +31,6 @@ _MATCH_FAMILIES = ("fminus", "fplus", "gminus", "gplus")
 # most p values one table sweep evaluates
 MAX_TABLE_POINTS = 10_000
 
-VERIFY_SUITES = (
-    "search",
-    "poissonisation",
-    "lower-bound",
-    "sign-changes",
-    "psi-convexity",
-    "h-signature",
-    "determinant",
-    "interlacing",
-    "ordering",
-    "tail-ordering",
-)
-
 
 def _emit(records: list[dict], fmt: str, out: str | None) -> None:
     lines: list[str] = []
@@ -103,6 +90,14 @@ def _threads() -> int:
 def _common(record: dict, **extra) -> dict:
     record.update({k: v for k, v in extra.items() if v is not None})
     return record
+
+
+def _per_summand_sup(p, V, budget, tol):
+    """The supremum under per-summand budgets and the [c_j, mu_j] pairs of its
+    thinned extremisers (three-point laws for random signs)."""
+    res = constants.mixture_individual_sup(p, V, budget, tol=tol)
+    diag = res.diagnostics
+    return res, [[c, mu] for c, mu in zip(diag["scales"], diag["activations"])]
 
 
 _shared_options = [
@@ -174,17 +169,14 @@ def sup_cmd(p, v_spec, A, B, a_list, b_list, positive, seed, tol, fmt, out):
             if a is None or b is None:
                 raise InputError("per-summand budgets need both --a and --b")
             budget = constants.MomentBudget.per_pair(p, a, b)
-            tol_eff = tol if tol is not None else 1e-6
-            if v_spec is None or v_spec == "rademacher":
-                res, extremal = constants.utev_3point_sup(p, budget, tol=tol_eff)
-                rec = _common(res.to_record(), command="sup", variant="three_point",
-                              p=p, V="rademacher", seed=seed)
-                rec["extremal"] = [[c, mu] for c, mu in extremal]
-            else:
-                V = basedist.parse_base_spec(v_spec)
-                res = constants.mixture_individual_sup(p, V, budget, tol=tol_eff)
-                rec = _common(res.to_record(), command="sup", variant="individual",
-                              p=p, V=basedist.format_base_spec(V), seed=seed)
+            V = basedist.parse_base_spec(v_spec or "rademacher")
+            res, extremal = _per_summand_sup(p, V, budget, tol if tol is not None else 1e-6)
+            random_signs = V.kind == "rademacher"
+            rec = _common(res.to_record(), command="sup",
+                          variant="three_point" if random_signs else "individual",
+                          p=p, V=basedist.format_base_spec(V), seed=seed)
+            if random_signs:
+                rec["extremal"] = extremal
         else:
             V = basedist.parse_base_spec(v_spec or "rademacher")
             tol_eff = tol if tol is not None else (1e-6 if p >= 4 else 1e-9)
@@ -218,15 +210,10 @@ def extremal_cmd(p, v_spec, A, B, a_list, b_list, n, alpha, seed, tol, fmt, out)
         b = _parse_list(b_list)
         if p >= 4.0 and a is not None and b is not None:
             budget = constants.MomentBudget.per_pair(p, a, b)
-            if V.kind == "rademacher":
-                res, extremal = constants.utev_3point_sup(p, budget, tol=tol or 1e-6)
-            else:
-                res = constants.mixture_individual_sup(p, V, budget, tol=tol or 1e-6)
-                extremal = list(zip(res.diagnostics["scales"],
-                                    res.diagnostics["activations"]))
+            res, extremal = _per_summand_sup(p, V, budget, tol or 1e-6)
             rec = _common(res.to_record(), command="extremal", kind="three_point",
                           p=p, V=v_label, seed=seed)
-            rec["extremal"] = [[c, mu] for c, mu in extremal]
+            rec["extremal"] = extremal
         elif p >= 4.0:
             res = constants.mixture_sup(p, V, A, B, tol if tol is not None else 1e-6)
             rec = {
@@ -305,122 +292,121 @@ def match_cmd(family, p, a, b, seed, tol, fmt, out):
         raise SystemExit(_fail(exc))
 
 
+def _search_suite(p, V, A, B, n, trials, seed, tol, **_):
+    rep = verify.search_sup_U(p, V, A, B, n_max=n, trials=trials, seed=seed, tol=tol)
+    yield {**rep.to_record(), "p": p, "V": basedist.format_base_spec(V), "A": A, "B": B,
+           "holds": rep.best_value <= rep.theorem_value * (1.0 + 1e-6)}
+
+
+def _atomic_suite(check):
+    """A suite running check(laws, p, tol) on random tuples of three-point laws."""
+    def records(p, n, trials, tol, rng, **_):
+        for trial in range(trials):
+            count = int(rng.integers(1, n + 1))
+            draws = [(float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 1.0)))
+                     for _ in range(count)]
+            laws = [{loc: m / 2.0, -loc: m / 2.0, 0.0: 1.0 - m} for loc, m in draws]
+            holds, left, right = check(laws, p, tol)
+            yield {"p": p, "trial": trial, "n": count, "left": left, "right": right,
+                   "holds": holds}
+    return records
+
+
+def _sign_changes_suite(p, **_):
+    b = basedist.abs_moment(basedist.gaussian(), p) ** (1.0 / p)
+    member = logconcave.match_density_minus(logconcave.MatchTarget(p, 1.0, b))
+    source = verify.GaussianSource()
+    xs = np.linspace(1e-4, 8.0, 10_000)
+    diff = np.array([source.pdf(x) - member.pdf(x) for x in xs])
+    rep = verify.count_sign_changes(xs, diff, 1e-9 * float(np.abs(diff).max()))
+    yield {"p": p, "count": rep.count, "signature": rep.signature,
+           "locations": rep.locations, "grid_points": len(xs),
+           "holds": rep.count == 3 and rep.signature == [1, -1, 1, -1]}
+
+
+def _psi_convexity_suite(p, **_):
+    xs = np.geomspace(1e-3, 1e3, 2000)
+    yield {"p": p, "grid_points": len(xs), "holds": bool(verify.check_psi_convexity(p, xs))}
+
+
+def _h_signature_suite(p, trials, rng, **_):
+    for trial in range(trials):
+        alpha = float(rng.uniform(-5.0, 5.0))
+        beta = float(rng.uniform(-5.0, 5.0))
+        gamma = float(rng.uniform(-1.0, 6.0))
+        rep = verify.check_h_signature(p, alpha, beta, gamma)
+        yield {"p": p, "trial": trial, "alpha": alpha, "beta": beta, "gamma": gamma,
+               "count": rep.count, "signature": rep.signature, "x_max": rep.x_max,
+               "holds": rep.ok}
+
+
+def _determinant_suite(trials, rng, **_):
+    for trial in range(trials):
+        pts = np.sort(rng.uniform(0.05, 10.0, size=3))
+        if pts[0] >= pts[1] or pts[1] >= pts[2]:
+            continue
+        power = float(rng.uniform(1.1, 4.0))
+        ok, det = verify.check_det_inequality(
+            lambda x, q=power: x**q, float(pts[0]), float(pts[1]), float(pts[2])
+        )
+        yield {"trial": trial, "x": [float(v) for v in pts], "power": power, "det": det,
+               "holds": ok}
+
+
+def _interlacing_suite(p, **_):
+    b = basedist.abs_moment(basedist.gaussian(), p) ** (1.0 / p)
+    target = logconcave.MatchTarget(p, 1.0, b)
+    source = verify.GaussianSource()
+    for member, side in (
+        (logconcave.match_density_minus(target), "minus"),
+        (logconcave.match_density_plus(target), "plus"),
+    ):
+        for z in (0.0, 0.5, 2.0):
+            holds, lhs, rhs = verify.check_interlacing(source, member, z, p)
+            yield {"p": p, "family": side, "z": z, "lhs": lhs, "rhs": rhs, "holds": holds}
+
+
+def _ordering_suite(p, n, **_):
+    holds, vals, err = verify.check_logconcave_ordering(
+        n, verify.GaussianSource(), p, n_cells=16384
+    )
+    yield {"p": p, "n": n, "minus": vals[0], "source": vals[1], "plus": vals[2],
+           "combined_error": err, "grid_cells": 16384, "holds": holds}
+
+
+def _tail_ordering_suite(p, n, **_):
+    lo, hi = logconcave.feasibility_interval_tail(p)
+    ratio = 0.5 * (lo + hi)
+    source = logconcave.match_tail(logconcave.MatchTarget(p, 1.0, ratio), "minus")
+    holds, vals, err = verify.check_tail_ordering(n, source, p, n_cells=16384)
+    yield {"p": p, "n": n, "source_ratio": ratio, "minus": vals[0], "source": vals[1],
+           "plus": vals[2], "combined_error": err, "grid_cells": 16384, "holds": holds}
+
+
+# suite name -> generator of its records, each without the command, suite and seed keys
+_SUITES = {
+    "search": _search_suite,
+    "poissonisation": _atomic_suite(verify.check_poissonisation),
+    "lower-bound": _atomic_suite(lambda laws, p, tol: verify.check_easy_lower_bound(laws, p)),
+    "sign-changes": _sign_changes_suite,
+    "psi-convexity": _psi_convexity_suite,
+    "h-signature": _h_signature_suite,
+    "determinant": _determinant_suite,
+    "interlacing": _interlacing_suite,
+    "ordering": _ordering_suite,
+    "tail-ordering": _tail_ordering_suite,
+}
+VERIFY_SUITES = tuple(_SUITES)
+
+
 def _verify_records(suite, p, v_spec, A, B, n, trials, seed, tol):
     V = basedist.parse_base_spec(v_spec)
-    v_label = basedist.format_base_spec(V)
-    rng = np.random.default_rng(seed)
-    records: list[dict] = []
-
     enumerates = suite in ("poissonisation", "lower-bound") or (suite == "search" and V.is_atomic)
     if enumerates and n > constants.MAX_ENUM_SUMMANDS:
         raise InputError(f"--n {n} exceeds the summand cap {constants.MAX_ENUM_SUMMANDS}")
-
-    if suite == "search":
-        rep = verify.search_sup_U(p, V, A, B, n_max=n, trials=trials, seed=seed, tol=tol)
-        rec = rep.to_record()
-        rec.update(command="verify", suite=suite, p=p, V=v_label, A=A, B=B,
-                   holds=rep.best_value <= rep.theorem_value * (1.0 + 1e-6))
-        records.append(rec)
-    elif suite in ("poissonisation", "lower-bound"):
-        for trial in range(trials):
-            count = int(rng.integers(1, n + 1))
-            laws = []
-            for _ in range(count):
-                loc = float(rng.uniform(0.2, 2.0))
-                mass = float(rng.uniform(0.2, 1.0))
-                laws.append({loc: mass / 2.0, -loc: mass / 2.0, 0.0: 1.0 - mass})
-            if suite == "poissonisation":
-                holds, left, right = verify.check_poissonisation(laws, p, tol)
-            else:
-                holds, left, right = verify.check_easy_lower_bound(laws, p)
-            records.append({
-                "command": "verify", "suite": suite, "p": p, "seed": seed,
-                "trial": trial, "n": count, "left": left, "right": right,
-                "holds": holds,
-            })
-    elif suite == "sign-changes":
-        b = basedist.abs_moment(basedist.gaussian(), p) ** (1.0 / p)
-        member = logconcave.match_density_minus(logconcave.MatchTarget(p, 1.0, b))
-        source = verify.GaussianSource()
-        xs = np.linspace(1e-4, 8.0, 10_000)
-        diff = np.array([source.pdf(x) - member.pdf(x) for x in xs])
-        rep = verify.count_sign_changes(xs, diff, 1e-9 * float(np.abs(diff).max()))
-        records.append({
-            "command": "verify", "suite": suite, "p": p, "seed": seed,
-            "count": rep.count, "signature": rep.signature,
-            "locations": rep.locations, "grid_points": len(xs),
-            "holds": rep.count == 3 and rep.signature == [1, -1, 1, -1],
-        })
-    elif suite == "psi-convexity":
-        xs = np.geomspace(1e-3, 1e3, 2000)
-        ok = verify.check_psi_convexity(p, xs)
-        records.append({
-            "command": "verify", "suite": suite, "p": p, "seed": seed,
-            "grid_points": len(xs), "holds": bool(ok),
-        })
-    elif suite == "h-signature":
-        for trial in range(trials):
-            alpha = float(rng.uniform(-5.0, 5.0))
-            beta = float(rng.uniform(-5.0, 5.0))
-            gamma = float(rng.uniform(-1.0, 6.0))
-            rep = verify.check_h_signature(p, alpha, beta, gamma)
-            records.append({
-                "command": "verify", "suite": suite, "p": p, "seed": seed,
-                "trial": trial, "alpha": alpha, "beta": beta, "gamma": gamma,
-                "count": rep.count, "signature": rep.signature, "x_max": rep.x_max,
-                "holds": rep.ok,
-            })
-    elif suite == "determinant":
-        for trial in range(trials):
-            pts = np.sort(rng.uniform(0.05, 10.0, size=3))
-            if pts[0] >= pts[1] or pts[1] >= pts[2]:
-                continue
-            power = float(rng.uniform(1.1, 4.0))
-            ok, det = verify.check_det_inequality(
-                lambda x, q=power: x**q, float(pts[0]), float(pts[1]), float(pts[2])
-            )
-            records.append({
-                "command": "verify", "suite": suite, "seed": seed, "trial": trial,
-                "x": [float(v) for v in pts], "power": power, "det": det,
-                "holds": ok,
-            })
-    elif suite == "interlacing":
-        b = basedist.abs_moment(basedist.gaussian(), p) ** (1.0 / p)
-        target = logconcave.MatchTarget(p, 1.0, b)
-        source = verify.GaussianSource()
-        for member, side in (
-            (logconcave.match_density_minus(target), "minus"),
-            (logconcave.match_density_plus(target), "plus"),
-        ):
-            for z in (0.0, 0.5, 2.0):
-                holds, lhs, rhs = verify.check_interlacing(source, member, z, p)
-                records.append({
-                    "command": "verify", "suite": suite, "p": p, "seed": seed,
-                    "family": side, "z": z, "lhs": lhs, "rhs": rhs, "holds": holds,
-                })
-    elif suite == "ordering":
-        holds, vals, err = verify.check_logconcave_ordering(
-            n, verify.GaussianSource(), p, n_cells=16384
-        )
-        records.append({
-            "command": "verify", "suite": suite, "p": p, "n": n, "seed": seed,
-            "minus": vals[0], "source": vals[1], "plus": vals[2],
-            "combined_error": err, "grid_cells": 16384, "holds": holds,
-        })
-    elif suite == "tail-ordering":
-        lo, hi = logconcave.feasibility_interval_tail(p)
-        ratio = 0.5 * (lo + hi)
-        source = logconcave.match_tail(logconcave.MatchTarget(p, 1.0, ratio), "minus")
-        holds, vals, err = verify.check_tail_ordering(n, source, p, n_cells=16384)
-        records.append({
-            "command": "verify", "suite": suite, "p": p, "n": n, "seed": seed,
-            "source_ratio": ratio, "minus": vals[0], "source": vals[1],
-            "plus": vals[2], "combined_error": err, "grid_cells": 16384,
-            "holds": holds,
-        })
-    else:
-        raise InputError(f"unknown verify suite {suite!r}; pick from {VERIFY_SUITES}")
-    return records
+    records = _SUITES[suite](p=p, V=V, A=A, B=B, n=n, trials=trials, seed=seed, tol=tol,
+                             rng=np.random.default_rng(seed))
+    return [{"command": "verify", "suite": suite, "seed": seed, **rec} for rec in records]
 
 
 @main.command("verify")

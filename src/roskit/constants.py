@@ -253,63 +253,39 @@ def utev_3point_sup(
     mu_j = (a_j / b_j)^(2p/(p-2)).  Returns the supremum together with the
     (c_j, mu_j) description of the extremal tuple.
     """
-    scales, activations = _thinned_extremiser(p, basedist.rademacher(), budget, "utev_3point_sup")
-    n = len(scales)
-    diag = {"n": n, "scales": scales, "activations": activations}
-
-    if mode == "exact_enum":
-        if n > MAX_ENUM_SUMMANDS:
-            raise UnsupportedMethodError(
-                f"exact enumeration supports n <= {MAX_ENUM_SUMMANDS}; use monte_carlo"
-            )
-        laws = []
-        for c, mu in zip(scales, activations):
-            laws.append({-c: mu / 2.0, 0.0: 1.0 - mu, c: mu / 2.0})
-        dist = discrete.nfold_atoms(laws)
-        value, err = discrete.enum_abs_moment(dist, p, laws)
-        diag["support"] = len(dist)
-        result = ConstantResult(value, "exact_enum", err, diag)
-    elif mode == "monte_carlo":
-        value, err = _thinned_mc_moment(
-            p, basedist.rademacher(), scales, activations, rng, n_samples
-        )
-        diag["n_samples"] = n_samples
-        result = ConstantResult(value, "monte_carlo", err, diag)
-    else:
-        raise UnsupportedMethodError(f"unknown mode {mode!r}")
-    return result, list(zip(scales, activations))
-
-
-def _thinned_extremiser(p: float, V: BaseDistribution, budget: MomentBudget, caller: str):
-    """Scale c_j and activation mu_j of the thinned copy c_j theta_j V that
-    meets each per-summand budget pair (a_j, b_j) with equality (p >= 4)."""
-    if p < 4.0:
-        raise DomainError(f"{caller} requires p >= 4")
-    if budget.per_summand is None:
-        raise DomainError(f"{caller} needs per-summand budgets")
-    nv2 = math.sqrt(basedist.abs_moment(V, 2.0))
-    nvp = basedist.abs_moment(V, p) ** (1.0 / p)
-    scales, activations = [], []
-    for a_j, b_j in budget.per_summand:
-        scales.append(((b_j / nvp) ** p / (a_j / nv2) ** 2) ** (1.0 / (p - 2.0)))
-        activations.append((a_j * nvp / (b_j * nv2)) ** (2.0 * p / (p - 2.0)))
-    if any(mu > 1.0 + 1e-12 for mu in activations):
-        raise FeasibilityError(
-            "infeasible budget: required activation exceeds 1 "
-            "(b_j/a_j below the base law's p-to-2 norm ratio)"
-        )
-    return scales, [min(mu, 1.0) for mu in activations]
+    res = mixture_individual_sup(p, basedist.rademacher(), budget, mode, tol, rng, n_samples)
+    return res, list(zip(res.diagnostics["scales"], res.diagnostics["activations"]))
 
 
 def _thinned_mc_moment(p: float, V: BaseDistribution, scales, activations, rng, n_samples: int):
-    """Monte Carlo E|sum_j c_j theta_j V_j|^p and its 3-sigma bound."""
+    """Monte Carlo E|sum_j c_j theta_j V_j|^p and its 3-sigma bound.
+
+    A summand with n_samples mu_j < 1 is almost never switched on in the draws, so
+    the bound adds E[|S|^p; theta_j = 1] <= mu_j (||S||_p + c_j ||V||_p)^p for each,
+    with ||S||_p <= sum_i c_i mu_i^(1/p) ||V||_p by Minkowski."""
     if rng is None:
         raise DomainError("monte_carlo mode requires an explicit rng")
     total = np.zeros(n_samples)
     for c, mu in zip(scales, activations):
         theta = rng.random(n_samples) < mu
         total += c * theta * basedist.sample_signed(V, rng, n_samples)
-    return basedist.mc_abs_moment(total, p)
+    value, err = basedist.mc_abs_moment(total, p)
+    rare = [(c, mu) for c, mu in zip(scales, activations) if 0.0 < n_samples * mu < 1.0]
+    if rare:
+        nvp = basedist.abs_moment(V, p) ** (1.0 / p)
+        norm = nvp * math.fsum(c * mu ** (1.0 / p) for c, mu in zip(scales, activations))
+        err += math.fsum(mu * (norm + c * nvp) ** p for c, mu in rare)
+    return value, err
+
+
+def _thinned_enum_moment(p: float, V: BaseDistribution, scales, activations, max_support: int):
+    """(E|sum_j c_j theta_j V_j|^p, its bound, support size) for atomic V, by exact
+    enumeration of the thinned atom laws; SupportOverflowError past max_support."""
+    base_law = V.signed_atoms()
+    laws = [discrete.thin_atoms(discrete.scale_atoms(base_law, c), mu)
+            for c, mu in zip(scales, activations)]
+    dist = discrete.nfold_atoms(laws, max_support=max_support)
+    return (*discrete.enum_abs_moment(dist, p, laws), len(dist))
 
 
 def mixture_individual_sup(
@@ -325,10 +301,26 @@ def mixture_individual_sup(
     budgets ||X_j||_2 <= a_j, ||X_j||_p <= b_j, for p >= 4.
 
     Attained by Bernoulli-thinned scaled copies of V meeting both budgets
-    with equality.  Evaluated by exact enumeration (atomic V), the spectral
-    grid sum (continuous V), or Monte Carlo.
+    with equality (for random signs the three-point laws of utev_3point_sup).
+    Evaluated by exact enumeration (atomic V), the spectral grid sum
+    (continuous V), or Monte Carlo.
     """
-    scales, activations = _thinned_extremiser(p, V, budget, "mixture_individual_sup")
+    if p < 4.0:
+        raise DomainError("per-summand budgets require p >= 4")
+    if budget.per_summand is None:
+        raise DomainError("the budget must be per-summand, not global")
+    nv2 = math.sqrt(basedist.abs_moment(V, 2.0))
+    nvp = basedist.abs_moment(V, p) ** (1.0 / p)
+    scales, activations = [], []
+    for a_j, b_j in budget.per_summand:
+        scales.append(((b_j / nvp) ** p / (a_j / nv2) ** 2) ** (1.0 / (p - 2.0)))
+        activations.append((a_j * nvp / (b_j * nv2)) ** (2.0 * p / (p - 2.0)))
+    if any(mu > 1.0 + 1e-12 for mu in activations):
+        raise FeasibilityError(
+            "infeasible budget: required activation exceeds 1 "
+            "(b_j/a_j below the base law's p-to-2 norm ratio)"
+        )
+    activations = [min(mu, 1.0) for mu in activations]
     n = len(scales)
     diag = {"n": n, "scales": scales, "activations": activations, "V": V.kind}
 
@@ -342,13 +334,7 @@ def mixture_individual_sup(
             raise UnsupportedMethodError(
                 f"exact enumeration supports n <= {MAX_ENUM_SUMMANDS}; use monte_carlo"
             )
-        base_law = V.signed_atoms()
-        laws = []
-        for c, mu in zip(scales, activations):
-            laws.append(discrete.thin_atoms(discrete.scale_atoms(base_law, c), mu))
-        dist = discrete.nfold_atoms(laws, max_support=2_000_000)
-        value, err = discrete.enum_abs_moment(dist, p, laws)
-        diag["support"] = len(dist)
+        value, err, diag["support"] = _thinned_enum_moment(p, V, scales, activations, 2_000_000)
         return ConstantResult(value, "exact_enum", err, diag)
 
     if mode == "grid":

@@ -121,7 +121,7 @@ class GridLaw:
                        0.5 if self.masses.size % 2 == 0 else 0.0)
 
 
-def from_cdf(cdf, lo: float, hi: float, n_cells: int, atoms: dict | None = None) -> GridLaw:
+def from_cdf(cdf, lo: float, hi: float, n_cells: int) -> GridLaw:
     """Exact cell masses of the continuous part described by cdf on [lo, hi].
 
     cdf is called once, on the whole edge vector: cdf(edges: ndarray) -> ndarray.
@@ -129,7 +129,7 @@ def from_cdf(cdf, lo: float, hi: float, n_cells: int, atoms: dict | None = None)
     h = (hi - lo) / n_cells
     edges = lo + h * np.arange(n_cells + 1)
     masses = np.maximum(np.diff(cdf(edges)), 0.0)
-    return GridLaw(lo + 0.5 * h, h, masses, dict(atoms or {}))
+    return GridLaw(lo + 0.5 * h, h, masses)
 
 
 def edge_steps(b: float, n: int) -> tuple[float, float]:

@@ -272,13 +272,7 @@ def _candidate_moment(
 ):
     """E|sum c_j theta_j V_j|^p for a thinned-scaled candidate tuple."""
     if V.is_atomic:
-        base_law = V.signed_atoms()
-        laws = [
-            discrete.thin_atoms(discrete.scale_atoms(base_law, c), mu)
-            for c, mu in zip(scales, activations)
-        ]
-        return discrete.enum_abs_moment(discrete.nfold_atoms(laws, max_support=1_000_000), p,
-                                        laws)
+        return constants._thinned_enum_moment(p, V, scales, activations, 1_000_000)[:2]
     value, coarse, certified = constants._thinned_grid_moment(p, V, scales, activations, 2048, tol)
     return value, abs(value - coarse) + certified + 1e-12 * abs(value)
 

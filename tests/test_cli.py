@@ -73,6 +73,21 @@ class TestSupCommand:
         assert rec["value"] == pytest.approx(10.0, rel=1e-9)
         assert len(rec["extremal"]) == 2
 
+    def test_random_signs_by_kind_not_spelling(self):
+        upper = run_cli("sup", "--p", "5", "--V", "RADEMACHER", "--a", "1", "--b", "1.2")
+        lower = run_cli("sup", "--p", "5", "--V", "rademacher", "--a", "1", "--b", "1.2")
+        assert upper.exit_code == 0
+        assert parse_json_lines(upper.output) == parse_json_lines(lower.output)
+        assert parse_json_lines(upper.output)[0]["variant"] == "three_point"
+
+    def test_random_sign_per_summand_keys(self):
+        common = {"value", "method", "error_bound", "n", "scales", "activations", "support",
+                  "command", "p", "V", "seed", "extremal"}
+        sup = run_cli("sup", "--p", "5", "--a", "1,0.7", "--b", "1.3,1.1")
+        assert set(parse_json_lines(sup.output)[0]) == common | {"variant"}
+        ext = run_cli("extremal", "--p", "5", "--a", "1,0.7", "--b", "1.3,1.1")
+        assert set(parse_json_lines(ext.output)[0]) == common | {"kind"}
+
     def test_individual_mixture(self):
         res = run_cli("sup", "--p", "5", "--V", "gaussian", "--a", "1", "--b", "1.6")
         rec = parse_json_lines(res.output)[0]

@@ -60,6 +60,7 @@ from click.testing import CliRunner  # noqa: E402
 from roskit import basedist as bd  # noqa: E402
 from roskit import constants as ct  # noqa: E402
 from roskit import cpoisson as cp  # noqa: E402
+from roskit import discrete as dc  # noqa: E402
 from roskit import verify as vf  # noqa: E402
 from roskit.cli import CSV_COLUMNS  # noqa: E402
 from roskit.cli import main as cli_main  # noqa: E402
@@ -190,7 +191,14 @@ def routes():
         return Ordering(holds, (left, right), cp.cp_abs_moment(triple, 5.0, 1e-6).error_bound)
 
     show("check_poissonisation", poissonisation)
-    show("check_easy_lower_bound", vf.check_easy_lower_bound, three, 5.0)
+
+    def easy_lower_bound():
+        # both sides carry the bound of the enumerated side
+        holds, left, right = vf.check_easy_lower_bound(three, 5.0)
+        return Ordering(holds, (left, right),
+                        dc.enum_abs_moment(dc.nfold_atoms(three), 5.0, three)[1])
+
+    show("check_easy_lower_bound", easy_lower_bound)
 
 
 def cli():
