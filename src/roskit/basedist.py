@@ -53,13 +53,15 @@ class BaseDistribution:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown base kind {self.kind!r}")
-        if self.kind == "uniform" and not self.half_width > 0.0:
-            raise DomainError("uniform half_width must be positive")
+        if self.kind == "uniform" and not 0.0 < self.half_width < math.inf:
+            raise DomainError(f"uniform half_width must be finite and positive: {self.half_width}")
         if self.kind == "atoms":
             if not self.atoms:
                 raise DomainError("atomic law needs at least one atom")
             locs = [a[0] for a in self.atoms]
             masses = [a[1] for a in self.atoms]
+            if not all(map(math.isfinite, locs + masses)):
+                raise DomainError(f"atom locations and masses must be finite, got {self.atoms!r}")
             if any(loc < 0 for loc in locs):
                 raise DomainError("atom locations must be nonnegative")
             if any(l2 <= l1 for l1, l2 in zip(locs, locs[1:])):
@@ -176,12 +178,11 @@ def parse_base_spec(text: str) -> BaseDistribution:
     """
     head, _, rest = text.strip().partition(":")
     head = head.lower()
-    if head == "rademacher":
-        return rademacher()
-    if head == "gaussian":
-        return gaussian()
-    if head == "cosine":
-        return cosine_projection()
+    plain = {"rademacher": rademacher, "gaussian": gaussian, "cosine": cosine_projection}
+    if head in plain:
+        if rest:
+            raise DomainError(f"{head} takes no parameters, got {rest!r} in {text!r}")
+        return plain[head]()
     if head == "uniform":
         w = 1.0
         if rest:
@@ -226,20 +227,23 @@ class ConditionedBase:
 
 
 def abs_moment(V: BaseDistribution, r: float) -> float:
-    """E|V|^r, exact for every supported kind."""
+    """E|V|^r, exact for every supported kind; DomainError past the float range."""
     if r < 0:
         raise DomainError("moment order must be nonnegative")
     if r == 0:
         return 1.0
-    if V.kind == "rademacher":
-        return 1.0
-    if V.kind == "uniform":
-        return V.half_width**r / (r + 1.0)
-    if V.kind == "gaussian":
-        return specfun.gaussian_abs_moment(r)
-    if V.kind == "cosine":
-        return 1.0 / specfun.steinhaus_beta(r)
-    return math.fsum(mass * loc**r for loc, mass in V.atoms)
+    try:
+        if V.kind == "rademacher":
+            return 1.0
+        if V.kind == "uniform":
+            return V.half_width**r / (r + 1.0)
+        if V.kind == "gaussian":
+            return specfun.gaussian_abs_moment(r)
+        if V.kind == "cosine":
+            return 1.0 / specfun.steinhaus_beta(r)
+        return math.fsum(mass * loc**r for loc, mass in V.atoms)
+    except OverflowError:
+        raise DomainError(f"E|V|^{r:g} of {format_base_spec(V)} overflows a float") from None
 
 
 def condition_nonzero(V: BaseDistribution) -> ConditionedBase:

@@ -26,7 +26,14 @@ CSV_COLUMNS = [
     "p", "V", "A", "B", "value", "error_bound", "method", "lambda", "prefactor", "seed",
 ]
 
-_MATCH_FAMILIES = ("fminus", "fplus", "gminus", "gplus")
+# family name -> matcher; each looks its logconcave function up at call time, so a
+# wrapper installed on the module sees the call
+_MATCHERS = {
+    "fminus": lambda target: logconcave.match_density_minus(target),
+    "fplus": lambda target: logconcave.match_density_plus(target),
+    "gminus": lambda target: logconcave.match_tail(target, "minus"),
+    "gplus": lambda target: logconcave.match_tail(target, "plus"),
+}
 
 # most p values one table sweep evaluates
 MAX_TABLE_POINTS = 10_000
@@ -73,7 +80,7 @@ def _parse_list(text: str | None) -> list[float] | None:
     return [basedist.parse_number(chunk, text) for chunk in text.split(",") if chunk != ""]
 
 
-def _check_tol(tol: float | None) -> float | None:
+def _check_tol(ctx, param, tol: float | None) -> float | None:
     if tol is not None and not 0.0 < tol < 1.0:
         raise InputError(f"tolerance must lie in (0, 1), got {tol!r}")
     return tol
@@ -102,7 +109,7 @@ def _per_summand_sup(p, V, budget, tol):
 
 _shared_options = [
     click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--tol", type=float, default=None,
+    click.option("--tol", type=float, default=None, callback=_check_tol,
                  help="tolerance (default 1e-9 closed form, 1e-6 grid/MC)"),
     click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
                  default="json", show_default=True),
@@ -116,7 +123,17 @@ def shared_options(fn):
     return fn
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a RoskitError becomes a JSON reason and exit code 2 or 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RoskitError as exc:
+            raise SystemExit(_fail(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Sharp constants and extremal laws of moment inequalities for sums."""
 
@@ -129,21 +146,17 @@ def main():
 @shared_options
 def constant_cmd(p, v_spec, complex_case, seed, tol, fmt, out):
     """Best constant in the moment inequality at exponent p."""
-    try:
-        tol = _check_tol(tol)
-        tol_eff = tol if tol is not None else (1e-6 if p >= 4 else 1e-9)
-        if complex_case:
-            res = constants.complex_constant(p, tol_eff)
-            v_label = "steinhaus"
-        else:
-            V = basedist.parse_base_spec(v_spec)
-            res = constants.mixture_constant(p, V, tol_eff)
-            v_label = basedist.format_base_spec(V)
-        rec = _common(res.to_record(), command="constant", p=p, V=v_label,
-                      A=1.0, B=1.0, seed=seed)
-        _emit([rec], fmt, out)
-    except RoskitError as exc:
-        raise SystemExit(_fail(exc))
+    tol_eff = tol if tol is not None else (1e-6 if p >= 4 else 1e-9)
+    if complex_case:
+        res = constants.complex_constant(p, tol_eff)
+        v_label = "steinhaus"
+    else:
+        V = basedist.parse_base_spec(v_spec)
+        res = constants.mixture_constant(p, V, tol_eff)
+        v_label = basedist.format_base_spec(V)
+    rec = _common(res.to_record(), command="constant", p=p, V=v_label,
+                  A=1.0, B=1.0, seed=seed)
+    _emit([rec], fmt, out)
 
 
 @main.command("sup")
@@ -157,35 +170,31 @@ def constant_cmd(p, v_spec, complex_case, seed, tol, fmt, out):
 @shared_options
 def sup_cmd(p, v_spec, A, B, a_list, b_list, positive, seed, tol, fmt, out):
     """Supremum of E|sum|^p under global or per-summand budgets."""
-    try:
-        tol = _check_tol(tol)
-        a = _parse_list(a_list)
-        b = _parse_list(b_list)
-        if positive:
-            res = constants.positive_sum_sup(p, A, B, tol if tol is not None else 1e-9)
-            rec = _common(res.to_record(), command="sup", variant="positive",
-                          p=p, A=A, B=B, seed=seed)
-        elif a is not None or b is not None:
-            if a is None or b is None:
-                raise InputError("per-summand budgets need both --a and --b")
-            budget = constants.MomentBudget.per_pair(p, a, b)
-            V = basedist.parse_base_spec(v_spec or "rademacher")
-            res, extremal = _per_summand_sup(p, V, budget, tol if tol is not None else 1e-6)
-            random_signs = V.kind == "rademacher"
-            rec = _common(res.to_record(), command="sup",
-                          variant="three_point" if random_signs else "individual",
-                          p=p, V=basedist.format_base_spec(V), seed=seed)
-            if random_signs:
-                rec["extremal"] = extremal
-        else:
-            V = basedist.parse_base_spec(v_spec or "rademacher")
-            tol_eff = tol if tol is not None else (1e-6 if p >= 4 else 1e-9)
-            res = constants.mixture_sup(p, V, A, B, tol_eff)
-            rec = _common(res.to_record(), command="sup", variant="mixture",
-                          p=p, V=basedist.format_base_spec(V), A=A, B=B, seed=seed)
-        _emit([rec], fmt, out)
-    except RoskitError as exc:
-        raise SystemExit(_fail(exc))
+    a = _parse_list(a_list)
+    b = _parse_list(b_list)
+    if positive:
+        res = constants.positive_sum_sup(p, A, B, tol if tol is not None else 1e-9)
+        rec = _common(res.to_record(), command="sup", variant="positive",
+                      p=p, A=A, B=B, seed=seed)
+    elif a is not None or b is not None:
+        if a is None or b is None:
+            raise InputError("per-summand budgets need both --a and --b")
+        budget = constants.MomentBudget.per_pair(p, a, b)
+        V = basedist.parse_base_spec(v_spec or "rademacher")
+        res, extremal = _per_summand_sup(p, V, budget, tol if tol is not None else 1e-6)
+        random_signs = V.kind == "rademacher"
+        rec = _common(res.to_record(), command="sup",
+                      variant="three_point" if random_signs else "individual",
+                      p=p, V=basedist.format_base_spec(V), seed=seed)
+        if random_signs:
+            rec["extremal"] = extremal
+    else:
+        V = basedist.parse_base_spec(v_spec or "rademacher")
+        tol_eff = tol if tol is not None else (1e-6 if p >= 4 else 1e-9)
+        res = constants.mixture_sup(p, V, A, B, tol_eff)
+        rec = _common(res.to_record(), command="sup", variant="mixture",
+                      p=p, V=basedist.format_base_spec(V), A=A, B=B, seed=seed)
+    _emit([rec], fmt, out)
 
 
 @main.command("extremal")
@@ -202,94 +211,78 @@ def sup_cmd(p, v_spec, A, B, a_list, b_list, positive, seed, tol, fmt, out):
 @shared_options
 def extremal_cmd(p, v_spec, A, B, a_list, b_list, n, alpha, seed, tol, fmt, out):
     """Parameters of the (near-)extremal tuple attaining the supremum."""
-    try:
-        tol = _check_tol(tol)
-        V = basedist.parse_base_spec(v_spec)
-        v_label = basedist.format_base_spec(V)
-        a = _parse_list(a_list)
-        b = _parse_list(b_list)
-        if p >= 4.0 and a is not None and b is not None:
-            budget = constants.MomentBudget.per_pair(p, a, b)
-            res, extremal = _per_summand_sup(p, V, budget, tol or 1e-6)
-            rec = _common(res.to_record(), command="extremal", kind="three_point",
-                          p=p, V=v_label, seed=seed)
-            rec["extremal"] = extremal
-        elif p >= 4.0:
-            res = constants.mixture_sup(p, V, A, B, tol if tol is not None else 1e-6)
-            rec = {
-                "command": "extremal",
-                "kind": "compound_poisson",
-                "p": p, "V": v_label, "A": A, "B": B, "seed": seed,
-                "lambda": res.diagnostics["lambda"],
-                "prefactor": res.diagnostics["prefactor"],
-                "scale": res.diagnostics["prefactor"] ** (1.0 / p),
-                "value": res.value,
-                "error_bound": res.error_bound,
-                "method": res.method,
-            }
-        else:
-            nv2 = math.sqrt(basedist.abs_moment(V, 2.0))
-            alpha_eff = alpha if alpha is not None else 0.98 * A / nv2
-            estimate = V.kind in ("rademacher", "gaussian")
-            spec, est = constants.witness_construction(
-                p, V, A, B, n, alpha_eff,
-                rng=np.random.default_rng(seed) if estimate else None,
-                estimate_moment=estimate,
-            )
-            rec = {
-                "command": "extremal",
-                "kind": "two_block_witness",
-                "p": p, "V": v_label, "A": A, "B": B, "seed": seed,
-                "n": spec.n, "alpha": spec.alpha, "gamma": spec.gamma,
-                "lambda": spec.lam,
-                "block1_scale": spec.alpha / math.sqrt(spec.n),
-                "block2_activation": spec.lam / spec.n,
-                "l2_budget_used": spec.l2_budget_used,
-                "lp_budget_used": spec.lp_budget_used,
-                "sup_value": constants.mixture_sup(p, V, A, B).value,
-            }
-            if est is not None:
-                rec["estimated_moment"] = est.value
-                rec["error_bound"] = est.error_bound
-                rec["method"] = est.method
-        _emit([rec], fmt, out)
-    except RoskitError as exc:
-        raise SystemExit(_fail(exc))
+    V = basedist.parse_base_spec(v_spec)
+    v_label = basedist.format_base_spec(V)
+    a = _parse_list(a_list)
+    b = _parse_list(b_list)
+    if p >= 4.0 and a is not None and b is not None:
+        budget = constants.MomentBudget.per_pair(p, a, b)
+        res, extremal = _per_summand_sup(p, V, budget, tol or 1e-6)
+        rec = _common(res.to_record(), command="extremal", kind="three_point",
+                      p=p, V=v_label, seed=seed)
+        rec["extremal"] = extremal
+    elif p >= 4.0:
+        res = constants.mixture_sup(p, V, A, B, tol if tol is not None else 1e-6)
+        rec = {
+            "command": "extremal",
+            "kind": "compound_poisson",
+            "p": p, "V": v_label, "A": A, "B": B, "seed": seed,
+            "lambda": res.diagnostics["lambda"],
+            "prefactor": res.diagnostics["prefactor"],
+            "scale": res.diagnostics["prefactor"] ** (1.0 / p),
+            "value": res.value,
+            "error_bound": res.error_bound,
+            "method": res.method,
+        }
+    else:
+        nv2 = math.sqrt(basedist.abs_moment(V, 2.0))
+        alpha_eff = alpha if alpha is not None else 0.98 * A / nv2
+        estimate = V.kind in ("rademacher", "gaussian")
+        spec, est = constants.witness_construction(
+            p, V, A, B, n, alpha_eff,
+            rng=np.random.default_rng(seed) if estimate else None,
+            estimate_moment=estimate,
+        )
+        rec = {
+            "command": "extremal",
+            "kind": "two_block_witness",
+            "p": p, "V": v_label, "A": A, "B": B, "seed": seed,
+            "n": spec.n, "alpha": spec.alpha, "gamma": spec.gamma,
+            "lambda": spec.lam,
+            "block1_scale": spec.alpha / math.sqrt(spec.n),
+            "block2_activation": spec.lam / spec.n,
+            "l2_budget_used": spec.l2_budget_used,
+            "lp_budget_used": spec.lp_budget_used,
+            "sup_value": constants.mixture_sup(p, V, A, B).value,
+        }
+        if est is not None:
+            rec["estimated_moment"] = est.value
+            rec["error_bound"] = est.error_bound
+            rec["method"] = est.method
+    _emit([rec], fmt, out)
 
 
 @main.command("match")
-@click.option("--family", type=click.Choice(_MATCH_FAMILIES), required=True)
+@click.option("--family", type=click.Choice(tuple(_MATCHERS)), required=True)
 @click.option("--p", type=float, required=True)
 @click.option("--a", type=float, required=True, help="second-moment root: EX^2 = a^2")
 @click.option("--b", type=float, required=True, help="p-th-moment root: E|X|^p = b^p")
 @shared_options
 def match_cmd(family, p, a, b, seed, tol, fmt, out):
     """Match a moment pair to the unique extremal family member."""
-    try:
-        _check_tol(tol)
-        target = logconcave.MatchTarget(p, a, b)
-        if family == "fminus":
-            member = logconcave.match_density_minus(target)
-        elif family == "fplus":
-            member = logconcave.match_density_plus(target)
-        elif family == "gminus":
-            member = logconcave.match_tail(target, "minus")
-        else:
-            member = logconcave.match_tail(target, "plus")
-        rec = member.to_record()
-        rec.update(
-            command="match",
-            p=p,
-            target_a=a,
-            target_b=b,
-            achieved_m2=member.abs_moment(2.0),
-            achieved_mp=member.abs_moment(p),
-            limit=member.limit,
-            seed=seed,
-        )
-        _emit([rec], fmt, out)
-    except RoskitError as exc:
-        raise SystemExit(_fail(exc))
+    member = _MATCHERS[family](logconcave.MatchTarget(p, a, b))
+    rec = member.to_record()
+    rec.update(
+        command="match",
+        p=p,
+        target_a=a,
+        target_b=b,
+        achieved_m2=member.abs_moment(2.0),
+        achieved_mp=member.abs_moment(p),
+        limit=member.limit,
+        seed=seed,
+    )
+    _emit([rec], fmt, out)
 
 
 def _search_suite(p, V, A, B, n, trials, seed, tol, **_):
@@ -421,16 +414,12 @@ def _verify_records(suite, p, v_spec, A, B, n, trials, seed, tol):
 @shared_options
 def verify_cmd(suite, p, v_spec, A, B, n, trials, seed, tol, fmt, out):
     """Run a named verification suite and report every check."""
-    try:
-        _check_tol(tol)
-        records = _verify_records(
-            suite, p, v_spec, A, B, n, trials, seed, tol if tol is not None else 1e-6
-        )
-        _emit(records, fmt, out)
-        if not all(rec.get("holds", True) for rec in records):
-            raise SystemExit(1)
-    except RoskitError as exc:
-        raise SystemExit(_fail(exc))
+    records = _verify_records(
+        suite, p, v_spec, A, B, n, trials, seed, tol if tol is not None else 1e-6
+    )
+    _emit(records, fmt, out)
+    if not all(rec.get("holds", True) for rec in records):
+        raise SystemExit(1)
 
 
 @main.command("table")
@@ -446,40 +435,36 @@ def verify_cmd(suite, p, v_spec, A, B, n, trials, seed, tol, fmt, out):
 def table_cmd(p_min, p_max, p_step, v_spec, A, B, positive, complex_case,
               seed, tol, fmt, out):
     """Sweep a p-grid and emit one record per point (ordered by p)."""
-    try:
-        tol = _check_tol(tol)
-        if p_step <= 0.0 or not (math.isfinite(p_min) and math.isfinite(p_max)):
-            raise InputError("grid bounds must be finite with positive step")
-        count = int(math.floor((p_max - p_min) / p_step + 1e-9)) + 1
-        if count < 1:
-            raise InputError("empty p grid")
-        if count > MAX_TABLE_POINTS:
-            raise InputError(f"p grid has {count} points; the cap is {MAX_TABLE_POINTS}")
-        grid = [p_min + i * p_step for i in range(count)]
-        V = basedist.parse_base_spec(v_spec)
-        v_label = "steinhaus" if complex_case else basedist.format_base_spec(V)
+    if p_step <= 0.0 or not (math.isfinite(p_min) and math.isfinite(p_max)):
+        raise InputError("grid bounds must be finite with positive step")
+    count = int(math.floor((p_max - p_min) / p_step + 1e-9)) + 1
+    if count < 1:
+        raise InputError("empty p grid")
+    if count > MAX_TABLE_POINTS:
+        raise InputError(f"p grid has {count} points; the cap is {MAX_TABLE_POINTS}")
+    grid = [p_min + i * p_step for i in range(count)]
+    V = basedist.parse_base_spec(v_spec)
+    v_label = "steinhaus" if complex_case else basedist.format_base_spec(V)
 
-        def one(p: float) -> dict:
-            tol_eff = tol if tol is not None else (1e-6 if p >= 4 else 1e-9)
-            if positive:
-                res = constants.positive_sum_sup(p, A, B, tol_eff)
-            elif complex_case:
-                res = constants.complex_constant(p, tol_eff)
-            else:
-                res = constants.mixture_sup(p, V, A, B, tol_eff)
-            rec = _common(res.to_record(), command="table", p=p, V=v_label,
-                          A=A, B=B, seed=seed)
-            return rec
-
-        workers = _threads()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(one, grid))
+    def one(p: float) -> dict:
+        tol_eff = tol if tol is not None else (1e-6 if p >= 4 else 1e-9)
+        if positive:
+            res = constants.positive_sum_sup(p, A, B, tol_eff)
+        elif complex_case:
+            res = constants.complex_constant(p, tol_eff)
         else:
-            records = [one(p) for p in grid]
-        _emit(records, fmt, out)
-    except RoskitError as exc:
-        raise SystemExit(_fail(exc))
+            res = constants.mixture_sup(p, V, A, B, tol_eff)
+        rec = _common(res.to_record(), command="table", p=p, V=v_label,
+                      A=A, B=B, seed=seed)
+        return rec
+
+    workers = _threads()
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(one, grid))
+    else:
+        records = [one(p) for p in grid]
+    _emit(records, fmt, out)
 
 
 if __name__ == "__main__":

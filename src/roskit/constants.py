@@ -94,7 +94,11 @@ def _upper_branch_sup(
     lam = (A * nvp ** (1.0 / p) / (B * math.sqrt(nv2))) ** (
         2.0 * p / (p - 2.0)
     ) * (1.0 - V.zero_mass)
-    prefactor = (B**p * nv2 / (A**2 * nvp)) ** (p / (p - 2.0))
+    try:
+        prefactor = (B**p * nv2 / (A**2 * nvp)) ** (p / (p - 2.0))
+    except OverflowError:
+        raise DomainError(f"the compound Poisson prefactor at A = {A!r}, B = {B!r} "
+                          "overflows a float") from None
     cp_res = cpoisson.cp_abs_moment(cpoisson.CompoundPoissonSpec(lam, cond), p, tol)
     return prefactor, lam, cp_res
 

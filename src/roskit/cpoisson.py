@@ -29,12 +29,13 @@ from scipy.special import gammaln, ive
 
 from . import basedist, gridconv, specfun
 from .basedist import ConditionedBase
-from .errors import DomainError, UnsupportedMethodError
+from .errors import DomainError, InputError, UnsupportedMethodError
 from .gridconv import MAX_GRID_CELLS
 from .result import ConstantResult
 
 __all__ = [
     "MAX_GRID_CELLS",
+    "MAX_SERIES_TERMS",
     "CompoundPoissonSpec",
     "cp_abs_moment",
     "cp_even_moment_cumulant",
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 _ATOM_SUPPORT_CAP = 50_000
+# deepest Poisson series: about lambda terms, each a float of the series' arrays
+MAX_SERIES_TERMS = MAX_GRID_CELLS
 _GRID_BASE = 8192  # spectral grids of 8193 and 16385 cells over [-b, b]
 
 
@@ -72,12 +75,17 @@ def _truncation_depth(lam: float, p: float, m_p: float, tol: float):
 
     The terms are summed from k_cap down, k_cap doubling until its term is
     vanishingly small.  Terms below the Poisson bulk are left out unless the
-    walk reaches them."""
+    walk reaches them.  A series deeper than MAX_SERIES_TERMS raises InputError
+    before any array is built."""
     spread = 20.0 * math.sqrt(lam) + 10.0 * p + 80.0  # the bulk is lam +- a few sqrt(lam)
-    k_cap = max(80, int(lam + spread))
-    while (_poisson_terms(lam, p, np.array([k_cap]))[0] * m_p > 1e-9 * tol
+    k_cap = max(80, int(min(lam + spread, MAX_SERIES_TERMS + 1.0)))
+    while (k_cap <= MAX_SERIES_TERMS
+           and _poisson_terms(lam, p, np.array([k_cap]))[0] * m_p > 1e-9 * tol
            and k_cap < 100_000 + 2.0 * lam):
         k_cap *= 2
+    if k_cap > MAX_SERIES_TERMS:
+        raise InputError(f"the Poisson series at intensity {lam:.6g} needs more than "
+                         f"MAX_SERIES_TERMS = {MAX_SERIES_TERMS} terms")
     k_lo = max(1, int(lam - spread))
     while True:
         ks = np.arange(float(k_lo), k_cap + 1)
@@ -190,12 +198,15 @@ def cp_abs_moment(
 
     if route == "exact_gaussian":
         ez = basedist.abs_moment(base, p)
-        per_k = {k: (k ** (p / 2.0) * ez, 1e-14 * k ** (p / 2.0) * ez) for k in ks}
+
+        def per_k(k):  # taken term by term: K runs up to about lambda
+            return k ** (p / 2.0) * ez, 1e-14 * k ** (p / 2.0) * ez
     else:
-        per_k, _ = basedist.atomic_kfold_moments(base.signed_atoms(), ks, p, _ATOM_SUPPORT_CAP)
+        per_k = basedist.atomic_kfold_moments(base.signed_atoms(), ks, p,
+                                              _ATOM_SUPPORT_CAP)[0].__getitem__
     weights = _poisson_weights(lam, K)
-    value = math.fsum(w * per_k[k][0] for k, w in zip(ks, weights))
-    propagated = math.fsum(w * per_k[k][1] for k, w in zip(ks, weights))
+    value = math.fsum(w * per_k(k)[0] for k, w in zip(ks, weights))
+    propagated = math.fsum(w * per_k(k)[1] for k, w in zip(ks, weights))
     return ConstantResult(value, f"cp_series/{route}", tail + propagated, diag)
 
 

@@ -8,10 +8,11 @@ analogous tail-law families (exponential tail with an offset; truncated
 exponential tail with an atom at the cutoff) bracket the laws with
 log-concave survival functions.
 
-Matching a (second, p-th) moment pair to a family member is a monotone
-one-dimensional solve along an explicit parametrization that pins the
+Matching a (second, p-th) moment pair to a family member is one monotone
+one-dimensional solve (_match) along a path (t, a) -> member that pins the
 second moment; limits (uniform, exponential, two-point) are handled by
-tags, never by feeding infinities into formulas.
+tags, never by feeding infinities into formulas.  Every law here answers
+pdf, cdf, abs_moment, atoms and support_halfwidth, the calls verify uses.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ __all__ = [
 ]
 
 _BOUNDARY_RTOL = 1e-12
+# ln(1e16): an exponential tail falls below 1e-16 of its peak this many rates out
+_DECAY = 16.0 * math.log(10.0)
 
 
 def _offset_exp_integral(r: float, offset: float, rate: float) -> float:
@@ -119,6 +122,12 @@ class PlateauExpDensity:
             r, self.alpha, self.gamma
         )
         return num / (self.alpha + 1.0 / self.gamma)
+
+    def atoms(self) -> dict:
+        return {}
+
+    def support_halfwidth(self) -> float:
+        return self.alpha if self.limit == "uniform" else self.alpha + _DECAY / self.gamma
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         signs = rng.integers(0, 2, size=n) * 2 - 1
@@ -204,6 +213,12 @@ class TruncatedExpDensity:
         log_val = math.lgamma(r + 1.0) - r * math.log(self.gamma)
         return math.exp(log_val) * p_reg / (1.0 - math.exp(-kappa))
 
+    def atoms(self) -> dict:
+        return {}
+
+    def support_halfwidth(self) -> float:
+        return _DECAY / self.gamma if self.limit == "exponential" else self.alpha
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         signs = rng.integers(0, 2, size=n) * 2 - 1
         u = rng.random(n)
@@ -267,6 +282,11 @@ class TailLawMinus:
         if self.limit == "two_point":
             return {-self.offset: 0.5, self.offset: 0.5}
         return {}
+
+    def support_halfwidth(self) -> float:
+        if self.limit == "two_point":
+            return self.offset
+        return self.offset + (_DECAY + 4.0) / self.rate
 
     def pdf(self, x: float) -> float:
         """Density of the continuous part of the signed law."""
@@ -350,6 +370,9 @@ class TailLawPlus:
         if m == 0.0:
             return {}
         return {-self.cutoff: m / 2.0, self.cutoff: m / 2.0}
+
+    def support_halfwidth(self) -> float:
+        return _DECAY / self.rate if self.limit == "exponential" else self.cutoff
 
     def pdf(self, x: float) -> float:
         """Density of the continuous part of the signed law."""
@@ -462,52 +485,64 @@ def _gamma_of_rho(rho: float, a: float) -> float:
     return math.sqrt(2.0 + (rho**3 + 3.0 * rho**2) / (3.0 * (rho + 1.0))) / a
 
 
+def _match(target: MatchTarget, interval, ends: dict, member_of, bracket):
+    """The family member with the target moments: ends["lo"] or ends["hi"]
+    of a at either end of the feasible interval, else member_of(t, a) at the
+    root t in bracket of E|X|^p / b^p - 1 along that second-moment-pinned path."""
+    where = _classify_ratio(target.b / target.a, *interval(target.p))
+    if where != "interior":
+        return ends[where](target.a)
+    bp = target.b**target.p
+    t = _bracketed_root(
+        lambda t: member_of(t, target.a).abs_moment(target.p) / bp - 1.0, *bracket)
+    return _check_match(member_of(t, target.a), target)
+
+
+def _fminus_path(rho: float, a: float) -> PlateauExpDensity:
+    gam = _gamma_of_rho(rho, a)
+    return PlateauExpDensity(rho / gam, gam)
+
+
+def _fplus_path(kappa: float, a: float) -> TruncatedExpDensity:
+    gam = math.sqrt(2.0 * specfun.reg_lower_inc_gamma(3.0, kappa) / -math.expm1(-kappa)) / a
+    return TruncatedExpDensity(kappa / gam, gam)
+
+
+def _gminus_path(rho: float, a: float) -> TailLawMinus:
+    rate = math.sqrt(rho * rho + 2.0 * rho + 2.0) / a
+    return TailLawMinus(rate, rho / rate)
+
+
+def _gplus_path(kappa: float, a: float) -> TailLawPlus:
+    rate = math.sqrt(2.0 * specfun.reg_lower_inc_gamma(2.0, kappa)) / a
+    return TailLawPlus(rate, kappa / rate)
+
+
 def match_density_minus(target: MatchTarget) -> PlateauExpDensity:
     """The unique plateau-exponential density with the target moments."""
-    lo, hi = feasibility_interval_density(target.p)
-    where = _classify_ratio(target.b / target.a, lo, hi)
-    if where == "lo":
-        return PlateauExpDensity(math.sqrt(3.0) * target.a, math.inf)
-    if where == "hi":
-        return PlateauExpDensity(0.0, math.sqrt(2.0) / target.a)
-
-    bp = target.b**target.p
-
-    def g(rho: float) -> float:
-        gam = _gamma_of_rho(rho, target.a)
-        member = PlateauExpDensity(rho / gam, gam)
-        return member.abs_moment(target.p) / bp - 1.0
-
-    rho = _bracketed_root(g, 1e-6, 1e6)
-    gam = _gamma_of_rho(rho, target.a)
-    return _check_match(PlateauExpDensity(rho / gam, gam), target)
-
-
-def _plus_gamma_of_kappa(kappa: float, a: float) -> float:
-    # rate along the plus-family path with the second moment pinned at a^2
-    p3 = specfun.reg_lower_inc_gamma(3.0, kappa)
-    return math.sqrt(2.0 * p3 / -math.expm1(-kappa)) / a
+    return _match(target, feasibility_interval_density,
+                  {"lo": lambda a: PlateauExpDensity(math.sqrt(3.0) * a, math.inf),
+                   "hi": lambda a: PlateauExpDensity(0.0, math.sqrt(2.0) / a)},
+                  _fminus_path, (1e-6, 1e6))
 
 
 def match_density_plus(target: MatchTarget) -> TruncatedExpDensity:
     """The unique truncated-exponential density with the target moments."""
-    lo, hi = feasibility_interval_density(target.p)
-    where = _classify_ratio(target.b / target.a, lo, hi)
-    if where == "lo":
-        return TruncatedExpDensity(math.sqrt(3.0) * target.a, 0.0)
-    if where == "hi":
-        return TruncatedExpDensity(math.inf, math.sqrt(2.0) / target.a)
+    return _match(target, feasibility_interval_density,
+                  {"lo": lambda a: TruncatedExpDensity(math.sqrt(3.0) * a, 0.0),
+                   "hi": lambda a: TruncatedExpDensity(math.inf, math.sqrt(2.0) / a)},
+                  _fplus_path, (1e-6, 500.0))
 
-    bp = target.b**target.p
 
-    def g(kappa: float) -> float:
-        gam = _plus_gamma_of_kappa(kappa, target.a)
-        member = TruncatedExpDensity(kappa / gam, gam)
-        return member.abs_moment(target.p) / bp - 1.0
-
-    kappa = _bracketed_root(g, 1e-6, 500.0)
-    gam = _plus_gamma_of_kappa(kappa, target.a)
-    return _check_match(TruncatedExpDensity(kappa / gam, gam), target)
+# tail family -> (end members, path, root bracket), the last three arguments of _match
+_TAIL_PATHS = {
+    "minus": ({"lo": lambda a: TailLawMinus(math.inf, a),
+               "hi": lambda a: TailLawMinus(math.sqrt(2.0) / a, 0.0)},
+              _gminus_path, (1e-8, 1e8)),
+    "plus": ({"lo": lambda a: TailLawPlus(0.0, a),
+              "hi": lambda a: TailLawPlus(math.sqrt(2.0) / a, math.inf)},
+             _gplus_path, (1e-8, 600.0)),
+}
 
 
 def match_tail(target: MatchTarget, family: str):
@@ -516,44 +551,9 @@ def match_tail(target: MatchTarget, family: str):
     family "minus" parametrizes by rate*offset, "plus" by rate*cutoff;
     both paths pin the second moment and solve the p-th monotonically.
     """
-    lo, hi = feasibility_interval_tail(target.p)
-    where = _classify_ratio(target.b / target.a, lo, hi)
-    bp = target.b**target.p
-
-    if family == "minus":
-        if where == "lo":
-            return TailLawMinus(math.inf, target.a)
-        if where == "hi":
-            return TailLawMinus(math.sqrt(2.0) / target.a, 0.0)
-
-        def member_of(rho: float) -> TailLawMinus:
-            rate = math.sqrt(rho * rho + 2.0 * rho + 2.0) / target.a
-            return TailLawMinus(rate, rho / rate)
-
-        def g(rho: float) -> float:
-            return member_of(rho).abs_moment(target.p) / bp - 1.0
-
-        rho = _bracketed_root(g, 1e-8, 1e8)
-        return _check_match(member_of(rho), target)
-
-    if family == "plus":
-        if where == "lo":
-            return TailLawPlus(0.0, target.a)
-        if where == "hi":
-            return TailLawPlus(math.sqrt(2.0) / target.a, math.inf)
-
-        def member_of(kappa: float) -> TailLawPlus:
-            p2 = specfun.reg_lower_inc_gamma(2.0, kappa)
-            rate = math.sqrt(2.0 * p2) / target.a
-            return TailLawPlus(rate, kappa / rate)
-
-        def g(kappa: float) -> float:
-            return member_of(kappa).abs_moment(target.p) / bp - 1.0
-
-        kappa = _bracketed_root(g, 1e-8, 600.0)
-        return _check_match(member_of(kappa), target)
-
-    raise DomainError(f"unknown tail family {family!r}; use 'minus' or 'plus'")
+    if family not in _TAIL_PATHS:
+        raise DomainError(f"unknown tail family {family!r}; use 'minus' or 'plus'")
+    return _match(target, feasibility_interval_tail, *_TAIL_PATHS[family])
 
 
 # ---------------------------------------------------------------------------

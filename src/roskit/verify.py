@@ -98,31 +98,6 @@ class LogisticSource:
         return 40.0 * self.scale  # density below 1e-16 of the peak
 
 
-def _support_halfwidth(law) -> float:
-    """Truncation point: where the density falls below 1e-16 of its peak,
-    or the exact support end for compactly supported laws."""
-    if hasattr(law, "support_halfwidth"):
-        return law.support_halfwidth()
-    decay = 16.0 * math.log(10.0)  # ln(1e16)
-    if isinstance(law, logconcave.PlateauExpDensity):
-        if law.limit == "uniform":
-            return law.alpha
-        return law.alpha + decay / law.gamma
-    if isinstance(law, logconcave.TruncatedExpDensity):
-        if law.limit == "exponential":
-            return decay / law.gamma
-        return law.alpha
-    if isinstance(law, logconcave.TailLawMinus):
-        if law.limit == "two_point":
-            return law.offset
-        return law.offset + (decay + 4.0) / law.rate
-    if isinstance(law, logconcave.TailLawPlus):
-        if law.limit == "exponential":
-            return decay / law.rate
-        return law.cutoff
-    raise DomainError(f"no support bound rule for {type(law).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # grid densities
 
@@ -170,11 +145,12 @@ class GridDensity:
 def grid_density(law, n_cells: int = 8192) -> GridDensity:
     """Build the cell-averaged grid density of a symmetric law.
 
-    Cell masses are exact CDF differences of the continuous part; atoms
-    (two-point limits, truncation atoms) stay exact in atom_list.
+    Cell masses are exact CDF differences of the continuous part over
+    |x| <= law.support_halfwidth(); atoms (two-point limits, truncation
+    atoms) stay exact in atom_list.
     """
-    L = _support_halfwidth(law)
-    atoms = tuple(sorted(law.atoms().items())) if hasattr(law, "atoms") else ()
+    L = law.support_halfwidth()
+    atoms = tuple(sorted(law.atoms().items()))
     cont_mass = 1.0 - math.fsum(m for _, m in atoms)
     if cont_mass <= 1e-15:
         return GridDensity(-L, L, 2.0 * L / max(n_cells, 1), np.zeros(n_cells), atoms)
@@ -579,8 +555,8 @@ def _density_kinks(law) -> list[float]:
 
 def _shifted_moment_quad(law, z: float, p: float) -> tuple[float, float]:
     """E|X + z|^p by adaptive quadrature with kink-aware breakpoints."""
-    L = _support_halfwidth(law)
-    atoms = law.atoms() if hasattr(law, "atoms") else {}
+    L = law.support_halfwidth()
+    atoms = law.atoms()
     pts = sorted({x for x in [-z, 0.0] + _density_kinks(law) if -L < x < L})
     val, err = integrate.quad(
         lambda x: law.pdf(x) * abs(x + z) ** p,

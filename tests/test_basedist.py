@@ -182,7 +182,9 @@ class TestParseSpec:
         assert bd.parse_base_spec("uniform:w=2.5").half_width == 2.5
 
     def test_bad_specs(self):
-        for text in ("triangular", "uniform:q=1", "atoms:", "atoms:1"):
+        for text in ("triangular", "uniform:q=1", "atoms:", "atoms:1", "gaussian:w=3",
+                     "cosine:0.5", "rademacher:junk", "uniform:w=inf", "atoms:inf:1",
+                     "atoms:nan:1", "atoms:1:nan"):
             with pytest.raises(DomainError):
                 bd.parse_base_spec(text)
 

@@ -53,6 +53,23 @@ class TestConstantCommand:
         assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["constant", "--p", "4"],
+    ["sup", "--p", "5"],
+    ["extremal", "--p", "5"],
+    ["match", "--family", "fminus", "--p", "5", "--a", "1", "--b", "1.5"],
+    ["verify", "determinant", "--trials", "2"],
+    ["table", "--p-min", "3", "--p-max", "3.5", "--p-step", "0.5"],
+])
+def test_bad_tolerance_every_command(argv):
+    # the --tol callback refuses before the command runs; stdout stays empty
+    res = run_cli(*argv, "--tol", "1.5")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert json.loads(res.stderr) == {"error": "InputError",
+                                      "message": "tolerance must lie in (0, 1), got 1.5"}
+
+
 class TestSupCommand:
     def test_positive_p2(self):
         res = run_cli("sup", "--positive", "--p", "2", "--A", "1", "--B", "1",
@@ -117,6 +134,45 @@ class TestSupCommand:
         assert time.perf_counter() - start < 1.0
         assert res.exit_code == 2
         assert "MAX_GRID_CELLS = 8388608" in json.loads(res.stderr)["message"]
+
+    @pytest.mark.parametrize("args", [
+        ("--V", "rademacher", "--A", "1000"),
+        ("--positive", "--p", "3", "--A", "1e12"),
+        ("--V", "uniform:w=1", "--A", "1e70"),
+        ("--V", "uniform:w=1", "--B", "1e-70"),
+        ("--V", "gaussian", "--A", "100"),
+    ])
+    def test_series_cap_exit_2(self, args):
+        # each Poisson series would need lambda >= 1e7 terms: refused before any array
+        argv = ["sup", *args] if "--p" in args else ["sup", "--p", "5", *args]
+        start = time.perf_counter()
+        res = run_cli(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert res.exit_code == 2
+        assert "MAX_SERIES_TERMS = 8388608" in json.loads(res.stderr)["message"]
+
+    @pytest.mark.parametrize("args,quantity", [
+        (("--V", "uniform:w=1e70"), "E|V|^5 of uniform:w=1e+70"),
+        (("--V", "atoms:1e70:1"), "E|V|^5 of atoms:1e+70:1"),
+        (("--A", "1e200", "--B", "1e200"), "prefactor"),
+    ])
+    def test_float_overflow_exit_2(self, args, quantity):
+        res = run_cli("sup", "--p", "5", *args)
+        assert res.exit_code == 2
+        reason = json.loads(res.stderr)
+        assert reason["error"] == "DomainError"
+        assert quantity in reason["message"] and "overflows" in reason["message"]
+
+    @pytest.mark.parametrize("v_spec,chunk", [
+        ("gaussian:w=3", "w=3"), ("cosine:0.5", "0.5"), ("rademacher:junk", "junk"),
+        ("uniform:w=inf", "inf"), ("atoms:inf:1", "inf"),
+    ])
+    def test_malformed_base_spec_exit_2(self, v_spec, chunk):
+        res = run_cli("sup", "--p", "5", "--V", v_spec)
+        assert res.exit_code == 2
+        reason = json.loads(res.stderr)
+        assert reason["error"] == "DomainError"
+        assert chunk in reason["message"]
 
     def test_random_sign_large_intensity(self):
         # lambda ~ 83,900: one Skellam sum over |T| <= K, where summing a
@@ -188,6 +244,24 @@ class TestMatchCommand:
         res = run_cli("match", "--family", "fminus", "--p", "5", "--a", "1",
                       "--b", "1.0")
         assert res.exit_code == 2
+
+    def test_matcher_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper installed on the logconcave module sees the CLI's call
+        from roskit import logconcave as lc
+
+        calls = []
+        match_tail = lc.match_tail
+        monkeypatch.setattr(lc, "match_tail", lambda target, family: (
+            calls.append(family) or match_tail(target, family)))
+        for family in ("gminus", "gplus"):
+            res = run_cli("match", "--family", family, "--p", "5", "--a", "1", "--b", "1.5")
+            assert res.exit_code == 0
+        assert calls == ["minus", "plus"]
+
+    def test_unknown_family_is_a_usage_error(self):
+        res = run_cli("match", "--family", "gmiddle", "--p", "5", "--a", "1", "--b", "1.5")
+        assert res.exit_code == 2
+        assert "'fminus', 'fplus', 'gminus', 'gplus'" in res.stderr
 
 
 class TestVerifyCommand:

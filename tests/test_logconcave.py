@@ -226,6 +226,12 @@ class TestMatchers:
         with pytest.raises(FeasibilityError):
             lc.match_tail(lc.MatchTarget(5.0, 1.0, 0.99), "minus")
 
+    @pytest.mark.parametrize("ratio", [1.3, 0.5, 3.0])
+    def test_unknown_tail_family(self, ratio):
+        # the family is checked before the ratio: feasible (1.3) or not, it is a DomainError
+        with pytest.raises(DomainError, match="unknown tail family"):
+            lc.match_tail(lc.MatchTarget(5.0, 1.0, ratio), "middle")
+
     def test_uniqueness_monotone_path(self):
         # p-th moment along the pinned-second-moment path moves one way
         p, a = 5.0, 1.0
@@ -334,3 +340,40 @@ class TestEvalAndSampling:
             lc.TailLawMinus(math.inf, 0.0)
         with pytest.raises(DomainError):
             lc.TailLawPlus(0.0, math.inf)
+
+
+def _members_at_limits_and_inside(p: float, a: float):
+    lo, hi = lc.feasibility_interval_density(p)
+    lo_t, hi_t = lc.feasibility_interval_tail(p)
+    for ratio in (lo, 0.5 * (lo + hi), hi):
+        t = lc.MatchTarget(p, a, a * ratio)
+        yield lc.match_density_minus(t)
+        yield lc.match_density_plus(t)
+    for ratio in (lo_t, 0.5 * (lo_t + hi_t), hi_t):
+        t = lc.MatchTarget(p, a, a * ratio)
+        yield lc.match_tail(t, "minus")
+        yield lc.match_tail(t, "plus")
+
+
+class TestSupportHalfwidth:
+    @pytest.mark.parametrize("p,a", [(4.5, 1.0), (7.0, 0.4), (12.0, 2.5)])
+    def test_support_end_or_negligible_density(self, p, a):
+        members = list(_members_at_limits_and_inside(p, a))
+        assert {m.limit for m in members} == {"uniform", "exponential", "two_point", "interior"}
+        for m in members:
+            L = m.support_halfwidth()
+            atoms = m.atoms()
+            assert all(abs(loc) <= L for loc in atoms), m
+            if m.pdf(L * (1.0 + 1e-9)) == 0.0:
+                # bounded support: L is its end, so some mass lies just inside it
+                near = float(m.cdf(L) - m.cdf(L * (1.0 - 1e-6))) + atoms.get(L, 0.0)
+                assert near > 0.0, m
+            else:
+                xs = np.linspace(0.0, L, 100_001)
+                kinks = [getattr(m, k) for k in ("alpha", "offset") if hasattr(m, k)]
+                peak = max(m.pdf(x) for x in [*xs, *kinks])
+                assert m.pdf(L) <= 1e-16 * peak * (1.0 + 1e-9), m
+
+    def test_density_families_have_no_atoms(self):
+        assert lc.PlateauExpDensity(1.0, 2.0).atoms() == {}
+        assert lc.TruncatedExpDensity(1.0, 2.0).atoms() == {}

@@ -30,10 +30,14 @@ place of ``math.exp``) is checked with the compare mode instead of ``cmp``:
 
     python tools/route_outputs.py --compare before.txt after.txt
 
-It pairs the lines of the two files.  Every differing line must keep its
-text apart from its numbers (labels, ``method`` tags, diagnostics keys),
-and must carry a ``value`` (a number, or a tuple of numbers for the
-ordering checks) and an ``error_bound``, or the search's ``best_value`` and
+It pairs the lines of the two files.  A key that only the second line of a
+pair has (``name=`` in a repr, ``'name':`` in a dict, ``"name":`` in JSON,
+named by its enclosing keys, as ``diagnostics.K``) is listed as added and
+left out of the judgement; a key only the first has fails the line.  Apart
+from added keys, every differing line must keep its text apart from its
+numbers (labels, ``method`` tags, diagnostics keys), and unless its numbers
+are unchanged it must carry a ``value`` (a number, or a tuple of numbers
+for the ordering checks) and an ``error_bound``, or the search's ``best_value`` and
 ``theorem_value`` with their ``best_error_bound`` and
 ``theorem_error_bound``; a CSV row under a ``cli.CSV_COLUMNS`` header
 carries them in its ``value`` and ``error_bound`` columns.  For each differing line it prints
@@ -233,8 +237,74 @@ def values_and_bounds(line: str, columns: list[str] | None) -> tuple[list[str], 
     return [], []
 
 
+KEY = re.compile(r"""(['"])(\w+)\1: |(\w+)=""")
+
+
+def keyed_entries(line: str) -> dict:
+    """{path: [(start, end), ...]} of the keyed entries of a line inside its
+    brackets: repr fields name=..., and dict or JSON entries 'name': ...  An
+    entry's path is its key after the path of the entry it sits in and a dot; its
+    span runs from its separating ", " (or its key, for a first entry) to the
+    next comma or closing bracket at its depth."""
+    found: dict = {}
+    open_entries: list = []  # [path, start, depth] of the entries not yet closed
+    depth, quote, i = 0, None, 0
+    while i < len(line):
+        c = line[i]
+        key = (depth and not quote and (line[i - 1] in "([{" or line[i - 2:i] == ", ")
+               and KEY.match(line, i))
+        if key:
+            name = key.group(2) or key.group(3)
+            path = f"{open_entries[-1][0]}.{name}" if open_entries else name
+            open_entries.append([path, i - 2 if line[i - 2:i] == ", " else i, depth])
+            i = key.end()
+            continue
+        if quote:
+            if c == "\\":
+                i += 1
+            elif c == quote:
+                quote = None
+        elif c in "'\"":
+            quote = c
+        elif c in "([{":
+            depth += 1
+        elif c in ")]},":
+            if c != ",":
+                depth -= 1
+            # a comma ends the entry at its depth, a closing bracket those inside it
+            level = depth if c == "," else depth + 1
+            while open_entries and open_entries[-1][2] >= level:
+                path, start, _ = open_entries.pop()
+                found.setdefault(path, []).append((start, i))
+        i += 1
+    return found
+
+
+def drop_added(before: str, after: str) -> tuple[str, list[str], list[str]]:
+    """after without the entries whose keys before lacks, with the added and
+    the removed key paths."""
+    old, new = keyed_entries(before), keyed_entries(after)
+    added = sorted(k for k in new.keys() - old.keys()
+                   if not any(k.startswith(a + ".") for a in new.keys() - old.keys()))
+    spans = sorted((span for k in added for span in new[k]), reverse=True)
+    for start, end in spans:
+        if after[start:start + 2] != ", " and after[end:end + 2] == ", ":
+            end += 2  # a first entry takes the separator after it
+        after = after[:start] + after[end:]
+    return after, added, sorted(old.keys() - new.keys())
+
+
 def compare_line(before: str, after: str, columns: list[str] | None = None) -> tuple[str, bool]:
     """Judge one differing line pair: (report, passed)."""
+    note = ""
+    if columns is None:
+        after, added, removed = drop_added(before, after)
+        if removed:
+            return f"keys removed: {', '.join(removed)}", False
+        note = f"added keys: {', '.join(added)}" if added else ""
+        if after == before:
+            return f"{note}; numbers unchanged", True
+        note = note and f"{note}; "
     if NUMBER.sub("#", before) != NUMBER.sub("#", after):
         return "text differs apart from the numbers", False
     pairs = zip(NUMBER.findall(before), NUMBER.findall(after))
@@ -242,7 +312,7 @@ def compare_line(before: str, after: str, columns: list[str] | None = None) -> t
               if a != b)
     values, bounds = values_and_bounds(after, columns)
     if not values or len(values) != len(bounds):
-        return f"largest relative change {rel:.2g}, but no value with an error_bound", False
+        return f"{note}largest relative change {rel:.2g}, but no value with an error_bound", False
     shares = []
     for v_before, v_after, bound in zip(values_and_bounds(before, columns)[0], values, bounds):
         for a, b in zip(NUMBER.findall(v_before), NUMBER.findall(v_after)):
@@ -250,7 +320,7 @@ def compare_line(before: str, after: str, columns: list[str] | None = None) -> t
             shares.append(moved / limit if limit else math.inf if moved else 0.0)
     share = max(shares)
     verdict = "within" if share <= 1.0 else "OUTSIDE"
-    return (f"largest relative change {rel:.2g}; value moved {share:.2g} of its "
+    return (f"{note}largest relative change {rel:.2g}; value moved {share:.2g} of its "
             f"error_bound: {verdict}"), share <= 1.0
 
 
