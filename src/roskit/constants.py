@@ -79,9 +79,21 @@ class MomentBudget:
         return cls(p, per_summand=tuple((float(x), float(y)) for x, y in zip(a, b)))
 
 
+def _finite(quantity: str, A: float, B: float, compute) -> float:
+    """compute(), or a DomainError naming quantity where it overflows a float."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"the {quantity} at A = {A!r}, B = {B!r} overflows a float")
+    return value
+
+
 def _lower_branch_sup(p: float, A: float, B: float) -> float:
     # B^p + E|Z|^p A^p, the Gaussian-block-plus-spikes value for 2 < p < 4
-    return B**p + specfun.gaussian_abs_moment(p) * A**p
+    return _finite("value B^p + E|Z|^p A^p", A, B,
+                   lambda: B**p + specfun.gaussian_abs_moment(p) * A**p)
 
 
 def _upper_branch_sup(
@@ -94,11 +106,8 @@ def _upper_branch_sup(
     lam = (A * nvp ** (1.0 / p) / (B * math.sqrt(nv2))) ** (
         2.0 * p / (p - 2.0)
     ) * (1.0 - V.zero_mass)
-    try:
-        prefactor = (B**p * nv2 / (A**2 * nvp)) ** (p / (p - 2.0))
-    except OverflowError:
-        raise DomainError(f"the compound Poisson prefactor at A = {A!r}, B = {B!r} "
-                          "overflows a float") from None
+    prefactor = _finite("compound Poisson prefactor", A, B,
+                        lambda: (B**p * nv2 / (A**2 * nvp)) ** (p / (p - 2.0)))
     cp_res = cpoisson.cp_abs_moment(cpoisson.CompoundPoissonSpec(lam, cond), p, tol)
     return prefactor, lam, cp_res
 
@@ -193,12 +202,13 @@ def positive_sum_sup(p: float, A: float, B: float, tol: float = 1e-9) -> Constan
     if not (A > 0.0 and B > 0.0):
         raise DomainError("budgets A, B must be positive")
     if p < 2.0:
-        value = A**p + B**p
+        value = _finite("value A^p + B^p", A, B, lambda: A**p + B**p)
         return ConstantResult(
             value, "closed_form", 1e-15 * value, {"branch": "closed_form_p<2"}
         )
     lam = (A / B) ** (p / (p - 1.0))
-    pref = (B**p / A) ** (p / (p - 1.0))
+    pref = _finite("Poisson prefactor (B^p / A)^(p / (p - 1))", A, B,
+                   lambda: (B**p / A) ** (p / (p - 1.0)))
     mom = cpoisson.poisson_power_moment(lam, p, tol)
     value = pref * mom.value
     diag = {

@@ -1,34 +1,46 @@
 """Moments of compound Poisson variables.
 
 T is the sum of a Poisson(lambda) number of i.i.d. symmetric jumps with
-law given by a conditioned base distribution.  Absolute moments come from
-the exact series
+law given by a conditioned base distribution, and phi_T(t) = exp(lambda
+(phi_V(t) - 1)) its closed-form characteristic function.  cp_abs_moment
+picks one route from a table (_ROUTES):
 
-    E|T|^p = exp(-lambda) * sum_k  lambda^k / k!  *  E|S_k|^p
+- even integer p: the cumulants kappa_2j = lambda E V^(2j) mapped back to
+  E T^p by a recursion of nonnegative terms, exact up to rounding
+  (cp_even_moment_cumulant);
+- random signs: the Skellam law of T, one sum over n <= K;
+- Gaussian jumps: E|Z|^p E[xi^(p/2)], one vectorised Poisson series;
+- atomic jumps whose lattice count bounds every k-fold support by
+  _ATOM_SUPPORT_CAP: the series
 
-truncated where the crude but rigorous bound E|S_k|^p <= (k ||jump||_p)^p
-certifies the discarded tail.  Random-sign jumps take the Skellam law of T
-in one sum over n <= K; Gaussian jumps, and atomic jumps whose lattice
-count bounds every k-fold support by _ATOM_SUPPORT_CAP, sum it term by
-term; every other jump law takes the whole series on
-the gridconv spectral kernel: exp(lambda (phi - 1)) of the jump's real
-characteristic vector between one cosine transform and its inverse, on a
-grid whose period is sized by the window |x| <= T the moment reads (about
-sigma sqrt(lambda) wide, not by the K + 3 jumps of the series), up to
-MAX_GRID_CELLS.  Even integer moments have an independent
-cumulant shortcut used as an oracle for both routes.
+      E|T|^p = exp(-lambda) * sum_k  lambda^k / k!  *  E|S_k|^p
+
+  with each E|S_k|^p enumerated exactly;
+- uniform, cosine and the other atomic jumps: von Bahr's integral over
+  phi_T (fourier.abs_moment), its Taylor part from the same cumulants.
+
+Every route first finds the series depth K where the crude but rigorous
+bound E|S_k|^p <= (k ||jump||_p)^p certifies the discarded tail: the
+series routes stop there, every route reports K and the tail, and a depth
+past MAX_SERIES_TERMS is refused.  The gridconv spectral kernel, exp(lambda
+(phi - 1)) of the jump's real characteristic vector between one cosine
+transform and its inverse on a grid sized by the window |x| <= T the moment
+reads, up to MAX_GRID_CELLS, stays as the independent second route
+(_grid_abs_moment) that no production call picks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ive
 
-from . import basedist, gridconv, specfun
-from .basedist import ConditionedBase
+from . import basedist, fourier, gridconv, specfun
+from .basedist import BaseDistribution, ConditionedBase
 from .errors import DomainError, InputError, UnsupportedMethodError
 from .gridconv import MAX_GRID_CELLS
 from .result import ConstantResult
@@ -47,6 +59,7 @@ _ATOM_SUPPORT_CAP = 50_000
 # deepest Poisson series: about lambda terms, each a float of the series' arrays
 MAX_SERIES_TERMS = MAX_GRID_CELLS
 _GRID_BASE = 8192  # spectral grids of 8193 and 16385 cells over [-b, b]
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,19 @@ def _poisson_weights(lam: float, K: int) -> np.ndarray:
     return _poisson_terms(lam, 0.0, np.arange(1.0, K + 1))
 
 
+def _rounding(lam: float, p: float, ks: np.ndarray, terms: np.ndarray) -> float:
+    """A bound on the rounding of sum(terms), term k carrying the factor
+    exp(-lam + k log lam - gammaln(k + 1) + p log k) of _poisson_terms: a few
+    ulps of each part of the exponent, whose absolute error is the term's
+    relative error; about 1e-11 relative at lam = 1e4."""
+    scale = 1.0 + lam + ks * abs(math.log(lam)) + gammaln(ks + 1.0) + p * np.log(ks)
+    return 4.0 * _EPS * float(np.abs(terms * scale).sum())
+
+
+def _spread(lam: float, p: float) -> float:
+    return 20.0 * math.sqrt(lam) + 10.0 * p + 80.0  # the bulk is lam +- a few sqrt(lam)
+
+
 def _truncation_depth(lam: float, p: float, m_p: float, tol: float):
     """Smallest K with  sum_{k>K} w_k (k^p m_p) < tol, plus that tail value.
 
@@ -77,7 +103,7 @@ def _truncation_depth(lam: float, p: float, m_p: float, tol: float):
     vanishingly small.  Terms below the Poisson bulk are left out unless the
     walk reaches them.  A series deeper than MAX_SERIES_TERMS raises InputError
     before any array is built."""
-    spread = 20.0 * math.sqrt(lam) + 10.0 * p + 80.0  # the bulk is lam +- a few sqrt(lam)
+    spread = _spread(lam, p)
     k_cap = max(80, int(min(lam + spread, MAX_SERIES_TERMS + 1.0)))
     while (k_cap <= MAX_SERIES_TERMS
            and _poisson_terms(lam, p, np.array([k_cap]))[0] * m_p > 1e-9 * tol
@@ -103,8 +129,7 @@ def _truncation_depth(lam: float, p: float, m_p: float, tol: float):
     return K, float(suffix[past[-1] + 1])
 
 
-def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, K: int, tail: float,
-                         tol: float):
+def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
     """Whole-series value by the spectral kernel with exp(lam (phi - 1)),
     two transforms per resolution, on a grid whose period holds the window
     |x| <= T and keeps sums of up to K + 3 jumps out of it up to a second
@@ -150,21 +175,137 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, K: int, tail: floa
     # sums of more than K + 3 jumps may wrap into the window too, weighing <= T^p there
     alias = T**p * specfun.reg_lower_inc_gamma(K + 4.0, lam)
     # the series tail beyond K counts once: terms K < k <= K + 3 on the grid only fall short
-    return res.fine, err + window_tail + tail + alias
+    return res.fine, err + window_tail + tail + alias, {}
+
+
+def _cumulant_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+    # exact: every term of the recursion is nonnegative, so each of the p / 2
+    # levels adds a few ulps, the jump moments' (lgamma-based, up to about
+    # p ulps) included
+    value = cp_even_moment_cumulant(spec, int(p))
+    return value, (p + 6.0) * p * _EPS * value, {}
+
+
+def _skellam_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+    # T = N1 - N2 for independent Poisson(lam / 2) counts, so P(|T| = n) =
+    # 2 e^-lam I_n(lam) (Skellam), and |T| <= xi leaves at most the series
+    # tail; ive errs by about 1e-13 relative out at n = 10 sqrt(lam)
+    n = np.arange(1.0, K + 1)
+    value = 2.0 * math.fsum((n**p * ive(n, spec.lam)).tolist())
+    return value, tail + 1e-13 * value, {}
+
+
+def _gaussian_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+    # S_k = sqrt(k) Z, so E|T|^p = E|Z|^p E[xi^(p/2)]: one Poisson series
+    ez = basedist.abs_moment(spec.jump.base, p)
+    res = poisson_power_moment(spec.lam, 0.5 * p, tol / ez)
+    return ez * res.value, ez * res.error_bound + 4.0 * _EPS * ez * res.value, {}
+
+
+def _enum_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+    ks = range(1, K + 1)
+    per_k = basedist.atomic_kfold_moments(spec.jump.base.signed_atoms(), ks, p,
+                                          _ATOM_SUPPORT_CAP)[0]
+    weights = _poisson_weights(spec.lam, K)
+    terms = np.array([w * per_k[k][0] for k, w in zip(ks, weights)])
+    err = tail + math.fsum(w * per_k[k][1] for k, w in zip(ks, weights))
+    err += _rounding(spec.lam, 0.0, np.arange(1.0, K + 1), terms)
+    return math.fsum(terms.tolist()), err, {}
+
+
+def _fourier_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+    """von Bahr's integral over exp(lam (phi_V - 1)) for X = t0 T / b: V / b
+    has support bound 1 (b = 1 for the Gaussian), and t0 = min(sqrt(p / 4) /
+    sigma, p / 4), sigma^2 = lam E (V / b)^2, makes E|X|^p of the order of
+    C_p times X's low Taylor terms, so that they cancel little, while its
+    frequencies stay at most p / 4."""
+    lam, base = spec.lam, spec.jump.base
+    b = base.support_bound() or 1.0
+    unit = base.scaled(1.0 / b)
+    t0 = min(math.sqrt(0.25 * p / (lam * basedist.abs_moment(unit, 2.0))), 0.25 * p)
+    k = int(p // 2)
+    taylor = functools.partial(_taylor_coefficients, lam, unit, t0)
+    slope = lam * t0 * basedist.abs_moment(unit, 1.0)  # |d phi_X / du| <= lam t0 E|V / b| phi_X
+
+    def gap(u):
+        one_minus = -np.expm1(-lam * unit.char_gap(t0 * u))
+        # a few ulps of each step, and a node rounded by an ulp moves phi_X by
+        # at most u ulp |d phi_X / du|
+        return one_minus, _EPS * (8.0 * one_minus + slope * u * (1.0 - one_minus))
+
+    # E|X|^p >= max(E[|X|^p; one jump], (E X^(2k))^(p / 2k))
+    lower = max(lam * math.exp(-lam) * basedist.abs_moment(unit, p) * t0**p,
+                (taylor(k)[k] * math.factorial(2 * k)) ** (p / (2 * k)))
+    res = fourier.abs_moment(p, gap, taylor, -2.0 * math.expm1(-lam), lower, tol)
+    scale = (b / t0) ** p
+    return (res.value * scale, res.error_bound * scale,
+            {"fourier_panels": res.panels, "fourier_reach": res.reach / t0 * b})
+
+
+_ROUTES = {
+    "cumulant": _cumulant_moment,
+    "exact_walk": _skellam_moment,
+    "exact_gaussian": _gaussian_moment,
+    "atoms_exact": _enum_moment,
+    "fourier": _fourier_moment,
+    "grid": _cp_char_grid_moment,
+    "atoms_char_grid": _cp_char_grid_moment,
+}
+# the production route at non-even p, by jump kind
+_KIND_ROUTES = {"rademacher": "exact_walk", "gaussian": "exact_gaussian", "atoms": "atoms_exact",
+                "uniform": "fourier", "cosine": "fourier"}
+
+
+def _is_even(p: float) -> bool:
+    return float(p).is_integer() and int(p) % 2 == 0
+
+
+def _kind_route(spec: CompoundPoissonSpec, K: int) -> str:
+    """The route at non-even p: by jump kind, and for atoms by the lattice count."""
+    base = spec.jump.base
+    route = _KIND_ROUTES[base.kind]
+    if route == "atoms_exact":
+        # S_k takes values among n . a for the m magnitudes a and n in Z^m with
+        # |n|_1 <= k, whose count bounds every power's exactly merged support;
+        # laws of 8 or more signed atoms are cheaper by the Fourier route
+        m = len(base.atoms)
+        points = sum(2**i * math.comb(m, i) * math.comb(K, i) for i in range(m + 1))
+        if 2 * m >= 8 or points > _ATOM_SUPPORT_CAP:
+            return "fourier"
+    return route
 
 
 def cp_abs_moment(
     spec: CompoundPoissonSpec, p: float, tol: float = 1e-9
 ) -> ConstantResult:
-    """E|T|^p by the truncated Poisson series over k-fold jump sums.
+    """E|T|^p, by the route the jump kind and p pick.
 
-    The reported error bound is the certified series tail plus the
-    propagated per-k errors (discrete.enum_abs_moment's for atomic jumps),
-    or the spectral grid's (_cp_char_grid_moment), whose grid raises
-    InputError past MAX_GRID_CELLS before allocation.
+    Even integer p takes the exact cumulant recursion (rounding bound only).
+    At every other p, random signs take the Skellam sum and Gaussian jumps
+    E|Z|^p E[xi^(p/2)], each bounded by its series tail; atomic jumps whose
+    lattice count admits it take exact enumeration, bounded by the tail plus
+    discrete.enum_abs_moment's; uniform, cosine and other atomic jumps take
+    von Bahr's integral over the closed-form characteristic function
+    (fourier.abs_moment), with a bound of at most tol |value| where it can
+    be met.  The Poisson series depth K comes first on every route: it is
+    reported with its tail, and a series past MAX_SERIES_TERMS raises
+    InputError.
     """
-    if not p > 2.0:
-        raise DomainError("cp_abs_moment requires p > 2")
+    return _abs_moment(spec, p, tol)
+
+
+def _grid_abs_moment(spec: CompoundPoissonSpec, p: float, tol: float = 1e-9) -> ConstantResult:
+    """E|T|^p on the spectral grid, the independent second route that no
+    production call picks: InputError past MAX_GRID_CELLS."""
+    return _abs_moment(spec, p, tol, "atoms_char_grid" if spec.jump.base.is_atomic else "grid")
+
+
+def _abs_moment(spec: CompoundPoissonSpec, p: float, tol: float,
+                route: str | None = None) -> ConstantResult:
+    """E|T|^p by the named route of _ROUTES, the production one by default."""
+    if not 2.0 < p <= 170.0:
+        raise DomainError(f"cp_abs_moment requires 2 < p <= 170 (Gamma(p + 1) and p! stay "
+                          f"finite floats), got p = {p!r}")
     lam = spec.lam
     diag: dict = {"lambda": lam, "p": p}
     if lam == 0.0:
@@ -173,67 +314,47 @@ def cp_abs_moment(
     if not math.isfinite(m_p):
         raise DomainError("jump law has no finite p-th moment")
     K, tail = _truncation_depth(lam, p, m_p, tol)
-    ks = range(1, K + 1)
-
-    base = spec.jump.base
-    route = {"rademacher": "exact_walk", "gaussian": "exact_gaussian"}.get(base.kind, "grid")
-    if base.kind == "atoms":
-        # S_k takes values among n . a for the m magnitudes a and n in Z^m with
-        # |n|_1 <= k, whose count bounds every power's exactly merged support;
-        # laws of 8 or more signed atoms are cheaper on the grid than enumerated
-        m = len(base.atoms)
-        points = sum(2**i * math.comb(m, i) * math.comb(K, i) for i in range(m + 1))
-        route = "atoms_exact" if 2 * m < 8 and points <= _ATOM_SUPPORT_CAP else "atoms_char_grid"
+    route = route or ("cumulant" if _is_even(p) else _kind_route(spec, K))
     diag.update({"K": K, "per_k_method": route, "jump_p_moment": m_p, "tail_bound": tail})
-    if route.endswith("grid"):
-        value, err = _cp_char_grid_moment(spec, p, K, tail, tol)
-        return ConstantResult(value, f"cp_series/{route}", err, diag)
-    if route == "exact_walk":
-        # T = N1 - N2 for independent Poisson(lam / 2) counts, so P(|T| = n) =
-        # 2 e^-lam I_n(lam) (Skellam), and |T| <= xi leaves at most the series
-        # tail; ive errs by about 1e-13 relative out at n = 10 sqrt(lam)
-        n = np.arange(1.0, K + 1)
-        value = 2.0 * math.fsum((n**p * ive(n, lam)).tolist())
-        return ConstantResult(value, "cp_series/exact_walk", tail + 1e-13 * value, diag)
-
-    if route == "exact_gaussian":
-        ez = basedist.abs_moment(base, p)
-
-        def per_k(k):  # taken term by term: K runs up to about lambda
-            return k ** (p / 2.0) * ez, 1e-14 * k ** (p / 2.0) * ez
-    else:
-        per_k = basedist.atomic_kfold_moments(base.signed_atoms(), ks, p,
-                                              _ATOM_SUPPORT_CAP)[0].__getitem__
-    weights = _poisson_weights(lam, K)
-    value = math.fsum(w * per_k(k)[0] for k, w in zip(ks, weights))
-    propagated = math.fsum(w * per_k(k)[1] for k, w in zip(ks, weights))
-    return ConstantResult(value, f"cp_series/{route}", tail + propagated, diag)
+    value, err, extra = _ROUTES[route](spec, p, tol, K, tail)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"E|T|^{p:g} at intensity {lam:.6g} on the {route} route "
+                          "overflows a float")
+    diag.update(extra)
+    return ConstantResult(value, f"cp_series/{route}", err, diag)
 
 
-_EVEN_MOMENT_FROM_CUMULANTS = {
-    4: lambda c: c[4] + 3.0 * c[2] ** 2,
-    6: lambda c: c[6] + 15.0 * c[4] * c[2] + 15.0 * c[2] ** 3,
-    8: lambda c: (
-        c[8]
-        + 28.0 * c[6] * c[2]
-        + 35.0 * c[4] ** 2
-        + 210.0 * c[4] * c[2] ** 2
-        + 105.0 * c[2] ** 4
-    ),
-}
+def _power_over_factorial(x: float, n: int) -> float:
+    """x^n / n!: exact factorials at x = 1 (the cumulant route), else in log space."""
+    if x == 1.0 and n <= 170:
+        return 1.0 / math.factorial(n)
+    return math.exp(n * math.log(x) - math.lgamma(n + 1.0))
+
+
+def _taylor_coefficients(lam: float, V: BaseDistribution, scale: float, n: int) -> list:
+    """a_0..a_n, a_i = E X^(2i) / (2i)! for X = scale T, T the compound Poisson
+    sum of lam and V.  log phi_X = sum_j (-1)^j b_j u^(2j) with the cumulants
+    b_j = lam E (scale V)^(2j) / (2j)!, so a_i = (1 / i) sum_j j b_j a_(i-j):
+    every term is nonnegative."""
+    b = [0.0] + [lam * basedist.abs_moment(V, 2.0 * j) * _power_over_factorial(scale, 2 * j)
+                 for j in range(1, n + 1)]
+    a = [1.0]
+    for i in range(1, n + 1):
+        a.append(math.fsum(j * b[j] * a[i - j] for j in range(1, i + 1)) / i)
+    return a
 
 
 def cp_even_moment_cumulant(spec: CompoundPoissonSpec, p: int) -> float:
-    """E T^p for even integer p from the cumulants kappa_r = lambda E V~^r.
+    """E T^p for even integer p from the cumulants kappa_2j = lambda E V~^(2j).
 
-    Odd cumulants vanish by symmetry; the moment-cumulant expansion then
-    collapses to the even-partition terms.  Independent oracle for
-    cp_abs_moment.
+    Odd cumulants vanish by symmetry; the moment-cumulant recursion then
+    runs over the even orders alone, every term nonnegative.  The
+    production route at even p, and the oracle of every other route there.
     """
-    if p not in _EVEN_MOMENT_FROM_CUMULANTS:
-        raise UnsupportedMethodError(f"cumulant shortcut supports p in {{4,6,8}}, got {p}")
-    cums = {r: spec.lam * spec.jump.abs_moment(r) for r in (2, 4, 6, 8)}
-    return _EVEN_MOMENT_FROM_CUMULANTS[p](cums)
+    if not _is_even(p) or p <= 0:
+        raise UnsupportedMethodError(f"the cumulant recursion needs an even integer p > 0, got {p}")
+    n = int(p) // 2
+    return _taylor_coefficients(spec.lam, spec.jump.base, 1.0, n)[n] * math.factorial(2 * n)
 
 
 def cp_sample(spec: CompoundPoissonSpec, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -253,6 +374,12 @@ def poisson_power_moment(lam: float, p: float, tol: float = 1e-9) -> ConstantRes
     if lam == 0.0:
         return ConstantResult(0.0, "poisson_series/empty", 0.0, diag)
     K, tail = _truncation_depth(lam, p, 1.0, tol)
-    value = math.fsum(_poisson_terms(lam, p, np.arange(1.0, K + 1)))
+    # the terms below the bulk weigh at most k_lo^p P(xi < k_lo) = k_lo^p Q(k_lo, lam)
+    k_lo = max(1, int(lam - _spread(lam, p)))
+    q = specfun.reg_upper_inc_gamma(k_lo, lam) if k_lo > 1 else 0.0
+    below = math.exp(p * math.log(k_lo) + math.log(q)) if q > 0.0 else 0.0
+    ks = np.arange(float(k_lo), K + 1)
+    terms = _poisson_terms(lam, p, ks)
     diag.update({"K": K, "tail_bound": tail})
-    return ConstantResult(value, "poisson_series", tail, diag)
+    return ConstantResult(math.fsum(terms.tolist()), "poisson_series",
+                          tail + below + _rounding(lam, p, ks, terms), diag)

@@ -12,7 +12,8 @@ class ConstantResult:
 
     value        -- the number itself
     method       -- short tag naming the evaluation route, e.g. "closed_form",
-                    "cp_series/grid", "monte_carlo"
+                    "cp_series/cumulant", "cp_series/fourier",
+                    "cp_series/exact_walk", "monte_carlo"
     error_bound  -- rigorous or statistical (3 sigma) bound on |value - truth|
     diagnostics  -- every interesting intermediate of the formula used
                     (lambda, truncation depth, prefactor, branch values, ...)

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 
 from roskit import basedist as bd
 from roskit import constants as ct
+from roskit import cpoisson as cp
 from roskit import logconcave as lc
 from roskit import specfun
 from roskit import verify as vf
@@ -88,7 +89,7 @@ def test_criterion_03_nonnegative_sums():
             time.perf_counter() - t0, 5.0)
 
 
-def test_criterion_04_complex_constant():
+def test_criterion_04_complex_constant(monkeypatch):
     t0 = time.perf_counter()
     failures = []
     res = ct.complex_constant(4.0, tol=1e-8)
@@ -98,8 +99,15 @@ def test_criterion_04_complex_constant():
         failures.append(f"lower branch {lower!r} misses 3^(1/4) beyond 1e-6")
     if abs(res.value - want) > 1e-4:
         failures.append(f"compound-Poisson path {res.value!r} beyond 1e-4")
-    if "grid" not in res.diagnostics["cp_method"]:
-        failures.append(f"cosine jumps did not use the grid: {res.diagnostics}")
+    if not res.diagnostics["cp_method"].endswith("cumulant"):
+        failures.append(f"p = 4 did not take the cumulant route: {res.diagnostics}")
+    # the spectral grid, the second route for cosine jumps, agrees as well
+    monkeypatch.setattr(cp, "cp_abs_moment", cp._grid_abs_moment)
+    grid = ct.complex_constant(4.0, tol=1e-8)
+    if abs(grid.value - want) > 1e-4:
+        failures.append(f"compound-Poisson grid path {grid.value!r} beyond 1e-4")
+    if "grid" not in grid.diagnostics["cp_method"]:
+        failures.append(f"cosine jumps did not use the grid: {grid.diagnostics}")
     _report(4, "complex constant at p=4 equals 3^(1/4) by both routes", failures,
             time.perf_counter() - t0, 60.0)
 

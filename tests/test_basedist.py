@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from roskit import basedist as bd
 from roskit.errors import DegenerateLawError, DomainError, UnsupportedMethodError
@@ -40,6 +42,55 @@ class TestAbsMoment:
         # r -> (E|V|^r)^(1/r) nondecreasing
         norms = [bd.abs_moment(V, r) ** (1.0 / r) for r in (1, 2, 3, 4, 6)]
         assert all(b >= a * (1 - 1e-12) for a, b in zip(norms, norms[1:]))
+
+
+def _mp_char_gap(V, t):
+    """1 - phi(t) in 40-digit mpmath from the closed forms."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        phi = {"rademacher": lambda: mpmath.cos(t),
+               "uniform": lambda: mpmath.sinc(V.half_width * t),
+               "gaussian": lambda: mpmath.exp(-t * t / 2),
+               "cosine": lambda: mpmath.besselj(0, t),
+               "atoms": lambda: mpmath.fsum(m * mpmath.cos(a * t) for a, m in V.atoms)}[V.kind]()
+        return float(1 - phi)
+
+
+class TestCharacteristicFunction:
+    LAWS = [bd.rademacher(), bd.uniform(1.0), bd.uniform(2.5), bd.gaussian(),
+            bd.cosine_projection(), bd.symmetric_atoms([(0.0, 0.3), (1.0, 0.4), (2.5, 0.3)])]
+
+    @pytest.mark.parametrize("V", LAWS, ids=lambda V: bd.format_base_spec(V))
+    def test_gap_relative_accuracy(self, V):
+        # also near t = 0, where phi - 1 cancels, and on both sides of |t| b = 1,
+        # where the uniform and cosine laws switch from their series
+        t = np.array([1e-7, 1e-3, 0.3, 0.39, 0.41, 0.99, 1.01, 3.0, 50.0, 1234.5])
+        got = V.char_gap(t)
+        want = np.array([_mp_char_gap(V, x) for x in t])
+        assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * want)
+
+    @pytest.mark.parametrize("V", LAWS, ids=lambda V: bd.format_base_spec(V))
+    def test_char_fn(self, V):
+        t = np.linspace(0.0, 20.0, 41)
+        closed = {"rademacher": lambda: np.cos(t), "gaussian": lambda: np.exp(-t * t / 2),
+                  "uniform": lambda: np.sinc(V.half_width * t / np.pi),
+                  "cosine": lambda: special.j0(t),
+                  "atoms": lambda: sum(m * np.cos(a * t) for a, m in V.atoms)}[V.kind]()
+        assert np.allclose(V.char_fn(t), closed, rtol=0.0, atol=4e-16)
+        assert np.array_equal(V.char_fn(-t), V.char_fn(t))
+
+    def test_conditioned(self):
+        V = bd.symmetric_atoms([(0.0, 0.25), (2.0, 0.75)])
+        t = np.linspace(0.0, 5.0, 11)
+        want = (V.char_fn(t) - 0.25) / 0.75
+        assert np.allclose(bd.condition_nonzero(V).char_fn(t), want, rtol=0.0, atol=1e-15)
+
+    def test_scaled(self):
+        assert bd.uniform(2.0).scaled(0.5) == bd.uniform(1.0)
+        assert bd.rademacher().scaled(2.0) == bd.symmetric_atoms([(2.0, 1.0)])
+        assert bd.gaussian().scaled(1.0) == bd.gaussian()
+        with pytest.raises(UnsupportedMethodError):
+            bd.cosine_projection().scaled(2.0)
 
 
 class TestConditionNonzero:

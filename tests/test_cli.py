@@ -5,6 +5,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from roskit import basedist, cpoisson
 from roskit.cli import CSV_COLUMNS, main
 
 
@@ -126,14 +127,17 @@ class TestSupCommand:
         assert json.loads(res.stderr)["error"] == "SupportOverflowError"
         assert "cap 2000000" in res.stderr
 
-    def test_grid_cap_exit_2(self):
-        # lambda ~ 158,000: even the least grid the window |x| <= T could take
-        # passes cpoisson.MAX_GRID_CELLS, and is refused before it is allocated
+    def test_past_grid_cap_finishes(self):
+        # lambda ~ 158,000, where even the least spectral grid would pass
+        # MAX_GRID_CELLS (test_cpoisson.py::TestHonestBound::test_grid_cap): the
+        # Fourier route needs no grid, and meets the default tol 1e-6
         start = time.perf_counter()
         res = run_cli("sup", "--p", "5", "--V", "uniform:w=1", "--A", "30", "--B", "1")
         assert time.perf_counter() - start < 1.0
-        assert res.exit_code == 2
-        assert "MAX_GRID_CELLS = 8388608" in json.loads(res.stderr)["message"]
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["cp_method"] == "cp_series/fourier"
+        assert rec["error_bound"] <= 1e-6 * rec["value"]
 
     @pytest.mark.parametrize("args", [
         ("--V", "rademacher", "--A", "1000"),
@@ -155,9 +159,12 @@ class TestSupCommand:
         (("--V", "uniform:w=1e70"), "E|V|^5 of uniform:w=1e+70"),
         (("--V", "atoms:1e70:1"), "E|V|^5 of atoms:1e+70:1"),
         (("--A", "1e200", "--B", "1e200"), "prefactor"),
+        (("--p", "3", "--A", "1e200", "--B", "1e200"), "B^p + E|Z|^p A^p"),
+        (("--positive", "--p", "3", "--A", "1e200", "--B", "1e200"), "Poisson prefactor"),
+        (("--p", "169.5", "--V", "uniform:w=1"), "E|T|^169.5"),
     ])
     def test_float_overflow_exit_2(self, args, quantity):
-        res = run_cli("sup", "--p", "5", *args)
+        res = run_cli("sup", *args) if "--p" in args else run_cli("sup", "--p", "5", *args)
         assert res.exit_code == 2
         reason = json.loads(res.stderr)
         assert reason["error"] == "DomainError"
@@ -184,11 +191,18 @@ class TestSupCommand:
         assert parse_json_lines(res.output)[0]["cp_method"] == "cp_series/exact_walk"
 
     def test_window_sized_grid_fits(self):
-        # lambda ~ 4072: a grid holding sums of ~4,700 jumps would pass the cap;
-        # the one sized by the window fits it
+        # lambda ~ 4072: the CLI takes the Fourier route; on the spectral grid, a
+        # grid holding sums of ~4,700 jumps would pass the cap, and the one
+        # sized by the window fits it
         res = run_cli("sup", "--p", "5", "--V", "uniform:w=1", "--A", "10", "--B", "1")
         assert res.exit_code == 0
-        assert parse_json_lines(res.output)[0]["method"] == "mixture_sup/cp_series/grid"
+        rec = parse_json_lines(res.output)[0]
+        assert rec["method"] == "mixture_sup/cp_series/fourier"
+        spec = cpoisson.CompoundPoissonSpec(rec["lambda"], basedist.condition_nonzero(
+            basedist.uniform(1.0)))
+        grid = cpoisson._grid_abs_moment(spec, 5.0, 1e-6)
+        assert grid.method == "cp_series/grid"
+        assert abs(grid.value - rec["cp_moment"]) <= grid.error_bound + rec["error_bound"]
 
 
 class TestExtremalCommand:

@@ -14,8 +14,10 @@ the other commit copy it into a checkout of that commit:
     cmp before.txt after.txt
 
 The routes cover every ``method`` tag on the five base kinds (closed forms,
-the exact walk and Gaussian routes, exact atomic routes, the spectral grid
-for compound Poisson sums and k-fold powers, the individual-budget grid and
+the cumulant, exact walk, Gaussian and Fourier routes of compound Poisson
+sums, exact atomic routes, the spectral grid for compound Poisson sums
+(through ``cpoisson._grid_abs_moment``, the second route, where a commit has
+it) and k-fold powers, the individual-budget grid and
 enumeration routes, the four Monte Carlo estimators, a hash of compound
 Poisson draws), the randomized search, n-fold sums of grid densities, both
 ordering checks, and the stdout of the seven CLI invocations of acceptance
@@ -44,6 +46,11 @@ carries them in its ``value`` and ``error_bound`` columns.  For each differing l
 the largest relative change among the line's numbers and how far each
 moved value went, as a fraction of the line's error_bound.  It exits 1 if
 the files differ in any other way or a value moved beyond its error_bound.
+
+A line whose text differs only in its compound Poisson route tags
+(``cp_series/NAME``, ``per_k_method``) still fails, as text that differs,
+but its report names the move and how far each value went as a fraction of
+the first line's error_bound, the bound of the route it left.
 """
 
 from __future__ import annotations
@@ -138,6 +145,21 @@ def routes():
     # past e^709, where e^-lam expm1(lam phi) overflows, on a grid sized by its window
     show("cp_abs_moment lam=1000 p=8 uniform", cp.cp_abs_moment,
          cp.CompoundPoissonSpec(1000.0, bd.condition_nonzero(BASES["uniform"])), 8.0, 1e-9)
+    # the cumulant route at even p, and von Bahr's integral near an even p
+    for name, V in BASES.items():
+        spec = cp.CompoundPoissonSpec(1.8, bd.condition_nonzero(V))
+        for p in (6.0, 5.99):
+            show(f"cp_abs_moment lam=1.8 p={p} {name}", cp.cp_abs_moment, spec, p, 1e-9)
+    # the spectral grid, the second route (before the Fourier route, cp_abs_moment
+    # took it itself on these laws)
+    grid = getattr(cp, "_grid_abs_moment", cp.cp_abs_moment)
+    for name in ("uniform", "cosine", "atoms10"):
+        spec = cp.CompoundPoissonSpec(1.8, bd.condition_nonzero(BASES[name]))
+        for p in (5.0, 6.0):
+            show(f"cp grid lam=1.8 p={p} {name}", grid, spec, p, 1e-6)
+    for lam in (12.0, 1000.0):
+        show(f"cp grid lam={lam:g} p=8 uniform", grid,
+             cp.CompoundPoissonSpec(lam, bd.condition_nonzero(BASES["uniform"])), 8.0, 1e-9)
     show("poisson_power_moment", cp.poisson_power_moment, 2.5, 3.5)
     for name in ("uniform", "atoms3"):
         spec = cp.CompoundPoissonSpec(1.8, bd.condition_nonzero(BASES[name]))
@@ -214,6 +236,8 @@ def cli():
         sys.stdout.flush()
 
 
+# a compound Poisson route tag: cp_series/NAME, or the per_k_method entry
+ROUTE = re.compile(r"(?<=cp_series/)\w+|(?<=per_k_method': ')\w+|(?<=per_k_method\": \")\w+")
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)(?![\w.])")
 # value / error_bound, and the search's best_ and theorem_ pairs, as repr fields or JSON keys
 PREFIX = r"(?<![\w\"])(\"?)(best_|theorem_|)"
@@ -306,7 +330,19 @@ def compare_line(before: str, after: str, columns: list[str] | None = None) -> t
             return f"{note}; numbers unchanged", True
         note = note and f"{note}; "
     if NUMBER.sub("#", before) != NUMBER.sub("#", after):
-        return "text differs apart from the numbers", False
+        moved = sorted({f"{a} -> {b}" for a, b in zip(ROUTE.findall(before), ROUTE.findall(after))
+                        if a != b})
+        if not moved or NUMBER.sub("#", ROUTE.sub("#", before)) != NUMBER.sub(
+                "#", ROUTE.sub("#", after)):
+            return "text differs apart from the numbers", False
+        values, bounds = values_and_bounds(before, columns)
+        shares = [abs(float(a) - float(b)) / float(bound) if float(bound) else math.inf
+                  for v_before, v_after, bound in zip(values, values_and_bounds(after, columns)[0],
+                                                      bounds)
+                  for a, b in zip(NUMBER.findall(v_before), NUMBER.findall(v_after)) if a != b]
+        share = max(shares, default=0.0)
+        return (f"{note}route moved {', '.join(moved)}; value moved {share:.2g} of the first "
+                f"line's error_bound: {'within' if share <= 1.0 else 'OUTSIDE'}"), False
     pairs = zip(NUMBER.findall(before), NUMBER.findall(after))
     rel = max(abs(float(a) - float(b)) / max(abs(float(a)), abs(float(b))) for a, b in pairs
               if a != b)
