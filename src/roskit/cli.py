@@ -3,17 +3,14 @@
 Emits constants, extremal-law parameters, moment-matching results,
 verification reports, and p-grid tables as JSON lines (one object per
 line, keys sorted), fixed-column CSV, or aligned text.  Identical flags
-and seed produce byte-identical output; ROSKIT_THREADS caps the worker
-count used by table sweeps.
+and seed produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -84,14 +81,6 @@ def _check_tol(ctx, param, tol: float | None) -> float | None:
     if tol is not None and not 0.0 < tol < 1.0:
         raise InputError(f"tolerance must lie in (0, 1), got {tol!r}")
     return tol
-
-
-def _threads() -> int:
-    raw = os.environ.get("ROSKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _common(record: dict, **extra) -> dict:
@@ -442,7 +431,6 @@ def table_cmd(p_min, p_max, p_step, v_spec, A, B, positive, complex_case,
         raise InputError("empty p grid")
     if count > MAX_TABLE_POINTS:
         raise InputError(f"p grid has {count} points; the cap is {MAX_TABLE_POINTS}")
-    grid = [p_min + i * p_step for i in range(count)]
     V = basedist.parse_base_spec(v_spec)
     v_label = "steinhaus" if complex_case else basedist.format_base_spec(V)
 
@@ -454,17 +442,10 @@ def table_cmd(p_min, p_max, p_step, v_spec, A, B, positive, complex_case,
             res = constants.complex_constant(p, tol_eff)
         else:
             res = constants.mixture_sup(p, V, A, B, tol_eff)
-        rec = _common(res.to_record(), command="table", p=p, V=v_label,
-                      A=A, B=B, seed=seed)
-        return rec
+        return _common(res.to_record(), command="table", p=p, V=v_label,
+                       A=A, B=B, seed=seed)
 
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, grid))
-    else:
-        records = [one(p) for p in grid]
-    _emit(records, fmt, out)
+    _emit([one(p_min + i * p_step) for i in range(count)], fmt, out)
 
 
 if __name__ == "__main__":

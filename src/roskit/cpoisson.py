@@ -3,30 +3,25 @@
 T is the sum of a Poisson(lambda) number of i.i.d. symmetric jumps with
 law given by a conditioned base distribution, and phi_T(t) = exp(lambda
 (phi_V(t) - 1)) its closed-form characteristic function.  cp_abs_moment
-picks one route from a table (_ROUTES):
+picks one route from a table (_ROUTES), by p and the jump kind alone:
 
 - even integer p: the cumulants kappa_2j = lambda E V^(2j) mapped back to
   E T^p by a recursion of nonnegative terms, exact up to rounding
   (cp_even_moment_cumulant);
 - random signs: the Skellam law of T, one sum over n <= K;
 - Gaussian jumps: E|Z|^p E[xi^(p/2)], one vectorised Poisson series;
-- atomic jumps whose lattice count bounds every k-fold support by
-  _ATOM_SUPPORT_CAP: the series
-
-      E|T|^p = exp(-lambda) * sum_k  lambda^k / k!  *  E|S_k|^p
-
-  with each E|S_k|^p enumerated exactly;
-- uniform, cosine and the other atomic jumps: von Bahr's integral over
-  phi_T (fourier.abs_moment), its Taylor part from the same cumulants.
+- uniform, cosine and atomic jumps: von Bahr's integral over phi_T
+  (fourier.abs_moment), its Taylor part from the same cumulants.
 
 Every route first finds the series depth K where the crude but rigorous
-bound E|S_k|^p <= (k ||jump||_p)^p certifies the discarded tail: the
-series routes stop there, every route reports K and the tail, and a depth
-past MAX_SERIES_TERMS is refused.  The gridconv spectral kernel, exp(lambda
-(phi - 1)) of the jump's real characteristic vector between one cosine
-transform and its inverse on a grid sized by the window |x| <= T the moment
-reads, up to MAX_GRID_CELLS, stays as the independent second route
-(_grid_abs_moment) that no production call picks.
+bound E|S_k|^p <= (k ||jump||_p)^p certifies the discarded tail, at most
+tol times a lower bound of the value: the series routes stop there, every
+route reports K and the tail, and a depth past MAX_SERIES_TERMS is refused.
+Two independent references stay that only a call by name picks: the series
+E|T|^p = e^-lambda sum_k lambda^k / k! E|S_k|^p with each E|S_k|^p of
+atomic jumps enumerated exactly (atoms_exact), and the gridconv spectral
+kernel, exp(lambda (phi - 1)) of the jump's real characteristic vector on a
+grid sized by the window |x| <= T the moment reads (_grid_abs_moment).
 """
 
 from __future__ import annotations
@@ -55,7 +50,7 @@ __all__ = [
     "poisson_power_moment",
 ]
 
-_ATOM_SUPPORT_CAP = 50_000
+_ATOM_SUPPORT_CAP = 50_000  # largest k-fold support of the atoms_exact reference
 # deepest Poisson series: about lambda terms, each a float of the series' arrays
 MAX_SERIES_TERMS = MAX_GRID_CELLS
 _GRID_BASE = 8192  # spectral grids of 8193 and 16385 cells over [-b, b]
@@ -68,8 +63,10 @@ class CompoundPoissonSpec:
     jump: ConditionedBase
 
     def __post_init__(self):
-        if self.lam < 0.0 or not math.isfinite(self.lam):
-            raise DomainError("Poisson intensity must be finite and nonnegative")
+        # a subnormal lam would underflow the moment, about lam E|V|^p
+        if not (self.lam == 0.0 or sys.float_info.min <= self.lam < math.inf):
+            raise DomainError(f"Poisson intensity must be 0 or a finite positive normal float, "
+                              f"got {self.lam!r}")
 
 
 def _poisson_terms(lam: float, p: float, ks: np.ndarray) -> np.ndarray:
@@ -98,11 +95,15 @@ def _spread(lam: float, p: float) -> float:
 
 def _truncation_depth(lam: float, p: float, m_p: float, tol: float):
     """Smallest K with  sum_{k>K} w_k (k^p m_p) < tol, plus that tail value.
+    Callers pass tol min(1, L) for a lower bound L of the value, so that the
+    tail is at most tol |value|; a tol that underflows counts as the
+    smallest normal float.
 
     The terms are summed from k_cap down, k_cap doubling until its term is
     vanishingly small.  Terms below the Poisson bulk are left out unless the
     walk reaches them.  A series deeper than MAX_SERIES_TERMS raises InputError
     before any array is built."""
+    tol = max(tol, sys.float_info.min)
     spread = _spread(lam, p)
     k_cap = max(80, int(min(lam + spread, MAX_SERIES_TERMS + 1.0)))
     while (k_cap <= MAX_SERIES_TERMS
@@ -191,7 +192,12 @@ def _skellam_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tai
     # 2 e^-lam I_n(lam) (Skellam), and |T| <= xi leaves at most the series
     # tail; ive errs by about 1e-13 relative out at n = 10 sqrt(lam)
     n = np.arange(1.0, K + 1)
-    value = 2.0 * math.fsum((n**p * ive(n, spec.lam)).tolist())
+    lam = spec.lam
+    # ive underflows to 0 below lam ~ 1e-304; below 1e-150, e^-lam I_n(lam) is
+    # (lam / 2)^n / n! up to a relative lam, and exp rounds it within 1e-13
+    probs = (ive(n, lam) if lam > 1e-150
+             else np.exp(n * math.log(0.5 * lam) - gammaln(n + 1.0)))
+    value = 2.0 * math.fsum((n**p * probs).tolist())
     return value, tail + 1e-13 * value, {}
 
 
@@ -252,27 +258,12 @@ _ROUTES = {
     "atoms_char_grid": _cp_char_grid_moment,
 }
 # the production route at non-even p, by jump kind
-_KIND_ROUTES = {"rademacher": "exact_walk", "gaussian": "exact_gaussian", "atoms": "atoms_exact",
+_KIND_ROUTES = {"rademacher": "exact_walk", "gaussian": "exact_gaussian", "atoms": "fourier",
                 "uniform": "fourier", "cosine": "fourier"}
 
 
 def _is_even(p: float) -> bool:
     return float(p).is_integer() and int(p) % 2 == 0
-
-
-def _kind_route(spec: CompoundPoissonSpec, K: int) -> str:
-    """The route at non-even p: by jump kind, and for atoms by the lattice count."""
-    base = spec.jump.base
-    route = _KIND_ROUTES[base.kind]
-    if route == "atoms_exact":
-        # S_k takes values among n . a for the m magnitudes a and n in Z^m with
-        # |n|_1 <= k, whose count bounds every power's exactly merged support;
-        # laws of 8 or more signed atoms are cheaper by the Fourier route
-        m = len(base.atoms)
-        points = sum(2**i * math.comb(m, i) * math.comb(K, i) for i in range(m + 1))
-        if 2 * m >= 8 or points > _ATOM_SUPPORT_CAP:
-            return "fourier"
-    return route
 
 
 def cp_abs_moment(
@@ -282,14 +273,13 @@ def cp_abs_moment(
 
     Even integer p takes the exact cumulant recursion (rounding bound only).
     At every other p, random signs take the Skellam sum and Gaussian jumps
-    E|Z|^p E[xi^(p/2)], each bounded by its series tail; atomic jumps whose
-    lattice count admits it take exact enumeration, bounded by the tail plus
-    discrete.enum_abs_moment's; uniform, cosine and other atomic jumps take
-    von Bahr's integral over the closed-form characteristic function
-    (fourier.abs_moment), with a bound of at most tol |value| where it can
-    be met.  The Poisson series depth K comes first on every route: it is
-    reported with its tail, and a series past MAX_SERIES_TERMS raises
-    InputError.
+    E|Z|^p E[xi^(p/2)], each bounded by its series tail; uniform, cosine
+    and atomic jumps take von Bahr's integral over the closed-form
+    characteristic function (fourier.abs_moment).  Each bound is at most
+    tol |value| where it can be met.  The Poisson series depth K comes
+    first on every route, its tail at most tol times a lower bound of the
+    value: K is reported with its tail, and a series past
+    MAX_SERIES_TERMS raises InputError.
     """
     return _abs_moment(spec, p, tol)
 
@@ -313,8 +303,12 @@ def _abs_moment(spec: CompoundPoissonSpec, p: float, tol: float,
     m_p = spec.jump.abs_moment(p)
     if not math.isfinite(m_p):
         raise DomainError("jump law has no finite p-th moment")
-    K, tail = _truncation_depth(lam, p, m_p, tol)
-    route = route or ("cumulant" if _is_even(p) else _kind_route(spec, K))
+    # E|T|^p >= max(E[|T|^p; one jump], (E T^2)^(p / 2)), the latter capped at
+    # 1 before its power, which cannot overflow then
+    sigma2 = lam * spec.jump.abs_moment(2.0)
+    lower = max(lam * math.exp(-lam) * m_p, min(1.0, sigma2) ** (0.5 * p))
+    K, tail = _truncation_depth(lam, p, m_p, tol * min(1.0, lower))
+    route = route or ("cumulant" if _is_even(p) else _KIND_ROUTES[spec.jump.base.kind])
     diag.update({"K": K, "per_k_method": route, "jump_p_moment": m_p, "tail_bound": tail})
     value, err, extra = _ROUTES[route](spec, p, tol, K, tail)
     if not (math.isfinite(value) and math.isfinite(err)):
@@ -373,7 +367,10 @@ def poisson_power_moment(lam: float, p: float, tol: float = 1e-9) -> ConstantRes
     diag = {"lambda": lam, "p": p}
     if lam == 0.0:
         return ConstantResult(0.0, "poisson_series/empty", 0.0, diag)
-    K, tail = _truncation_depth(lam, p, 1.0, tol)
+    # E xi^p >= max(P(xi >= 1), (E xi)^p), the latter by Jensen from p = 1 on
+    # and capped at 1 before its power
+    lower = max(-math.expm1(-lam), min(1.0, lam) ** p if p >= 1.0 else 0.0)
+    K, tail = _truncation_depth(lam, p, 1.0, tol * min(1.0, lower))
     # the terms below the bulk weigh at most k_lo^p P(xi < k_lo) = k_lo^p Q(k_lo, lam)
     k_lo = max(1, int(lam - _spread(lam, p)))
     q = specfun.reg_upper_inc_gamma(k_lo, lam) if k_lo > 1 else 0.0

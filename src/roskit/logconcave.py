@@ -72,6 +72,7 @@ class PlateauExpDensity:
     of rate gamma outside; gamma = inf tags the uniform limit, alpha = 0 the
     two-sided exponential limit."""
 
+    side = "minus"  # its extremal family, which check_interlacing reads
     alpha: float
     gamma: float
 
@@ -155,6 +156,7 @@ class TruncatedExpDensity:
     [-alpha, alpha]; gamma = 0 tags the uniform limit, alpha = inf the
     two-sided exponential limit."""
 
+    side = "plus"  # its extremal family, which check_interlacing reads
     alpha: float
     gamma: float
 
@@ -243,6 +245,7 @@ class TailLawMinus:
     (-offset, offset), exponential tail outside.  rate = inf tags the
     two-point law at +-offset."""
 
+    side = "minus"  # its extremal family, which check_interlacing reads
     rate: float
     offset: float
 
@@ -322,6 +325,7 @@ class TailLawPlus:
     at the cutoff.  rate = 0 tags the two-point law, cutoff = inf the
     exponential limit."""
 
+    side = "plus"  # its extremal family, which check_interlacing reads
     rate: float
     cutoff: float
 

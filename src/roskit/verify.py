@@ -572,10 +572,10 @@ def _shifted_moment_quad(law, z: float, p: float) -> tuple[float, float]:
 def check_interlacing(source, member, z: float, p: float, tol: float = 1e-9):
     """Shifted-moment domination of a matched extremal member.
 
-    For minus-family members E|X + z|^p >= E|member + z|^p; for
-    plus-family members the inequality is reversed.  The source must have
-    the member's second and p-th moments (mismatch beyond 1e-6 relative is
-    an invalid comparison).
+    For minus-family members (member.side == "minus") E|X + z|^p >=
+    E|member + z|^p; for plus-family members the inequality is reversed.
+    The source must have the member's second and p-th moments (mismatch
+    beyond 1e-6 relative is an invalid comparison).
     """
     for r in (2.0, p):
         ms, mm = source.abs_moment(r), member.abs_moment(r)
@@ -586,10 +586,7 @@ def check_interlacing(source, member, z: float, p: float, tol: float = 1e-9):
     lhs, err_l = _shifted_moment_quad(source, z, p)
     rhs, err_r = _shifted_moment_quad(member, z, p)
     budget = err_l + err_r + tol * max(abs(lhs), abs(rhs))
-    minus_side = isinstance(
-        member, (logconcave.PlateauExpDensity, logconcave.TailLawMinus)
-    )
-    holds = lhs >= rhs - budget if minus_side else lhs <= rhs + budget
+    holds = lhs >= rhs - budget if member.side == "minus" else lhs <= rhs + budget
     return holds, lhs, rhs
 
 

@@ -387,14 +387,6 @@ class TestTableCommand:
         assert res.exit_code == 2
         assert "550001 points" in res.stderr and "cap is 10000" in res.stderr
 
-    def test_threads_env_same_output(self, monkeypatch):
-        args = ["table", "--p-min", "2.5", "--p-max", "5.0", "--p-step", "0.5"]
-        monkeypatch.setenv("ROSKIT_THREADS", "1")
-        one = run_cli(*args).output
-        monkeypatch.setenv("ROSKIT_THREADS", "4")
-        four = run_cli(*args).output
-        assert one == four
-
 
 class TestDeterminism:
     @pytest.mark.parametrize(

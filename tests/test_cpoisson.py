@@ -34,8 +34,7 @@ SIX_ATOMS = bd.condition_nonzero(bd.symmetric_atoms(
 def _kind_route(spec, p, tol):
     """E|T|^p by the route the jump kind takes at non-even p, the spectral grid
     standing in for the Fourier integral, which needs a non-even p."""
-    K = cp._truncation_depth(spec.lam, p, spec.jump.abs_moment(p), tol)[0]
-    route = cp._kind_route(spec, K)
+    route = cp._KIND_ROUTES[spec.jump.base.kind]
     if route == "fourier":
         return cp._grid_abs_moment(spec, p, tol)
     return cp._abs_moment(spec, p, tol, route)
@@ -96,6 +95,8 @@ class TestSeries:
             cp.cp_abs_moment(cp.CompoundPoissonSpec(1.0, RAD), 2.0)
         with pytest.raises(DomainError):
             cp.CompoundPoissonSpec(-1.0, RAD)
+        with pytest.raises(DomainError, match="normal float"):
+            cp.CompoundPoissonSpec(1e-310, RAD)
 
 
 def _walk_depth(lam, p, m_p, tol):
@@ -156,22 +157,61 @@ class TestExactRoutes:
         assert abs(res.value - oracle) <= res.error_bound <= 1e-12 * oracle
 
     @pytest.mark.parametrize("jump,lam,route", [
-        (SIX_ATOMS, 1.7, "atoms_exact"),  # lattice count 17,343 at K = 23
+        (SIX_ATOMS, 1.7, "atoms_exact"),  # every k-fold support within _ATOM_SUPPORT_CAP
         (ATOMS, 1.8, "atoms_exact"),
-        (ATOMS, 100.0, "atoms_char_grid"),  # K = 216: 2 K^2 + 2 K + 1 > 50,000
+        (ATOMS, 100.0, "atoms_char_grid"),  # K = 216: past the enumeration's reach
         (TEN_ATOMS, 1.8, "atoms_char_grid"),
     ])
     def test_atomic_routing(self, jump, lam, route):
-        # p = 6 takes the cumulant route, and the lattice count routes p = 5.5:
-        # to enumeration, or else to the Fourier integral, for which the grid
-        # stands in at p = 6; either meets the cumulant oracle there
+        # p = 6 takes the cumulant route and p = 5.5 the Fourier integral, on
+        # every atomic law; the reference route, enumeration or else the grid,
+        # meets the cumulant oracle at p = 6, and enumeration the Fourier value
+        # at p = 5.5 within both bounds
         spec = cp.CompoundPoissonSpec(lam, jump)
         assert cp.cp_abs_moment(spec, 6.0, tol=1e-9).method == "cp_series/cumulant"
-        odd = "atoms_exact" if route == "atoms_exact" else "fourier"
-        assert cp.cp_abs_moment(spec, 5.5, tol=1e-9).method == f"cp_series/{odd}"
-        res = _kind_route(spec, 6.0, 1e-9)
-        assert res.method == f"cp_series/{route}"
-        assert abs(res.value - cp.cp_even_moment_cumulant(spec, 6)) <= res.error_bound
+        res = cp.cp_abs_moment(spec, 5.5, tol=1e-9)
+        assert res.method == "cp_series/fourier"
+        if route == "atoms_exact":
+            ref = cp._abs_moment(spec, 5.5, 1e-9, route)
+            assert abs(res.value - ref.value) <= res.error_bound + ref.error_bound
+        ref = cp._abs_moment(spec, 6.0, 1e-9, route)
+        assert ref.method == f"cp_series/{route}"
+        assert abs(ref.value - cp.cp_even_moment_cumulant(spec, 6)) <= ref.error_bound
+
+
+class TestRelativeTails:
+    """The Poisson tail is cut at tol times a lower bound of the value, so at
+    small intensity every series route still meets tol |value|."""
+
+    @pytest.mark.parametrize("jump", [RAD, ATOMS, GAUSS])
+    @pytest.mark.parametrize("lam", [1e-10, 1e-4, 0.05])
+    @pytest.mark.parametrize("p", [3.0, 5.5])
+    def test_cp_abs_moment(self, jump, lam, p):
+        spec = cp.CompoundPoissonSpec(lam, jump)
+        res = cp.cp_abs_moment(spec, p, 1e-9)
+        assert res.error_bound <= 1e-9 * res.value
+        ref = cp._abs_moment(spec, p, 1e-9, "atoms_exact" if jump is ATOMS else "fourier")
+        assert abs(res.value - ref.value) <= res.error_bound + ref.error_bound
+
+    @pytest.mark.parametrize("jump", [RAD, GAUSS, UNIF, COSINE, ATOMS])
+    @pytest.mark.parametrize("lam", [1e-200, 1e-305, sys.float_info.min])
+    def test_near_underflow(self, jump, lam):
+        # two jumps weigh lambda^2 / 2, which underflows: the value is lambda E|V|^p
+        res = cp.cp_abs_moment(cp.CompoundPoissonSpec(lam, jump), 5.5, 1e-9)
+        ref = lam * jump.abs_moment(5.5)
+        assert abs(res.value - ref) <= res.error_bound + 1e-13 * ref
+
+    def test_mixture_sup_random_signs(self):
+        # lambda = 1e-10: the absolute tail made the bound the value itself
+        res = ct.mixture_sup(5.0, bd.rademacher(), 1e-3, 1.0, 1e-9)
+        assert res.method == "mixture_sup/cp_series/exact_walk"
+        assert res.error_bound <= 1e-9 * res.value
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("A", [1e-4, 0.01, 0.5])
+    def test_positive_sum_sup(self, p, A):
+        res = ct.positive_sum_sup(p, A, 1.0, 1e-9)
+        assert res.error_bound <= 1e-9 * res.value
 
 
 class TestVectorisedSeries:
@@ -422,9 +462,9 @@ class TestFourierRoute:
         assert res.error_bound <= 1e-9 * res.value
 
     def test_commensurate_magnitudes(self):
-        # (0.7, 1.3) at lambda = 100: the lattice count, 93,745 points, overcounts
-        # the true support of 2,791 at K = 216, so the Fourier route takes the law;
-        # it meets forced enumeration to 1e-12, where the grid erred by 1.4e-8
+        # (0.7, 1.3) at lambda = 100: the Fourier route meets enumeration over the
+        # true support, 2,791 points at K = 216, to 1e-12, where the grid erred by
+        # 1.4e-8
         spec = cp.CompoundPoissonSpec(100.0, ATOMS)
         res = cp.cp_abs_moment(spec, 5.5, 1e-9)
         assert res.method == "cp_series/fourier"
