@@ -212,6 +212,9 @@ def extremal_cmd(p, v_spec, A, B, a_list, b_list, n, alpha, seed, tol, fmt, out)
         rec["extremal"] = extremal
     elif p >= 4.0:
         res = constants.mixture_sup(p, V, A, B, tol if tol is not None else 1e-6)
+        if "prefactor" not in res.diagnostics:
+            raise InputError(f"the extremal intensity {res.diagnostics['lambda']!r} is below "
+                             "the smallest normal float; `sup` gives its one-jump limit")
         rec = {
             "command": "extremal",
             "kind": "compound_poisson",

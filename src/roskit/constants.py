@@ -12,6 +12,7 @@ cross-checks.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -98,18 +99,51 @@ def _lower_branch_sup(p: float, A: float, B: float) -> float:
 
 def _upper_branch_sup(
     p: float, V: BaseDistribution, A: float, B: float, tol: float
-):
-    """Compound Poisson branch for p >= 4: prefactor, intensity, cp moment."""
+) -> ConstantResult:
+    """Compound Poisson branch for p >= 4: prefactor times the cp moment."""
     nv2 = basedist.abs_moment(V, 2.0)   # ||V||_2^2
     nvp = basedist.abs_moment(V, p)     # ||V||_p^p
-    cond = basedist.condition_nonzero(V)
     lam = (A * nvp ** (1.0 / p) / (B * math.sqrt(nv2))) ** (
         2.0 * p / (p - 2.0)
     ) * (1.0 - V.zero_mass)
+    if lam < sys.float_info.min:
+        return _one_jump_limit(p, A, B, lam)
+    cond = basedist.condition_nonzero(V)
     prefactor = _finite("compound Poisson prefactor", A, B,
                         lambda: (B**p * nv2 / (A**2 * nvp)) ** (p / (p - 2.0)))
     cp_res = cpoisson.cp_abs_moment(cpoisson.CompoundPoissonSpec(lam, cond), p, tol)
-    return prefactor, lam, cp_res
+    value = prefactor * cp_res.value
+    diag = {
+        "branch": "compound_poisson_p>=4",
+        "lambda": lam,
+        "prefactor": prefactor,
+        "cp_moment": cp_res.value,
+        "cp_method": cp_res.method,
+        "A": A,
+        "B": B,
+    }
+    if float(p).is_integer() and int(p) in (4, 6, 8):
+        # independent cumulant route, exposed for cross-checking
+        diag["cp_cumulant_value"] = prefactor * cpoisson.cp_even_moment_cumulant(
+            cpoisson.CompoundPoissonSpec(lam, cond), int(p)
+        )
+    err = prefactor * cp_res.error_bound + 1e-14 * value
+    return ConstantResult(value, f"mixture_sup/{cp_res.method}", err, diag)
+
+
+def _one_jump_limit(p: float, A: float, B: float, lam: float) -> ConstantResult:
+    """The p >= 4 supremum at an intensity below the smallest normal float.
+
+    prefactor * lam * E|V'|^p = B^p, so the one-jump term of the compound
+    Poisson moment is B^p e^-lam.  By convexity E|S_k|^p <= k^p E|V'|^p, so
+    the k >= 2 terms sum to at most B^p lam sum_{k>=2} lam^(k-2) k^p / k!;
+    their ratios stay below lam (3/2)^p / 3 < 1/2 for any p whose 2^p is a
+    float, so the sum is at most B^p lam 2^p.
+    """
+    value = _finite("value B^p", A, B, lambda: B**p * math.exp(-lam))
+    err = _finite("one-jump remainder", A, B, lambda: value * lam * 2.0**p) + 1e-14 * value
+    diag = {"branch": "compound_poisson_p>=4", "lambda": lam, "A": A, "B": B}
+    return ConstantResult(value, "mixture_sup/one_jump_limit", err, diag)
 
 
 def mixture_sup(
@@ -120,8 +154,9 @@ def mixture_sup(
 
     For 2 < p < 4 the value is B^p + E|Z|^p A^p regardless of V; for
     p >= 4 it is a rescaled compound Poisson moment of V conditioned on
-    being nonzero.  At p = 4 the compound Poisson branch is authoritative
-    and the closed form is cross-checked.
+    being nonzero, or its one-jump limit B^p e^-lambda where the intensity
+    lambda is below the smallest normal float.  At p = 4 the compound
+    Poisson branch is authoritative and the closed form is cross-checked.
     """
     if not p > 2.0:
         raise DomainError("mixture_sup requires p > 2")
@@ -138,27 +173,11 @@ def mixture_sup(
         }
         return ConstantResult(value, "closed_form", 1e-14 * value, diag)
 
-    prefactor, lam, cp_res = _upper_branch_sup(p, V, A, B, tol)
-    value = prefactor * cp_res.value
-    err = prefactor * cp_res.error_bound + 1e-14 * value
-    diag = {
-        "branch": "compound_poisson_p>=4",
-        "lambda": lam,
-        "prefactor": prefactor,
-        "cp_moment": cp_res.value,
-        "cp_method": cp_res.method,
-        "A": A,
-        "B": B,
-    }
-    if float(p).is_integer() and int(p) in (4, 6, 8):
-        # independent cumulant route, exposed for cross-checking
-        diag["cp_cumulant_value"] = prefactor * cpoisson.cp_even_moment_cumulant(
-            cpoisson.CompoundPoissonSpec(lam, basedist.condition_nonzero(V)), int(p)
-        )
-
+    res = _upper_branch_sup(p, V, A, B, tol)
     if p == 4.0:
-        _check_p4_branches(value, _lower_branch_sup(p, A, B), err, tol, diag)
-    return ConstantResult(value, f"mixture_sup/{cp_res.method}", err, diag)
+        _check_p4_branches(res.value, _lower_branch_sup(p, A, B), res.error_bound, tol,
+                           res.diagnostics)
+    return res
 
 
 def _check_p4_branches(value: float, lower: float, err: float, tol: float, diag: dict):

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import specfun
 from .errors import DomainError, FeasibilityError
@@ -458,6 +457,8 @@ def _classify_ratio(ratio: float, lo: float, hi: float) -> str:
 
 def _bracketed_root(g, lo: float, hi: float) -> float:
     """Brent root of a monotone g with a sign change on [lo, hi]."""
+    from scipy import optimize  # here, not at the top: `import roskit` need not load it
+
     g_lo, g_hi = g(lo), g(hi)
     if g_lo == 0.0:
         return lo

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import basedist, constants, cpoisson, discrete, gridconv, logconcave, specfun
 from .errors import DomainError, GridTooSmallError, InputError, InvalidComparisonError
@@ -83,6 +83,8 @@ class LogisticSource:
         return 1.0 / (1.0 + np.exp(-x / self.scale))
 
     def abs_moment(self, r: float) -> float:
+        from scipy import integrate  # here, not at the top: `import roskit` need not load it
+
         val, _ = integrate.quad(
             lambda x: 2.0 * x**r * self.pdf(x),
             0.0,
@@ -555,6 +557,8 @@ def _density_kinks(law) -> list[float]:
 
 def _shifted_moment_quad(law, z: float, p: float) -> tuple[float, float]:
     """E|X + z|^p by adaptive quadrature with kink-aware breakpoints."""
+    from scipy import integrate  # here, not at the top: `import roskit` need not load it
+
     L = law.support_halfwidth()
     atoms = law.atoms()
     pts = sorted({x for x in [-z, 0.0] + _density_kinks(law) if -L < x < L})

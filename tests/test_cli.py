@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -169,6 +173,28 @@ class TestSupCommand:
         reason = json.loads(res.stderr)
         assert reason["error"] == "DomainError"
         assert quantity in reason["message"] and "overflows" in reason["message"]
+
+    @pytest.mark.parametrize("v_spec", [
+        "rademacher", "uniform:w=1", "gaussian", "cosine", "atoms:0:0.3,1:0.4,2.5:0.3",
+    ])
+    @pytest.mark.parametrize("p", ["4", "5", "6", "8"])
+    def test_subnormal_intensity_one_jump_limit(self, p, v_spec):
+        # A/B = 1e-315^((p-2)/(2p)) puts lambda below the smallest normal float
+        q = float(p)
+        A = repr(1e-10 * 1e-315 ** ((q - 2.0) / (2.0 * q)))
+        res = run_cli("sup", "--p", p, "--V", v_spec, "--A", A, "--B", "1e-10")
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert 0.0 < rec["lambda"] < sys.float_info.min
+        assert rec["method"] == "mixture_sup/one_jump_limit"
+        assert rec["value"] == pytest.approx(1e-10**q, rel=1e-14)
+        assert rec["error_bound"] <= 1e-6 * rec["value"]
+
+    def test_subnormal_intensity_has_no_extremal_tuple(self):
+        res = run_cli("extremal", "--p", "5", "--V", "uniform:w=1", "--A", "3.16e-105",
+                      "--B", "1e-10")
+        assert res.exit_code == 2
+        assert "one-jump limit" in json.loads(res.stderr)["message"]
 
     @pytest.mark.parametrize("v_spec,chunk", [
         ("gaussian:w=3", "w=3"), ("cosine:0.5", "0.5"), ("rademacher:junk", "junk"),
@@ -421,3 +447,47 @@ class TestDeterminism:
         line = res.output.strip()
         keys = list(json.loads(line).keys())
         assert keys == sorted(keys)
+
+
+# commands that must run without scipy.optimize or scipy.integrate, then two that need them
+COLD_COMMANDS = [
+    ["sup", "--p", "5", "--V", "uniform:w=1", "--A", "0.3"],
+    ["sup", "--p", "5", "--V", "uniform:w=1", "--a", "0.5,0.5", "--b", "1,1"],
+    ["sup", "--positive", "--p", "3"],
+    ["constant", "--complex", "--p", "5"],
+    ["table", "--p-min", "2.5", "--p-max", "4.5", "--p-step", "0.5"],
+    ["extremal", "--p", "3", "--n", "5000", "--alpha", "0.95", "--seed", "12"],
+    ["verify", "search", "--p", "5", "--V", "uniform:w=1", "--n", "3", "--trials", "5"],
+]
+LOADING_COMMANDS = [
+    ["match", "--family", "fminus", "--p", "4", "--a", "1", "--b", "1.35"],
+    ["verify", "interlacing", "--p", "5"],
+]
+_CHILD = """
+import json, sys
+import roskit, roskit.cli
+from click.testing import CliRunner
+
+cold, loading = json.loads(sys.argv[1])
+runner = CliRunner()
+codes = [runner.invoke(roskit.cli.main, args).exit_code for args in cold]
+loaded = [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+results = [runner.invoke(roskit.cli.main, args) for args in loading]
+print(json.dumps([codes, loaded, [[r.exit_code, r.output] for r in results]]))
+"""
+
+
+class TestColdStart:
+    def test_scipy_optimize_and_integrate_load_on_first_use(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHILD, json.dumps([COLD_COMMANDS, LOADING_COMMANDS])],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        codes, loaded, results = json.loads(proc.stdout)
+        assert codes == [0] * len(COLD_COMMANDS)
+        assert loaded == []
+        for args, (code, output) in zip(LOADING_COMMANDS, results):
+            res = run_cli(*args)
+            assert (code, output) == (0, res.output)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import time
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 
 from roskit import basedist as bd
 from roskit import constants as ct
-from roskit import specfun, verify
+from roskit import cpoisson, specfun, verify
 from roskit.errors import DomainError, FeasibilityError, UnsupportedMethodError
 
 EZ3 = specfun.gaussian_abs_moment(3.0)
@@ -97,6 +98,40 @@ class TestMixtureSup:
         want = (0.5 ** (1.0 / 5.0) / 0.5**0.5) ** (10.0 / 3.0) * 0.5
         assert lam_v == pytest.approx(want, rel=1e-12)
         assert lam_r == pytest.approx(1.0, rel=1e-12)
+
+
+class TestSubnormalIntensity:
+    """Budgets whose intensity lambda is below the smallest normal float."""
+
+    @staticmethod
+    def _budget_A(p, V, lam, B=1.0):
+        # A with lambda(A, B) = lam, from lambda = (A c / B)^(2p/(p-2)) (1 - P(V=0))
+        c = bd.abs_moment(V, p) ** (1.0 / p) / math.sqrt(bd.abs_moment(V, 2.0))
+        return B / c * (lam / (1.0 - V.zero_mass)) ** ((p - 2.0) / (2.0 * p))
+
+    @pytest.mark.parametrize("lam", [sys.float_info.min, 1e-307, 1e-100])
+    @pytest.mark.parametrize("p", [4.0, 5.0, 6.0])
+    def test_normal_intensity_keeps_compound_poisson(self, p, lam):
+        V = bd.uniform(1.0)
+        A = self._budget_A(p, V, lam, 1e-10) * (1.0 + 1e-12)
+        res = ct.mixture_sup(p, V, A, 1e-10, 1e-6)
+        got = res.diagnostics["lambda"]
+        assert got >= sys.float_info.min
+        cp = cpoisson.cp_abs_moment(
+            cpoisson.CompoundPoissonSpec(got, bd.condition_nonzero(V)), p, 1e-6)
+        assert res.method == f"mixture_sup/{cp.method}"
+        assert res.value == res.diagnostics["prefactor"] * cp.value
+
+    def test_one_jump_limit_builds_no_spec(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a CompoundPoissonSpec was built")
+
+        monkeypatch.setattr(cpoisson, "CompoundPoissonSpec", refuse)
+        for p in (4.0, 6.0, 8.0):  # the p of the cumulant cross-check
+            V = bd.uniform(1.0)
+            res = ct.mixture_sup(p, V, self._budget_A(p, V, 1e-315, 1e-10), 1e-10, 1e-9)
+            assert res.method == "mixture_sup/one_jump_limit"
+            assert res.value == pytest.approx(1e-10**p, rel=1e-14)
 
 
 class TestMixtureConstant:

@@ -50,3 +50,25 @@ def test_same_route_move(tmp_path, capsys, value, code):
     after = SKELLAM.replace("value=2.0", f"value={value}")
     assert _compare(tmp_path, [SKELLAM], [after]) == code
     assert capsys.readouterr().out.endswith(f"1 lines, 1 differ, {code} fail\n")
+
+
+def test_diagnostics_only_move(tmp_path, capsys):
+    # value and bound bit-identical, the series depth and its tail moved
+    before = ("cp_abs_moment lam=0.5 uniform: ConstantResult(value=0.3, "
+              "method='cp_series/fourier', error_bound=1e-10, "
+              "diagnostics={'K': 17, 'tail_bound': 3e-11})")
+    after = before.replace("'K': 17", "'K': 1").replace("3e-11", "6e-11")
+    assert _compare(tmp_path, [before], [after]) == 0
+    out = capsys.readouterr().out
+    assert "value unchanged; largest relative change of the other numbers 0.94;" in out
+    assert out.endswith("1 lines, 1 differ, 0 fail\n")
+
+
+def test_value_move_reported_apart(tmp_path, capsys):
+    # the value moves 7.5e-7 relative within both bounds, K by a tenth
+    after = SKELLAM.replace("value=2.0", "value=2.0000015").replace("'K': 20", "'K': 22")
+    assert _compare(tmp_path, [SKELLAM], [after]) == 0
+    out = capsys.readouterr().out
+    assert ("value's relative change 7.5e-07; largest relative change of the other "
+            "numbers 0.091; value moved 0.75 of the sum of both error_bounds: "
+            "within both bounds") in out

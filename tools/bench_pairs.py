@@ -11,6 +11,17 @@ one JSON line per run to ``--out``.  ``summarise`` reads such files and
 prints, per workload and end-to-end metric, each side's median and
 quartiles, the change's wins over the pairs (ties count for neither side),
 the failed and incorrect runs, and the machine the runs were made on.
+
+Each end-to-end metric also gets a verdict, with its ``bound`` read from
+``BENCHMARK.json`` (every one of them is better lower):
+
+- "better": the change is lower in at least nine tenths of the pairs, and
+  its median is below the parent's by more than the parent's interquartile
+  range;
+- "worse": the change's median exceeds the parent's by more than the bound;
+- "unresolved": neither, and the parent's interquartile range exceeds the
+  bound times its median, so the runs spread too widely to tell;
+- "no change": otherwise.
 """
 
 from __future__ import annotations
@@ -53,7 +64,23 @@ def _quartiles(xs: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """The verdict on one metric of paired runs, parent[i] against change[i]."""
+    q1, median, q3 = _quartiles(parent)
+    change_median = statistics.median(change)
+    if (sum(c < p for p, c in zip(parent, change)) >= 0.9 * len(parent)
+            and median - change_median > q3 - q1):
+        return "better"
+    if change_median > median * (1.0 + bound):
+        return "worse"
+    if q3 - q1 > bound * median:
+        return "unresolved"
+    return "no change"
+
+
 def summarise(paths: list[str]) -> dict:
+    spec = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     runs = [json.loads(line) for path in paths for line in Path(path).read_text().splitlines()]
     workloads: dict = {}
     for w in dict.fromkeys(r["workload"] for r in runs):
@@ -76,6 +103,8 @@ def summarise(paths: list[str]) -> dict:
                 "change_lower_in": sum(c < p for p, c in pairs), "pairs": len(pairs),
                 "parent": parent, "change": change,
             }
+            if metric in bounds:
+                summary[metric]["verdict"] = verdict(parent, change, bounds[metric])
         workloads[w] = summary
     machine = {"platform": platform.platform(), "python": platform.python_version(),
                "processor": platform.processor() or platform.machine(), "nproc": os.cpu_count()}

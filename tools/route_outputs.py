@@ -47,11 +47,12 @@ for the ordering checks) and an ``error_bound``, or the search's ``best_value`` 
 carries them in its ``value`` and ``error_bound`` columns.  A line whose
 text differs only in its compound Poisson route tags (``cp_series/NAME``,
 ``per_k_method``) is judged the same way, and its report names the move.
-For each differing line it prints the largest relative change among the
-line's numbers and how far each moved value went, as a fraction of the sum
-of the two lines' error_bounds: when both bounds are honest, the two values
-lie within that sum of each other.  It exits 1 if the files differ in any
-other way or a value moved beyond that sum.
+For each differing line it prints the relative change of its values ("value
+unchanged" where only bounds or diagnostics moved), apart from the largest
+relative change among its other numbers, and how far each moved value went,
+as a fraction of the sum of the two lines' error_bounds: when both bounds
+are honest, the two values lie within that sum of each other.  It exits 1
+if the files differ in any other way or a value moved beyond that sum.
 """
 
 from __future__ import annotations
@@ -346,6 +347,21 @@ def moved_share(before: str, after: str, columns: list[str] | None) -> float | N
     return max(shares, default=0.0)
 
 
+def largest_move(before: str, after: str) -> float:
+    """The largest relative change between the numbers of two texts, paired in order."""
+    return max((abs(float(a) - float(b)) / max(abs(float(a)), abs(float(b)))
+                for a, b in zip(NUMBER.findall(before), NUMBER.findall(after)) if a != b),
+               default=0.0)
+
+
+def without_values(line: str, columns: list[str] | None) -> str:
+    """The line with its value texts taken out, leaving bounds and diagnostics."""
+    if columns is None:
+        return VALUE.sub("", line)
+    cells = line.split(",")
+    return ",".join(cells[:columns.index("value")] + cells[columns.index("value") + 1:])
+
+
 def compare_line(before: str, after: str, columns: list[str] | None = None) -> tuple[str, bool]:
     """Judge one differing line pair: (report, passed)."""
     note = ""
@@ -364,15 +380,17 @@ def compare_line(before: str, after: str, columns: list[str] | None = None) -> t
                 "#", ROUTE.sub("#", after)):
             return "text differs apart from the numbers", False
         note = f"{note}route moved {', '.join(moved)}; "
-    rel = max((abs(float(a) - float(b)) / max(abs(float(a)), abs(float(b)))
-               for a, b in zip(NUMBER.findall(before), NUMBER.findall(after)) if a != b),
-              default=0.0)
+    others = largest_move(without_values(before, columns), without_values(after, columns))
     share = moved_share(before, after, columns)
     if share is None:
-        return f"{note}largest relative change {rel:.2g}, but no value with an error_bound", False
+        return f"{note}largest relative change {others:.2g}, but no value with an error_bound", False
+    value = largest_move(" ".join(values_and_bounds(before, columns)[0]),
+                         " ".join(values_and_bounds(after, columns)[0]))
+    moves = f"value's relative change {value:.2g}" if value else "value unchanged"
     verdict = "within" if share <= 1.0 else "OUTSIDE"
-    return (f"{note}largest relative change {rel:.2g}; value moved {share:.2g} of the sum of "
-            f"both error_bounds: {verdict} both bounds"), share <= 1.0
+    return (f"{note}{moves}; largest relative change of the other numbers {others:.2g}; "
+            f"value moved {share:.2g} of the sum of both error_bounds: {verdict} both bounds"
+            ), share <= 1.0
 
 
 def compare(before_path: str, after_path: str) -> int:
