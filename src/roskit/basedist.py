@@ -17,12 +17,13 @@ Carlo mean (mc_abs_moment) that every Monte Carlo route shares.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from . import discrete, gridconv, specfun
+from . import discrete, fourier, gridconv, specfun
 from .errors import DegenerateLawError, DomainError, InputError, UnsupportedMethodError
 from .result import ConstantResult
 
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 _KINDS = ("rademacher", "uniform", "gaussian", "cosine", "atoms")
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,45 @@ class BaseDistribution:
                  for j in range(12, 0, -1)]  # smallest first: 12 terms reach 1e-24 at |t| b = 1
         out[near] = np.sum(terms, axis=0)
         return out
+
+    def abs_moment(self, r: float) -> float:
+        """E|V|^r (the module's abs_moment)."""
+        return abs_moment(self, r)
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """E (sV)^(2i) / (2i)! for i = 0..n, and a bound on their relative error:
+        sum m (s a)^(2i) / (2i)! for atoms, (s w)^(2i) / (2i + 1)! for the uniform
+        law, (s^2 / 2)^i / i! for the Gaussian and ((s / 2)^i / i!)^2 for cosine."""
+        if self.is_atomic:
+            out = sum(mass * fourier.taylor_cos(s * loc, n)
+                      for loc, mass in self.atoms or ((1.0, 1.0),))
+            return out, (3.0 * n + len(self.atoms) + 2.0) * _EPS
+        if self.kind == "uniform":
+            return fourier.taylor_uniform(s * self.half_width, n)
+        if self.kind == "gaussian":
+            return fourier.taylor_exp(0.5 * s * s, n), (2.0 * n + 2.0) * _EPS
+        return fourier.taylor_exp(0.5 * s, n) ** 2, (4.0 * n + 2.0) * _EPS
+
+    def char_envelope(self, t: np.ndarray) -> np.ndarray:
+        """A nonincreasing bound on |phi| from t >= 0 on: 1 for atoms, 1 / (w t) for
+        the uniform law, exp(-t^2 / 2) for the Gaussian and sqrt(2 / (pi t)) for
+        J0 (x (J0^2 + Y0^2) increases to 2 / pi)."""
+        t = np.asarray(t, dtype=float)
+        if self.is_atomic:
+            return np.ones_like(t)
+        if self.kind == "gaussian":
+            return np.exp(-0.5 * t * t)
+        if self.kind == "uniform":
+            return fourier.uniform_envelope(self.half_width, t)
+        with np.errstate(divide="ignore"):
+            return np.minimum(1.0, np.sqrt(2.0 / (math.pi * t)))
+
+    def char_cap(self, p: float = 4.0) -> float:
+        """The largest t at which the Fourier sum route takes the Taylor series of
+        phi at order p: max(1, p / 4) / the support bound (at the default p = 4,
+        where char_gap's series ends), inf for the Gaussian."""
+        bound = self.support_bound()
+        return math.inf if bound is None else fourier.stretch(p) / bound
 
     def char_fn(self, t: np.ndarray) -> np.ndarray:
         """phi(t) = E cos(tV): cos t, sin(wt) / (wt), exp(-t^2 / 2), J0(t) or

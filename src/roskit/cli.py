@@ -351,21 +351,23 @@ def _interlacing_suite(p, **_):
             yield {"p": p, "family": side, "z": z, "lhs": lhs, "rhs": rhs, "holds": holds}
 
 
+def _ordering_record(rep, p, n, **extra):
+    return {"p": p, "n": n, **extra, "minus": rep.values[0], "source": rep.values[1],
+            "plus": rep.values[2], "combined_error": rep.combined_error, "method": rep.method,
+            "holds": rep.holds}
+
+
 def _ordering_suite(p, n, **_):
-    holds, vals, err = verify.check_logconcave_ordering(
-        n, verify.GaussianSource(), p, n_cells=16384
-    )
-    yield {"p": p, "n": n, "minus": vals[0], "source": vals[1], "plus": vals[2],
-           "combined_error": err, "grid_cells": 16384, "holds": holds}
+    yield _ordering_record(verify.ordering_report(n, verify.GaussianSource(), p, "density",
+                                                  n_cells=16384), p, n)
 
 
 def _tail_ordering_suite(p, n, **_):
     lo, hi = logconcave.feasibility_interval_tail(p)
     ratio = 0.5 * (lo + hi)
     source = logconcave.match_tail(logconcave.MatchTarget(p, 1.0, ratio), "minus")
-    holds, vals, err = verify.check_tail_ordering(n, source, p, n_cells=16384)
-    yield {"p": p, "n": n, "source_ratio": ratio, "minus": vals[0], "source": vals[1],
-           "plus": vals[2], "combined_error": err, "grid_cells": 16384, "holds": holds}
+    yield _ordering_record(verify.ordering_report(n, source, p, "tail", n_cells=16384), p, n,
+                           source_ratio=ratio)
 
 
 # suite name -> generator of its records, each without the command, suite and seed keys

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basedist, cpoisson, discrete, gridconv, specfun
+from . import basedist, cpoisson, discrete, fourier, gridconv, specfun
 from .basedist import BaseDistribution
 from .errors import (
     BranchMismatchError,
@@ -108,9 +108,14 @@ def _upper_branch_sup(
     ) * (1.0 - V.zero_mass)
     if lam < sys.float_info.min:
         return _one_jump_limit(p, A, B, lam)
+    try:
+        prefactor = (B**p * nv2 / (A**2 * nvp)) ** (p / (p - 2.0))
+    except OverflowError:
+        prefactor = math.inf
+    if math.isinf(prefactor) and lam * 1.5**p < 1.5:
+        return _one_jump_limit(p, A, B, lam)
+    prefactor = _finite("compound Poisson prefactor", A, B, lambda: prefactor)
     cond = basedist.condition_nonzero(V)
-    prefactor = _finite("compound Poisson prefactor", A, B,
-                        lambda: (B**p * nv2 / (A**2 * nvp)) ** (p / (p - 2.0)))
     cp_res = cpoisson.cp_abs_moment(cpoisson.CompoundPoissonSpec(lam, cond), p, tol)
     value = prefactor * cp_res.value
     diag = {
@@ -132,13 +137,15 @@ def _upper_branch_sup(
 
 
 def _one_jump_limit(p: float, A: float, B: float, lam: float) -> ConstantResult:
-    """The p >= 4 supremum at an intensity below the smallest normal float.
+    """The p >= 4 supremum at an intensity below the smallest normal float,
+    or wherever the prefactor overflows a float while lam (3/2)^p / 3 < 1/2.
 
     prefactor * lam * E|V'|^p = B^p, so the one-jump term of the compound
     Poisson moment is B^p e^-lam.  By convexity E|S_k|^p <= k^p E|V'|^p, so
     the k >= 2 terms sum to at most B^p lam sum_{k>=2} lam^(k-2) k^p / k!;
-    their ratios stay below lam (3/2)^p / 3 < 1/2 for any p whose 2^p is a
-    float, so the sum is at most B^p lam 2^p.
+    their ratios stay below lam (3/2)^p / 3 < 1/2 (for lam below the smallest
+    normal float, at any p whose 2^p is a float), so the sum is at most
+    B^p lam 2^p.
     """
     value = _finite("value B^p", A, B, lambda: B**p * math.exp(-lam))
     err = _finite("one-jump remainder", A, B, lambda: value * lam * 2.0**p) + 1e-14 * value
@@ -335,8 +342,11 @@ def mixture_individual_sup(
 
     Attained by Bernoulli-thinned scaled copies of V meeting both budgets
     with equality (for random signs the three-point laws of utev_3point_sup).
-    Evaluated by exact enumeration (atomic V), the spectral grid sum
-    (continuous V), or Monte Carlo.
+    Evaluated by exact enumeration (atomic V), von Bahr's integral over the
+    product of the summands' characteristic functions (fourier.plan_sum and
+    sum_abs_moment, continuous V) or, where that plan needs more than
+    fourier.MAX_SUM_PANELS panels (rare summands), the spectral grid sum; or
+    by Monte Carlo.  Mode "auto" takes the plan's route; "grid" forces the grid.
     """
     if p < 4.0:
         raise DomainError("per-summand budgets require p >= 4")
@@ -357,8 +367,19 @@ def mixture_individual_sup(
     n = len(scales)
     diag = {"n": n, "scales": scales, "activations": activations, "V": V.kind}
 
+    if mode == "auto" and not V.is_atomic:
+        groups = Counter(zip(scales, activations))
+        plan = fourier.plan_sum(p, [fourier.Term(V, c, mu, k) for (c, mu), k in groups.items()],
+                                tol)
+        if plan.route == "fourier":
+            res = fourier.sum_abs_moment(plan)
+            diag.update({key: res.diagnostics[key]
+                         for key in ("fourier_panels", "fourier_reach", "t0")
+                         if key in res.diagnostics})
+            return ConstantResult(res.value, "fourier", res.error_bound, diag)
+        mode = "grid"
     if mode == "auto":
-        mode = "exact_enum" if V.is_atomic else "grid"
+        mode = "exact_enum"
 
     if mode == "exact_enum":
         if not V.is_atomic:

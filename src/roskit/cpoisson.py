@@ -26,7 +26,6 @@ grid sized by the window |x| <= T the moment reads (_grid_abs_moment).
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -230,7 +229,11 @@ def _fourier_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tai
     unit = base.scaled(1.0 / b)
     t0 = min(math.sqrt(0.25 * p / (lam * basedist.abs_moment(unit, 2.0))), 0.25 * p)
     k = int(p // 2)
-    taylor = functools.partial(_taylor_coefficients, lam, unit, t0)
+    def taylor(n):
+        # every term of the cumulant recursion is nonnegative: its few ulps are
+        # within the 8 ulps abs_moment counts of every summed term
+        return _taylor_coefficients(lam, unit, t0, n), 0.0
+
     slope = lam * t0 * basedist.abs_moment(unit, 1.0)  # |d phi_X / du| <= lam t0 E|V / b| phi_X
 
     def gap(u):
@@ -241,8 +244,11 @@ def _fourier_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tai
 
     # E|X|^p >= max(E[|X|^p; one jump], (E X^(2k))^(p / 2k))
     lower = max(lam * math.exp(-lam) * basedist.abs_moment(unit, p) * t0**p,
-                (taylor(k)[k] * math.factorial(2 * k)) ** (p / (2 * k)))
-    res = fourier.abs_moment(p, gap, taylor, -2.0 * math.expm1(-lam), lower, tol)
+                (taylor(k)[0][k] * math.factorial(2 * k)) ** (p / (2 * k)))
+    # 0 <= 1 - phi_X <= far beyond R: the tail is far R^-p / (2p) give or take as much
+    far = -2.0 * math.expm1(-lam)
+    res = fourier.abs_moment(p, gap, taylor, lambda R: (0.5 * far * R ** -p / p,) * 2,
+                             lower, tol)
     scale = (b / t0) ** p
     return (res.value * scale, res.error_bound * scale,
             {"fourier_panels": res.panels, "fourier_reach": res.reach / t0 * b})

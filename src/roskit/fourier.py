@@ -1,4 +1,5 @@
-"""Absolute moments of symmetric laws from their real characteristic functions.
+"""Absolute moments of symmetric laws, and of sums of independent ones, from
+their real characteristic functions.
 
 For a symmetric X and 2k < p < 2k + 2 (B. von Bahr, Ann. Math. Statist. 36,
 1965),
@@ -14,16 +15,50 @@ Taylor series of phi serves on [0, 1], and splits the integral in three:
 - the polynomial part of P_k beyond 1, in closed form;
 - phi - 1 on [1, R] by Gauss-Legendre panels, geometric near 1 and of
   unit width beyond (the caller's scaling keeps phi's frequencies below
-  about 1), and on [R, inf) by the midpoint of |phi - 1| <= far.
+  about 1), and on [R, inf) by the caller's tail(R): the midpoint and
+  half-width of what int_R^inf (1 - phi) u^(-p-1) du can be.  R is the
+  smallest of a geometric ladder of reaches whose half-width stays below
+  tol lower / 10.
 
-The error bound is the sum of four terms: the Taylor remainder, the gap
-between the 20- and 12-point rules summed over the panels, the half-width
-of the tail beyond R, and the round-off, from the caller's bound on each
-evaluation of 1 - phi and a few ulps of every summed term.  Near p = 2k + 2
-the first Taylor term grows like 1 / (2k + 2 - p) while |sin(pi p / 2)|
-vanishes with it, and near p = 2k the same holds for the last polynomial
-term: sin is taken of the distance to the nearer even integer, so that
-both products keep their relative accuracy.
+The error bound is the sum of five terms: the Taylor remainder, the gap
+between the 20- and 12-point rules summed over the panels, the tail's
+half-width, the round-off from the caller's bound on each evaluation of
+1 - phi and a few ulps of every summed term, and the caller's relative
+error of the Taylor coefficients.  Near p = 2k + 2 the first Taylor term
+grows like 1 / (2k + 2 - p) while |sin(pi p / 2)| vanishes with it, and near
+p = 2k the same holds for the last polynomial term: sin is taken of the
+distance to the nearer even integer, so that both products keep their
+relative accuracy.
+
+Sums of independent summands (plan_sum, sum_abs_moment).  A Term is c theta
+V repeated count times: V a law, c > 0 its scale, theta a switch on with
+probability mu (the activation).  Every law answers abs_moment(r),
+char_gap(t), 1 - phi(t) to full relative accuracy (within _GAP_ULPS ulps
+where t <= char_cap(), its Taylor series, and _GAP_ABS ulps absolute
+beyond), char_taylor(n, s), the coefficients E (s V)^(2i) / (2i)! for
+i <= n and their relative error bound, char_envelope(t), a nonincreasing
+bound on |phi| from t on, and char_cap(p), the largest frequency at which
+the route takes its Taylor series at order p.  Then
+
+    phi_S(t) = prod_j (1 - mu_j + mu_j phi_j(c_j t))^(k_j),
+
+and plan_sum sizes the route before any quadrature:
+
+- X = t0 S, t0 = min(sqrt(p / 4) / sd(S), min_j cap_j(p) / c_j): the sum's own
+  standard deviation sets the unit, so that the Taylor depth does not grow
+  with the count, and no summand is taken past its cap;
+- the Taylor coefficients of phi_X in w = -u^2: each factor
+  1 + mu sum_i E (t0 c V)^(2i) / (2i)! w^i has nonnegative coefficients, so
+  their product, by convolution with powers by repeated squaring, cancels
+  nothing; at even p the moment is (2k)! a_k itself;
+- the tail: 1 - phi_X = (1 - q) - psi with q = prod_j (1 - mu_j)^(k_j) the
+  chance that no summand is on, and |psi(u)| <= prod_j (1 - mu_j + mu_j
+  e_j(t0 c_j u))^(k_j) - q for the envelopes e_j, so beyond R the midpoint
+  is (1 - q) R^-p / p and the half-width that bound times R^-p / p;
+- R and the panel count: past MAX_SUM_PANELS panels, or for a law without
+  char_gap, the plan's route is "grid" and the caller takes its grid sum;
+  on the Fourier route the panels are halved only up to MAX_SUM_PANELS, so
+  that budget bounds the work of every sum it admits.
 """
 
 from __future__ import annotations
@@ -35,7 +70,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["MAX_PANELS", "FourierMoment", "abs_moment"]
+from .errors import DomainError
+from .result import ConstantResult
+
+__all__ = ["MAX_PANELS", "MAX_SUM_PANELS", "FourierMoment", "SumPlan", "Term", "abs_moment",
+           "cap_split_gap", "laplace_gap", "plan_sum", "stretch", "sum_abs_moment", "taylor_cos",
+           "taylor_exp", "taylor_laplace", "taylor_uniform", "uniform_envelope"]
 
 _EPS = sys.float_info.epsilon
 _RATIO = 1.25  # geometric panels [u, 1.25 u] up to width 1, unit panels beyond
@@ -43,6 +83,15 @@ _REFINE = 4  # halvings of every panel while the bound exceeds tol |value|
 MAX_PANELS = 1 << 17  # R is cut to keep within it, and the tail beyond R bounded
 _CHUNK = 8192  # panels evaluated at once
 _MAX_TAYLOR = 2048  # Taylor coefficients; a_n decays like t0^n / n! for a bounded law
+_REACHES = np.geomspace(2.0, 0.5 * MAX_PANELS, 600)  # the candidate R, 1.8 % apart
+# A sum needing more panels takes the caller's grid route, and the Fourier
+# route halves its panels only up to this many.  Measured with
+# tools/sum_routes.py on 30 rare uniforms and one unthinned one (p = 5):
+# at 6,865 panels the Fourier bound was 2.9e-6 relative against the grid's
+# 7.9e6, at 9,062 panels 7.5e-6 against 1.4e-7; ordering sums stay below 210.
+MAX_SUM_PANELS = 8192
+_GAP_ULPS = 64  # char_gap's relative error where its series serves, t <= char_cap()
+_GAP_ABS = 16  # and its absolute error beyond, where 1 - phi is of order 1
 
 
 class FourierMoment(NamedTuple):
@@ -50,6 +99,80 @@ class FourierMoment(NamedTuple):
     error_bound: float
     panels: int  # Gauss-Legendre panels on [1, R]
     reach: float  # R
+
+
+def taylor_exp(x: float, n: int) -> np.ndarray:
+    """x^i / i! for i = 0..n, by a running product: entry i within 2 i ulps."""
+    steps = np.empty(n + 1)
+    steps[0] = 1.0
+    steps[1:] = x / np.arange(1.0, n + 1)
+    return np.cumprod(steps)
+
+
+def taylor_cos(x: float, n: int) -> np.ndarray:
+    """x^(2i) / (2i)! for i = 0..n, by a running product: entry i within 3 i ulps."""
+    i = np.arange(1.0, n + 1)
+    steps = np.empty(n + 1)
+    steps[0] = 1.0
+    steps[1:] = x * x / ((2.0 * i - 1.0) * (2.0 * i))
+    return np.cumprod(steps)
+
+
+def taylor_uniform(x: float, n: int) -> tuple[np.ndarray, float]:
+    """E (xU)^(2i) / (2i)! = x^(2i) / (2i + 1)! for i = 0..n, U uniform on
+    [-1, 1], and their relative error bound."""
+    return taylor_cos(x, n) / np.arange(1.0, 2 * n + 2, 2), (3.0 * n + 1.0) * _EPS
+
+
+def taylor_laplace(x: float, n: int) -> tuple[np.ndarray, float]:
+    """E (xY)^(2i) / (2i)! = x^(2i) for i = 0..n, Y standard Laplace, and their
+    relative error bound."""
+    return x ** (2.0 * np.arange(n + 1)), (2.0 * n + 1.0) * _EPS
+
+
+def laplace_gap(rate: float, t) -> np.ndarray:
+    """1 - phi(t) = t^2 / (rate^2 + t^2) of the Laplace law of the rate."""
+    t2 = np.asarray(t, dtype=float) ** 2
+    return t2 / (rate * rate + t2)
+
+
+def uniform_envelope(width: float, t) -> np.ndarray:
+    """min(1, 1 / (width t)), a nonincreasing bound on |sin(width t) / (width t)|."""
+    with np.errstate(divide="ignore"):
+        return np.minimum(1.0, 1.0 / (width * np.asarray(t, dtype=float)))
+
+
+def stretch(p: float) -> float:
+    """How far past 1 / its support bound a bounded law's Taylor series is taken
+    at order p: its coefficients fall like (t b)^(2i) / (2i)!, and a unit near
+    p / 4 keeps E|X|^p of the order of C_p times the low terms (as cpoisson's
+    Fourier route does)."""
+    return max(1.0, 0.25 * p)
+
+
+def _series_gap(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_(i>=1) (-1)^(i+1) coefs[i] x^(2i), by Horner's rule from the last
+    coefficient: 1 - phi(s x) for the coefficients E (s V)^(2i) / (2i)! of a
+    law at scale s.  Where every coefficient is at most a quarter of the one
+    before and x <= 1, no step cancels, and the sum is within a few ulps."""
+    x2 = x * x
+    acc = np.full_like(x2, coefs[-1])
+    for c in coefs[-2:0:-1]:
+        acc = c - x2 * acc
+    return x2 * acc
+
+
+def cap_split_gap(law, t, closed: Callable) -> np.ndarray:
+    """1 - phi(t) of a law: 32 terms of its Taylor series at its cap where
+    |t| <= law.char_cap() (the coefficients there fall at least fourfold),
+    closed(|t|) beyond, where 1 - phi is of order 1."""
+    t = np.abs(np.asarray(t, dtype=float))
+    cap = law.char_cap()
+    near = t <= cap
+    out = np.empty_like(t)
+    out[near] = _series_gap(law.char_taylor(32, cap)[0], t[near] / cap)
+    out[~near] = closed(t[~near])
+    return out
 
 
 def _edges(reach: float, ratio: float, width: float) -> np.ndarray:
@@ -87,31 +210,46 @@ def _panel_integrals(gap, p: float, edges: np.ndarray):
     return fine, coarse, roundoff
 
 
-def abs_moment(p: float, gap: Callable, taylor, far: float, lower: float,
-               tol: float) -> FourierMoment:
+def _prefactor(p: float) -> tuple[int, float]:
+    """(k, C_p) for 2k < p < 2k + 2."""
+    k = int(p // 2)
+    near = min(p - 2 * k, 2 * k + 2 - p)
+    return k, 2.0 / math.pi * math.gamma(p + 1.0) * math.sin(0.5 * math.pi * near)
+
+
+def _reach(p: float, tail: Callable, lower: float, tol: float) -> float:
+    """The smallest candidate R whose tail half-width, times C_p, is at most
+    tol lower / 10; the largest candidate where none is."""
+    _, half = tail(_REACHES)
+    ok = np.flatnonzero(_prefactor(p)[1] * half <= 0.1 * tol * lower)
+    return float(_REACHES[ok[0] if ok.size else -1])
+
+
+def abs_moment(p: float, gap: Callable, taylor: Callable, tail: Callable, lower: float,
+               tol: float, max_panels: int = MAX_PANELS) -> FourierMoment:
     """E|X|^p of a symmetric X at non-even p > 0 from phi.
 
     gap(u) returns 1 - phi(u) and a bound on its evaluation error, both on an
-    array of u >= 1.  taylor(n) returns a_0..a_n, a_j = E X^(2j) / (2j)!; n
-    doubles until they reach the remainder.  far >= sup |1 - phi| (2 P(X != 0)
-    serves), and
-    lower <= E|X|^p sizes R so that the tail stays below tol lower / 10,
-    and at most MAX_PANELS / 2.  While the bound exceeds tol |value| and the
-    rules' gap is most of it, every panel is halved, up to _REFINE times and
-    MAX_PANELS panels.  So the work stays bounded at any tol, and the bound
-    exceeds tol |value| only where the tol cannot be met.
+    array of u >= 1.  taylor(n) returns a_0..a_n, a_j = E X^(2j) / (2j)!, and
+    a bound on their relative error; n doubles until they reach the
+    remainder.  tail(R), on an array of R, returns the midpoint and the
+    half-width of int_R^inf (1 - phi) u^(-p-1) du; the half-width must not
+    increase with R.  lower <= E|X|^p sizes R so that the tail stays below
+    tol lower / 10, and at most MAX_PANELS / 2.  While the bound exceeds
+    tol |value| and the rules' gap is most of it, every panel is halved, up
+    to _REFINE times and max_panels panels.  So the work stays bounded at any
+    tol, and the bound exceeds tol |value| only where the tol cannot be met
+    within max_panels.
     """
-    k = int(p // 2)
+    k, C = _prefactor(p)
     if 2 * k == p:
         raise ValueError(f"von Bahr's integral needs a non-even p, got {p!r}")
     sign = -1.0 if k % 2 == 0 else 1.0  # (-1)^(k+1)
-    near = min(p - 2 * k, 2 * k + 2 - p)
-    C = 2.0 / math.pi * math.gamma(p + 1.0) * math.sin(0.5 * math.pi * near)
     # [0, 1]: the Taylor remainder term by term, to the first J whose next
     # coefficient certifies what is left below tol lower / 100
     n = 2 * k + 16
     while True:
-        a = taylor(n)
+        a, rel = taylor(n)
         J = next((j for j in range(k + 1, n)
                   if C * a[j + 1] / (2 * j + 2 - p) <= 0.01 * tol * lower), None)
         if J is not None:
@@ -119,15 +257,15 @@ def abs_moment(p: float, gap: Callable, taylor, far: float, lower: float,
         if n >= _MAX_TAYLOR:
             raise ValueError(f"{n} Taylor coefficients do not reach the remainder")
         n *= 2
-    taylor_terms = [(-1.0) ** j * a[j] / (2 * j - p) for j in range(k + 1, J + 1)]
-    remainder = a[J + 1] / (2 * J + 2 - p)
-    # [1, inf): the polynomial part in closed form, and the midpoint of
-    # -far <= phi - 1 <= 0 beyond R
-    poly_terms = [-((-1.0) ** j) * a[j] / (p - 2 * j) for j in range(1, k + 1)]
-    reach = min(max(2.0, (5.0 * C * far / (p * tol * lower)) ** (1.0 / p)), 0.5 * MAX_PANELS)
-    tail = 0.5 * far * reach ** (-p) / p
-    closed = math.fsum(taylor_terms + poly_terms) - tail
-    absolute = math.fsum(map(abs, taylor_terms + poly_terms)) + tail
+    taylor_terms = [(-1.0) ** j * float(a[j]) / (2 * j - p) for j in range(k + 1, J + 1)]
+    remainder = float(a[J + 1]) / (2 * J + 2 - p)
+    # [1, inf): the polynomial part in closed form, and the caller's tail beyond R
+    poly_terms = [-((-1.0) ** j) * float(a[j]) / (p - 2 * j) for j in range(1, k + 1)]
+    reach = _reach(p, tail, lower, tol)
+    mid, half = (float(x[0]) for x in tail(np.array([reach])))
+    closed = math.fsum(taylor_terms + poly_terms) - mid
+    coefficients = math.fsum(map(abs, taylor_terms + poly_terms))
+    absolute = coefficients + mid
 
     width = 1.0
     ratio = _RATIO
@@ -137,10 +275,184 @@ def abs_moment(p: float, gap: Callable, taylor, far: float, lower: float,
         quad = math.fsum(fine.tolist())
         value = C * sign * (closed - quad)
         gap_term = C * float(np.abs(fine - coarse).sum())
-        err = gap_term + C * (remainder + tail + roundoff
+        err = gap_term + C * (remainder + half + roundoff + rel * coefficients
                               + 8.0 * _EPS * (absolute + float(np.abs(fine).sum())))
         if (err <= tol * abs(value) or 2.0 * gap_term <= err  # finer panels cannot help
-                or 2 * edges.size > MAX_PANELS):
+                or 2 * edges.size > max_panels):
             break
         width, ratio = 0.5 * width, math.sqrt(ratio)
     return FourierMoment(value, err, edges.size - 1, reach)
+
+
+# ---------------------------------------------------------------------------
+# sums of independent summands
+
+
+class Term(NamedTuple):
+    """c theta V, repeated count times, independently: law V, scale c and
+    activation P(theta = 1) = mu."""
+
+    law: object
+    scale: float = 1.0
+    activation: float = 1.0
+    count: int = 1
+
+
+class SumPlan(NamedTuple):
+    route: str  # "fourier", or "grid" for the caller's grid sum
+    p: float
+    terms: tuple  # the terms that can be nonzero
+    t0: float  # X = t0 S
+    spread: float  # sum_j k_j mu_j E|t0 c_j V_j|, how fast phi_X can move with u
+    lower: float  # a lower bound of E|X|^p
+    reach: float  # R, 0 where no quadrature runs
+    panels: int
+    tol: float
+
+
+def _series_power(f: np.ndarray, k: int, n: int) -> tuple[np.ndarray, int]:
+    """f^k truncated after w^n, by repeated squaring, and its convolutions."""
+    out, convolutions = None, 0
+    while True:
+        if k & 1:
+            out = f if out is None else np.convolve(out, f)[: n + 1]
+            convolutions += 1
+        k >>= 1
+        if not k:
+            return out, convolutions
+        f = np.convolve(f, f)[: n + 1]
+        convolutions += 1
+
+
+def _sum_taylor(terms: tuple, t0: float, n: int) -> tuple[np.ndarray, float]:
+    """a_0..a_n of phi_X, X = t0 S, and their relative error bound.
+
+    Every product that makes a_j holds at most j coefficients of the laws
+    (a factor's constant term is exactly 1), and a convolution of
+    nonnegative sequences adds at most j + 1 <= 2 j ulps to entry j: so a_j is
+    within j (law error + 2 ulps per convolution in the chain + 1 ulp for mu)."""
+    a = np.zeros(n + 1)
+    a[0] = 1.0
+    convolutions, law_rel = 0, 0.0
+    for term in terms:
+        coefs, rel = term.law.char_taylor(n, t0 * term.scale)
+        factor = term.activation * coefs
+        factor[0] = 1.0
+        power, used = _series_power(factor, term.count, n)
+        a = np.convolve(a, power)[: n + 1]
+        convolutions += used + 1
+        law_rel = max(law_rel, rel)
+    return a, n * (law_rel + (2.0 * convolutions + 1.0) * _EPS)
+
+
+def _sum_tail(p: float, terms: tuple, t0: float) -> Callable:
+    """tail(R) for abs_moment: (1 - q) R^-p / p, and the envelope bound on |psi|
+    times R^-p / p (see the module docstring)."""
+    certain = any(term.activation == 1.0 for term in terms)
+    log_q = math.fsum(term.count * math.log1p(-term.activation) for term in terms
+                      if term.activation < 1.0)
+    q = 0.0 if certain else math.exp(log_q)
+    one_minus_q = 1.0 if certain else -math.expm1(log_q)
+
+    def tail(reach):
+        reach = np.asarray(reach, dtype=float)
+        log_sum = np.zeros_like(reach)
+        with np.errstate(divide="ignore"):
+            for term in terms:
+                e = term.activation * term.law.char_envelope(t0 * term.scale * reach)
+                log_sum += term.count * (np.log(1.0 - term.activation + e) if certain
+                                         else np.log1p(e / (1.0 - term.activation)))
+        excess = np.exp(log_sum) if certain else q * np.expm1(log_sum)
+        base = reach ** -p / p
+        return one_minus_q * base, excess * base
+
+    return tail
+
+
+def _sum_gap(terms: tuple, t0: float, spread: float) -> Callable:
+    """gap(u) for abs_moment: 1 - phi_X as -expm1 of sum_j k_j log|1 - mu_j g_j|
+    (1 + |phi_X| where phi_X < 0), and its error bound: each g_j's error
+    (_GAP_ULPS, _GAP_ABS) and an ulp of mu_j g_j, weighed by
+    |d phi_X / d f_j| = k_j |phi_X / f_j| <= k_j; a few ulps of each log and of
+    expm1; and the arguments t0 c_j u, rounded by up to 4 ulps each in the
+    product and in the law, moving phi_X by at most 4 ulps of u spread."""
+
+    def gap(u):
+        log_abs = np.zeros_like(u)
+        negative = np.zeros(u.shape, dtype=bool)
+        parts = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for term in terms:
+                x = t0 * term.scale * u
+                g = term.law.char_gap(x)
+                mg = term.activation * g
+                # 1 - mg is exact for mg in [0.5, 2], and log1p is accurate below
+                lf = np.where(mg < 0.5, np.log1p(-mg), np.log(np.abs(1.0 - mg)))
+                log_abs += term.count * lf
+                if term.count % 2:
+                    negative ^= mg > 1.0
+                delta = _GAP_ULPS * _EPS * g + _GAP_ABS * _EPS * (x > term.law.char_cap())
+                parts.append((term.count, lf, term.activation * delta + _EPS * mg))
+            phi_abs = np.exp(log_abs)
+            one_minus = np.where(negative, 1.0 + phi_abs, -np.expm1(log_abs))
+            err = _EPS * (4.0 * one_minus + 8.0 * u * spread)  # expm1, or 1 + exp, and the nodes
+            for count, lf, df in parts:
+                weight = np.fmin(1.0, np.exp(log_abs - lf))  # |phi_X / f_j|, 1 where f_j = 0
+                err += count * (weight * df + 4.0 * _EPS * phi_abs * np.abs(lf))
+        return one_minus, err
+
+    return gap
+
+
+def plan_sum(p: float, terms, tol: float = 1e-9) -> SumPlan:
+    """The route, unit and reach of E|S|^p for S the sum of the terms, sized
+    before any quadrature (see the module docstring)."""
+    if not 2.0 < p <= 170.0:
+        raise DomainError(f"a Fourier sum needs 2 < p <= 170, got p = {p!r}")
+    live = tuple(term for term in terms
+                 if term.scale > 0.0 and term.activation > 0.0 and term.count > 0)
+    if any(getattr(term.law, "char_gap", None) is None for term in live):
+        return SumPlan("grid", p, live, 0.0, 0.0, 0.0, 0.0, 0, tol)
+    if not live:
+        return SumPlan("fourier", p, live, 1.0, 0.0, 0.0, 0.0, 0, tol)
+    var = math.fsum(term.count * term.activation * term.scale**2 * term.law.abs_moment(2.0)
+                    for term in live)
+    t0 = min([math.sqrt(0.25 * p / var)] + [term.law.char_cap(p) / term.scale for term in live])
+    k = int(p // 2)
+    # E|X|^p >= max(sum_j E|X_j|^p, (E X^(2k))^(p / 2k)) for independent symmetric X_j, p >= 2
+    single = math.fsum(term.count * term.activation * term.law.abs_moment(p)
+                       * (t0 * term.scale) ** p for term in live)
+    lower = max(single, (float(_sum_taylor(live, t0, k)[0][k]) * math.factorial(2 * k))
+                ** (p / (2 * k)))
+    spread = t0 * math.fsum(term.count * term.activation * term.scale * term.law.abs_moment(1.0)
+                            for term in live)
+    if 2 * k == p:
+        return SumPlan("fourier", p, live, t0, spread, lower, 0.0, 0, tol)
+    reach = _reach(p, _sum_tail(p, live, t0), lower, tol)
+    panels = _edges(reach, _RATIO, 1.0).size - 1
+    route = "fourier" if panels <= MAX_SUM_PANELS else "grid"
+    return SumPlan(route, p, live, t0, spread, lower, reach, panels, tol)
+
+
+def sum_abs_moment(plan: SumPlan) -> ConstantResult:
+    """E|S|^p on a plan whose route is "fourier": (2k)! a_k at even p = 2k,
+    von Bahr's integral over phi_X otherwise, scaled back by t0^-p."""
+    p, terms, t0 = plan.p, plan.terms, plan.t0
+    diag = {"n": sum(term.count for term in terms), "p": p}
+    if not terms:
+        return ConstantResult(0.0, "sum_fourier", 0.0, diag)
+    k = int(p // 2)
+    taylor = functools.partial(_sum_taylor, terms, t0)
+    if 2 * k == p:
+        a, rel = taylor(k)
+        value = float(a[k]) * math.factorial(2 * k)
+        err = (rel + 2.0 * _EPS) * value
+    else:
+        res = abs_moment(p, _sum_gap(terms, t0, plan.spread), taylor, _sum_tail(p, terms, t0),
+                         plan.lower, plan.tol, MAX_SUM_PANELS)
+        value, err = res.value, res.error_bound
+        diag.update({"fourier_panels": res.panels, "fourier_reach": res.reach / t0})
+    scale = t0 ** -p
+    diag["t0"] = t0
+    return ConstantResult(value * scale, "sum_fourier",
+                          err * scale + 4.0 * _EPS * abs(value * scale), diag)

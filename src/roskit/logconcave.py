@@ -12,17 +12,20 @@ Matching a (second, p-th) moment pair to a family member is one monotone
 one-dimensional solve (_match) along a path (t, a) -> member that pins the
 second moment; limits (uniform, exponential, two-point) are handled by
 tags, never by feeding infinities into formulas.  Every law here answers
-pdf, cdf, abs_moment, atoms and support_halfwidth, the calls verify uses.
+pdf, cdf, abs_moment, atoms and support_halfwidth, the calls verify uses,
+and the closed-form characteristic function the Fourier route for sums
+takes (fourier.plan_sum): char_gap, char_taylor, char_envelope and char_cap.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import fourier, specfun
 from .errors import DomainError, FeasibilityError
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
 _BOUNDARY_RTOL = 1e-12
 # ln(1e16): an exponential tail falls below 1e-16 of its peak this many rates out
 _DECAY = 16.0 * math.log(10.0)
+_EPS = sys.float_info.epsilon
 
 
 def _offset_exp_integral(r: float, offset: float, rate: float) -> float:
@@ -59,6 +63,32 @@ def _offset_exp_integral(r: float, offset: float, rate: float) -> float:
     x = offset * rate
     log_j = specfun.log_upper_gamma_exp_scaled(r + 1.0, x) - (r + 1.0) * math.log(rate)
     return math.exp(log_j)
+
+
+def _offset_exp_taylor(n: int, offset: float, rate: float) -> tuple[np.ndarray, float]:
+    """E (offset + Y)^(2i) / (2i)! for i = 0..n, Y exponential of the rate:
+    sum_m offset^m / m! rate^-(2i - m), a convolution of nonnegative terms,
+    and its relative error bound."""
+    powers = np.cumprod(np.full(2 * n + 1, 1.0 / rate))
+    powers = np.concatenate(([1.0], powers[:-1]))  # rate^-l, l = 0..2n
+    out = np.convolve(fourier.taylor_exp(offset, 2 * n), powers)[: 2 * n + 1 : 2]
+    return out, (8.0 * n + 4.0) * _EPS
+
+
+def _kummer_tail(n: int, kappa: float) -> tuple[np.ndarray, float]:
+    """e^-kappa M(1, 2i + 2, kappa) = sum_l e^-kappa kappa^l / (2i + 2)_l for
+    i = 0..n, each term a running product of ratios below 1 once l > 2 kappa,
+    and their relative error bound; kappa <= _KUMMER_MAX keeps e^-kappa normal.
+    kappa (2i + 1)! P(2i + 1, kappa) / kappa^(2i + 1) is this, so that
+    E[Y^(2i); Y < c] / (2i)! = kappa c^(2i) / (2i + 1)! times it for Y
+    exponential of rate kappa / c."""
+    terms = int(2.0 * kappa + 10.0 * math.sqrt(kappa)) + 60  # the ratios reach 2^-60
+    ratios = kappa / (2.0 * np.arange(n + 1)[:, None] + 2.0 + np.arange(terms - 1.0))
+    steps = np.concatenate((np.full((n + 1, 1), math.exp(-kappa)), ratios), axis=1)
+    return np.cumprod(steps, axis=1).sum(axis=1), (3.0 * terms + 4.0) * _EPS
+
+
+_KUMMER_MAX = 700.0
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +158,47 @@ class PlateauExpDensity:
 
     def support_halfwidth(self) -> float:
         return self.alpha if self.limit == "uniform" else self.alpha + _DECAY / self.gamma
+
+    def char_cap(self, p: float = 4.0) -> float:
+        # the plateau's width, and the poles of phi at +-i gamma
+        if self.limit == "exponential":
+            return 0.5 * self.gamma
+        # gamma = inf for the uniform limit
+        return min(fourier.stretch(p) / self.alpha, 0.5 * self.gamma)
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """E (sX)^(2i) / (2i)!: |X| is uniform on [0, alpha] with probability
+        alpha gamma / (alpha gamma + 1), else alpha plus an exponential of rate
+        gamma."""
+        uniform, uniform_rel = fourier.taylor_uniform(s * self.alpha, n)
+        if self.limit == "uniform":
+            return uniform, uniform_rel
+        tail, rel = _offset_exp_taylor(n, s * self.alpha, self.gamma / s)
+        w = self.alpha * self.gamma
+        return (w * uniform + tail) / (w + 1.0), max(rel, uniform_rel) + 4.0 * _EPS
+
+    def char_gap(self, t) -> np.ndarray:
+        """1 - phi(t), phi = 2c [sin(alpha t) / t + (gamma cos(alpha t) - t sin(alpha t))
+        / (gamma^2 + t^2)] with 2c = 1 / (alpha + 1 / gamma)."""
+        a, g = self.alpha, self.gamma
+        if self.limit == "exponential":
+            return fourier.laplace_gap(g, t)
+        if self.limit == "uniform":
+            return fourier.cap_split_gap(self, t, lambda t: 1.0 - np.sin(a * t) / (a * t))
+        return fourier.cap_split_gap(self, t, lambda t: 1.0 - g / (a * g + 1.0) * (
+            np.sin(a * t) / t + (g * np.cos(a * t) - t * np.sin(a * t)) / (g * g + t * t)))
+
+    def char_envelope(self, t) -> np.ndarray:
+        """|phi(t)| <= 2c (1 / t + 1 / sqrt(gamma^2 + t^2)), gamma^2 / (gamma^2 + t^2)
+        for the exponential and 1 / (alpha t) for the uniform limit."""
+        t = np.asarray(t, dtype=float)
+        a, g = self.alpha, self.gamma
+        if self.limit == "exponential":
+            return g * g / (g * g + t * t)
+        if self.limit == "uniform":
+            return fourier.uniform_envelope(a, t)
+        with np.errstate(divide="ignore"):
+            return np.minimum(1.0, g / (a * g + 1.0) * (1.0 / t + 1.0 / np.hypot(g, t)))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         signs = rng.integers(0, 2, size=n) * 2 - 1
@@ -220,6 +291,53 @@ class TruncatedExpDensity:
     def support_halfwidth(self) -> float:
         return _DECAY / self.gamma if self.limit == "exponential" else self.alpha
 
+    @property
+    def _char_limit(self) -> str:
+        # past _KUMMER_MAX the cut tail e^-kappa is below every rounding
+        return "exponential" if self.alpha * self.gamma > _KUMMER_MAX else self.limit
+
+    def char_cap(self, p: float = 4.0) -> float:
+        # bounded by alpha, and below half the rate its coefficients fall fourfold
+        if self._char_limit == "uniform":
+            return fourier.stretch(p) / self.alpha
+        if self._char_limit == "exponential":
+            return 0.5 * self.gamma
+        return max(fourier.stretch(p) / self.alpha, 0.5 * self.gamma)
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """E (sX)^(2i) / (2i)! = (s / gamma)^(2i) P(2i + 1, kappa) / (1 - e^-kappa),
+        kappa = alpha gamma, through _kummer_tail."""
+        if self._char_limit == "exponential":
+            return fourier.taylor_laplace(s / self.gamma, n)
+        uniform, uniform_rel = fourier.taylor_uniform(s * self.alpha, n)
+        if self.limit == "uniform":
+            return uniform, uniform_rel
+        kappa = self.alpha * self.gamma
+        kummer, rel = _kummer_tail(n, kappa)
+        return kappa / -math.expm1(-kappa) * uniform * kummer, rel + uniform_rel + 3.0 * _EPS
+
+    def char_gap(self, t) -> np.ndarray:
+        """1 - phi(t), phi = gamma [gamma - e^-kappa (gamma cos(alpha t) - t sin(alpha t))]
+        / ((1 - e^-kappa)(gamma^2 + t^2))."""
+        a, g = self.alpha, self.gamma
+        if self._char_limit == "exponential":
+            return fourier.laplace_gap(g, t)
+        if self.limit == "uniform":
+            return fourier.cap_split_gap(self, t, lambda t: 1.0 - np.sin(a * t) / (a * t))
+        m = math.exp(-a * g)
+        return fourier.cap_split_gap(self, t, lambda t: 1.0 - g * (
+            g - m * (g * np.cos(a * t) - t * np.sin(a * t))) / ((1.0 - m) * (g * g + t * t)))
+
+    def char_envelope(self, t) -> np.ndarray:
+        """|phi(t)| <= [gamma^2 + gamma e^-kappa sqrt(gamma^2 + t^2)]
+        / ((1 - e^-kappa)(gamma^2 + t^2)), and 1 / (alpha t) for the uniform limit."""
+        t = np.asarray(t, dtype=float)
+        a, g = self.alpha, self.gamma
+        if self.limit == "uniform":
+            return fourier.uniform_envelope(a, t)
+        m = 0.0 if self.limit == "exponential" else math.exp(-a * g)
+        return np.minimum(1.0, g * (g + m * np.hypot(g, t)) / ((1.0 - m) * (g * g + t * t)))
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         signs = rng.integers(0, 2, size=n) * 2 - 1
         u = rng.random(n)
@@ -289,6 +407,38 @@ class TailLawMinus:
         if self.limit == "two_point":
             return self.offset
         return self.offset + (_DECAY + 4.0) / self.rate
+
+    def char_cap(self, p: float = 4.0) -> float:
+        # the offset, and the poles of phi at +-i rate
+        if self.limit == "exponential":
+            return 0.5 * self.rate
+        # rate = inf for the two-point limit
+        return min(fourier.stretch(p) / self.offset, 0.5 * self.rate)
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """E (sX)^(2i) / (2i)! for |X| = offset plus an exponential of the rate."""
+        if self.limit == "two_point":
+            return fourier.taylor_cos(s * self.offset, n), 3.0 * n * _EPS
+        return _offset_exp_taylor(n, s * self.offset, self.rate / s)
+
+    def char_gap(self, t) -> np.ndarray:
+        """1 - phi(t), phi = rate (rate cos(offset t) - t sin(offset t)) / (rate^2 + t^2),
+        cos(offset t) for the two-point law."""
+        t = np.asarray(t, dtype=float)
+        r, o = self.rate, self.offset
+        if self.limit == "two_point":
+            return 2.0 * np.sin(0.5 * o * t) ** 2
+        if self.limit == "exponential":
+            return fourier.laplace_gap(r, t)
+        return fourier.cap_split_gap(self, t, lambda t: 1.0 - r * (
+            r * np.cos(o * t) - t * np.sin(o * t)) / (r * r + t * t))
+
+    def char_envelope(self, t) -> np.ndarray:
+        """|phi(t)| <= rate / sqrt(rate^2 + t^2); 1 for the two-point law."""
+        t = np.asarray(t, dtype=float)
+        if self.limit == "two_point":
+            return np.ones_like(t)
+        return self.rate / np.hypot(self.rate, t)
 
     def pdf(self, x: float) -> float:
         """Density of the continuous part of the signed law."""
@@ -376,6 +526,55 @@ class TailLawPlus:
 
     def support_halfwidth(self) -> float:
         return _DECAY / self.rate if self.limit == "exponential" else self.cutoff
+
+    @property
+    def _char_limit(self) -> str:
+        # past _KUMMER_MAX the atom e^-kappa is below every rounding
+        return "exponential" if self.rate * self.cutoff > _KUMMER_MAX else self.limit
+
+    def char_cap(self, p: float = 4.0) -> float:
+        # bounded by the cutoff, and below half the rate its coefficients fall fourfold
+        if self._char_limit == "two_point":
+            return fourier.stretch(p) / self.cutoff
+        if self._char_limit == "exponential":
+            return 0.5 * self.rate
+        return max(fourier.stretch(p) / self.cutoff, 0.5 * self.rate)
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """E (sX)^(2i) / (2i)! = (s / rate)^(2i) P(2i + 1, kappa) + m (s c)^(2i) / (2i)!,
+        kappa = rate * cutoff c and m = e^-kappa the atom, through _kummer_tail."""
+        if self._char_limit == "exponential":
+            return fourier.taylor_laplace(s / self.rate, n)
+        atom = fourier.taylor_cos(s * self.cutoff, n)
+        if self.limit == "two_point":
+            return atom, 3.0 * n * _EPS
+        kappa = self.rate * self.cutoff
+        kummer, rel = _kummer_tail(n, kappa)
+        uniform, uniform_rel = fourier.taylor_uniform(s * self.cutoff, n)
+        return kappa * uniform * kummer + math.exp(-kappa) * atom, rel + uniform_rel + 3.0 * _EPS
+
+    def char_gap(self, t) -> np.ndarray:
+        """1 - phi(t), phi = rate (rate - m (rate cos(ct) - t sin(ct))) / (rate^2 + t^2)
+        + m cos(ct) for the cutoff c and the atom m; the atom's part of 1 - phi is
+        2 m sin^2(ct / 2)."""
+        t = np.asarray(t, dtype=float)
+        r, c = self.rate, self.cutoff
+        if self.limit == "two_point":
+            return 2.0 * np.sin(0.5 * c * t) ** 2
+        if self._char_limit == "exponential":
+            return fourier.laplace_gap(r, t)
+        m = self.atom_mass()
+        return fourier.cap_split_gap(self, t, lambda t: (
+            (1.0 - m) + 2.0 * m * np.sin(0.5 * c * t) ** 2
+            - r * (r - m * (r * np.cos(c * t) - t * np.sin(c * t))) / (r * r + t * t)))
+
+    def char_envelope(self, t) -> np.ndarray:
+        """|phi(t)| <= rate^2 / (rate^2 + t^2) + m rate / sqrt(rate^2 + t^2) + m."""
+        t = np.asarray(t, dtype=float)
+        if self.limit == "two_point":
+            return np.ones_like(t)
+        r, m = self.rate, self.atom_mass()
+        return np.minimum(1.0, r * r / (r * r + t * t) + m * r / np.hypot(r, t) + m)
 
     def pdf(self, x: float) -> float:
         """Density of the continuous part of the signed law."""

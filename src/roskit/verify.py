@@ -1,9 +1,13 @@
 """Independent numerical oracles and property checks.
 
 Everything here double-checks a closed-form claim through a different
-route: sum moments of grid densities and of search candidates on the
-gridconv spectral kernel (one product of the summands' characteristic
-vectors per grid step), randomized search over feasible tuples against the
+route: the sum moments of the ordering checks (sum_moment: von Bahr's
+integral over phi^n on the Fourier route, fourier.plan_sum and
+sum_abs_moment, and n-fold grid densities on the gridconv spectral kernel
+where the plan's route is "grid": a law without char_gap, or a sum past
+fourier.MAX_SUM_PANELS panels), the moments of search candidates on the
+spectral kernel (one product of the summands' characteristic vectors per
+grid step), randomized search over feasible tuples against the
 theorem-side suprema, sign-change counting for density differences,
 convexity and determinant checks for the auxiliary functions, and the
 compound Poisson domination of finite sums.
@@ -12,12 +16,14 @@ compound Poisson domination of finite sums.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
-from . import basedist, constants, cpoisson, discrete, gridconv, logconcave, specfun
+from . import basedist, constants, cpoisson, discrete, fourier, gridconv, logconcave, specfun
 from .errors import DomainError, GridTooSmallError, InputError, InvalidComparisonError
 from .result import ConstantResult
 
@@ -39,10 +45,15 @@ __all__ = [
     "check_interlacing",
     "check_logconcave_ordering",
     "check_tail_ordering",
+    "OrderingReport",
+    "ordering_report",
+    "sum_moment",
     "check_easy_lower_bound",
     "atomic_law",
 ]
 
+
+_EPS = sys.float_info.epsilon
 
 # ---------------------------------------------------------------------------
 # sources (closed-form symmetric log-concave densities that are not members)
@@ -59,6 +70,22 @@ class GaussianSource:
 
     def abs_moment(self, r: float) -> float:
         return specfun.gaussian_abs_moment(r)
+
+    def char_gap(self, t) -> np.ndarray:
+        """1 - exp(-t^2 / 2)."""
+        t = np.asarray(t, dtype=float)
+        return -np.expm1(-0.5 * t * t)
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """E (sZ)^(2i) / (2i)! = (s^2 / 2)^i / i!."""
+        return fourier.taylor_exp(0.5 * s * s, n), (2.0 * n + 2.0) * _EPS
+
+    def char_envelope(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.exp(-0.5 * t * t)
+
+    def char_cap(self, p: float = 4.0) -> float:
+        return math.inf  # phi is entire, and its coefficients fall like 1 / i!
 
     def atoms(self) -> dict:
         return {}
@@ -83,15 +110,35 @@ class LogisticSource:
         return 1.0 / (1.0 + np.exp(-x / self.scale))
 
     def abs_moment(self, r: float) -> float:
-        from scipy import integrate  # here, not at the top: `import roskit` need not load it
+        """E|X|^r = 2 s^r Gamma(r + 1) (1 - 2^(1 - r)) zeta(r), and 2 s ln 2 at r = 1."""
+        if r == 0.0:
+            return 1.0
+        if r == 1.0:
+            return 2.0 * self.scale * math.log(2.0)
+        eta = -math.expm1((1.0 - r) * math.log(2.0)) * float(special.zeta(r))
+        return 2.0 * math.exp(math.lgamma(r + 1.0) + r * math.log(self.scale)) * eta
 
-        val, _ = integrate.quad(
-            lambda x: 2.0 * x**r * self.pdf(x),
-            0.0,
-            self.support_halfwidth(),
-            limit=400,
-        )
-        return val
+    def char_gap(self, t) -> np.ndarray:
+        """1 - y / sinh(y), y = pi s t: the Taylor series up to char_cap(), and
+        1 - 2 y e^-y / (1 - e^-2y) beyond."""
+        return fourier.cap_split_gap(self, t, lambda t: 1.0 - self.char_envelope(t))
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """E (sX)^(2i) / (2i)! = 2 (s scale)^(2i) (1 - 2^(1 - 2i)) zeta(2i), i >= 1."""
+        i = np.arange(1.0, n + 1)
+        powers = np.cumprod(np.full(n, (s * self.scale) ** 2))
+        eta = -np.expm1((1.0 - 2.0 * i) * math.log(2.0)) * special.zeta(2.0 * i)
+        return np.concatenate(([1.0], 2.0 * powers * eta)), (n + 8.0) * _EPS
+
+    def char_envelope(self, t) -> np.ndarray:
+        """|phi(t)| = y / sinh(y), y = pi s t, nonincreasing."""
+        y = math.pi * self.scale * np.abs(np.asarray(t, dtype=float))
+        with np.errstate(invalid="ignore"):
+            out = 2.0 * y * np.exp(-y) / -np.expm1(-2.0 * y)
+        return np.where(y > 0.0, out, 1.0)
+
+    def char_cap(self, p: float = 4.0) -> float:
+        return 0.5 / self.scale  # half the distance to the poles of phi at +-i / s
 
     def atoms(self) -> dict:
         return {}
@@ -134,6 +181,17 @@ class GridDensity:
         return float(self.values.sum() * self.step) + math.fsum(
             m for _, m in self.atom_list
         )
+
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
+        """CDF of the continuous part, linear within each cell."""
+        edges = self.lower + self.step * np.arange(self.values.size + 1)
+        return np.interp(x, edges, np.concatenate(([0.0], np.cumsum(self.values * self.step))))
+
+    def atoms(self) -> dict:
+        return dict(self.atom_list)
+
+    def support_halfwidth(self) -> float:
+        return self.upper
 
     def to_mass_law(self) -> gridconv.GridLaw:
         return gridconv.GridLaw(
@@ -594,17 +652,51 @@ def check_interlacing(source, member, z: float, p: float, tol: float = 1e-9):
     return holds, lhs, rhs
 
 
-def _check_ordering(n: int, source, p: float, n_cells: int, tol: float, match_minus, match_plus):
+class OrderingReport(NamedTuple):
+    holds: bool
+    values: tuple  # (minus, source, plus) sum moments
+    combined_error: float  # the sum of their error bounds
+    method: str  # the routes of the three sums, each named once, joined by "+"
+
+
+# the route of a sum of n copies of a law, by the plan's choice
+_SUM_ROUTES = {
+    "fourier": lambda plan, law, n, n_cells: fourier.sum_abs_moment(plan),
+    "grid": lambda plan, law, n, n_cells: nfold_moment([grid_density(law, n_cells)] * n,
+                                                       plan.p, plan.tol),
+}
+
+# ordering family -> (minus matcher, plus matcher)
+_ORDERING_FAMILIES = {
+    "density": (logconcave.match_density_minus, logconcave.match_density_plus),
+    "tail": (lambda target: logconcave.match_tail(target, "minus"),
+             lambda target: logconcave.match_tail(target, "plus")),
+}
+
+
+def sum_moment(law, n: int, p: float, tol: float = 1e-9, n_cells: int = 8192) -> ConstantResult:
+    """E|X_1 + ... + X_n|^p for n independent copies of law: the Fourier route
+    (fourier.sum_abs_moment) where plan_sum takes it, else nfold_moment over
+    grid densities of n_cells cells."""
+    plan = fourier.plan_sum(p, [fourier.Term(law, count=n)], tol)
+    return _SUM_ROUTES[plan.route](plan, law, n, n_cells)
+
+
+def ordering_report(n: int, source, p: float, family: str = "density", n_cells: int = 8192,
+                    tol: float = 1e-9) -> OrderingReport:
+    """E|sum minus|^p <= E|sum source|^p <= E|sum plus|^p for n copies of the
+    source and of the members of the family ("density" or "tail") matched to
+    its second and p-th moments, each sum by sum_moment."""
     a = math.sqrt(source.abs_moment(2.0))
     b = source.abs_moment(p) ** (1.0 / p)
     target = logconcave.MatchTarget(p, a, b)
-    res_m, res_s, res_p = (
-        nfold_moment([grid_density(law, n_cells)] * n, p, tol)
-        for law in (match_minus(target), source, match_plus(target))
-    )
+    match_minus, match_plus = _ORDERING_FAMILIES[family]
+    res_m, res_s, res_p = (sum_moment(law, n, p, tol, n_cells)
+                           for law in (match_minus(target), source, match_plus(target)))
     err = res_m.error_bound + res_s.error_bound + res_p.error_bound
     holds = (res_m.value <= res_s.value + err) and (res_s.value <= res_p.value + err)
-    return holds, (res_m.value, res_s.value, res_p.value), err
+    method = "+".join(dict.fromkeys(res.method for res in (res_m, res_s, res_p)))
+    return OrderingReport(holds, (res_m.value, res_s.value, res_p.value), err, method)
 
 
 def check_logconcave_ordering(
@@ -614,18 +706,11 @@ def check_logconcave_ordering(
     E|sum minus|^p <= E|sum source|^p <= E|sum plus|^p.
 
     Returns (holds, (v_minus, v_source, v_plus), combined_error)."""
-    return _check_ordering(
-        n, source, p, n_cells, tol,
-        logconcave.match_density_minus, logconcave.match_density_plus,
-    )
+    return ordering_report(n, source, p, "density", n_cells, tol)[:3]
 
 
 def check_tail_ordering(
     n: int, source, p: float, n_cells: int = 8192, tol: float = 1e-9
 ):
     """Same bracketing with the log-concave-tail families (atom-aware)."""
-    return _check_ordering(
-        n, source, p, n_cells, tol,
-        lambda target: logconcave.match_tail(target, "minus"),
-        lambda target: logconcave.match_tail(target, "plus"),
-    )
+    return ordering_report(n, source, p, "tail", n_cells, tol)[:3]

@@ -190,6 +190,16 @@ class TestSupCommand:
         assert rec["value"] == pytest.approx(1e-10**q, rel=1e-14)
         assert rec["error_bound"] <= 1e-6 * rec["value"]
 
+    def test_overflowing_prefactor_one_jump_limit(self):
+        # lambda = 2.27e-308 is a normal float, but the prefactor B^p / (lambda
+        # E|V|^p) overflows: the one-jump limit, as at A = 1.0e-77
+        res = run_cli("sup", "--p", "4", "--V", "uniform:w=1", "--A", "1.06e-77", "--B", "1")
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert sys.float_info.min <= rec["lambda"] < 1e-307
+        assert rec["method"] == "mixture_sup/one_jump_limit"
+        assert abs(rec["value"] - 1.0) <= rec["error_bound"] <= 1e-13
+
     def test_subnormal_intensity_has_no_extremal_tuple(self):
         res = run_cli("extremal", "--p", "5", "--V", "uniform:w=1", "--A", "3.16e-105",
                       "--B", "1e-10")
@@ -343,18 +353,24 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
     def test_ordering_many_summands(self, suite):
-        # 200 summands: the step coarsens so the sum fits the grid budget; the
-        # combined error there is wider than the gaps, so only the run is checked
+        # 200 summands on the Fourier route: the sum's own standard deviation
+        # sets the unit, so the combined error stays far below the gaps (the
+        # tail-ordering source is the minus member itself: only the plus gap)
         t0 = time.perf_counter()
         res = run_cli("verify", suite, "--p", "5", "--n", "200")
         assert time.perf_counter() - t0 < 10.0
         assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["method"] == "sum_fourier"
+        assert rec["combined_error"] < rec["plus"] - rec["source"]
+        if suite == "ordering":
+            assert rec["combined_error"] < rec["source"] - rec["minus"]
 
     @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
     def test_ordering_separates_on_coarsened_step(self, suite):
-        # 32 summands of 16384 cells: the step is coarsened twofold, and the
-        # combined error stays below the gaps (the tail-ordering source is
-        # the minus member itself, so there only the plus gap is strict)
+        # 32 summands: the combined error stays below the gaps (the
+        # tail-ordering source is the minus member itself, so there only the
+        # plus gap is strict)
         rec = parse_json_lines(run_cli("verify", suite, "--p", "5", "--n", "32").output)[0]
         assert rec["holds"]
         assert rec["combined_error"] < rec["plus"] - rec["source"]
@@ -362,13 +378,16 @@ class TestVerifyCommand:
             assert rec["combined_error"] < rec["source"] - rec["minus"]
 
     @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
-    def test_ordering_cap_exit_2(self, suite):
-        # 1000 summands of 16384 cells pass MAX_GRID_CELLS before any grid is built
+    def test_ordering_thousands_of_summands(self, suite):
+        # 5000 summands, past any grid that would hold their sum, on the
+        # Fourier route: the Taylor depth does not grow with the count
         t0 = time.perf_counter()
-        res = run_cli("verify", suite, "--p", "5", "--n", "1000")
-        assert time.perf_counter() - t0 < 1.0
-        assert res.exit_code == 2
-        assert "MAX_GRID_CELLS = 8388608" in json.loads(res.stderr)["message"]
+        res = run_cli("verify", suite, "--p", "5", "--n", "5000")
+        assert time.perf_counter() - t0 < 5.0
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["holds"] and rec["method"] == "sum_fourier"
+        assert rec["combined_error"] < rec["plus"] - rec["source"]
 
     def test_search_enumeration_cap_exit_2(self):
         # an atomic base law makes every candidate an exact enumeration

@@ -330,14 +330,17 @@ class TestMixtureIndividual:
         want = (1.0 - mu) ** k * 1.5**p + k * mu * (1.0 - mu) ** (k - 1) * one_on
         assert abs(res.value - want) <= res.error_bound
 
-    def test_thirty_equal_thinned_summands_one_grid_sum(self):
-        # activations near 4e-7 stay above the noise floor: thirty equal
-        # summands enter one grid sum as phi^30
+    def test_thirty_equal_thinned_summands_one_fourier_sum(self):
+        # activations near 4e-7: thirty equal summands enter the Fourier
+        # route's product once, as phi^30, and the grid agrees within both bounds
         budget = ct.MomentBudget.per_pair(5.0, [0.01] * 30, [1.0] * 30)
         t0 = time.perf_counter()
         res = ct.mixture_individual_sup(5.0, bd.uniform(1.0), budget)
         assert time.perf_counter() - t0 < 5.0
-        assert res.method == "grid"
+        assert res.method == "fourier"
+        assert res.error_bound <= 1e-9 * res.value
+        grid = ct.mixture_individual_sup(5.0, bd.uniform(1.0), budget, mode="grid")
+        assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
 
     def test_monte_carlo_bound_covers_rare_summand(self):
         # trial 2 of search_sup_U(3.0, uniform(1), 0.7, 1.0, n_max=6, trials=30,

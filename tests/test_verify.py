@@ -10,7 +10,7 @@ from roskit import constants as ct
 from roskit import logconcave as lc
 from roskit import specfun
 from roskit import verify as vf
-from roskit.errors import DomainError, GridTooSmallError, InvalidComparisonError
+from roskit.errors import DomainError, GridTooSmallError, InputError, InvalidComparisonError
 
 GAUSS = vf.GaussianSource()
 RAD_LAW = vf.atomic_law(bd.rademacher())
@@ -79,6 +79,15 @@ class TestNfoldMoment:
         with pytest.raises(GridTooSmallError):
             # a grid cut inside the support fails at construction
             vf.GridDensity(-1.0, 1.0, 2.0 / 64, np.full(64, 0.4))
+
+    def test_grid_fallback_refuses_past_cell_cap(self):
+        # a GridDensity has no char_gap, so sum_moment takes the n-fold grid, and
+        # 1000 copies of 16,384 cells span more than MAX_GRID_CELLS
+        law = vf.grid_density(GAUSS, 16384)
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="MAX_GRID_CELLS = 8388608"):
+            vf.sum_moment(law, 1000, 5.0, n_cells=16384)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("scale", [0.7405, 1.0718, 1.8661])
     def test_logistic_p8_within_bound(self, scale):

@@ -19,10 +19,11 @@ sums, exact atomic routes (for compound Poisson sums the reference route
 ``atoms_exact``, by name where a commit has ``cpoisson._abs_moment``), the
 spectral grid for compound Poisson sums
 (through ``cpoisson._grid_abs_moment``, the second route, where a commit has
-it) and k-fold powers, the individual-budget grid and
-enumeration routes, the four Monte Carlo estimators, a hash of compound
+it) and k-fold powers, the individual-budget Fourier, grid and
+enumeration routes (thirty thinned uniforms among them), the four Monte Carlo estimators, a hash of compound
 Poisson draws), the randomized search, n-fold sums of grid densities, both
-ordering checks, and the stdout of the seven CLI invocations of acceptance
+ordering checks (the density ordering also at 2, 32 and 200 summands on
+16,384 cells), and the stdout of the seven CLI invocations of acceptance
 criterion 10.  The grid sums include summands whose scales differ 35-fold
 (individual budgets) and by four orders of magnitude (search seed 6), and
 compound Poisson sums of about 1,000 and 2,000 jumps (lambda = 1000 and
@@ -47,6 +48,9 @@ for the ordering checks) and an ``error_bound``, or the search's ``best_value`` 
 carries them in its ``value`` and ``error_bound`` columns.  A line whose
 text differs only in its compound Poisson route tags (``cp_series/NAME``,
 ``per_k_method``) is judged the same way, and its report names the move.
+The same holds for an individual-budget line whose ``method`` moved between
+``grid`` and ``fourier`` (those lines print ``Routed``, the value, method tag
+and bound without the diagnostics, which differ between the two routes).
 For each differing line it prints the relative change of its values ("value
 unchanged" where only bounds or diagnostics moved), apart from the largest
 relative change among its other numbers, and how far each moved value went,
@@ -102,6 +106,9 @@ TRIPLE = [
     (1.1414238828695873, 0.22959026010806696),
 ]
 Ordering = namedtuple("Ordering", "holds value error_bound")
+# what a call returns less its diagnostics, for the calls whose route (and so
+# whose diagnostics) moved by design: individual budgets on continuous laws
+Routed = namedtuple("Routed", "value method error_bound")
 BASES = {
     "rademacher": bd.rademacher(),
     "uniform": bd.uniform(1.0),
@@ -119,6 +126,11 @@ def show(label, fn, *args, **kwargs):
     except RoskitError as exc:
         out = exc
     print(f"{label}: {out!r}", flush=True)
+
+
+def routed(fn, *args, **kwargs):
+    res = fn(*args, **kwargs)
+    return Routed(res.value, res.method, res.error_bound)
 
 
 def routes():
@@ -196,13 +208,21 @@ def routes():
          rng=np.random.default_rng(7), n_samples=20_000)
     wide = ct.MomentBudget.per_pair(5.0, [1.0, 0.7], [1.6, 1.4])
     for name, V in BASES.items():
-        show(f"individual auto {name}", ct.mixture_individual_sup, 5.0, V, wide, tol=1e-6)
+        if V.is_atomic:
+            show(f"individual auto {name}", ct.mixture_individual_sup, 5.0, V, wide, tol=1e-6)
+        else:
+            show(f"individual auto {name}", routed, ct.mixture_individual_sup, 5.0, V, wide,
+                 tol=1e-6)
         show(f"individual monte_carlo {name}", ct.mixture_individual_sup, 5.0, V, wide,
              mode="monte_carlo", rng=np.random.default_rng(8), n_samples=20_000)
     # two summands whose scales differ 35-fold share one grid
     apart = ct.MomentBudget.per_pair(5.0, [1.0, 0.01], [1.6, 0.03])
     show("individual grid uniform scale ratio 35", ct.mixture_individual_sup, 5.0,
          BASES["uniform"], apart, mode="grid", tol=1e-6)
+    # thirty thinned uniforms of activation near 4e-7 (a = 0.01, b = 1)
+    thirty = ct.MomentBudget.per_pair(5.0, [0.01] * 30, [1.0] * 30)
+    show("individual auto uniform 30 thinned budgets", routed, ct.mixture_individual_sup, 5.0,
+         BASES["uniform"], thirty)
     for name in ("rademacher", "gaussian"):
         show(f"witness {name}", ct.witness_construction, 3.0, BASES[name], 1.0, 1.0, 500, 0.9,
              rng=np.random.default_rng(9), n_samples=20_000)
@@ -218,6 +238,9 @@ def routes():
          [vf.grid_density(vf.LogisticSource(1.0718), 16384)] * 4, 8.0)
     show("check_logconcave_ordering", lambda: Ordering(*vf.check_logconcave_ordering(
         2, vf.GaussianSource(), 5.0, n_cells=2048)))
+    for n in (2, 32, 200):
+        show(f"check_logconcave_ordering n={n} cells 16384", lambda n=n: Ordering(
+            *vf.check_logconcave_ordering(n, vf.GaussianSource(), 5.0, n_cells=16384)))
     show("check_tail_ordering", lambda: Ordering(*vf.check_tail_ordering(
         2, vf.LogisticSource(0.8), 5.0, n_cells=2048)))
     three = [{c: m / 2.0, -c: m / 2.0, 0.0: 1.0 - m} for c, m in TRIPLE]
@@ -247,8 +270,10 @@ def cli():
         sys.stdout.flush()
 
 
-# a compound Poisson route tag: cp_series/NAME, or the per_k_method entry
-ROUTE = re.compile(r"(?<=cp_series/)\w+|(?<=per_k_method': ')\w+|(?<=per_k_method\": \")\w+")
+# a route tag: compound Poisson's cp_series/NAME or per_k_method entry, or the
+# grid and Fourier routes of individual budgets
+ROUTE = re.compile(r"(?<=cp_series/)\w+|(?<=per_k_method': ')\w+|(?<=per_k_method\": \")\w+"
+                   r"|(?<=method=')(?:grid|fourier)(?=')")
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)(?![\w.])")
 # value / error_bound, and the search's best_ and theorem_ pairs, as repr fields or JSON keys
 PREFIX = r"(?<![\w\"])(\"?)(best_|theorem_|)"
