@@ -150,7 +150,10 @@ class BaseDistribution:
         t2 = t[near] ** 2
         terms = [(-1.0) ** (j + 1) * abs_moment(self, 2.0 * j) / math.factorial(2 * j) * t2**j
                  for j in range(12, 0, -1)]  # smallest first: 12 terms reach 1e-24 at |t| b = 1
-        out[near] = np.sum(terms, axis=0)
+        series = terms[0]
+        for term in terms[1:]:  # in order, in place: np.sum's additions over the stacked
+            series += term      # terms, without stacking them
+        out[near] = series
         return out
 
     def abs_moment(self, r: float) -> float:

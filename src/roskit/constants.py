@@ -342,11 +342,11 @@ def mixture_individual_sup(
 
     Attained by Bernoulli-thinned scaled copies of V meeting both budgets
     with equality (for random signs the three-point laws of utev_3point_sup).
-    Evaluated by exact enumeration (atomic V), von Bahr's integral over the
-    product of the summands' characteristic functions (fourier.plan_sum and
-    sum_abs_moment, continuous V) or, where that plan needs more than
-    fourier.MAX_SUM_PANELS panels (rare summands), the spectral grid sum; or
-    by Monte Carlo.  Mode "auto" takes the plan's route; "grid" forces the grid.
+    Evaluated by exact enumeration (atomic V), by _thinned_sum_moment on 8,192
+    grid cells (continuous V: von Bahr's integral over the product of the
+    summands' characteristic functions, or the spectral grid sum where that
+    plan needs more than fourier.MAX_SUM_PANELS panels), or by Monte Carlo.
+    Mode "auto" takes the plan's route; "grid" forces the grid.
     """
     if p < 4.0:
         raise DomainError("per-summand budgets require p >= 4")
@@ -367,17 +367,15 @@ def mixture_individual_sup(
     n = len(scales)
     diag = {"n": n, "scales": scales, "activations": activations, "V": V.kind}
 
-    if mode == "auto" and not V.is_atomic:
-        groups = Counter(zip(scales, activations))
-        plan = fourier.plan_sum(p, [fourier.Term(V, c, mu, k) for (c, mu), k in groups.items()],
-                                tol)
-        if plan.route == "fourier":
-            res = fourier.sum_abs_moment(plan)
-            diag.update({key: res.diagnostics[key]
-                         for key in ("fourier_panels", "fourier_reach", "t0")
-                         if key in res.diagnostics})
-            return ConstantResult(res.value, "fourier", res.error_bound, diag)
-        mode = "grid"
+    if mode == "grid" or (mode == "auto" and not V.is_atomic):
+        route = _thinned_grid_result if mode == "grid" else _thinned_sum_moment
+        res = route(p, V, scales, activations, tol, 8192)
+        diag.update({key: res.diagnostics[key]
+                     for key in ("fourier_panels", "fourier_reach", "t0", "n_cells")
+                     if key in res.diagnostics})
+        # this function tags the Fourier route "fourier"
+        method = "fourier" if res.method == "sum_fourier" else res.method
+        return ConstantResult(res.value, method, res.error_bound, diag)
     if mode == "auto":
         mode = "exact_enum"
 
@@ -390,12 +388,6 @@ def mixture_individual_sup(
             )
         value, err, diag["support"] = _thinned_enum_moment(p, V, scales, activations, 2_000_000)
         return ConstantResult(value, "exact_enum", err, diag)
-
-    if mode == "grid":
-        fine, coarse, cert = _thinned_grid_moment(p, V, scales, activations, 8192, tol)
-        err = 3.0 * abs(fine - coarse) + cert + 1e-13 * abs(fine)
-        diag["n_cells"] = 8192
-        return ConstantResult(fine, "grid", err, diag)
 
     if mode == "monte_carlo":
         value, err = _thinned_mc_moment(p, V, scales, activations, rng, n_samples)
@@ -451,6 +443,34 @@ def _thinned_grid_moment(p: float, V: BaseDistribution, scales, activations, n_c
         total[2] += 0.5 * math.fsum(groups[c, mu] * mu for c, mu in rare) ** 2 * (
             (norm + 2.0 * max(rare)[0]) ** p * basedist.abs_moment(V, p))
     return tuple(float(x) for x in total)
+
+
+def _thinned_grid_result(p: float, V: BaseDistribution, scales, activations, tol: float,
+                         n_cells: int) -> ConstantResult:
+    """_thinned_grid_moment's fine value, with 3 x the coarse/fine gap and its
+    certified terms as the bound."""
+    fine, coarse, cert = _thinned_grid_moment(p, V, scales, activations, n_cells, tol)
+    return ConstantResult(fine, "grid", 3.0 * abs(fine - coarse) + cert + 1e-13 * abs(fine),
+                          {"n_cells": n_cells})
+
+
+# the route of a thinned sum, by its plan's choice
+_THINNED_ROUTES = {
+    "fourier": lambda plan, *args: fourier.sum_abs_moment(plan),
+    "grid": lambda plan, *args: _thinned_grid_result(*args),
+}
+
+
+def _thinned_sum_moment(p: float, V: BaseDistribution, scales, activations, tol: float,
+                        n_cells: int) -> ConstantResult:
+    """E|sum_j c_j theta_j V_j|^p for continuous V: the equal (c_j, mu_j) grouped
+    into fourier.Term counts, and von Bahr's integral over the product of their
+    characteristic functions (method sum_fourier) where fourier.plan_sum takes
+    that route, else the spectral grid sum on n_cells cells (method grid)."""
+    groups = Counter(zip(scales, activations))
+    plan = fourier.plan_sum(p, [fourier.Term(V, c, mu, k) for (c, mu), k in groups.items()],
+                            tol)
+    return _THINNED_ROUTES[plan.route](plan, p, V, scales, activations, tol, n_cells)
 
 
 @dataclass(frozen=True)

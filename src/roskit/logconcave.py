@@ -56,10 +56,16 @@ def _offset_exp_integral(r: float, offset: float, rate: float) -> float:
     """J = integral_0^inf (offset + u)^r exp(-rate u) du, for offset > 0 and r > -1."""
     if float(r).is_integer() and r >= 0:
         r_int = int(r)
-        return math.fsum(
-            math.comb(r_int, k) * offset ** (r_int - k) * math.factorial(k) / rate ** (k + 1)
-            for k in range(r_int + 1)
-        )
+        try:
+            return math.fsum(
+                math.comb(r_int, k) * offset ** (r_int - k) * math.factorial(k) / rate ** (k + 1)
+                for k in range(r_int + 1)
+            )
+        except OverflowError:  # a power past the float range: the same sum in logs
+            logs = [math.lgamma(r + 1.0) - math.lgamma(r - k + 1.0) + (r - k) * math.log(offset)
+                    - (k + 1.0) * math.log(rate) for k in range(r_int + 1)]
+            top = max(logs)
+            return math.exp(top) * math.fsum(math.exp(x - top) for x in logs)
     x = offset * rate
     log_j = specfun.log_upper_gamma_exp_scaled(r + 1.0, x) - (r + 1.0) * math.log(rate)
     return math.exp(log_j)
@@ -75,20 +81,25 @@ def _offset_exp_taylor(n: int, offset: float, rate: float) -> tuple[np.ndarray, 
     return out, (8.0 * n + 4.0) * _EPS
 
 
-def _kummer_tail(n: int, kappa: float) -> tuple[np.ndarray, float]:
-    """e^-kappa M(1, 2i + 2, kappa) = sum_l e^-kappa kappa^l / (2i + 2)_l for
-    i = 0..n, each term a running product of ratios below 1 once l > 2 kappa,
+def _kummer(b: np.ndarray, kappa: float) -> tuple[np.ndarray, float]:
+    """e^-kappa M(1, b, kappa) = sum_l e^-kappa kappa^l / (b)_l for an array of
+    b >= 1, each term a running product of ratios below 1 once l > 2 kappa,
     and their relative error bound; kappa <= _KUMMER_MAX keeps e^-kappa normal.
-    kappa (2i + 1)! P(2i + 1, kappa) / kappa^(2i + 1) is this, so that
-    E[Y^(2i); Y < c] / (2i)! = kappa c^(2i) / (2i + 1)! times it for Y
-    exponential of rate kappa / c."""
+    At b = r + 2 it gives E[Y^r; Y < c] = kappa c^r e^-kappa M(1, r + 2, kappa)
+    / (r + 1) for Y exponential of rate kappa / c (the lower incomplete gamma
+    gamma(s, kappa) = kappa^s e^-kappa M(1, s + 1, kappa) / s)."""
     terms = int(2.0 * kappa + 10.0 * math.sqrt(kappa)) + 60  # the ratios reach 2^-60
-    ratios = kappa / (2.0 * np.arange(n + 1)[:, None] + 2.0 + np.arange(terms - 1.0))
-    steps = np.concatenate((np.full((n + 1, 1), math.exp(-kappa)), ratios), axis=1)
+    ratios = kappa / (np.asarray(b, dtype=float)[:, None] + np.arange(terms - 1.0))
+    steps = np.concatenate((np.full((ratios.shape[0], 1), math.exp(-kappa)), ratios), axis=1)
     return np.cumprod(steps, axis=1).sum(axis=1), (3.0 * terms + 4.0) * _EPS
 
 
 _KUMMER_MAX = 700.0
+# past this log of Gamma(s) / rate^r, the truncated-exponential and tail-plus
+# moments are taken as c^r e^-kappa M(1, ., kappa), in logs: that power passes
+# the float range from about 709 on, where the regularised gamma beside it
+# underflows
+_LOG_SAFE = 600.0
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +292,12 @@ class TruncatedExpDensity:
         if self.limit == "exponential":
             return math.exp(math.lgamma(r + 1.0) - r * math.log(self.gamma))
         kappa = self.alpha * self.gamma
-        p_reg = specfun.reg_lower_inc_gamma(r + 1.0, kappa)
         log_val = math.lgamma(r + 1.0) - r * math.log(self.gamma)
+        if log_val > _LOG_SAFE and kappa <= _KUMMER_MAX:
+            kummer = float(_kummer(np.array([r + 2.0]), kappa)[0][0])
+            return math.exp(r * math.log(self.alpha) + math.log(kappa * kummer / (r + 1.0))
+                            - math.log(-math.expm1(-kappa)))
+        p_reg = specfun.reg_lower_inc_gamma(r + 1.0, kappa)
         return math.exp(log_val) * p_reg / (1.0 - math.exp(-kappa))
 
     def atoms(self) -> dict:
@@ -306,14 +321,14 @@ class TruncatedExpDensity:
 
     def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
         """E (sX)^(2i) / (2i)! = (s / gamma)^(2i) P(2i + 1, kappa) / (1 - e^-kappa),
-        kappa = alpha gamma, through _kummer_tail."""
+        kappa = alpha gamma, through _kummer at b = 2i + 2."""
         if self._char_limit == "exponential":
             return fourier.taylor_laplace(s / self.gamma, n)
         uniform, uniform_rel = fourier.taylor_uniform(s * self.alpha, n)
         if self.limit == "uniform":
             return uniform, uniform_rel
         kappa = self.alpha * self.gamma
-        kummer, rel = _kummer_tail(n, kappa)
+        kummer, rel = _kummer(2.0 * np.arange(n + 1) + 2.0, kappa)
         return kappa / -math.expm1(-kappa) * uniform * kummer, rel + uniform_rel + 3.0 * _EPS
 
     def char_gap(self, t) -> np.ndarray:
@@ -508,8 +523,14 @@ class TailLawPlus:
             return self.cutoff**r
         if self.limit == "exponential":
             return math.exp(math.lgamma(r + 1.0) - r * math.log(self.rate))
-        p_reg = specfun.reg_lower_inc_gamma(r, self.rate * self.cutoff)
-        return r * math.exp(math.lgamma(r) - r * math.log(self.rate)) * p_reg
+        kappa = self.rate * self.cutoff
+        log_val = math.lgamma(r) - r * math.log(self.rate)
+        if log_val > _LOG_SAFE and kappa <= _KUMMER_MAX:
+            # r gamma(r, kappa) = kappa^r e^-kappa M(1, r + 1, kappa)
+            kummer = float(_kummer(np.array([r + 1.0]), kappa)[0][0])
+            return math.exp(r * math.log(self.cutoff) + math.log(kummer))
+        p_reg = specfun.reg_lower_inc_gamma(r, kappa)
+        return r * math.exp(log_val) * p_reg
 
     def atom_mass(self) -> float:
         if self.limit == "two_point":
@@ -542,14 +563,14 @@ class TailLawPlus:
 
     def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
         """E (sX)^(2i) / (2i)! = (s / rate)^(2i) P(2i + 1, kappa) + m (s c)^(2i) / (2i)!,
-        kappa = rate * cutoff c and m = e^-kappa the atom, through _kummer_tail."""
+        kappa = rate * cutoff c and m = e^-kappa the atom, through _kummer at b = 2i + 2."""
         if self._char_limit == "exponential":
             return fourier.taylor_laplace(s / self.rate, n)
         atom = fourier.taylor_cos(s * self.cutoff, n)
         if self.limit == "two_point":
             return atom, 3.0 * n * _EPS
         kappa = self.rate * self.cutoff
-        kummer, rel = _kummer_tail(n, kappa)
+        kummer, rel = _kummer(2.0 * np.arange(n + 1) + 2.0, kappa)
         uniform, uniform_rel = fourier.taylor_uniform(s * self.cutoff, n)
         return kappa * uniform * kummer + math.exp(-kappa) * atom, rel + uniform_rel + 3.0 * _EPS
 

@@ -5,18 +5,19 @@ route: the sum moments of the ordering checks (sum_moment: von Bahr's
 integral over phi^n on the Fourier route, fourier.plan_sum and
 sum_abs_moment, and n-fold grid densities on the gridconv spectral kernel
 where the plan's route is "grid": a law without char_gap, or a sum past
-fourier.MAX_SUM_PANELS panels), the moments of search candidates on the
-spectral kernel (one product of the summands' characteristic vectors per
-grid step), randomized search over feasible tuples against the
-theorem-side suprema, sign-change counting for density differences,
-convexity and determinant checks for the auxiliary functions, and the
-compound Poisson domination of finite sums.
+fourier.MAX_SUM_PANELS panels), the moments of search candidates
+(continuous ones on the Fourier route, with the spectral grid past the
+panel budget; atomic ones by exact enumeration), randomized search over
+feasible tuples against the theorem-side suprema, sign-change counting
+for density differences, convexity and determinant checks for the
+auxiliary functions, and the compound Poisson domination of finite sums.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -305,12 +306,15 @@ class SearchReport:
 
 def _candidate_moment(
     p: float, V: basedist.BaseDistribution, scales, activations, tol: float
-):
-    """E|sum c_j theta_j V_j|^p for a thinned-scaled candidate tuple."""
+) -> ConstantResult:
+    """E|sum c_j theta_j V_j|^p for a thinned-scaled candidate tuple: exact
+    enumeration for atomic V (method exact_enum), else constants._thinned_sum_moment,
+    the Fourier route (sum_fourier) or, past fourier.MAX_SUM_PANELS panels, the
+    spectral grid on 2,048 cells (grid)."""
     if V.is_atomic:
-        return constants._thinned_enum_moment(p, V, scales, activations, 1_000_000)[:2]
-    value, coarse, certified = constants._thinned_grid_moment(p, V, scales, activations, 2048, tol)
-    return value, abs(value - coarse) + certified + 1e-12 * abs(value)
+        value, err, _ = constants._thinned_enum_moment(p, V, scales, activations, 1_000_000)
+        return ConstantResult(value, "exact_enum", err)
+    return constants._thinned_sum_moment(p, V, scales, activations, tol, 2048)
 
 
 def _solve_candidate(p, V, A, B, shares_2, shares_p):
@@ -338,6 +342,20 @@ def _solve_candidate(p, V, A, B, shares_2, shares_p):
     return scales, activations
 
 
+def _candidates(p, V, A, B, n_max: int, trials: int, seed: int):
+    """(trial, scales, activations) of every search candidate: the random
+    allocations of trials 0..trials-1, then the equal splits (trial -1)."""
+    children = np.random.SeedSequence(seed).spawn(trials)
+    shares = []
+    for trial in range(trials):
+        rng = np.random.default_rng(children[trial])
+        n = int(rng.integers(1, n_max + 1))
+        shares.append((trial, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))))
+    shares += [(-1, np.full(n, 1.0 / n), np.full(n, 1.0 / n)) for n in range(1, n_max + 1)]
+    for trial, shares_2, shares_p in shares:
+        yield (trial, *_solve_candidate(p, V, A, B, shares_2, shares_p))
+
+
 def search_sup_U(
     p: float,
     V: basedist.BaseDistribution,
@@ -352,27 +370,24 @@ def search_sup_U(
 
     Candidates are tuples of scaled Bernoulli-thinned copies of V (the
     shape of the extremisers), with both budget rows allocated by random
-    Dirichlet shares and enforced exactly.  The report records the best
-    value found, the theorem value, and equal-split diagnostics; the
-    invariant best <= theorem * (1 + 1e-6) is the oracle.
+    Dirichlet shares and enforced exactly.  Each candidate's moment is
+    _candidate_moment's: continuous candidates take the Fourier route and
+    fall back to the grid past the panel budget, and atomic ones are
+    enumerated exactly.  The report records the best value found and its
+    method, the theorem value, equal-split diagnostics and the count of
+    candidates per method (details["routes"]); the invariant
+    best <= theorem * (1 + 1e-6) is the oracle.
     """
     theorem = constants.mixture_sup(p, V, A, B, tol=1e-9)
-    rng_master = np.random.SeedSequence(seed)
-    children = rng_master.spawn(trials)
     best_value = best_error = -math.inf
     best_config: dict = {}
     violations = 0
-    # the random allocations, then the equal splits (reported as trial -1)
-    candidates = []
-    for trial in range(trials):
-        rng = np.random.default_rng(children[trial])
-        n = int(rng.integers(1, n_max + 1))
-        candidates.append((trial, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))))
-    candidates += [(-1, np.full(n, 1.0 / n), np.full(n, 1.0 / n)) for n in range(1, n_max + 1)]
     iid_values = []
-    for trial, shares_2, shares_p in candidates:
-        scales, activations = _solve_candidate(p, V, A, B, shares_2, shares_p)
-        value, err = _candidate_moment(p, V, scales, activations, tol)
+    routes: Counter = Counter()
+    for trial, scales, activations in _candidates(p, V, A, B, n_max, trials, seed):
+        res = _candidate_moment(p, V, scales, activations, tol)
+        value, err = res.value, res.error_bound
+        routes[res.method] += 1
         if trial < 0:
             iid_values.append(value)
         elif value - err > theorem.value * (1.0 + 1e-6) + theorem.error_bound:
@@ -384,6 +399,7 @@ def search_sup_U(
                 "scales": list(scales),
                 "activations": list(activations),
                 "trial": trial,
+                "method": res.method,
             }
     gap = (theorem.value - best_value) / theorem.value
     return SearchReport(
@@ -398,6 +414,7 @@ def search_sup_U(
         details={
             "violations": violations,
             "iid_values": iid_values,
+            "routes": dict(sorted(routes.items())),
             "n_max": n_max,
             "p": p,
             "V": basedist.format_base_spec(V),

@@ -389,6 +389,28 @@ class TestVerifyCommand:
         assert rec["holds"] and rec["method"] == "sum_fourier"
         assert rec["combined_error"] < rec["plus"] - rec["source"]
 
+    @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
+    def test_ordering_at_p_50(self, suite):
+        # matching at p = 50 evaluates the families' moments where Gamma(r + 1) /
+        # rate^r passes the float range: an answer, not an OverflowError
+        res = run_cli("verify", suite, "--p", "50", "--n", "2")
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["holds"] and rec["method"] == "sum_fourier"
+        assert rec["combined_error"] < rec["plus"] - rec["source"]
+        if suite == "ordering":
+            # two standard Gaussians: E|Z_1 + Z_2|^50 = 2^25 E|Z|^50
+            exact = 2.0**25 * math.exp(25.0 * math.log(2.0) + math.lgamma(25.5)) / math.sqrt(math.pi)
+            assert abs(rec["source"] - exact) <= rec["combined_error"]
+            assert rec["combined_error"] < rec["source"] - rec["minus"]
+
+    def test_search_records_routes(self):
+        rec = parse_json_lines(run_cli("verify", "search", "--p", "3", "--V", "uniform:w=1",
+                                       "--A", "0.7", "--n", "6", "--trials", "30",
+                                       "--seed", "6").output)[0]
+        assert rec["detail_routes"] == {"grid": 1, "sum_fourier": 35}
+        assert rec["best_config"]["method"] == "sum_fourier"
+
     def test_search_enumeration_cap_exit_2(self):
         # an atomic base law makes every candidate an exact enumeration
         t0 = time.perf_counter()

@@ -3,6 +3,7 @@ sum_abs_moment) against references that share nothing with it: the uniform
 antiderivative oracle, exact even moments from the laws' own closed-form
 moments, the log-convexity bracket between them, and the grid sum."""
 
+import collections
 import itertools
 import math
 import sys
@@ -423,3 +424,26 @@ def test_panel_budget_at_the_measured_crossover():
     grid = ct.mixture_individual_sup(5.0, UNIFORM, budget, mode="grid")
     assert res.error_bound < 1e-5 * res.value < grid.error_bound
     assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
+
+
+# ---------------------------------------------------------------------------
+# search candidates: thinned uniforms whose scales differ by up to four orders
+# of magnitude at p = 3 (search seed 6), on both routes of one entry
+
+
+@pytest.mark.parametrize("p", [3.0, 5.0])
+@pytest.mark.parametrize("seed", [0, 6])
+def test_search_candidates_against_oracle(p, seed):
+    routes = set()
+    for _, scales, activations in vf._candidates(p, UNIFORM, 0.7, 1.0, 6, 30, seed):
+        res = vf._candidate_moment(p, UNIFORM, scales, activations, 1e-6)
+        want = thinned_uniform_oracle(p, scales, activations)
+        assert abs(res.value - want) <= res.error_bound
+        groups = collections.Counter(zip(scales, activations))
+        plan = fourier.plan_sum(p, [Term(UNIFORM, c, mu, k) for (c, mu), k in groups.items()],
+                                1e-6)
+        assert (res.method == "grid") == (plan.panels > fourier.MAX_SUM_PANELS)
+        routes.add(res.method)
+    assert "sum_fourier" in routes
+    if p == 3.0:  # the wide-ratio hazard: some candidates need the grid
+        assert "grid" in routes

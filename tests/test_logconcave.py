@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -130,6 +131,54 @@ class TestTailMoments:
         assert plus.survival(0.0) == 1.0
         assert plus.survival(2.0) == 0.0
         assert plus.atom_mass() == pytest.approx(math.exp(-2.0), rel=1e-14)
+
+
+def _truncated_exponential_mp(r, alpha, gamma):
+    with mpmath.workdps(50):
+        kappa = mpmath.mpf(alpha) * gamma
+        return float(mpmath.gammainc(r + 1, 0, kappa) / mpmath.mpf(gamma) ** r
+                     / -mpmath.expm1(-kappa))
+
+
+def _tail_plus_mp(r, rate, cutoff):
+    with mpmath.workdps(50):
+        return float(r * mpmath.gammainc(r, 0, mpmath.mpf(rate) * cutoff) / mpmath.mpf(rate) ** r)
+
+
+class TestMomentsPastTheFloatRange:
+    # at large r, near the ends of the matchers' root brackets, Gamma(r + 1) /
+    # rate^r passes the float range while the regularised gamma beside it
+    # underflows: these moments come from their log-space forms
+
+    @pytest.mark.parametrize("alpha,gamma", [(1.7, 1e-6), (5e4, 1e-5), (3.0, 2e-4)])
+    def test_truncated_exponential(self, alpha, gamma):
+        assert lc.TruncatedExpDensity(alpha, gamma).abs_moment(50.0) == pytest.approx(
+            _truncated_exponential_mp(50.0, alpha, gamma), rel=1e-12)
+
+    @pytest.mark.parametrize("rate,cutoff", [(1e-6, 2.0), (1e-5, 4e4), (1e-4, 3.0)])
+    def test_tail_plus(self, rate, cutoff):
+        assert lc.TailLawPlus(rate, cutoff).abs_moment(50.0) == pytest.approx(
+            _tail_plus_mp(50.0, rate, cutoff), rel=1e-12)
+
+    @pytest.mark.parametrize("r,offset,rate", [(60.0, 1.0, 1e7), (40.0, 3.0, 1e8), (59.0, 0.5, 1e6)])
+    def test_offset_exponential_integral(self, r, offset, rate):
+        # rate^(k + 1) passes the float range in the binomial sum
+        with mpmath.workdps(50):
+            x = mpmath.mpf(offset) * rate
+            want = mpmath.exp(x) * mpmath.gammainc(r + 1, x) / mpmath.mpf(rate) ** (r + 1)
+        assert lc._offset_exp_integral(r, offset, rate) == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("side", [1.0 + 1e-9, 1.0 - 1e-9])
+    def test_both_sides_of_the_switch(self, side):
+        # log Gamma(r + 1) / gamma^r and log Gamma(r) / rate^r just below and
+        # just above _LOG_SAFE, at kappa = 2
+        r = 40.0
+        gamma = side * math.exp((math.lgamma(r + 1.0) - lc._LOG_SAFE) / r)
+        assert lc.TruncatedExpDensity(2.0 / gamma, gamma).abs_moment(r) == pytest.approx(
+            _truncated_exponential_mp(r, 2.0 / gamma, gamma), rel=1e-12)
+        rate = side * math.exp((math.lgamma(r) - lc._LOG_SAFE) / r)
+        assert lc.TailLawPlus(rate, 2.0 / rate).abs_moment(r) == pytest.approx(
+            _tail_plus_mp(r, rate, 2.0 / rate), rel=1e-12)
 
 
 # golden interior members, frozen from a dense-scan + bisection oracle on

@@ -145,6 +145,27 @@ class TestSearch:
         assert rep.details["violations"] == 0
         assert rep.best_value <= rep.theorem_value * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("V,p,routes", [
+        (bd.uniform(1.0), 5.0, {"sum_fourier": 26}),
+        (bd.uniform(1.0), 3.0, {"sum_fourier": 26}),
+        (bd.rademacher(), 5.0, {"exact_enum": 26}),
+    ])
+    def test_routes_counted(self, V, p, routes):
+        # every candidate counted once, under the method that evaluated it
+        rep = vf.search_sup_U(p, V, 1.0, 1.0, n_max=6, trials=20, seed=3)
+        assert rep.details["routes"] == routes
+        assert rep.best_config["method"] in routes
+
+    def test_past_the_panel_budget_takes_the_grid(self):
+        # trial 2 of search seed 6 at p = 3: scales 3.5e4 apart, 65,539 panels
+        _, scales, activations = list(vf._candidates(3.0, bd.uniform(1.0), 0.7, 1.0, 6, 30, 6))[2]
+        res = vf._candidate_moment(3.0, bd.uniform(1.0), scales, activations, 1e-6)
+        assert res.method == "grid" and res.diagnostics["n_cells"] == 2048
+        fine, coarse, cert = ct._thinned_grid_moment(3.0, bd.uniform(1.0), scales, activations,
+                                                     2048, 1e-6)
+        assert res.value == fine
+        assert res.error_bound == 3.0 * abs(fine - coarse) + cert + 1e-13 * abs(fine)
+
     def test_replay_deterministic(self):
         a = vf.search_sup_U(5.0, bd.rademacher(), 1.0, 1.0, 4, 30, seed=11)
         b = vf.search_sup_U(5.0, bd.rademacher(), 1.0, 1.0, 4, 30, seed=11)

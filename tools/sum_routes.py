@@ -10,14 +10,23 @@ verify.nfold_moment on 8,192 cells for equal copies of a family member).
 The sums span the panel counts that occur: scale ratios up to 1,000, tail
 laws with an atom near mass 1 (ordering sums stay below about 210 panels),
 and thirty rare uniforms beside one unthinned one, whose plans reach tens
-of thousands of panels.  The script imports roskit from the ``src``
-directory next to it:
+of thousands of panels.
+
+With ``--search`` it prints the same columns for every candidate of
+verify.search_sup_U on the uniform law at p = 3 (A = 0.7, B = 1, n_max = 6,
+30 trials, tol 1e-6) for search seeds 0 and 6, whose summand scales differ
+by up to four orders of magnitude: the grid column is the 2,048-cell grid
+that verify._candidate_moment falls back to, and the route column the one
+the candidate takes.  The script imports roskit from the ``src`` directory
+next to it:
 
     python tools/sum_routes.py
+    python tools/sum_routes.py --search
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import sys
 import time
@@ -38,8 +47,8 @@ def _timed(f):
     return out, time.perf_counter() - start
 
 
-def _row(name, terms, grid):
-    plan = fourier.plan_sum(P, terms, TOL)
+def _row(name, terms, grid, p=P, tol=TOL):
+    plan = fourier.plan_sum(p, terms, tol)
     res, f_time = _timed(lambda: fourier.sum_abs_moment(plan._replace(route="fourier")))
     (g_value, g_bound), g_time = _timed(grid)
     print(f"{name:34s} panels {plan.panels:6d} route {plan.route:7s}"
@@ -47,15 +56,15 @@ def _row(name, terms, grid):
           f" | grid {1e3 * g_time:7.1f} ms bound {g_bound / g_value:8.1e}", flush=True)
 
 
-def individual(name, scales, activations):
+def individual(name, scales, activations, p=P, tol=TOL, n_cells=8192):
     V = basedist.uniform(1.0)
     terms = [fourier.Term(V, c, mu, k) for (c, mu), k in Counter(zip(scales, activations)).items()]
 
     def grid():
-        fine, coarse, cert = constants._thinned_grid_moment(P, V, scales, activations, 8192, TOL)
-        return fine, 3.0 * abs(fine - coarse) + cert + 1e-13 * abs(fine)
+        res = constants._thinned_grid_result(p, V, scales, activations, tol, n_cells)
+        return res.value, res.error_bound
 
-    _row(name, terms, grid)
+    _row(name, terms, grid, p, tol)
 
 
 def copies(name, law, n):
@@ -79,5 +88,20 @@ def main():
         individual(f"30 rare (a = {a:g}) and one", diag["scales"], diag["activations"])
 
 
+def search():
+    for seed in (0, 6):
+        for trial, scales, activations in verify._candidates(3.0, basedist.uniform(1.0), 0.7, 1.0,
+                                                             6, 30, seed):
+            live = [c for c, mu in zip(scales, activations) if c > 0.0 and mu > 0.0]
+            individual(f"seed {seed} trial {trial:2d} n {len(live)} ratio {max(live) / min(live):7.3g}",
+                       scales, activations, 3.0, 1e-6, 2048)
+
+
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--search", action="store_true",
+                        help="search candidates at p = 3, search seeds 0 and 6")
+    if parser.parse_args().search:
+        search()
+    else:
+        main()
