@@ -9,9 +9,10 @@ all moments exact, and each has a closed-form real characteristic
 function (char_fn; char_gap is 1 - phi to full relative accuracy).
 
 k-fold sum moments E|V~_1 + ... + V~_k|^p come from closed forms, exact
-atomic convolution powers, the gridconv spectral kernel with phi^k in
-place of the compound Poisson exp(lambda (phi - 1)), or the 3-sigma Monte
-Carlo mean (mc_abs_moment) that every Monte Carlo route shares.
+atomic convolution powers, or the gridconv spectral kernel with phi^k in
+place of the compound Poisson exp(lambda (phi - 1)).  The samplers and the
+3-sigma Monte Carlo mean (mc_abs_moment) serve the near-extremal witness of
+constants.witness_construction.
 """
 
 from __future__ import annotations
@@ -191,9 +192,15 @@ class BaseDistribution:
     def char_cap(self, p: float = 4.0) -> float:
         """The largest t at which the Fourier sum route takes the Taylor series of
         phi at order p: max(1, p / 4) / the support bound (at the default p = 4,
-        where char_gap's series ends), inf for the Gaussian."""
+        where char_gap's series ends), and 2 sqrt(max(1, p / 4)) for the
+        Gaussian.  Its Taylor terms (t^2 / 2)^i / i! peak near exp(t^2 / 2), so
+        their alternating sum loses about exp(p / 2) of its relative accuracy at
+        that cap, where a cap linear in p would lose exp(p^2 / 8); and the unit
+        sqrt(p / 4) / sqrt(n) of n i.i.d. unit Gaussians stays below it."""
         bound = self.support_bound()
-        return math.inf if bound is None else fourier.stretch(p) / bound
+        if bound is None:
+            return 2.0 * math.sqrt(fourier.stretch(p))
+        return fourier.stretch(p) / bound
 
     def char_fn(self, t: np.ndarray) -> np.ndarray:
         """phi(t) = E cos(tV): cos t, sin(wt) / (wt), exp(-t^2 / 2), J0(t) or
@@ -461,15 +468,12 @@ def kfold_abs_moment(
     p: float,
     method: str = "exact",
     tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
-    n_samples: int = 1_000_000,
 ) -> ConstantResult:
     """E|S_k|^p for S_k the sum of k i.i.d. copies of the conditioned base.
 
     method "exact" needs a closed form (random sign walk or Gaussian);
     "grid" uses the spectral kernel with phi^k (exact enumeration for
-    atomic kinds);
-    "monte_carlo" averages over sampled sums with independent fair signs.
+    atomic kinds).
     """
     if p <= 0:
         raise DomainError("kfold_abs_moment requires p > 0")
@@ -488,7 +492,7 @@ def kfold_abs_moment(
             val = k ** (p / 2.0) * specfun.gaussian_abs_moment(p)
             return ConstantResult(val, "exact/gaussian_scaling", 1e-14 * val, diag)
         raise UnsupportedMethodError(
-            f"no exact k-fold moment for kind {base.kind!r}; use grid or monte_carlo"
+            f"no exact k-fold moment for kind {base.kind!r}; use grid"
         )
 
     if method == "grid":
@@ -520,19 +524,5 @@ def kfold_abs_moment(
                 break
         diag["n_cells"] = 2 * n_cells
         return ConstantResult(val, "grid/fft", err, diag)
-
-    if method == "monte_carlo":
-        if rng is None:
-            raise DomainError("monte_carlo method requires an explicit rng")
-        total = np.zeros(n_samples)
-        max_summand = 0.0
-        for _ in range(k):
-            x = sample_abs(base, rng, n_samples)
-            s = rng.integers(0, 2, size=n_samples) * 2 - 1
-            max_summand = max(max_summand, float(np.max(x))) if n_samples else 0.0
-            total += x * s
-        val, err = mc_abs_moment(total, p)
-        diag.update({"n_samples": n_samples, "max_abs_summand": max_summand})
-        return ConstantResult(val, "monte_carlo", err, diag)
 
     raise UnsupportedMethodError(f"unknown k-fold method {method!r}")

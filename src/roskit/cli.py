@@ -99,7 +99,7 @@ def _per_summand_sup(p, V, budget, tol):
 _shared_options = [
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--tol", type=float, default=None, callback=_check_tol,
-                 help="tolerance (default 1e-9 closed form, 1e-6 grid/MC)"),
+                 help="tolerance (default 1e-9 closed form, 1e-6 numerical routes)"),
     click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
                  default="json", show_default=True),
     click.option("--out", type=str, default=None, help="output path (default stdout)"),

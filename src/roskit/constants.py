@@ -41,8 +41,9 @@ __all__ = [
     "witness_construction",
 ]
 
-# exact enumeration of a sum law handles at most this many summands: the
-# support of n three-point summands has up to 3^n points
+# exact enumeration of a sum law handles at most this many summands (the
+# support of n three-point summands has up to 3^n points); a thinned sum of
+# more atomic summands takes the Fourier route
 MAX_ENUM_SUMMANDS = 12
 
 
@@ -277,14 +278,7 @@ def complex_constant(p: float, tol: float = 1e-9) -> ConstantResult:
     return ConstantResult(value, f"complex/{cp_res.method}", err, diag)
 
 
-def utev_3point_sup(
-    p: float,
-    budget: MomentBudget,
-    mode: str = "exact_enum",
-    tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
-    n_samples: int = 1_000_000,
-):
+def utev_3point_sup(p: float, budget: MomentBudget, tol: float = 1e-9):
     """sup E|sum_j X_j|^p over independent symmetric X_j with
     ||X_j||_2 <= a_j and ||X_j||_p <= b_j, for p >= 4.
 
@@ -293,39 +287,23 @@ def utev_3point_sup(
     mu_j = (a_j / b_j)^(2p/(p-2)).  Returns the supremum together with the
     (c_j, mu_j) description of the extremal tuple.
     """
-    res = mixture_individual_sup(p, basedist.rademacher(), budget, mode, tol, rng, n_samples)
+    res = mixture_individual_sup(p, basedist.rademacher(), budget, tol=tol)
     return res, list(zip(res.diagnostics["scales"], res.diagnostics["activations"]))
 
 
-def _thinned_mc_moment(p: float, V: BaseDistribution, scales, activations, rng, n_samples: int):
-    """Monte Carlo E|sum_j c_j theta_j V_j|^p and its 3-sigma bound.
-
-    A summand with n_samples mu_j < 1 is almost never switched on in the draws, so
-    the bound adds E[|S|^p; theta_j = 1] <= mu_j (||S||_p + c_j ||V||_p)^p for each,
-    with ||S||_p <= sum_i c_i mu_i^(1/p) ||V||_p by Minkowski."""
-    if rng is None:
-        raise DomainError("monte_carlo mode requires an explicit rng")
-    total = np.zeros(n_samples)
-    for c, mu in zip(scales, activations):
-        theta = rng.random(n_samples) < mu
-        total += c * theta * basedist.sample_signed(V, rng, n_samples)
-    value, err = basedist.mc_abs_moment(total, p)
-    rare = [(c, mu) for c, mu in zip(scales, activations) if 0.0 < n_samples * mu < 1.0]
-    if rare:
-        nvp = basedist.abs_moment(V, p) ** (1.0 / p)
-        norm = nvp * math.fsum(c * mu ** (1.0 / p) for c, mu in zip(scales, activations))
-        err += math.fsum(mu * (norm + c * nvp) ** p for c, mu in rare)
-    return value, err
+def _thinned_atoms(V: BaseDistribution, c: float, mu: float) -> dict:
+    """The signed atomic law of c theta V, P(theta = 1) = mu, for atomic V."""
+    return discrete.thin_atoms(discrete.scale_atoms(V.signed_atoms(), c), mu)
 
 
-def _thinned_enum_moment(p: float, V: BaseDistribution, scales, activations, max_support: int):
-    """(E|sum_j c_j theta_j V_j|^p, its bound, support size) for atomic V, by exact
-    enumeration of the thinned atom laws; SupportOverflowError past max_support."""
-    base_law = V.signed_atoms()
-    laws = [discrete.thin_atoms(discrete.scale_atoms(base_law, c), mu)
-            for c, mu in zip(scales, activations)]
+def _thinned_enum_result(p: float, V: BaseDistribution, scales, activations,
+                         max_support: int) -> ConstantResult:
+    """E|sum_j c_j theta_j V_j|^p for atomic V by exact enumeration of the thinned
+    atom laws, with the support size; SupportOverflowError past max_support."""
+    laws = [_thinned_atoms(V, c, mu) for c, mu in zip(scales, activations)]
     dist = discrete.nfold_atoms(laws, max_support=max_support)
-    return (*discrete.enum_abs_moment(dist, p, laws), len(dist))
+    value, err = discrete.enum_abs_moment(dist, p, laws)
+    return ConstantResult(value, "exact_enum", err, {"support": len(dist)})
 
 
 def mixture_individual_sup(
@@ -334,19 +312,17 @@ def mixture_individual_sup(
     budget: MomentBudget,
     mode: str = "auto",
     tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
-    n_samples: int = 1_000_000,
 ) -> ConstantResult:
     """sup E|sum_j X_j|^p over independent V-mixtures with individual
     budgets ||X_j||_2 <= a_j, ||X_j||_p <= b_j, for p >= 4.
 
     Attained by Bernoulli-thinned scaled copies of V meeting both budgets
     with equality (for random signs the three-point laws of utev_3point_sup).
-    Evaluated by exact enumeration (atomic V), by _thinned_sum_moment on 8,192
-    grid cells (continuous V: von Bahr's integral over the product of the
-    summands' characteristic functions, or the spectral grid sum where that
-    plan needs more than fourier.MAX_SUM_PANELS panels), or by Monte Carlo.
-    Mode "auto" takes the plan's route; "grid" forces the grid.
+    Mode "auto" evaluates them by _thinned_sum_moment: exact enumeration for
+    atomic V with at most MAX_ENUM_SUMMANDS summands, else von Bahr's integral
+    over the product of the summands' characteristic functions (method
+    "fourier"), or the spectral grid sum on 8,192 cells where that plan needs
+    more than fourier.MAX_SUM_PANELS panels.  Mode "grid" forces the grid.
     """
     if p < 4.0:
         raise DomainError("per-summand budgets require p >= 4")
@@ -364,37 +340,19 @@ def mixture_individual_sup(
             "(b_j/a_j below the base law's p-to-2 norm ratio)"
         )
     activations = [min(mu, 1.0) for mu in activations]
-    n = len(scales)
-    diag = {"n": n, "scales": scales, "activations": activations, "V": V.kind}
-
-    if mode == "grid" or (mode == "auto" and not V.is_atomic):
-        route = _thinned_grid_result if mode == "grid" else _thinned_sum_moment
-        res = route(p, V, scales, activations, tol, 8192)
-        diag.update({key: res.diagnostics[key]
-                     for key in ("fourier_panels", "fourier_reach", "t0", "n_cells")
-                     if key in res.diagnostics})
-        # this function tags the Fourier route "fourier"
-        method = "fourier" if res.method == "sum_fourier" else res.method
-        return ConstantResult(res.value, method, res.error_bound, diag)
-    if mode == "auto":
-        mode = "exact_enum"
-
-    if mode == "exact_enum":
-        if not V.is_atomic:
-            raise UnsupportedMethodError("exact enumeration needs an atomic base law")
-        if n > MAX_ENUM_SUMMANDS:
-            raise UnsupportedMethodError(
-                f"exact enumeration supports n <= {MAX_ENUM_SUMMANDS}; use monte_carlo"
-            )
-        value, err, diag["support"] = _thinned_enum_moment(p, V, scales, activations, 2_000_000)
-        return ConstantResult(value, "exact_enum", err, diag)
-
-    if mode == "monte_carlo":
-        value, err = _thinned_mc_moment(p, V, scales, activations, rng, n_samples)
-        diag["n_samples"] = n_samples
-        return ConstantResult(value, "monte_carlo", err, diag)
-
-    raise UnsupportedMethodError(f"unknown mode {mode!r}")
+    diag = {"n": len(scales), "scales": scales, "activations": activations, "V": V.kind}
+    if mode not in ("auto", "grid"):
+        raise UnsupportedMethodError(f"unknown mode {mode!r}")
+    if mode == "grid":
+        res = _thinned_grid_result(p, V, scales, activations, tol, 8192)
+    else:
+        res = _thinned_sum_moment(p, V, scales, activations, tol, 8192, 2_000_000)
+    diag.update({key: res.diagnostics[key]
+                 for key in ("fourier_panels", "fourier_reach", "t0", "n_cells", "support")
+                 if key in res.diagnostics})
+    # this function tags the Fourier route "fourier"
+    method = "fourier" if res.method == "sum_fourier" else res.method
+    return ConstantResult(res.value, method, res.error_bound, diag)
 
 
 def _thinned_grid_sum(p: float, V: BaseDistribution, L: float, groups: Counter, n_cells: int,
@@ -402,9 +360,12 @@ def _thinned_grid_sum(p: float, V: BaseDistribution, L: float, groups: Counter, 
     """(SpectralMoment, window and wrap tail, summands, fine step) of the sum of count
     theta c V per (c, mu): count, P(theta = 1) = mu, on the finest summand's
     edge_steps(n_cells / 2), over a period sized by the window (gridconv.window_radii)."""
-    # activation mu thins c V: mass 1 - mu at 0, the centre of a cell
-    summands = [gridconv.Summand(lambda x, c=c, mu=mu: mu * V.cdf(x / c), c * L,
-                                 {0.0: 1.0 - mu}, k) for (c, mu), k in groups.items()]
+    # activation mu thins c V: mass 1 - mu at 0, the centre of a cell; an atomic V
+    # enters as its thinned atoms, without a CDF
+    summands = [gridconv.Summand(None, c * L, _thinned_atoms(V, c, mu), k) if V.is_atomic
+                else gridconv.Summand(lambda x, c=c, mu=mu: mu * V.cdf(x / c), c * L,
+                                      {0.0: 1.0 - mu}, k)
+                for (c, mu), k in groups.items()]
     steps = gridconv.sum_steps(summands, gridconv.edge_steps(min(groups)[0] * L, n_cells // 2))
     # Hoeffding: each summand is symmetric with |c theta V| <= c L
     sigma2 = math.fsum(s.count * s.half**2 for s in summands)
@@ -415,7 +376,7 @@ def _thinned_grid_sum(p: float, V: BaseDistribution, L: float, groups: Counter, 
 
 def _thinned_grid_moment(p: float, V: BaseDistribution, scales, activations, n_cells: int,
                          tol: float):
-    """(fine, coarse, certified terms) of E|sum_j c_j theta_j V_j|^p, continuous V.
+    """(fine, coarse, certified terms) of E|sum_j c_j theta_j V_j|^p.
 
     A rare summand, whose active mass per fine cell mu / (2 reach + 1) is at most the
     thinned sum's noise floor, would be zeroed with the noise: the sum is conditioned on
@@ -454,23 +415,34 @@ def _thinned_grid_result(p: float, V: BaseDistribution, scales, activations, tol
                           {"n_cells": n_cells})
 
 
-# the route of a thinned sum, by its plan's choice
+# the route of a thinned sum: exact enumeration for atomic V within the summand cap,
+# else its plan's choice
 _THINNED_ROUTES = {
+    "exact_enum": lambda plan, p, V, scales, activations, tol, n_cells, max_support:
+        _thinned_enum_result(p, V, scales, activations, max_support),
     "fourier": lambda plan, *args: fourier.sum_abs_moment(plan),
-    "grid": lambda plan, *args: _thinned_grid_result(*args),
+    "grid": lambda plan, p, V, scales, activations, tol, n_cells, max_support:
+        _thinned_grid_result(p, V, scales, activations, tol, n_cells),
 }
 
 
 def _thinned_sum_moment(p: float, V: BaseDistribution, scales, activations, tol: float,
-                        n_cells: int) -> ConstantResult:
-    """E|sum_j c_j theta_j V_j|^p for continuous V: the equal (c_j, mu_j) grouped
-    into fourier.Term counts, and von Bahr's integral over the product of their
+                        n_cells: int, max_support: int) -> ConstantResult:
+    """E|sum_j c_j theta_j V_j|^p on every base law: exact enumeration (method
+    exact_enum, up to max_support points) for atomic V with at most
+    MAX_ENUM_SUMMANDS summands; else the equal (c_j, mu_j) grouped into
+    fourier.Term counts, and von Bahr's integral over the product of their
     characteristic functions (method sum_fourier) where fourier.plan_sum takes
-    that route, else the spectral grid sum on n_cells cells (method grid)."""
-    groups = Counter(zip(scales, activations))
-    plan = fourier.plan_sum(p, [fourier.Term(V, c, mu, k) for (c, mu), k in groups.items()],
-                            tol)
-    return _THINNED_ROUTES[plan.route](plan, p, V, scales, activations, tol, n_cells)
+    that route, or the spectral grid sum on n_cells cells (method grid)."""
+    plan = None
+    if V.is_atomic and len(scales) <= MAX_ENUM_SUMMANDS:
+        route = "exact_enum"
+    else:
+        groups = Counter(zip(scales, activations))
+        plan = fourier.plan_sum(p, [fourier.Term(V, c, mu, k) for (c, mu), k in groups.items()],
+                                tol)
+        route = plan.route
+    return _THINNED_ROUTES[route](plan, p, V, scales, activations, tol, n_cells, max_support)
 
 
 @dataclass(frozen=True)

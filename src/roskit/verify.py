@@ -6,8 +6,9 @@ integral over phi^n on the Fourier route, fourier.plan_sum and
 sum_abs_moment, and n-fold grid densities on the gridconv spectral kernel
 where the plan's route is "grid": a law without char_gap, or a sum past
 fourier.MAX_SUM_PANELS panels), the moments of search candidates
-(continuous ones on the Fourier route, with the spectral grid past the
-panel budget; atomic ones by exact enumeration), randomized search over
+(constants._thinned_sum_moment: exact enumeration for atomic ones within
+the summand cap, else the Fourier route, with the spectral grid past the
+panel budget), randomized search over
 feasible tuples against the theorem-side suprema, sign-change counting
 for density differences, convexity and determinant checks for the
 auxiliary functions, and the compound Poisson domination of finite sums.
@@ -59,34 +60,24 @@ _EPS = sys.float_info.epsilon
 # ---------------------------------------------------------------------------
 # sources (closed-form symmetric log-concave densities that are not members)
 
+_GAUSSIAN = basedist.gaussian()
+
 
 class GaussianSource:
-    """Standard Gaussian as a matching source."""
+    """Standard Gaussian as a matching source, with basedist.gaussian()'s
+    CDF and characteristic function."""
+
+    cdf = staticmethod(_GAUSSIAN.cdf)
+    char_gap = staticmethod(_GAUSSIAN.char_gap)
+    char_taylor = staticmethod(_GAUSSIAN.char_taylor)
+    char_envelope = staticmethod(_GAUSSIAN.char_envelope)
+    char_cap = staticmethod(_GAUSSIAN.char_cap)
 
     def pdf(self, x: float) -> float:
         return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
-    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        return 0.5 * special.erfc(-x / math.sqrt(2.0))
-
     def abs_moment(self, r: float) -> float:
         return specfun.gaussian_abs_moment(r)
-
-    def char_gap(self, t) -> np.ndarray:
-        """1 - exp(-t^2 / 2)."""
-        t = np.asarray(t, dtype=float)
-        return -np.expm1(-0.5 * t * t)
-
-    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
-        """E (sZ)^(2i) / (2i)! = (s^2 / 2)^i / i!."""
-        return fourier.taylor_exp(0.5 * s * s, n), (2.0 * n + 2.0) * _EPS
-
-    def char_envelope(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.exp(-0.5 * t * t)
-
-    def char_cap(self, p: float = 4.0) -> float:
-        return math.inf  # phi is entire, and its coefficients fall like 1 / i!
 
     def atoms(self) -> dict:
         return {}
@@ -304,19 +295,6 @@ class SearchReport:
         }
 
 
-def _candidate_moment(
-    p: float, V: basedist.BaseDistribution, scales, activations, tol: float
-) -> ConstantResult:
-    """E|sum c_j theta_j V_j|^p for a thinned-scaled candidate tuple: exact
-    enumeration for atomic V (method exact_enum), else constants._thinned_sum_moment,
-    the Fourier route (sum_fourier) or, past fourier.MAX_SUM_PANELS panels, the
-    spectral grid on 2,048 cells (grid)."""
-    if V.is_atomic:
-        value, err, _ = constants._thinned_enum_moment(p, V, scales, activations, 1_000_000)
-        return ConstantResult(value, "exact_enum", err)
-    return constants._thinned_sum_moment(p, V, scales, activations, tol, 2048)
-
-
 def _solve_candidate(p, V, A, B, shares_2, shares_p):
     """Per-summand (scale, activation) hitting the allocated budget shares.
 
@@ -371,9 +349,10 @@ def search_sup_U(
     Candidates are tuples of scaled Bernoulli-thinned copies of V (the
     shape of the extremisers), with both budget rows allocated by random
     Dirichlet shares and enforced exactly.  Each candidate's moment is
-    _candidate_moment's: continuous candidates take the Fourier route and
-    fall back to the grid past the panel budget, and atomic ones are
-    enumerated exactly.  The report records the best value found and its
+    constants._thinned_sum_moment's (2,048 grid cells, at most 1,000,000
+    enumerated support points): atomic candidates are enumerated exactly, and
+    the rest take the Fourier route and fall back to the grid past the panel
+    budget.  The report records the best value found and its
     method, the theorem value, equal-split diagnostics and the count of
     candidates per method (details["routes"]); the invariant
     best <= theorem * (1 + 1e-6) is the oracle.
@@ -385,7 +364,7 @@ def search_sup_U(
     iid_values = []
     routes: Counter = Counter()
     for trial, scales, activations in _candidates(p, V, A, B, n_max, trials, seed):
-        res = _candidate_moment(p, V, scales, activations, tol)
+        res = constants._thinned_sum_moment(p, V, scales, activations, tol, 2048, 1_000_000)
         value, err = res.value, res.error_bound
         routes[res.method] += 1
         if trial < 0:
@@ -683,6 +662,14 @@ _SUM_ROUTES = {
                                                        plan.p, plan.tol),
 }
 
+# The largest p of the ordering checks.  At a non-even p, von Bahr's integral sums
+# Taylor terms whose cancellation grows with p: for two copies of the Gaussian and of
+# its density members the combined error is 3e-5 of the source at p = 40.5 and 0.3 at
+# p = 60.5, and at p = 150.5 the bound overflows.  An even p takes the exact (2k)! a_k,
+# up to the p whose moments still fit a float.
+MAX_ORDERING_P = 40.0
+MAX_EVEN_ORDERING_P = 168.0
+
 # ordering family -> (minus matcher, plus matcher)
 _ORDERING_FAMILIES = {
     "density": (logconcave.match_density_minus, logconcave.match_density_plus),
@@ -703,7 +690,11 @@ def ordering_report(n: int, source, p: float, family: str = "density", n_cells: 
                     tol: float = 1e-9) -> OrderingReport:
     """E|sum minus|^p <= E|sum source|^p <= E|sum plus|^p for n copies of the
     source and of the members of the family ("density" or "tail") matched to
-    its second and p-th moments, each sum by sum_moment."""
+    its second and p-th moments, each sum by sum_moment; a DomainError past
+    MAX_ORDERING_P, or MAX_EVEN_ORDERING_P for an even p."""
+    if p > (MAX_EVEN_ORDERING_P if p % 2 == 0 else MAX_ORDERING_P):
+        raise DomainError(f"the ordering checks admit p <= {MAX_ORDERING_P:g}, or an even "
+                          f"p <= {MAX_EVEN_ORDERING_P:g}; got p = {p!r}")
     a = math.sqrt(source.abs_moment(2.0))
     b = source.abs_moment(p) ** (1.0 / p)
     target = logconcave.MatchTarget(p, a, b)

@@ -116,6 +116,26 @@ class TestSupCommand:
         assert rec["variant"] == "individual"
         assert rec["value"] > 0
 
+    def test_random_signs_past_the_enumeration_cap(self):
+        # twenty three-point summands, past MAX_ENUM_SUMMANDS: the Fourier route
+        res = run_cli("sup", "--p", "5", "--V", "rademacher", "--a", ",".join(["1"] * 20),
+                      "--b", ",".join(["1.1"] * 20))
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["method"] == "fourier" and len(rec["extremal"]) == 20
+        assert rec["error_bound"] <= 1e-6 * rec["value"]
+
+    @pytest.mark.parametrize("a", ["0.03", "0.01"])
+    def test_wide_rare_gaussians(self, a):
+        # thirty rare Gaussians at scale 5.6 beside one: -9.1e92 (a = 0.03) and a
+        # ValueError traceback (a = 0.01) while the Gaussian's Taylor cap was infinite
+        res = run_cli("sup", "--p", "5", "--V", "gaussian", "--a", ",".join([a] * 30 + ["1"]),
+                      "--b", ",".join(["1"] * 30 + ["1.5"]))
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["method"] == "fourier"
+        assert 37.0 < rec["value"] < 41.0 and rec["error_bound"] <= 1e-6 * rec["value"]
+
     @pytest.mark.parametrize("a,b", [("1.5", "1.0"), ("1,x", "1,2")])
     def test_infeasible_budgets_exit_2(self, a, b):
         res = run_cli("sup", "--p", "4", "--a", a, "--b", b)
@@ -410,6 +430,18 @@ class TestVerifyCommand:
                                        "--seed", "6").output)[0]
         assert rec["detail_routes"] == {"grid": 1, "sum_fourier": 35}
         assert rec["best_config"]["method"] == "sum_fourier"
+
+    @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
+    @pytest.mark.parametrize("p", ["40.5", "150.5", "170"])
+    def test_ordering_past_the_largest_p_exit_2(self, suite, p):
+        # past p = 40 von Bahr's integral loses its accuracy at non-even p (at
+        # 150.5 its bound overflowed a float, a ValueError traceback), and even p
+        # answer up to 168
+        res = run_cli("verify", suite, "--p", p, "--n", "2")
+        assert res.exit_code == 2
+        reason = json.loads(res.stderr)
+        assert reason["error"] == "DomainError"
+        assert "p <= 40, or an even p <= 168" in reason["message"]
 
     def test_search_enumeration_cap_exit_2(self):
         # an atomic base law makes every candidate an exact enumeration

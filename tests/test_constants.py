@@ -9,7 +9,7 @@ import pytest
 
 from roskit import basedist as bd
 from roskit import constants as ct
-from roskit import cpoisson, specfun, verify
+from roskit import cpoisson, fourier, specfun, verify
 from roskit.errors import DomainError, FeasibilityError, UnsupportedMethodError
 
 EZ3 = specfun.gaussian_abs_moment(3.0)
@@ -230,18 +230,16 @@ class TestUtevThreePoint:
         )
         assert res.value == pytest.approx(10.0, rel=1e-10)
 
-    def test_monte_carlo_mode(self):
-        budget = ct.MomentBudget.per_pair(5.0, [1.0, 1.0], [1.3, 1.2])
-        exact, _ = ct.utev_3point_sup(5.0, budget)
-        mc, _ = ct.utev_3point_sup(
-            5.0, budget, mode="monte_carlo", rng=np.random.default_rng(5), n_samples=400_000
-        )
-        assert abs(mc.value - exact.value) <= mc.error_bound
-
     def test_enumeration_cap(self):
+        # thirteen summands, one past MAX_ENUM_SUMMANDS, take the Fourier route; at
+        # p = 4, E S^4 = sum_j m4_j + 3 sum_(i != j) m2_i m2_j, and the extremisers
+        # meet both budgets, m2_j = a_j^2 = 1 and m4_j = b_j^4 = 1.1^4
         budget = ct.MomentBudget.per_pair(4.0, [1.0] * 13, [1.1] * 13)
-        with pytest.raises(UnsupportedMethodError, match="monte_carlo"):
-            ct.utev_3point_sup(4.0, budget)
+        res, ext = ct.utev_3point_sup(4.0, budget)
+        assert len(ext) == ct.MAX_ENUM_SUMMANDS + 1
+        assert res.method == "fourier"
+        assert res.error_bound <= 1e-9 * res.value
+        assert abs(res.value - (13 * 1.1**4 + 3 * 13 * 12)) <= res.error_bound + 1e-13 * res.value
 
     def test_never_exceeds_global_budget_value(self):
         # per-summand split of a global budget cannot beat the global supremum
@@ -273,7 +271,65 @@ class TestUtevThreePoint:
         assert abs(res.value - _mp_enum_moment(laws, 5.0)) <= res.error_bound
 
 
+FOUR_ATOMS = bd.symmetric_atoms([(0.0, 0.1), (0.5, 0.3), (1.0, 0.4), (2.0, 0.2)])
+
+
+def _even_sum_moments(V, scales, activations):
+    """E S^4 and E S^6 of S = sum_j c_j theta_j V_j, from each summand's
+    m_2r = mu c^(2r) E V^(2r): E S^4 = sum m4 + 3 sum_(i != j) m2_i m2_j, and
+    E S^6 = sum m6 + 15 sum_(i != j) m4_i m2_j + 90 sum_(i < j < k) m2_i m2_j m2_k."""
+    m2, m4, m6 = (np.array([mu * c**r * bd.abs_moment(V, r) for c, mu in zip(scales, activations)])
+                  for r in (2.0, 4.0, 6.0))
+    s1, s2, s3 = m2.sum(), (m2**2).sum(), (m2**3).sum()
+    fourth = m4.sum() + 3.0 * (s1**2 - s2)
+    sixth = (m6.sum() + 15.0 * (m4.sum() * s1 - (m4 * m2).sum())
+             + 15.0 * (s1**3 - 3.0 * s1 * s2 + 2.0 * s3))
+    return fourth, sixth
+
+
 class TestMixtureIndividual:
+    def test_atomic_past_the_cap_p4_closed_form(self):
+        # thirty four-atom summands with unequal budgets, past MAX_ENUM_SUMMANDS: at
+        # p = 4 the extremisers meet both budgets, so E S^4 = sum b^4 + 3 sum_(i != j) a_i^2 a_j^2
+        a = [0.5 + 0.02 * j for j in range(30)]
+        b = [1.6 * x * (1.0 + 0.01 * j) for j, x in enumerate(a)]
+        res = ct.mixture_individual_sup(4.0, FOUR_ATOMS, ct.MomentBudget.per_pair(4.0, a, b))
+        assert res.method == "fourier" and res.error_bound <= 1e-9 * res.value
+        a2 = np.array(a) ** 2
+        want = math.fsum(x**4 for x in b) + 3.0 * (a2.sum() ** 2 - (a2**2).sum())
+        assert abs(res.value - want) <= res.error_bound + 1e-13 * want
+        fourth, _ = _even_sum_moments(FOUR_ATOMS, res.diagnostics["scales"],
+                                      res.diagnostics["activations"])
+        assert fourth == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("V,n", [(bd.rademacher(), 20), (FOUR_ATOMS, 30)])
+    def test_atomic_past_the_cap_p5_bracket(self, V, n):
+        # log-convexity of E|S|^p in p: (E S^4)^(5/4) <= E|S|^5 <= (E S^4 E S^6)^(1/2)
+        a = [1.0 / (1.0 + 0.1 * j) for j in range(n)]
+        ratio = 1.1 * (bd.abs_moment(V, 5.0) ** 0.2 / bd.abs_moment(V, 2.0) ** 0.5)
+        budget = ct.MomentBudget.per_pair(5.0, a, [ratio * x for x in a])
+        res = ct.mixture_individual_sup(5.0, V, budget, tol=1e-6)
+        assert res.method == "fourier" and res.error_bound <= 1e-6 * res.value
+        fourth, sixth = _even_sum_moments(V, res.diagnostics["scales"],
+                                          res.diagnostics["activations"])
+        assert fourth**1.25 <= res.value + res.error_bound
+        assert res.value - res.error_bound <= math.sqrt(fourth * sixth)
+
+    def test_atomic_grid_mode_agrees_with_enumeration(self):
+        # the grid takes an atomic law as its thinned atoms, without a CDF
+        budget = ct.MomentBudget.per_pair(5.0, [1.0, 0.7, 0.4], [1.6, 1.4, 0.9])
+        exact = ct.mixture_individual_sup(5.0, THREE_ATOMS, budget)
+        grid = ct.mixture_individual_sup(5.0, THREE_ATOMS, budget, mode="grid", tol=1e-6)
+        assert exact.method == "exact_enum" and grid.method == "grid"
+        assert abs(grid.value - exact.value) <= grid.error_bound + exact.error_bound
+        assert grid.error_bound <= 1e-3 * grid.value
+
+    @pytest.mark.parametrize("mode", ["monte_carlo", "exact_enum"])
+    def test_unknown_mode(self, mode):
+        budget = ct.MomentBudget.per_pair(5.0, [1.0], [1.3])
+        with pytest.raises(UnsupportedMethodError, match="unknown mode"):
+            ct.mixture_individual_sup(5.0, bd.rademacher(), budget, mode=mode)
+
     def test_rademacher_reduces_to_three_point(self):
         budget = ct.MomentBudget.per_pair(4.0, [1.0, 0.9], [1.2, 1.1])
         lhs = ct.mixture_individual_sup(4.0, bd.rademacher(), budget)
@@ -303,16 +359,14 @@ class TestMixtureIndividual:
             res.error_bound, 1e-6 * res.value
         )
 
-    def test_gaussian_n2_grid_vs_monte_carlo(self):
+    def test_gaussian_n2_auto_vs_grid(self):
         p = 4.5
         b = 1.05 * specfun.gaussian_abs_moment(p) ** (1.0 / p)
         budget = ct.MomentBudget.per_pair(p, [1.0, 1.0], [b, b])
-        grid = ct.mixture_individual_sup(p, bd.gaussian(), budget)
-        mc = ct.mixture_individual_sup(
-            p, bd.gaussian(), budget, mode="monte_carlo",
-            rng=np.random.default_rng(17), n_samples=1_000_000,
-        )
-        assert abs(grid.value - mc.value) <= mc.error_bound + grid.error_bound
+        auto = ct.mixture_individual_sup(p, bd.gaussian(), budget)
+        grid = ct.mixture_individual_sup(p, bd.gaussian(), budget, mode="grid")
+        assert auto.method == "fourier" and grid.method == "grid"
+        assert abs(auto.value - grid.value) <= auto.error_bound + grid.error_bound
 
     def test_thirty_rare_summands_bounded(self):
         # activations near 4e-17 put each rare summand's active cells below
@@ -342,10 +396,10 @@ class TestMixtureIndividual:
         grid = ct.mixture_individual_sup(5.0, bd.uniform(1.0), budget, mode="grid")
         assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
 
-    def test_monte_carlo_bound_covers_rare_summand(self):
+    def test_grid_bound_covers_rare_summand(self):
         # trial 2 of search_sup_U(3.0, uniform(1), 0.7, 1.0, n_max=6, trials=30,
         # seed=6): the summand of activation 2e-13 at scale 19,653 adds 0.378 to
-        # E|S|^3, but 2,000,000 draws never switch it on
+        # E|S|^3, and the grid's conditioning on it keeps the bound below 1e-6
         V = bd.uniform(1.0)
         rng = np.random.default_rng(np.random.SeedSequence(6).spawn(30)[2])
         n = int(rng.integers(1, 7))
@@ -354,10 +408,42 @@ class TestMixtureIndividual:
         assert activations[3] < 1e-12 and scales[3] > 1e4
         fine, coarse, cert = ct._thinned_grid_moment(3.0, V, scales, activations, 8192, 1e-9)
         assert 3.0 * abs(fine - coarse) + cert < 1e-6
-        value, err = ct._thinned_mc_moment(3.0, V, scales, activations,
-                                           np.random.default_rng(0), 2_000_000)
-        assert fine - value > 0.3
-        assert abs(value - fine) <= err
+
+    @pytest.mark.parametrize("a", [0.03, 0.01])
+    def test_wide_rare_gaussians(self, a):
+        # thirty Gaussians at scale 5.6 and activation 2.9e-5 (a = 0.03) or 3.2e-6
+        # (a = 0.01) beside one of activation 0.89: with no cap on the Gaussian's
+        # Taylor series the unit t0 grew with the scale, and the series cancelled
+        # to -9.1e92 (a = 0.03) or ran out of coefficients (a = 0.01)
+        budget = ct.MomentBudget.per_pair(5.0, [a] * 30 + [1.0], [1.0] * 30 + [1.5])
+        res = ct.mixture_individual_sup(5.0, bd.gaussian(), budget, tol=1e-6)
+        assert res.method == "fourier" and res.error_bound <= 1e-6 * res.value
+        fourth, sixth = _even_sum_moments(bd.gaussian(), res.diagnostics["scales"],
+                                          res.diagnostics["activations"])
+        assert fourth**1.25 <= res.value + res.error_bound
+        assert res.value - res.error_bound <= math.sqrt(fourth * sixth)
+
+    def test_rarer_gaussians_against_grid(self):
+        budget = ct.MomentBudget.per_pair(5.0, [1e-5] * 30 + [1.0], [1.0] * 30 + [1.5])
+        res = ct.mixture_individual_sup(5.0, bd.gaussian(), budget, tol=1e-6)
+        grid = ct.mixture_individual_sup(5.0, bd.gaussian(), budget, mode="grid", tol=1e-6)
+        assert res.method == "fourier" and grid.method == "grid"
+        assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
+
+    def test_wide_rare_gaussians_at_large_p(self):
+        # a Taylor cap linear in p, 2 max(1, p / 4), gave 5.7e27 +- 1.4e36 here;
+        # log-convexity brackets E|S|^12.5 by the exact even moments of the
+        # Fourier route, (E S^12)^(25/24) <= E|S|^12.5 <= (E S^12)^(3/4) (E S^14)^(1/4)
+        p = 12.5
+        z = specfun.gaussian_abs_moment(p) ** (1.0 / p)
+        budget = ct.MomentBudget.per_pair(p, [1e-3] * 30 + [1.0], [z] * 30 + [1.5 * z])
+        res = ct.mixture_individual_sup(p, bd.gaussian(), budget, tol=1e-6)
+        assert res.method == "fourier" and res.error_bound <= 1e-6 * res.value
+        (c, *_, cb), (mu, *_, mub) = res.diagnostics["scales"], res.diagnostics["activations"]
+        terms = [fourier.Term(bd.gaussian(), c, mu, 30), fourier.Term(bd.gaussian(), cb, mub)]
+        even = [fourier.sum_abs_moment(fourier.plan_sum(q, terms)).value for q in (12.0, 14.0)]
+        assert even[0] ** (p / 12.0) <= res.value + res.error_bound
+        assert res.value - res.error_bound <= even[0] ** 0.75 * even[1] ** 0.25
 
     def test_infeasible_ratio(self):
         # b/a below the base law's p-to-2 norm ratio forces activation > 1

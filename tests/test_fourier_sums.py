@@ -436,7 +436,7 @@ def test_panel_budget_at_the_measured_crossover():
 def test_search_candidates_against_oracle(p, seed):
     routes = set()
     for _, scales, activations in vf._candidates(p, UNIFORM, 0.7, 1.0, 6, 30, seed):
-        res = vf._candidate_moment(p, UNIFORM, scales, activations, 1e-6)
+        res = ct._thinned_sum_moment(p, UNIFORM, scales, activations, 1e-6, 2048, 1_000_000)
         want = thinned_uniform_oracle(p, scales, activations)
         assert abs(res.value - want) <= res.error_bound
         groups = collections.Counter(zip(scales, activations))

@@ -159,7 +159,8 @@ class TestSearch:
     def test_past_the_panel_budget_takes_the_grid(self):
         # trial 2 of search seed 6 at p = 3: scales 3.5e4 apart, 65,539 panels
         _, scales, activations = list(vf._candidates(3.0, bd.uniform(1.0), 0.7, 1.0, 6, 30, 6))[2]
-        res = vf._candidate_moment(3.0, bd.uniform(1.0), scales, activations, 1e-6)
+        res = ct._thinned_sum_moment(3.0, bd.uniform(1.0), scales, activations, 1e-6, 2048,
+                                     1_000_000)
         assert res.method == "grid" and res.diagnostics["n_cells"] == 2048
         fine, coarse, cert = ct._thinned_grid_moment(3.0, bd.uniform(1.0), scales, activations,
                                                      2048, 1e-6)

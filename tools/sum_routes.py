@@ -16,9 +16,9 @@ With ``--search`` it prints the same columns for every candidate of
 verify.search_sup_U on the uniform law at p = 3 (A = 0.7, B = 1, n_max = 6,
 30 trials, tol 1e-6) for search seeds 0 and 6, whose summand scales differ
 by up to four orders of magnitude: the grid column is the 2,048-cell grid
-that verify._candidate_moment falls back to, and the route column the one
-the candidate takes.  The script imports roskit from the ``src`` directory
-next to it:
+that search candidates fall back to (constants._thinned_sum_moment), and
+the route column the one the candidate takes.  The script imports roskit
+from the ``src`` directory next to it:
 
     python tools/sum_routes.py
     python tools/sum_routes.py --search
