@@ -388,8 +388,7 @@ VERIFY_SUITES = tuple(_SUITES)
 
 def _verify_records(suite, p, v_spec, A, B, n, trials, seed, tol):
     V = basedist.parse_base_spec(v_spec)
-    enumerates = suite in ("poissonisation", "lower-bound") or (suite == "search" and V.is_atomic)
-    if enumerates and n > constants.MAX_ENUM_SUMMANDS:
+    if suite in ("poissonisation", "lower-bound") and n > constants.MAX_ENUM_SUMMANDS:
         raise InputError(f"--n {n} exceeds the summand cap {constants.MAX_ENUM_SUMMANDS}")
     records = _SUITES[suite](p=p, V=V, A=A, B=B, n=n, trials=trials, seed=seed, tol=tol,
                              rng=np.random.default_rng(seed))

@@ -451,6 +451,10 @@ def sum_abs_moment(plan: SumPlan) -> ConstantResult:
         res = abs_moment(p, _sum_gap(terms, t0, plan.spread), taylor, _sum_tail(p, terms, t0),
                          plan.lower, plan.tol, MAX_SUM_PANELS)
         value, err = res.value, res.error_bound
+        if not err < abs(value):
+            # the alternating Taylor sums cancel past all accuracy (bounded laws at large p)
+            raise DomainError(f"the Fourier sum at p = {p!r} has a bound {err * t0 ** -p:.3g} "
+                              f"not below its value {value * t0 ** -p:.3g}; use a smaller p")
         diag.update({"fourier_panels": res.panels, "fourier_reach": res.reach / t0})
     scale = t0 ** -p
     diag["t0"] = t0

@@ -675,21 +675,68 @@ def _classify_ratio(ratio: float, lo: float, hi: float) -> str:
     )
 
 
-def _bracketed_root(g, lo: float, hi: float) -> float:
-    """Brent root of a monotone g with a sign change on [lo, hi]."""
-    from scipy import optimize  # here, not at the top: `import roskit` need not load it
+_ROOT_XTOL, _ROOT_RTOL, _ROOT_ITER = 1e-300, 1e-15, 200
 
-    g_lo, g_hi = g(lo), g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if g_lo * g_hi > 0.0:
+
+def _bracketed_root(g, lo: float, hi: float) -> float:
+    """Root of a monotone g with a sign change on [lo, hi] by Brent's method.
+
+    A line-for-line port of scipy.optimize.brentq (scipy's
+    optimize/Zeros/brentq.c, after Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): the same steps in the same double arithmetic
+    at xtol = 1e-300, rtol = 1e-15 and 200 iterations, so every root is bit
+    for bit the float brentq returns, without loading scipy.optimize.  A NaN
+    from g raises ValueError, as brentq does; 200 iterations without
+    convergence raise FeasibilityError."""
+
+    def f(x: float) -> float:
+        fx = float(g(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = lo, hi
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
         raise FeasibilityError(
             "failed to bracket the moment equation (target outside the "
             "family's reachable range)"
         )
-    return float(optimize.brentq(g, lo, hi, xtol=1e-300, rtol=1e-15, maxiter=200))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_ITER):
+        # xcur is the best estimate, [xcur, xblk] brackets the root, xpre the previous xcur
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise FeasibilityError(
+        f"the moment equation did not converge in {_ROOT_ITER} Brent steps on [{lo!r}, {hi!r}]")
 
 
 def _check_match(member, target: MatchTarget, rtol: float = 1e-8):

@@ -136,6 +136,30 @@ class TestSupCommand:
         assert rec["method"] == "fourier"
         assert 37.0 < rec["value"] < 41.0 and rec["error_bound"] <= 1e-6 * rec["value"]
 
+    @staticmethod
+    def _uniform_budgets_at(p):
+        # b_j = 1.3 (||V||_p / ||V||_2) a_j for V uniform on [-1, 1]
+        a = [1.0, 0.7, 0.5]
+        ratio = 1.3 * (p + 1.0) ** (-1.0 / p) * math.sqrt(3.0)
+        return (",".join(map(repr, a)), ",".join(repr(ratio * x) for x in a))
+
+    def test_uniform_budgets_at_large_p(self):
+        a, b = self._uniform_budgets_at(40.5)
+        res = run_cli("sup", "--p", "40.5", "--V", "uniform:w=1", "--a", a, "--b", b)
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["method"] == "fourier" and rec["value"] > 0.0
+        assert 1e-3 * rec["value"] < rec["error_bound"] < 2e-2 * rec["value"]
+
+    @pytest.mark.parametrize("p", ["45.5", "60.5"])
+    def test_uniform_budgets_past_all_accuracy_exit_2(self, p):
+        # the Taylor sums cancel: -5.6e38 +- 7.0e43 at p = 60.5 was printed with exit 0
+        a, b = self._uniform_budgets_at(float(p))
+        res = run_cli("sup", "--p", p, "--V", "uniform:w=1", "--a", a, "--b", b)
+        assert res.exit_code == 2
+        err = json.loads(res.stderr)
+        assert err["error"] == "DomainError" and f"p = {p}" in err["message"]
+
     @pytest.mark.parametrize("a,b", [("1.5", "1.0"), ("1,x", "1,2")])
     def test_infeasible_budgets_exit_2(self, a, b):
         res = run_cli("sup", "--p", "4", "--a", a, "--b", b)
@@ -370,6 +394,9 @@ class TestVerifyCommand:
         assert time.perf_counter() - t0 < 1.0
         assert res.exit_code == 2
         assert "cap 12" in res.stderr
+        res = run_cli("verify", suite, "--n", "13", "--trials", "1")
+        assert res.exit_code == 2
+        assert "--n 13 exceeds the summand cap 12" in res.stderr
 
     @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
     def test_ordering_many_summands(self, suite):
@@ -443,14 +470,16 @@ class TestVerifyCommand:
         assert reason["error"] == "DomainError"
         assert "p <= 40, or an even p <= 168" in reason["message"]
 
-    def test_search_enumeration_cap_exit_2(self):
-        # an atomic base law makes every candidate an exact enumeration
+    def test_atomic_search_past_the_enumeration_cap(self):
+        # twenty three-point summands: candidates past MAX_ENUM_SUMMANDS take the Fourier route
         t0 = time.perf_counter()
         res = run_cli("verify", "search", "--p", "5", "--V", "rademacher",
                       "--n", "20", "--trials", "3")
-        assert time.perf_counter() - t0 < 1.0
-        assert res.exit_code == 2
-        assert "cap 12" in res.stderr
+        assert time.perf_counter() - t0 < 5.0
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["best_config"]["method"] == "sum_fourier" and rec["best_config"]["n"] == 20
+        assert rec["holds"] and rec["detail_routes"]["sum_fourier"] > 0
 
     def test_search_support_cap_exit_2(self):
         # within the --n cap, but each candidate summand has 7 support points
@@ -522,7 +551,8 @@ class TestDeterminism:
         assert keys == sorted(keys)
 
 
-# commands that must run without scipy.optimize or scipy.integrate, then two that need them
+# commands that must run without scipy.optimize or scipy.integrate, then the one
+# that needs them: interlacing's quadrature (scipy.integrate.quad loads scipy.optimize)
 COLD_COMMANDS = [
     ["sup", "--p", "5", "--V", "uniform:w=1", "--A", "0.3"],
     ["sup", "--p", "5", "--V", "uniform:w=1", "--a", "0.5,0.5", "--b", "1,1"],
@@ -531,9 +561,12 @@ COLD_COMMANDS = [
     ["table", "--p-min", "2.5", "--p-max", "4.5", "--p-step", "0.5"],
     ["extremal", "--p", "3", "--n", "5000", "--alpha", "0.95", "--seed", "12"],
     ["verify", "search", "--p", "5", "--V", "uniform:w=1", "--n", "3", "--trials", "5"],
+    ["match", "--family", "fminus", "--p", "4", "--a", "1", "--b", "1.35"],
+    ["verify", "ordering", "--p", "5", "--n", "2"],
+    ["verify", "tail-ordering"],
+    ["verify", "sign-changes"],
 ]
 LOADING_COMMANDS = [
-    ["match", "--family", "fminus", "--p", "4", "--a", "1", "--b", "1.35"],
     ["verify", "interlacing", "--p", "5"],
 ]
 _CHILD = """
@@ -551,7 +584,7 @@ print(json.dumps([codes, loaded, [[r.exit_code, r.output] for r in results]]))
 
 
 class TestColdStart:
-    def test_scipy_optimize_and_integrate_load_on_first_use(self):
+    def test_scipy_optimize_and_integrate_load_only_for_interlacing(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -292,6 +292,77 @@ class TestMatchers:
         assert np.all(diffs < 0.0)
 
 
+# each matcher's path, root bracket and feasible interval, as _match is called with them
+_ROOT_PATHS = [
+    (lc._fminus_path, (1e-6, 1e6), lc.feasibility_interval_density),
+    (lc._fplus_path, (1e-6, 500.0), lc.feasibility_interval_density),
+    (lc._gminus_path, (1e-8, 1e8), lc.feasibility_interval_tail),
+    (lc._gplus_path, (1e-8, 600.0), lc.feasibility_interval_tail),
+]
+
+
+def _brentq(g, lo, hi):
+    from scipy import optimize
+
+    return optimize.brentq(g, lo, hi, xtol=1e-300, rtol=1e-15, maxiter=200)
+
+
+class TestBracketedRoot:
+    def test_bit_identical_to_brentq_on_the_matcher_paths(self):
+        # 2,400 moment equations, 600 per path, p in (2.05, 30), ratios across
+        # the feasible interval and 1e-6 of its width from either end
+        rng = np.random.default_rng(2024)
+        for i in range(2400):
+            path, bracket, interval = _ROOT_PATHS[i % 4]
+            p, a = float(rng.uniform(2.05, 30.0)), float(rng.uniform(0.1, 5.0))
+            lo, hi = interval(p)
+            u = {1: 1e-6, 2: 1.0 - 1e-6}.get(i % 40, float(rng.uniform(0.0, 1.0)))
+            ratio = lo + (hi - lo) * u
+            bp = (ratio * a) ** p
+
+            def g(t):
+                return path(t, a).abs_moment(p) / bp - 1.0
+
+            assert lc._bracketed_root(g, *bracket) == _brentq(g, *bracket), (i, p, a, ratio)
+
+    @pytest.mark.parametrize("root", [0.25, 4.0])
+    def test_zero_at_either_end(self, root):
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return t - root
+
+        assert lc._bracketed_root(g, 0.25, 4.0) == root == _brentq(g, 0.25, 4.0)
+        assert calls[:2] == [0.25, 4.0] and len(calls) == 4  # two ends here, two in brentq
+
+    def test_no_sign_change(self):
+        with pytest.raises(FeasibilityError, match="failed to bracket"):
+            lc._bracketed_root(lambda t: t * t + 1.0, -1.0, 2.0)
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda t: t * t + 1.0, -1.0, 2.0)
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-0.5, 1.0), (0.5, 1.0)])
+    def test_nan_in_the_bracket_raises(self, lo, hi):
+        # a bare port would take a NaN inside for a sign change and stop at a false root
+        def g(t):
+            return t - 0.5 if t < 0.2 or t > 0.8 else math.nan
+
+        for solve in (lc._bracketed_root, _brentq):
+            with pytest.raises(ValueError, match="is NaN"):
+                solve(g, lo, hi)
+
+    def test_out_of_iterations(self):
+        # a jump at 0: only halvings approach it, and 200 do not reach 1e-300
+        def step(t):
+            return -1.0 if t < 0.0 else 1.0
+
+        with pytest.raises(FeasibilityError, match="200 Brent steps"):
+            lc._bracketed_root(step, -1.0, 3.0)
+        with pytest.raises(RuntimeError, match="converge"):
+            _brentq(step, -1.0, 3.0)
+
+
 class TestLogConcavityOfMembers:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_density_members_logconcave(self, seed):
