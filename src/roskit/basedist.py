@@ -10,9 +10,8 @@ function (char_fn; char_gap is 1 - phi to full relative accuracy).
 
 k-fold sum moments E|V~_1 + ... + V~_k|^p come from closed forms, exact
 atomic convolution powers, or the gridconv spectral kernel with phi^k in
-place of the compound Poisson exp(lambda (phi - 1)).  The samplers and the
-3-sigma Monte Carlo mean (mc_abs_moment) serve the near-extremal witness of
-constants.witness_construction.
+place of the compound Poisson exp(lambda (phi - 1)).  The samplers serve
+cpoisson.cp_sample; walk_law gives the exact law of a random-sign walk.
 """
 
 from __future__ import annotations
@@ -393,30 +392,13 @@ def sample_count_sums(
 # k-fold sums: E|V~_1 + ... + V~_k|^p
 
 
-def _rademacher_walk_moment(k: int, p: float) -> float:
-    """E|S_k|^p for the simple random-sign walk, exact binomial sum."""
-    if k == 0:
-        return 0.0
-    if k <= 300:
-        scale = 2.0 ** (-k)
-        return math.fsum(
-            math.comb(k, i) * scale * abs(2 * i - k) ** p
-            for i in range(k + 1)
-            if 2 * i != k
-        )
-    lg_k1 = math.lgamma(k + 1)
-    terms = [
-        math.exp(
-            lg_k1
-            - math.lgamma(i + 1)
-            - math.lgamma(k - i + 1)
-            - k * math.log(2.0)
-            + p * math.log(abs(2 * i - k))
-        )
-        for i in range(k + 1)
-        if 2 * i != k
-    ]
-    return math.fsum(terms)
+def walk_law(k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(points 2i - k, P(S_k = 2i - k), their relative error) for the simple
+    random-sign walk, i = 0..k, the weights from log-gamma."""
+    i = np.arange(k + 1.0)
+    top = float(special.gammaln(k + 1.0))
+    log_w = top - special.gammaln(i + 1.0) - special.gammaln(k - i + 1.0) - k * math.log(2.0)
+    return 2.0 * i - k, np.exp(log_w), 8.0 * _EPS * (top + k + 1.0)
 
 
 def gaussian_tail_abs_moment(p: float, L: float) -> float:
@@ -454,14 +436,6 @@ def atomic_kfold_moments(law: dict, ks, p: float, max_support: int):
     return values, len(acc)
 
 
-def mc_abs_moment(samples: np.ndarray, p: float) -> tuple[float, float]:
-    """Monte Carlo mean of |S|^p over the sampled sums and its 3-sigma
-    statistical error bound."""
-    powers = np.abs(samples) ** p
-    err = 3.0 * float(powers.std(ddof=1)) / math.sqrt(powers.size)
-    return float(powers.mean()), err
-
-
 def kfold_abs_moment(
     V: ConditionedBase,
     k: int,
@@ -486,8 +460,10 @@ def kfold_abs_moment(
 
     if method == "exact":
         if base.kind == "rademacher":
-            val = _rademacher_walk_moment(k, p)
-            return ConstantResult(val, "exact/binomial_walk", 1e-14 * k * val, diag)
+            x, w, rel = walk_law(k)
+            val = float(w @ np.abs(x) ** p)
+            return ConstantResult(val, "exact/binomial_walk", (rel + 4.0 * (p + 2.0) * _EPS) * val,
+                                  diag)
         if base.kind == "gaussian":
             val = k ** (p / 2.0) * specfun.gaussian_abs_moment(p)
             return ConstantResult(val, "exact/gaussian_scaling", 1e-14 * val, diag)

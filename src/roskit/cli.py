@@ -229,12 +229,9 @@ def extremal_cmd(p, v_spec, A, B, a_list, b_list, n, alpha, seed, tol, fmt, out)
     else:
         nv2 = math.sqrt(basedist.abs_moment(V, 2.0))
         alpha_eff = alpha if alpha is not None else 0.98 * A / nv2
-        estimate = V.kind in ("rademacher", "gaussian")
+        # an atomic law but random signs takes the Fourier route, whose envelope never decays
         spec, est = constants.witness_construction(
-            p, V, A, B, n, alpha_eff,
-            rng=np.random.default_rng(seed) if estimate else None,
-            estimate_moment=estimate,
-        )
+            p, V, A, B, n, alpha_eff, estimate_moment=V.kind == "rademacher" or not V.is_atomic)
         rec = {
             "command": "extremal",
             "kind": "two_block_witness",

@@ -24,6 +24,7 @@ from .errors import (
     BranchMismatchError,
     DomainError,
     FeasibilityError,
+    InputError,
     UnsupportedMethodError,
 )
 from .result import ConstantResult
@@ -45,6 +46,8 @@ __all__ = [
 # support of n three-point summands has up to 3^n points); a thinned sum of
 # more atomic summands takes the Fourier route
 MAX_ENUM_SUMMANDS = 12
+# the witness's block size: its moment takes arrays of n + 1 counts and walk points
+MAX_WITNESS_SUMMANDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -321,8 +324,9 @@ def mixture_individual_sup(
     Mode "auto" evaluates them by _thinned_sum_moment: exact enumeration for
     atomic V with at most MAX_ENUM_SUMMANDS summands, else von Bahr's integral
     over the product of the summands' characteristic functions (method
-    "fourier"), or the spectral grid sum on 8,192 cells where that plan needs
-    more than fourier.MAX_SUM_PANELS panels.  Mode "grid" forces the grid.
+    "fourier"), conditioned on summand activity where that plan passes
+    fourier.SUBPLAN_PANELS panels.  Mode "grid", the spectral grid sum on 8,192
+    cells, is the reference route.
     """
     if p < 4.0:
         raise DomainError("per-summand budgets require p >= 4")
@@ -346,9 +350,10 @@ def mixture_individual_sup(
     if mode == "grid":
         res = _thinned_grid_result(p, V, scales, activations, tol, 8192)
     else:
-        res = _thinned_sum_moment(p, V, scales, activations, tol, 8192, 2_000_000)
+        res = _thinned_sum_moment(p, V, scales, activations, tol, 2_000_000)
     diag.update({key: res.diagnostics[key]
-                 for key in ("fourier_panels", "fourier_reach", "t0", "n_cells", "support")
+                 for key in ("fourier_panels", "fourier_reach", "t0", "depth", "subplans",
+                             "n_cells", "support")
                  if key in res.diagnostics})
     # this function tags the Fourier route "fourier"
     method = "fourier" if res.method == "sum_fourier" else res.method
@@ -380,29 +385,25 @@ def _thinned_grid_moment(p: float, V: BaseDistribution, scales, activations, n_c
 
     A rare summand, whose active mass per fine cell mu / (2 reach + 1) is at most the
     thinned sum's noise floor, would be zeroed with the noise: the sum is conditioned on
-    none or exactly one rare summand active (then unthinned); two or more add at most
-    sum_(i<j) mu_i mu_j (||S||_p given theta_i = theta_j = 1)^p, by Minkowski."""
+    the active counts of the rare summands (fourier.condition), each pattern a grid sum."""
     bound = V.support_bound()
     L = bound if bound is not None else basedist._gaussian_grid_halfwidth(1, max(p, 6.0), tol)
     groups = Counter((c, mu) for c, mu in zip(scales, activations) if c > 0.0 and mu > 0.0)
     res, tail, summands, h = _thinned_grid_sum(p, V, L, groups, n_cells, tol)
-    rare = [key for key, s in zip(groups, summands) if key[1] / (2 * s.reach(h) + 1) <= res.floor]
+    rare = [i for i, ((c, mu), s) in enumerate(zip(groups, summands))
+            if mu / (2 * s.reach(h) + 1) <= res.floor]
     if not rare:
         return res.fine, res.coarse, tail + res.hidden
-    base = Counter({key: k for key, k in groups.items() if key not in rare})
-    p_none = math.prod((1.0 - mu) ** groups[c, mu] for c, mu in rare)
-    terms = [(p_none, base)] if base else []
-    # exactly one of the k copies of (c, mu) active: k mu (1 - mu)^(k - 1) times the rest off
-    terms += [(p_none * groups[c, mu] * mu / (1.0 - mu), base + Counter({(c, 1.0): 1}))
-              for c, mu in rare]
-    total = np.zeros(3)
-    for weight, term in terms:
-        res, tail, _, _ = _thinned_grid_sum(p, V, L, term, n_cells, tol)
-        total += weight * np.array([res.fine, res.coarse, tail + res.hidden])
-    if sum(groups[key] for key in rare) > 1:  # sum_(i<j) mu_i mu_j <= (sum mu)^2 / 2
-        norm = math.fsum(k * c * mu ** (1 / p) for (c, mu), k in groups.items())
-        total[2] += 0.5 * math.fsum(groups[c, mu] * mu for c, mu in rare) ** 2 * (
-            (norm + 2.0 * max(rare)[0]) ** p * basedist.abs_moment(V, p))
+    terms = [fourier.Term(V, c, mu, k) for (c, mu), k in groups.items()]
+    # E|S|^p >= sum_j E|X_j|^p for p >= 2
+    lower = math.fsum(t.count * t.activation * t.scale**p for t in terms) * V.abs_moment(p)
+    cond = fourier.condition(p, terms, rare, tol, 0.1 * tol * lower)
+    total = np.array([0.0, 0.0, cond.truncation])
+    for weight, rel, sub in cond.parts:
+        if sub.terms:
+            res, tail, _, _ = _thinned_grid_sum(p, V, L, Counter(
+                {(t.scale, t.activation): t.count for t in sub.terms}), n_cells, tol)
+            total += weight * np.array([res.fine, res.coarse, tail + res.hidden + rel * res.fine])
     return tuple(float(x) for x in total)
 
 
@@ -416,33 +417,28 @@ def _thinned_grid_result(p: float, V: BaseDistribution, scales, activations, tol
 
 
 # the route of a thinned sum: exact enumeration for atomic V within the summand cap,
-# else its plan's choice
+# else the Fourier route, conditioned on summand activity where its plan needs it
 _THINNED_ROUTES = {
-    "exact_enum": lambda plan, p, V, scales, activations, tol, n_cells, max_support:
+    "exact_enum": lambda p, V, scales, activations, tol, max_support:
         _thinned_enum_result(p, V, scales, activations, max_support),
-    "fourier": lambda plan, *args: fourier.sum_abs_moment(plan),
-    "grid": lambda plan, p, V, scales, activations, tol, n_cells, max_support:
-        _thinned_grid_result(p, V, scales, activations, tol, n_cells),
+    "fourier": lambda p, V, scales, activations, tol, max_support:
+        fourier.conditioned_abs_moment(fourier.plan_conditioned(p, [
+            fourier.Term(V, c, mu, k) for (c, mu), k in Counter(zip(scales, activations)).items()],
+            tol)),
 }
 
 
 def _thinned_sum_moment(p: float, V: BaseDistribution, scales, activations, tol: float,
-                        n_cells: int, max_support: int) -> ConstantResult:
+                        max_support: int) -> ConstantResult:
     """E|sum_j c_j theta_j V_j|^p on every base law: exact enumeration (method
     exact_enum, up to max_support points) for atomic V with at most
     MAX_ENUM_SUMMANDS summands; else the equal (c_j, mu_j) grouped into
     fourier.Term counts, and von Bahr's integral over the product of their
-    characteristic functions (method sum_fourier) where fourier.plan_sum takes
-    that route, or the spectral grid sum on n_cells cells (method grid)."""
-    plan = None
-    if V.is_atomic and len(scales) <= MAX_ENUM_SUMMANDS:
-        route = "exact_enum"
-    else:
-        groups = Counter(zip(scales, activations))
-        plan = fourier.plan_sum(p, [fourier.Term(V, c, mu, k) for (c, mu), k in groups.items()],
-                                tol)
-        route = plan.route
-    return _THINNED_ROUTES[route](plan, p, V, scales, activations, tol, n_cells, max_support)
+    characteristic functions (method sum_fourier), conditioned on the activity
+    of the widest thinned summands where the plan passes
+    fourier.SUBPLAN_PANELS (fourier.plan_conditioned; diagnostics depth)."""
+    route = "exact_enum" if V.is_atomic and len(scales) <= MAX_ENUM_SUMMANDS else "fourier"
+    return _THINNED_ROUTES[route](p, V, scales, activations, tol, max_support)
 
 
 @dataclass(frozen=True)
@@ -477,19 +473,24 @@ def witness_construction(
     n_samples: int = 1_000_000,
     estimate_moment: bool = True,
 ):
-    """Build the two-block witness and estimate its p-th moment.
+    """Build the two-block witness and compute its p-th moment.
 
     Solves gamma^2 lam = A^2/||V||_2^2 - alpha^2 and
-    gamma^p lam = B^p/||V||_p^p - alpha^p n^(1-p/2) for (gamma, lam),
-    verifies the budget bookkeeping exactly, and estimates
-    E|sum|^p by Monte Carlo with the first block sampled from its exact
-    k-fold law (random signs or Gaussian) and the second from a binomial
-    activation count.  Returns (WitnessSpec, ConstantResult | None).
+    gamma^p lam = B^p/||V||_p^p - alpha^p n^(1-p/2) for (gamma, lam) and
+    verifies the budget bookkeeping exactly.  E|sum|^p is conditioned on the
+    active count j ~ Bin(n, lam / n) of the spike block (fourier.condition):
+    each count is the Fourier sum of n copies of (alpha / sqrt n) V and j of
+    gamma V, and for random signs, whose |phi| never decays, the exact lattice
+    sum over the two walks.  An atomic V but random signs at small p can need
+    more than fourier.MAX_SUM_PANELS panels: an InputError names that cap.
+    rng and n_samples are accepted and unused.  Returns
+    (WitnessSpec, ConstantResult | None).
     """
     if not 2.0 < p < 4.0:
         raise DomainError("witness_construction requires 2 < p < 4")
-    if n < 1:
-        raise DomainError("n must be positive")
+    if not 1 <= n <= MAX_WITNESS_SUMMANDS:
+        raise DomainError(f"n must lie in [1, MAX_WITNESS_SUMMANDS = {MAX_WITNESS_SUMMANDS}], "
+                          f"got {n}")
     nv2 = math.sqrt(basedist.abs_moment(V, 2.0))
     nvp = basedist.abs_moment(V, p) ** (1.0 / p)
     if not 0.0 < alpha < A / nv2:
@@ -513,31 +514,35 @@ def witness_construction(
     if not estimate_moment:
         return spec, None
 
-    if rng is None:
-        raise DomainError("moment estimation requires an explicit rng")
-    if V.kind == "rademacher":
-        walk = rng.binomial(n, 0.5, size=n_samples)
-        block1 = alpha * (2.0 * walk - n) / math.sqrt(n)
-        walk_moment = basedist._rademacher_walk_moment(n, p) / n ** (p / 2.0)
-    elif V.kind == "gaussian":
-        block1 = alpha * rng.standard_normal(n_samples)
-        walk_moment = specfun.gaussian_abs_moment(p)
-    else:
-        raise UnsupportedMethodError(
-            "exact first-block sampling supports the random-sign and Gaussian "
-            "base laws; pass estimate_moment=False for other kinds"
-        )
-    block2 = basedist.sample_count_sums(V, rng, rng.binomial(n, lam / n, size=n_samples))
-    estimate, err = basedist.mc_abs_moment(block1 + gamma * block2, p)
-    analytic_lower = alpha**p * walk_moment + gamma**p * lam * nvp**p
+    tol = 1e-9
+    walk = fourier.Term(V, alpha / math.sqrt(n), 1.0, n)
+
+    def moment(plan):
+        if V.kind == "rademacher":
+            j = plan.terms[-1].count if len(plan.terms) > 1 else 0
+            (x, w, rel), (y, v, rel_j) = basedist.walk_law(n), basedist.walk_law(j)
+            value = math.fsum(v_l * float(w @ np.abs(walk.scale * x + gamma * y_l) ** p)
+                              for y_l, v_l in zip(y, v))
+            scale = math.fsum(v_l * float(w @ (np.abs(walk.scale * x) + abs(gamma * y_l)) ** p)
+                              for y_l, v_l in zip(y, v))
+            err = (rel + rel_j) * value + 4.0 * (p + 2.0) * sys.float_info.epsilon * scale
+            return ConstantResult(value, "exact/lattice", err)
+        if plan.route != "fourier":
+            raise InputError(f"a witness count needs {plan.panels} panels, past "
+                             f"MAX_SUM_PANELS = {fourier.MAX_SUM_PANELS}")
+        return fourier.sum_abs_moment(plan)
+
+    # E|sum|^p >= the sum of the summands' p-th moments, B^p
+    plan = fourier.condition(p, [walk, fourier.Term(V, gamma, lam / n, n)], [1], tol,
+                             0.1 * tol * B**p)
+    res = fourier.conditioned_abs_moment(plan, moment)
     diag = {
         "lambda": lam,
         "gamma": gamma,
         "alpha": alpha,
         "n": n,
-        "n_samples": n_samples,
-        "analytic_lower_bound": analytic_lower,
+        "counts": res.diagnostics["subplans"],
         "l2_budget_used": l2_used,
         "lp_budget_used": lp_used,
     }
-    return spec, ConstantResult(estimate, "monte_carlo/two_block", err, diag)
+    return spec, ConstantResult(res.value, "sum_fourier/two_block", res.error_bound, diag)

@@ -56,26 +56,36 @@ and plan_sum sizes the route before any quadrature:
   e_j(t0 c_j u))^(k_j) - q for the envelopes e_j, so beyond R the midpoint
   is (1 - q) R^-p / p and the half-width that bound times R^-p / p;
 - R and the panel count: past MAX_SUM_PANELS panels, or for a law without
-  char_gap, the plan's route is "grid" and the caller takes its grid sum;
-  on the Fourier route the panels are halved only up to MAX_SUM_PANELS, so
-  that budget bounds the work of every sum it admits.
+  char_gap, the plan's route is "grid" (only the ordering sums of
+  verify.sum_moment take a grid then); on the Fourier route the panels are
+  halved only up to MAX_SUM_PANELS, so that budget bounds the work of every
+  sum it admits.
+
+A thinned factor tends to 1 - mu, not 0, so a rare wide summand keeps |phi_X|
+up and its plan needs thousands of panels.  plan_conditioned then takes
+E|S|^p = sum_pattern P(pattern) E|S given the pattern|^p over the active counts
+of the widest thinned terms (condition), each pattern a plan of its own whose
+terms are on or removed; the patterns left out are bounded by Minkowski.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 from .result import ConstantResult
 
-__all__ = ["MAX_PANELS", "MAX_SUM_PANELS", "FourierMoment", "SumPlan", "Term", "abs_moment",
-           "cap_split_gap", "laplace_gap", "plan_sum", "stretch", "sum_abs_moment", "taylor_cos",
-           "taylor_exp", "taylor_laplace", "taylor_uniform", "uniform_envelope"]
+__all__ = ["MAX_PANELS", "MAX_SUM_PANELS", "SUBPLAN_PANELS", "ConditionedPlan", "FourierMoment",
+           "SumPlan", "Term", "abs_moment", "cap_split_gap", "condition", "conditioned_abs_moment",
+           "laplace_gap", "plan_conditioned", "plan_sum", "stretch",
+           "sum_abs_moment", "taylor_cos", "taylor_exp", "taylor_laplace", "taylor_uniform",
+           "uniform_envelope"]
 
 _EPS = sys.float_info.epsilon
 _RATIO = 1.25  # geometric panels [u, 1.25 u] up to width 1, unit panels beyond
@@ -84,8 +94,9 @@ MAX_PANELS = 1 << 17  # R is cut to keep within it, and the tail beyond R bounde
 _CHUNK = 8192  # panels evaluated at once
 _MAX_TAYLOR = 2048  # Taylor coefficients; a_n decays like t0^n / n! for a bounded law
 _REACHES = np.geomspace(2.0, 0.5 * MAX_PANELS, 600)  # the candidate R, 1.8 % apart
-# A sum needing more panels takes the caller's grid route, and the Fourier
-# route halves its panels only up to this many.  Measured with
+# A sum needing more panels takes the "grid" route (conditioned on summand
+# activity where thinned, plan_conditioned), and the Fourier route halves its
+# panels only up to this many.  Measured with
 # tools/sum_routes.py on 30 rare uniforms and one unthinned one (p = 5):
 # at 6,865 panels the Fourier bound was 2.9e-6 relative against the grid's
 # 7.9e6, at 9,062 panels 7.5e-6 against 1.4e-7; ordering sums stay below 210.
@@ -460,3 +471,118 @@ def sum_abs_moment(plan: SumPlan) -> ConstantResult:
     diag["t0"] = t0
     return ConstantResult(value * scale, "sum_fourier",
                           err * scale + 4.0 * _EPS * abs(value * scale), diag)
+
+
+# ---------------------------------------------------------------------------
+# sums conditioned on the activity of their thinned summands
+
+# The panel cap of each sub-plan.  tools/sum_routes.py --search (36 uniform candidates
+# at p = 3 for each of search seeds 0, 6 and 1234) took 0.70, 0.39, 0.29, 0.32, 0.40
+# and 0.62 s in all at caps 128, 256, 512, 1,024, 2,048 and 8,192 (2-core x86-64)
+SUBPLAN_PANELS = 512
+
+
+class ConditionedPlan(NamedTuple):
+    parts: tuple  # (P(pattern), its relative error, SumPlan of S given the pattern)
+    truncation: float  # a bound on sum P(pattern) E|S given it|^p over the patterns left out
+    depth: int  # m, the thinned terms conditioned on
+
+
+def _kept(log_w, rel, reach, p: float, budget: float):
+    """(indices kept, bound left out) of patterns of log-probability log_w (within
+    rel) whose Minkowski bounds P reach^p, the least first, sum to at most budget."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_b = log_w + p * np.log(reach)
+        bounds = np.where(reach > 0.0, np.exp(log_b) * (1.0 + rel + 4.0 * _EPS * np.abs(log_b)),
+                          0.0)
+    order = np.argsort(bounds)
+    out = int(np.searchsorted(np.cumsum(bounds[order]), budget, side="right"))
+    return np.sort(order[out:]), float(bounds[order[:out]].sum())
+
+
+def condition(p: float, terms, chosen, tol: float, budget: float) -> ConditionedPlan:
+    """The sum of the terms conditioned on the active counts J_i ~ Bin(k_i, mu_i)
+    of terms[i], i in chosen: per pattern of counts its weight, and the plan of
+    the sum with each chosen term on (activation 1) J_i times.  By Minkowski,
+    E|S given a pattern|^p <= (sum_rest k c mu^(1/p) ||V||_p + sum_i J_i c_i ||V_i||_p)^p,
+    and counts whose bounds sum to budget / 2 over the chosen are left out, then
+    patterns whose bounds sum to budget / 2.  The log-weights are running sums
+    from (1 - mu)^k, each step within 4 ulps."""
+    terms = list(terms)
+    units = [t.scale * t.law.abs_moment(p) ** (1 / p) for t in terms]
+    norms = [t.count * t.activation ** (1 / p) * u for t, u in zip(terms, units)]
+    axes, truncation = [], 0.0
+    for i in chosen:
+        k, mu = terms[i].count, terms[i].activation
+        j = np.arange(k + 1.0)
+        steps = np.log((k - j[:-1]) / (j[:-1] + 1.0)) + (math.log(mu) - math.log1p(-mu))
+        log_w = k * math.log1p(-mu) + np.concatenate(([0.0], np.cumsum(steps)))
+        rel = 4.0 * _EPS * (abs(log_w[0]) + j + np.concatenate(([1.0], np.cumsum(np.abs(steps)))))
+        keep, cut = _kept(log_w, rel, math.fsum(norms) - norms[i] + j * units[i], p,
+                          0.5 * budget / len(chosen))
+        axes.append([(int(x), log_w[x], rel[x]) for x in keep])
+        truncation += cut
+    patterns = list(itertools.product(*axes))
+    log_w, rel = (np.array([math.fsum(e[n] for e in pat) for pat in patterns]) for n in (1, 2))
+    reach = math.fsum(n for i, n in enumerate(norms) if i not in chosen) + np.array(
+        [math.fsum(units[i] * j for i, (j, *_) in zip(chosen, pat)) for pat in patterns])
+    keep, cut = _kept(log_w, rel, reach, p, 0.5 * budget)
+    rest = [t for i, t in enumerate(terms) if i not in chosen]
+    parts = []
+    for x in keep:
+        on = [Term(terms[i].law, terms[i].scale, 1.0, j) for i, (j, *_) in zip(chosen, patterns[x])]
+        parts.append((float(np.exp(log_w[x])), float(rel[x]) + 2.0 * _EPS,
+                      plan_sum(p, rest + on, tol)))
+    return ConditionedPlan(tuple(parts), truncation + cut, len(chosen))
+
+
+def _cost(plan: ConditionedPlan) -> float:
+    """The panels of all sub-plans, inf where one is past MAX_SUM_PANELS."""
+    subs = [sub for *_, sub in plan.parts]
+    return math.inf if any(s.route != "fourier" for s in subs) else sum(s.panels for s in subs)
+
+
+def plan_conditioned(p: float, terms, tol: float = 1e-9) -> ConditionedPlan:
+    """The plan of E|S|^p = sum_pattern P(pattern) E|S given the pattern|^p.
+
+    A thinned factor 1 - mu + mu phi(ct) tends to 1 - mu, not 0, so a rare wide
+    summand keeps |phi_S| from decaying, and its plan needs many panels.  Where
+    the plan of the whole sum passes SUBPLAN_PANELS, the sum is conditioned on
+    the counts of its m widest thinned terms (condition, leaving out patterns
+    whose bounds sum to tol lower / 10), for the smallest m whose sub-plans all
+    fit that cap; only on terms whose envelope falls below 1/2 at the plan's
+    reach (an atomic law's never falls).  Where no m fits, the plan of fewest
+    panels in all (m = 0 included) whose sub-plans fit MAX_SUM_PANELS, or an
+    InputError naming that cap where none does."""
+    plan = plan_sum(p, terms, tol)
+    levels = [ConditionedPlan(((1.0, 0.0, plan),), 0.0, 0)]
+    if plan.route == "fourier" and plan.panels <= SUBPLAN_PANELS:
+        return levels[0]
+    live = plan.terms
+    thinned = [i for i, t in enumerate(live) if t.activation < 1.0
+               and t.law.char_envelope(np.array([plan.t0 * t.scale * plan.reach]))[0] < 0.5]
+    thinned.sort(key=lambda i: -live[i].scale * math.sqrt(live[i].law.abs_moment(2.0)))
+    for m in range(1, len(thinned) + 1):
+        levels.append(condition(p, live, thinned[:m], tol, 0.1 * tol * plan.lower * plan.t0 ** -p))
+        if max(sub.panels for *_, sub in levels[-1].parts) <= SUBPLAN_PANELS:
+            return levels[-1]
+    best = min(levels, key=_cost)
+    if _cost(best) == math.inf:
+        raise InputError(f"the sum needs more than MAX_SUM_PANELS = {MAX_SUM_PANELS} panels, "
+                         f"conditioned on the activity of up to {len(thinned)} thinned terms")
+    return best
+
+
+def conditioned_abs_moment(plan: ConditionedPlan, moment: Callable = sum_abs_moment
+                           ) -> ConstantResult:
+    """E|S|^p on a conditioned plan: the weighted sum of moment(sub-plan) and of
+    their bounds, with the weights' round-off and the truncation."""
+    results = [(w, rel, moment(sub)) for w, rel, sub in plan.parts]
+    if plan.depth == 0:
+        results[0][2].diagnostics["depth"] = 0
+        return results[0][2]
+    value = math.fsum(w * res.value for w, _, res in results)
+    err = math.fsum(w * (res.error_bound + rel * abs(res.value)) for w, rel, res in results)
+    diag = {"p": plan.parts[0][2].p, "depth": plan.depth, "subplans": len(results),
+            "fourier_panels": max(sub.panels for *_, sub in plan.parts)}
+    return ConstantResult(value, "sum_fourier", err + plan.truncation + 4.0 * _EPS * value, diag)

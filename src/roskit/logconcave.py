@@ -36,8 +36,6 @@ __all__ = [
     "MatchTarget",
     "feasibility_interval_density",
     "feasibility_interval_tail",
-    "density_abs_moment",
-    "tail_abs_moment",
     "match_density_minus",
     "match_density_plus",
     "match_tail",
@@ -760,13 +758,21 @@ def _gamma_of_rho(rho: float, a: float) -> float:
 def _match(target: MatchTarget, interval, ends: dict, member_of, bracket):
     """The family member with the target moments: ends["lo"] or ends["hi"]
     of a at either end of the feasible interval, else member_of(t, a) at the
-    root t in bracket of E|X|^p / b^p - 1 along that second-moment-pinned path."""
-    where = _classify_ratio(target.b / target.a, *interval(target.p))
+    root t in bracket of E|X|^p / b^p - 1 along that second-moment-pinned path,
+    or the nearer end member where the bracket does not reach the ratio and
+    that member's moments pass _check_match."""
+    lo, hi = interval(target.p)
+    ratio = target.b / target.a
+    where = _classify_ratio(ratio, lo, hi)
     if where != "interior":
         return ends[where](target.a)
     bp = target.b**target.p
-    t = _bracketed_root(
-        lambda t: member_of(t, target.a).abs_moment(target.p) / bp - 1.0, *bracket)
+    try:
+        t = _bracketed_root(
+            lambda t: member_of(t, target.a).abs_moment(target.p) / bp - 1.0, *bracket)
+    except FeasibilityError:
+        # between an end and the bracket's reach: the end member, where its moments match
+        return _check_match(ends["lo" if ratio - lo < hi - ratio else "hi"](target.a), target)
     return _check_match(member_of(t, target.a), target)
 
 
@@ -803,17 +809,17 @@ def match_density_plus(target: MatchTarget) -> TruncatedExpDensity:
     return _match(target, feasibility_interval_density,
                   {"lo": lambda a: TruncatedExpDensity(math.sqrt(3.0) * a, 0.0),
                    "hi": lambda a: TruncatedExpDensity(math.inf, math.sqrt(2.0) / a)},
-                  _fplus_path, (1e-6, 500.0))
+                  _fplus_path, (1e-8, 500.0))
 
 
 # tail family -> (end members, path, root bracket), the last three arguments of _match
 _TAIL_PATHS = {
     "minus": ({"lo": lambda a: TailLawMinus(math.inf, a),
                "hi": lambda a: TailLawMinus(math.sqrt(2.0) / a, 0.0)},
-              _gminus_path, (1e-8, 1e8)),
+              _gminus_path, (1e-12, 1e8)),
     "plus": ({"lo": lambda a: TailLawPlus(0.0, a),
               "hi": lambda a: TailLawPlus(math.sqrt(2.0) / a, math.inf)},
-             _gplus_path, (1e-8, 600.0)),
+             _gplus_path, (1e-12, 600.0)),
 }
 
 
@@ -830,14 +836,6 @@ def match_tail(target: MatchTarget, family: str):
 
 # ---------------------------------------------------------------------------
 # spec-named thin wrappers
-
-
-def density_abs_moment(f, r: float) -> float:
-    return f.abs_moment(r)
-
-
-def tail_abs_moment(law, r: float) -> float:
-    return law.abs_moment(r)
 
 
 def density_eval(f, x: float) -> float:

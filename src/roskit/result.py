@@ -14,9 +14,8 @@ class ConstantResult:
     method       -- short tag naming the evaluation route, e.g. "closed_form",
                     "cp_series/cumulant", "cp_series/fourier",
                     "cp_series/exact_walk", "exact_enum", "sum_fourier",
-                    "grid", and the witness's "monte_carlo/two_block"
-    error_bound  -- rigorous bound on |value - truth|, statistical (3 sigma)
-                    for the witness's Monte Carlo estimate
+                    "grid", and the witness's "sum_fourier/two_block"
+    error_bound  -- rigorous bound on |value - truth|
     diagnostics  -- every interesting intermediate of the formula used
                     (lambda, truncation depth, prefactor, branch values, ...)
     """

@@ -7,8 +7,8 @@ sum_abs_moment, and n-fold grid densities on the gridconv spectral kernel
 where the plan's route is "grid": a law without char_gap, or a sum past
 fourier.MAX_SUM_PANELS panels), the moments of search candidates
 (constants._thinned_sum_moment: exact enumeration for atomic ones within
-the summand cap, else the Fourier route, with the spectral grid past the
-panel budget), randomized search over
+the summand cap, else the Fourier route, conditioned on summand activity
+past fourier.SUBPLAN_PANELS), randomized search over
 feasible tuples against the theorem-side suprema, sign-change counting
 for density differences, convexity and determinant checks for the
 auxiliary functions, and the compound Poisson domination of finite sums.
@@ -349,10 +349,11 @@ def search_sup_U(
     Candidates are tuples of scaled Bernoulli-thinned copies of V (the
     shape of the extremisers), with both budget rows allocated by random
     Dirichlet shares and enforced exactly.  Each candidate's moment is
-    constants._thinned_sum_moment's (2,048 grid cells, at most 1,000,000
-    enumerated support points): atomic candidates are enumerated exactly, and
-    the rest take the Fourier route and fall back to the grid past the panel
-    budget.  The report records the best value found and its
+    constants._thinned_sum_moment's (at most 1,000,000 enumerated support
+    points): atomic candidates are enumerated exactly, and the rest take the
+    Fourier route, conditioned on the activity of their widest thinned
+    summands where the plan passes fourier.SUBPLAN_PANELS panels.  The report
+    records the best value found and its
     method, the theorem value, equal-split diagnostics and the count of
     candidates per method (details["routes"]); the invariant
     best <= theorem * (1 + 1e-6) is the oracle.
@@ -364,7 +365,7 @@ def search_sup_U(
     iid_values = []
     routes: Counter = Counter()
     for trial, scales, activations in _candidates(p, V, A, B, n_max, trials, seed):
-        res = constants._thinned_sum_moment(p, V, scales, activations, tol, 2048, 1_000_000)
+        res = constants._thinned_sum_moment(p, V, scales, activations, tol, 1_000_000)
         value, err = res.value, res.error_bound
         routes[res.method] += 1
         if trial < 0:

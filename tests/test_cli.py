@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from roskit import basedist, cpoisson
+from roskit import basedist, constants, cpoisson
 from roskit.cli import CSV_COLUMNS, main
 
 
@@ -314,6 +314,15 @@ class TestExtremalCommand:
 
 
 class TestMatchCommand:
+    @pytest.mark.parametrize("family,b", [("fplus", "1.210404075540386"),
+                                          ("gminus", "1.8421341399563975")])
+    def test_near_the_ends(self, family, b):
+        # 1e-10 from the uniform end (fplus) and the exponential end (gminus) at
+        # p = 5: both exited 2 with "failed to bracket the moment equation"
+        res = run_cli("match", "--family", family, "--p", "5", "--a", "1", "--b", b)
+        assert res.exit_code == 0
+        assert parse_json_lines(res.output)[0]["command"] == "match"
+
     def test_interior_record(self):
         res = run_cli("match", "--family", "fminus", "--p", "4", "--a", "1",
                       "--b", "1.35")
@@ -455,8 +464,14 @@ class TestVerifyCommand:
         rec = parse_json_lines(run_cli("verify", "search", "--p", "3", "--V", "uniform:w=1",
                                        "--A", "0.7", "--n", "6", "--trials", "30",
                                        "--seed", "6").output)[0]
-        assert rec["detail_routes"] == {"grid": 1, "sum_fourier": 35}
-        assert rec["best_config"]["method"] == "sum_fourier"
+        # trial 2, scales 3.5e4 apart, went to the grid before conditioning on
+        # summand activity; the best candidate against the grid reference
+        assert rec["detail_routes"] == {"sum_fourier": 36}
+        best = rec["best_config"]
+        assert best["method"] == "sum_fourier"
+        grid = constants._thinned_grid_result(3.0, basedist.uniform(1.0), best["scales"],
+                                              best["activations"], 1e-6, 2048)
+        assert abs(rec["best_value"] - grid.value) <= rec["best_error_bound"] + grid.error_bound
 
     @pytest.mark.parametrize("suite", ["ordering", "tail-ordering"])
     @pytest.mark.parametrize("p", ["40.5", "150.5", "170"])

@@ -10,7 +10,7 @@ import pytest
 from roskit import basedist as bd
 from roskit import constants as ct
 from roskit import cpoisson, fourier, specfun, verify
-from roskit.errors import DomainError, FeasibilityError, UnsupportedMethodError
+from roskit.errors import DomainError, FeasibilityError, InputError, UnsupportedMethodError
 
 EZ3 = specfun.gaussian_abs_moment(3.0)
 THREE_ATOMS = bd.symmetric_atoms([(0.0, 0.3), (1.0, 0.4), (2.5, 0.3)])
@@ -470,15 +470,69 @@ class TestWitnessConstruction:
         cp_slack = 1.0 - alpha**3 * n**-0.5
         assert spec.lam == pytest.approx(c2**3 * cp_slack**-2, rel=1e-12)
 
-    def test_monte_carlo_estimate(self):
+    def test_deterministic_moment(self):
+        # criterion 06's witness: random signs, p = 3, n = 10^4, alpha = 0.98; each
+        # active count of the spike block is an exact lattice sum, and rng is unused
         spec, est = ct.witness_construction(
             3.0, bd.rademacher(), 1.0, 1.0, 10_000, 0.98,
             rng=np.random.default_rng(0), n_samples=1_000_000,
         )
-        threshold = 0.95 * (1.0 + EZ3)
-        assert est.value + est.error_bound >= threshold
-        assert est.value >= threshold  # seed chosen and frozen
-        assert est.diagnostics["analytic_lower_bound"] == pytest.approx(2.4925, abs=2e-3)
+        assert est.method == "sum_fourier/two_block"
+        assert est.error_bound <= 1e-9 * est.value
+        assert est.value - est.error_bound >= 0.95 * (1.0 + EZ3)
+        _, again = ct.witness_construction(3.0, bd.rademacher(), 1.0, 1.0, 10_000, 0.98,
+                                           rng=np.random.default_rng(5), n_samples=10)
+        assert again.value == est.value
+        # the same counts on the Fourier route
+        walk = fourier.Term(bd.rademacher(), 0.98 / 100.0, 1.0, 10_000)
+        spikes = fourier.Term(bd.rademacher(), spec.gamma, spec.lam / 10_000, 10_000)
+        plan = fourier.condition(3.0, [walk, spikes], [1], 1e-9, 1e-10)
+        res = fourier.conditioned_abs_moment(plan)
+        assert abs(res.value - est.value) <= res.error_bound + est.error_bound
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 3.7])
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_gaussian_witness_against_the_exact_mixture(self, p, n):
+        # Gaussian summands: given j active spikes the sum is N(0, alpha^2 + gamma^2 j)
+        spec, est = ct.witness_construction(p, bd.gaussian(), 1.0, 1.0, n, 0.9)
+        with mpmath.workdps(40):
+            mu = mpmath.mpf(spec.lam) / n
+            want = mpmath.fsum(mpmath.binomial(n, j) * mu**j * (1 - mu) ** (n - j)
+                               * (mpmath.mpf(0.9) ** 2 + mpmath.mpf(spec.gamma) ** 2 * j) ** (p / 2)
+                               for j in range(n + 1)) * mpmath.mpf(specfun.gaussian_abs_moment(p))
+        assert abs(est.value - float(want)) <= est.error_bound
+        assert est.error_bound <= 1e-8 * est.value
+
+    @pytest.mark.parametrize("n", [2, 30])
+    def test_random_sign_witness_against_the_lattice(self, n):
+        spec, est = ct.witness_construction(2.5, bd.rademacher(), 1.0, 1.0, n, 0.9)
+        walk = [(mpmath.mpf(0.9) / mpmath.sqrt(n) * (2 * i - n), mpmath.binomial(n, i) / 2**n)
+                for i in range(n + 1)]
+        with mpmath.workdps(40):
+            mu = mpmath.mpf(spec.lam) / n
+            want = mpmath.fsum(
+                mpmath.binomial(n, j) * mu**j * (1 - mu) ** (n - j) * mpmath.binomial(j, l) / 2**j
+                * mpmath.fsum(w * abs(x + mpmath.mpf(spec.gamma) * (2 * l - j)) ** 2.5
+                              for x, w in walk)
+                for j in range(n + 1) for l in range(j + 1))
+        assert abs(est.value - float(want)) <= est.error_bound
+
+    @pytest.mark.parametrize("V", [bd.uniform(1.0), bd.cosine_projection()])
+    def test_continuous_laws_have_a_witness(self, V):
+        spec, est = ct.witness_construction(3.0, V, 1.0, 1.0, 1000, 0.9 / math.sqrt(
+            bd.abs_moment(V, 2.0)))
+        assert est.error_bound <= 1e-8 * est.value
+        assert est.value >= 1.0  # E|S|^p >= the summands' p-th moments, B^p
+
+    def test_block_size_cap(self):
+        # the moment takes arrays of n + 1 counts: n is capped, not sampled past memory
+        with pytest.raises(DomainError, match="MAX_WITNESS_SUMMANDS = 1000000"):
+            ct.witness_construction(3.0, bd.gaussian(), 1.0, 1.0, ct.MAX_WITNESS_SUMMANDS + 1, 0.9)
+
+    def test_atomic_witness_past_the_panel_budget(self):
+        # at p = 2.5 a generic atomic walk keeps |phi| at 1 past MAX_SUM_PANELS panels
+        with pytest.raises(InputError, match="MAX_SUM_PANELS = 8192"):
+            ct.witness_construction(2.5, THREE_ATOMS, 1.0, 1.0, 1000, 0.5)
 
     def test_infeasible_inputs(self):
         with pytest.raises(FeasibilityError, match="alpha"):

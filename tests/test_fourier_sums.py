@@ -20,6 +20,7 @@ from roskit import fourier
 from roskit import logconcave as lc
 from roskit import specfun
 from roskit import verify as vf
+from roskit.errors import InputError
 from roskit.fourier import Term
 
 EPS = sys.float_info.epsilon
@@ -359,6 +360,39 @@ def test_sweep_against_the_grid(family, n, p, data):
     assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
 
 
+@st.composite
+def thinned_sums(draw):
+    p = draw(st.one_of(st.floats(2.05, 9.95), st.sampled_from([2.5, 3.0, 5.0])))
+    laws = [UNIFORM, bd.gaussian(), bd.cosine_projection()]
+    n = draw(st.integers(1, 4))
+    scales = [10.0 ** draw(st.floats(-2.5, 2.5)) for _ in range(n)]  # ratios up to 1e5
+    activations = [draw(st.one_of(st.just(1.0), st.floats(-10.0, -0.05).map(lambda e: 10.0**e)))
+                   for _ in range(n)]
+    return p, [Term(draw(st.sampled_from(laws)), c, mu, draw(st.integers(1, 3)))
+               for c, mu in zip(scales, activations)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(thinned_sums())
+def test_conditioned_sweep_against_the_unconditioned(case):
+    # thinned sums with scale ratios up to 1e5 and activations down to 1e-10:
+    # conditioned on summand activity, every sub-plan takes the Fourier route,
+    # and the value agrees with the unconditioned plan's wherever that one fits
+    p, terms = case
+    plan = fourier.plan_sum(p, terms, 1e-9)
+    try:
+        cond = fourier.plan_conditioned(p, terms, 1e-9)
+    except InputError as exc:
+        assert plan.route == "grid" and "MAX_SUM_PANELS = 8192" in str(exc)
+        return
+    assert all(sub.route == "fourier" for *_, sub in cond.parts)
+    res = fourier.conditioned_abs_moment(cond)
+    assert res.error_bound < res.value
+    if plan.route == "fourier":
+        ref = fourier.sum_abs_moment(plan)
+        assert abs(res.value - ref.value) <= res.error_bound + ref.error_bound
+
+
 # ---------------------------------------------------------------------------
 # the orderings and the routes
 
@@ -405,12 +439,25 @@ def test_law_without_char_gap_takes_the_grid():
     assert res.value == pytest.approx(2**2.5 * specfun.gaussian_abs_moment(5.0), rel=1e-4)
 
 
-def test_far_apart_scales_take_the_grid():
+def test_far_apart_scales_are_conditioned():
     # thirty rare summands 1,000 times wider than the one that carries the sum:
-    # the sum's own summand keeps phi near 1 far past the panel budget
-    budget = ct.MomentBudget.per_pair(5.0, [1e-5] * 30 + [1.0], [1.0] * 30 + [1.5])
-    res = ct.mixture_individual_sup(5.0, UNIFORM, budget)
-    assert res.method == "grid"
+    # unconditioned, the sum keeps phi near 1 - mu far past the panel budget;
+    # conditioned on the active count j of the thirty, against the oracle per j
+    p = 5.0
+    budget = ct.MomentBudget.per_pair(p, [1e-5] * 30 + [1.0], [1.0] * 30 + [1.5])
+    res = ct.mixture_individual_sup(p, UNIFORM, budget)
+    assert res.method == "fourier" and res.diagnostics["depth"] == 1
+    assert res.diagnostics["fourier_panels"] <= fourier.SUBPLAN_PANELS
+    (c, *_, cb), (mu, *_, mub) = res.diagnostics["scales"], res.diagnostics["activations"]
+    with mpmath.workdps(120):
+        mu = mpmath.mpf(mu)
+        want = mpmath.fsum(mpmath.binomial(30, j) * mu**j * (1 - mu) ** (30 - j)
+                           * thinned_uniform_oracle(p, [c] * j + [cb], [1.0] * j + [mub])
+                           for j in range(4))
+    assert abs(res.value - want) <= res.error_bound
+    assert res.error_bound <= 1e-9 * res.value
+    grid = ct.mixture_individual_sup(p, UNIFORM, budget, mode="grid")
+    assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
 
 
 def test_panel_budget_at_the_measured_crossover():
@@ -432,18 +479,21 @@ def test_panel_budget_at_the_measured_crossover():
 
 
 @pytest.mark.parametrize("p", [3.0, 5.0])
-@pytest.mark.parametrize("seed", [0, 6])
+@pytest.mark.parametrize("seed", [0, 1, 6, 1234])
 def test_search_candidates_against_oracle(p, seed):
-    routes = set()
+    # a plan past fourier.SUBPLAN_PANELS is conditioned on its widest thinned
+    # summands, and every sub-plan then fits that cap: none takes the grid
+    depths = set()
     for _, scales, activations in vf._candidates(p, UNIFORM, 0.7, 1.0, 6, 30, seed):
-        res = ct._thinned_sum_moment(p, UNIFORM, scales, activations, 1e-6, 2048, 1_000_000)
+        res = ct._thinned_sum_moment(p, UNIFORM, scales, activations, 1e-6, 1_000_000)
         want = thinned_uniform_oracle(p, scales, activations)
         assert abs(res.value - want) <= res.error_bound
+        assert res.method == "sum_fourier"
         groups = collections.Counter(zip(scales, activations))
         plan = fourier.plan_sum(p, [Term(UNIFORM, c, mu, k) for (c, mu), k in groups.items()],
                                 1e-6)
-        assert (res.method == "grid") == (plan.panels > fourier.MAX_SUM_PANELS)
-        routes.add(res.method)
-    assert "sum_fourier" in routes
-    if p == 3.0:  # the wide-ratio hazard: some candidates need the grid
-        assert "grid" in routes
+        assert (res.diagnostics["depth"] > 0) == (plan.panels > fourier.SUBPLAN_PANELS)
+        assert res.diagnostics["fourier_panels"] <= fourier.SUBPLAN_PANELS
+        depths.add(res.diagnostics["depth"])
+    if p == 3.0:  # the wide-ratio hazard: some candidates are conditioned
+        assert max(depths) >= 1

@@ -292,12 +292,35 @@ class TestMatchers:
         assert np.all(diffs < 0.0)
 
 
+_MATCHERS = {
+    "fminus": (lc.match_density_minus, lc.feasibility_interval_density),
+    "fplus": (lc.match_density_plus, lc.feasibility_interval_density),
+    "gminus": (lambda target: lc.match_tail(target, "minus"), lc.feasibility_interval_tail),
+    "gplus": (lambda target: lc.match_tail(target, "plus"), lc.feasibility_interval_tail),
+}
+
+
+@pytest.mark.parametrize("family", list(_MATCHERS))
+@pytest.mark.parametrize("p", [3.0, 5.0, 20.0])
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_match_near_either_end(family, p, end):
+    # 1e-10 inside an end: past _classify_ratio's snap, and once past the reach of
+    # the fplus and gminus brackets; the member comes from the root or the end
+    # member, and either way its moments pass the 1e-8 check
+    match, interval = _MATCHERS[family]
+    lo, hi = interval(p)
+    b = lo * (1.0 + 1e-10) if end == "lo" else hi * (1.0 - 1e-10)
+    member = match(lc.MatchTarget(p, 1.0, b))
+    assert abs(member.abs_moment(2.0) - 1.0) <= 1e-8
+    assert abs(member.abs_moment(p) / b**p - 1.0) <= 1e-8
+
+
 # each matcher's path, root bracket and feasible interval, as _match is called with them
 _ROOT_PATHS = [
     (lc._fminus_path, (1e-6, 1e6), lc.feasibility_interval_density),
-    (lc._fplus_path, (1e-6, 500.0), lc.feasibility_interval_density),
-    (lc._gminus_path, (1e-8, 1e8), lc.feasibility_interval_tail),
-    (lc._gplus_path, (1e-8, 600.0), lc.feasibility_interval_tail),
+    (lc._fplus_path, (1e-8, 500.0), lc.feasibility_interval_density),
+    (lc._gminus_path, (1e-12, 1e8), lc.feasibility_interval_tail),
+    (lc._gplus_path, (1e-12, 600.0), lc.feasibility_interval_tail),
 ]
 
 

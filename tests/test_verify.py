@@ -7,6 +7,7 @@ from scipy import special
 
 from roskit import basedist as bd
 from roskit import constants as ct
+from roskit import fourier
 from roskit import logconcave as lc
 from roskit import specfun
 from roskit import verify as vf
@@ -156,16 +157,17 @@ class TestSearch:
         assert rep.details["routes"] == routes
         assert rep.best_config["method"] in routes
 
-    def test_past_the_panel_budget_takes_the_grid(self):
+    def test_past_the_panel_budget_is_conditioned(self):
         # trial 2 of search seed 6 at p = 3: scales 3.5e4 apart, 65,539 panels
+        # unconditioned; conditioned on its widest thinned summands, against the grid
         _, scales, activations = list(vf._candidates(3.0, bd.uniform(1.0), 0.7, 1.0, 6, 30, 6))[2]
-        res = ct._thinned_sum_moment(3.0, bd.uniform(1.0), scales, activations, 1e-6, 2048,
+        res = ct._thinned_sum_moment(3.0, bd.uniform(1.0), scales, activations, 1e-6,
                                      1_000_000)
-        assert res.method == "grid" and res.diagnostics["n_cells"] == 2048
-        fine, coarse, cert = ct._thinned_grid_moment(3.0, bd.uniform(1.0), scales, activations,
-                                                     2048, 1e-6)
-        assert res.value == fine
-        assert res.error_bound == 3.0 * abs(fine - coarse) + cert + 1e-13 * abs(fine)
+        assert res.method == "sum_fourier" and res.diagnostics["depth"] >= 1
+        assert res.diagnostics["fourier_panels"] <= fourier.SUBPLAN_PANELS
+        assert res.error_bound <= 1e-6 * res.value
+        grid = ct._thinned_grid_result(3.0, bd.uniform(1.0), scales, activations, 1e-6, 2048)
+        assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
 
     def test_replay_deterministic(self):
         a = vf.search_sup_U(5.0, bd.rademacher(), 1.0, 1.0, 4, 30, seed=11)

@@ -21,8 +21,7 @@ spectral grid for compound Poisson sums
 (through ``cpoisson._grid_abs_moment``, the second route, where a commit has
 it) and k-fold powers, the individual-budget Fourier, grid and
 enumeration routes (thirty thinned uniforms among them), the witness's
-Monte Carlo estimate, a hash of compound Poisson draws), the randomized
-search, n-fold sums of grid densities, both ordering checks (the density ordering also at 2, 32 and 200 summands on
+moment, a hash of compound Poisson draws), the randomized search, n-fold sums of grid densities, both ordering checks (the density ordering also at 2, 32 and 200 summands on
 16,384 cells), and the stdout of the seven CLI invocations of acceptance
 criterion 10.  The grid sums include summands whose scales differ 35-fold
 (individual budgets) and by four orders of magnitude (search seed 6), and
@@ -50,7 +49,11 @@ text differs only in its compound Poisson route tags (``cp_series/NAME``,
 ``per_k_method``) is judged the same way, and its report names the move.
 The same holds for an individual-budget line whose ``method`` moved between
 ``grid`` and ``fourier`` (those lines print ``Routed``, the value, method tag
-and bound without the diagnostics, which differ between the two routes).
+and bound without the diagnostics, which differ between the two routes), and
+for a witness line whose ``NAME/two_block`` tag moved (the witness prints
+``Routed`` too, and the CLI's ``estimated_moment`` counts as its value).
+The search lines print the total of ``details["routes"]``, since candidates
+moved between the routes by design.
 For each differing line it prints the relative change of its values ("value
 unchanged" where only bounds or diagnostics moved), apart from the largest
 relative change among its other numbers, and how far each moved value went,
@@ -131,6 +134,17 @@ def show(label, fn, *args, **kwargs):
 def routed(fn, *args, **kwargs):
     res = fn(*args, **kwargs)
     return Routed(res.value, res.method, res.error_bound)
+
+
+def witness(*args, **kwargs):
+    spec, res = ct.witness_construction(*args, **kwargs)
+    return spec, Routed(res.value, res.method, res.error_bound)
+
+
+def searched(*args, **kwargs):
+    rep = vf.search_sup_U(*args, **kwargs)
+    rep.details["routes"] = sum(rep.details["routes"].values())
+    return rep
 
 
 def routes():
@@ -218,15 +232,15 @@ def routes():
     show("individual auto uniform 30 thinned budgets", routed, ct.mixture_individual_sup, 5.0,
          BASES["uniform"], thirty)
     for name in ("rademacher", "gaussian"):
-        show(f"witness {name}", ct.witness_construction, 3.0, BASES[name], 1.0, 1.0, 500, 0.9,
+        show(f"witness {name}", witness, 3.0, BASES[name], 1.0, 1.0, 500, 0.9,
              rng=np.random.default_rng(9), n_samples=20_000)
 
     # verification routes
     for name in ("rademacher", "uniform"):
         for p in (3.0, 5.0):
-            show(f"search_sup_U p={p} {name}", vf.search_sup_U, p, BASES[name], 1.0, 1.0,
+            show(f"search_sup_U p={p} {name}", searched, p, BASES[name], 1.0, 1.0,
                  n_max=3, trials=4, seed=2)
-    show("search_sup_U p=3.0 uniform seed 6", vf.search_sup_U, 3.0, BASES["uniform"], 0.7, 1.0,
+    show("search_sup_U p=3.0 uniform seed 6", searched, 3.0, BASES["uniform"], 0.7, 1.0,
          n_max=6, trials=30, seed=6)
     show("nfold_moment logistic n=4 p=8", vf.nfold_moment,
          [vf.grid_density(vf.LogisticSource(1.0718), 16384)] * 4, 8.0)
@@ -264,14 +278,15 @@ def cli():
         sys.stdout.flush()
 
 
-# a route tag: compound Poisson's cp_series/NAME or per_k_method entry, or the
-# grid and Fourier routes of individual budgets
+# a route tag: compound Poisson's cp_series/NAME or per_k_method entry, the grid
+# and Fourier routes of individual budgets, or the witness's NAME/two_block
 ROUTE = re.compile(r"(?<=cp_series/)\w+|(?<=per_k_method': ')\w+|(?<=per_k_method\": \")\w+"
-                   r"|(?<=method=')(?:grid|fourier)(?=')")
+                   r"|(?<=method=')(?:grid|fourier)(?=')|(?<=method=')\w+(?=/two_block')"
+                   r"|(?<=method\": \")\w+(?=/two_block\")")
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)(?![\w.])")
 # value / error_bound, and the search's best_ and theorem_ pairs, as repr fields or JSON keys
 PREFIX = r"(?<![\w\"])(\"?)(best_|theorem_|)"
-VALUE = re.compile(PREFIX + r"value(?:=|\": )(\([^()]*\)|[^,()\s]+)")
+VALUE = re.compile(PREFIX + r"(?:value|estimated_moment)(?:=|\": )(\([^()]*\)|[^,()\s]+)")
 BOUND = re.compile(PREFIX + r"error_bound(?:=|\": )([^,()\s}]+)")
 
 
