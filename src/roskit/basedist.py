@@ -16,6 +16,7 @@ cpoisson.cp_sample; walk_law gives the exact law of a random-sign walk.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -148,8 +149,7 @@ class BaseDistribution:
         # sin(w t) / (w t) for the uniform law, J0(t) for cos(2 pi U)
         out[~near] = 1.0 - (np.sin(b * x) / (b * x) if self.kind == "uniform" else special.j0(x))
         t2 = t[near] ** 2
-        terms = [(-1.0) ** (j + 1) * abs_moment(self, 2.0 * j) / math.factorial(2 * j) * t2**j
-                 for j in range(12, 0, -1)]  # smallest first: 12 terms reach 1e-24 at |t| b = 1
+        terms = [coef * t2**j for j, coef in _gap_series(self)]
         series = terms[0]
         for term in terms[1:]:  # in order, in place: np.sum's additions over the stacked
             series += term      # terms, without stacking them
@@ -217,6 +217,14 @@ class BaseDistribution:
         if self.kind == "cosine":
             return 1.0 - np.arccos(np.clip(x, -1.0, 1.0)) / math.pi
         raise UnsupportedMethodError(f"no continuous CDF for kind {self.kind!r}")
+
+
+@functools.lru_cache(maxsize=256)
+def _gap_series(V: BaseDistribution) -> tuple:
+    """(j, (-1)^(j+1) E V^(2j) / (2j)!) for j = 12..1, the terms of char_gap's
+    series, smallest first: 12 terms reach 1e-24 at |t| b = 1."""
+    return tuple((j, (-1.0) ** (j + 1) * abs_moment(V, 2.0 * j) / math.factorial(2 * j))
+                 for j in range(12, 0, -1))
 
 
 def _atomic_variance_proxy(law: dict) -> float:

@@ -352,8 +352,8 @@ def mixture_individual_sup(
     else:
         res = _thinned_sum_moment(p, V, scales, activations, tol, 2_000_000)
     diag.update({key: res.diagnostics[key]
-                 for key in ("fourier_panels", "fourier_reach", "t0", "depth", "subplans",
-                             "n_cells", "support")
+                 for key in ("fourier_panels", "fourier_reach", "fourier_width", "t0", "depth",
+                             "subplans", "n_cells", "support")
                  if key in res.diagnostics})
     # this function tags the Fourier route "fourier"
     method = "fourier" if res.method == "sum_fourier" else res.method

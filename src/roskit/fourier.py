@@ -14,11 +14,12 @@ Taylor series of phi serves on [0, 1], and splits the integral in three:
   coefficient certifies the remainder, |phi - P_J| <= a_(J+1) u^(2J+2);
 - the polynomial part of P_k beyond 1, in closed form;
 - phi - 1 on [1, R] by Gauss-Legendre panels, geometric near 1 and of
-  unit width beyond (the caller's scaling keeps phi's frequencies below
-  about 1), and on [R, inf) by the caller's tail(R): the midpoint and
-  half-width of what int_R^inf (1 - phi) u^(-p-1) du can be.  R is the
-  smallest of a geometric ladder of reaches whose half-width stays below
-  tol lower / 10.
+  the caller's width beyond: 1 where the caller's scaling keeps phi's
+  frequencies below about 1, wider where phi is band-limited (a sum of
+  bounded summands, plan_sum), and on [R, inf) by the caller's tail(R):
+  the midpoint and half-width of what int_R^inf (1 - phi) u^(-p-1) du can
+  be.  R is the smallest of a geometric ladder of reaches whose half-width
+  stays below tol lower / 10.
 
 The error bound is the sum of five terms: the Taylor remainder, the gap
 between the 20- and 12-point rules summed over the panels, the tail's
@@ -55,11 +56,17 @@ and plan_sum sizes the route before any quadrature:
   chance that no summand is on, and |psi(u)| <= prod_j (1 - mu_j + mu_j
   e_j(t0 c_j u))^(k_j) - q for the envelopes e_j, so beyond R the midpoint
   is (1 - q) R^-p / p and the half-width that bound times R^-p / p;
-- R and the panel count: past MAX_SUM_PANELS panels, or for a law without
-  char_gap, the plan's route is "grid" (only the ordering sums of
-  verify.sum_moment take a grid then); on the Fourier route the panels are
-  halved only up to MAX_SUM_PANELS, so that budget bounds the work of every
-  sum it admits.
+- the panel width: where every law has a support bound b_j
+  (support_bound(); the Gaussian has none, and laws without the method,
+  the logistic and the log-concave family members, are not taken to have
+  one), phi_X is band-limited, |X| <= B = t0 sum_j k_j c_j b_j, and a panel
+  _PANEL_PHASE / B wide holds at most _PANEL_PHASE radians of its top
+  frequency; the width is that, or 1 where it is less or no B is known;
+- R and the panel count, on the very edges sum_abs_moment integrates: past
+  MAX_SUM_PANELS panels, or for a law without char_gap, the plan's route is
+  "grid" (only the ordering sums of verify.sum_moment take a grid then); on
+  the Fourier route the panels are halved only up to MAX_SUM_PANELS, so that
+  budget bounds the work of every sum it admits.
 
 A thinned factor tends to 1 - mu, not 0, so a rare wide summand keeps |phi_X|
 up and its plan needs thousands of panels.  plan_conditioned then takes
@@ -88,7 +95,14 @@ __all__ = ["MAX_PANELS", "MAX_SUM_PANELS", "SUBPLAN_PANELS", "ConditionedPlan", 
            "uniform_envelope"]
 
 _EPS = sys.float_info.epsilon
-_RATIO = 1.25  # geometric panels [u, 1.25 u] up to width 1, unit panels beyond
+_RATIO = 1.25  # geometric panels [u, 1.25 u] up to the panel width, panels of that width beyond
+# The phase, in radians, that phi_X's top frequency B turns through across one panel
+# of a sum of bounded summands (|X| <= B), whose panels are then _PANEL_PHASE / B wide
+# where that exceeds 1.  Over 16 rad the 12-point rule integrates cos(B u + s) within
+# 2e-10 of the panel's width times its amplitude and the 20-point rule at round-off
+# (1e-15 up to 24 rad, 5e-13 at 32), so the gap between them still bounds the finer
+# rule's error.
+_PANEL_PHASE = 16.0
 _REFINE = 4  # halvings of every panel while the bound exceeds tol |value|
 MAX_PANELS = 1 << 17  # R is cut to keep within it, and the tail beyond R bounded
 _CHUNK = 8192  # panels evaluated at once
@@ -97,9 +111,11 @@ _REACHES = np.geomspace(2.0, 0.5 * MAX_PANELS, 600)  # the candidate R, 1.8 % ap
 # A sum needing more panels takes the "grid" route (conditioned on summand
 # activity where thinned, plan_conditioned), and the Fourier route halves its
 # panels only up to this many.  Measured with
-# tools/sum_routes.py on 30 rare uniforms and one unthinned one (p = 5):
-# at 6,865 panels the Fourier bound was 2.9e-6 relative against the grid's
-# 7.9e6, at 9,062 panels 7.5e-6 against 1.4e-7; ordering sums stay below 210.
+# tools/sum_routes.py on 30 rare uniforms and one unthinned one (p = 5), on
+# unit panels, before panels were widened to the band limit: at 6,865 panels
+# the Fourier bound was 2.9e-6 relative against the grid's 7.9e6, at 9,062
+# panels 7.5e-6 against 1.4e-7; ordering sums stay below 210.  The rare
+# uniforms' band limit keeps those sums on unit panels.
 MAX_SUM_PANELS = 8192
 _GAP_ULPS = 64  # char_gap's relative error where its series serves, t <= char_cap()
 _GAP_ABS = 16  # and its absolute error beyond, where 1 - phi is of order 1
@@ -188,7 +204,8 @@ def cap_split_gap(law, t, closed: Callable) -> np.ndarray:
 
 def _edges(reach: float, ratio: float, width: float) -> np.ndarray:
     """Panel edges from 1 to reach: geometric by ratio until a panel is width
-    wide, then width apart."""
+    wide (from width / (ratio - 1) on), then width apart.  abs_moment and
+    plan_sum both count their panels here."""
     turn = min(width / (ratio - 1.0), reach)
     geometric = ratio ** np.arange(math.ceil(math.log(turn) / math.log(ratio)) + 1)
     start = min(geometric[-1], reach)
@@ -205,18 +222,21 @@ def _rules() -> tuple:
 
 def _panel_integrals(gap, p: float, edges: np.ndarray):
     """Per panel: int of (1 - phi) u^(-p-1) by each rule, and the round-off
-    bound of the first; _CHUNK panels at a time."""
+    bound of the first; _CHUNK panels at a time, with one call of gap on both
+    rules' nodes."""
+    rules = _rules()
     sums, roundoff = [[], []], 0.0
     for lo in range(0, edges.size - 1, _CHUNK):
         chunk = edges[lo : lo + _CHUNK + 1]
         mid, half = 0.5 * (chunk[1:] + chunk[:-1]), 0.5 * np.diff(chunk)
-        for rule, (nodes, weights) in enumerate(_rules()):
-            u = mid[:, None] + half[:, None] * nodes
-            g, err = gap(u.ravel())
+        us = [mid[:, None] + half[:, None] * nodes for nodes, _ in rules]
+        g, err = gap(np.concatenate([u.ravel() for u in us]))
+        parts = (slice(0, us[0].size), slice(us[0].size, None))
+        for rule, (u, (_, weights), part) in enumerate(zip(us, rules, parts)):
             w = half[:, None] * weights * u ** (-p - 1.0)
-            sums[rule].append((g.reshape(u.shape) * w).sum(axis=1))
+            sums[rule].append((g[part].reshape(u.shape) * w).sum(axis=1))
             if rule == 0:
-                roundoff += float((err.reshape(u.shape) * w).sum())
+                roundoff += float((err[part].reshape(u.shape) * w).sum())
     fine, coarse = (np.concatenate(out) for out in sums)
     return fine, coarse, roundoff
 
@@ -237,7 +257,7 @@ def _reach(p: float, tail: Callable, lower: float, tol: float) -> float:
 
 
 def abs_moment(p: float, gap: Callable, taylor: Callable, tail: Callable, lower: float,
-               tol: float, max_panels: int = MAX_PANELS) -> FourierMoment:
+               tol: float, max_panels: int = MAX_PANELS, width: float = 1.0) -> FourierMoment:
     """E|X|^p of a symmetric X at non-even p > 0 from phi.
 
     gap(u) returns 1 - phi(u) and a bound on its evaluation error, both on an
@@ -246,11 +266,14 @@ def abs_moment(p: float, gap: Callable, taylor: Callable, tail: Callable, lower:
     remainder.  tail(R), on an array of R, returns the midpoint and the
     half-width of int_R^inf (1 - phi) u^(-p-1) du; the half-width must not
     increase with R.  lower <= E|X|^p sizes R so that the tail stays below
-    tol lower / 10, and at most MAX_PANELS / 2.  While the bound exceeds
-    tol |value| and the rules' gap is most of it, every panel is halved, up
-    to _REFINE times and max_panels panels.  So the work stays bounded at any
-    tol, and the bound exceeds tol |value| only where the tol cannot be met
-    within max_panels.
+    tol lower / 10, and at most MAX_PANELS / 2.  The panels on [1, R] are
+    geometric until they are width wide, then of that width: 1 where phi's
+    frequencies reach about 1, up to _PANEL_PHASE / B where phi is
+    band-limited at B (plan_sum).  While the bound exceeds tol |value| and
+    the rules' gap is most of it, every panel is halved, up to _REFINE times
+    and max_panels panels.  So the work stays bounded at any tol, and the
+    bound exceeds tol |value| only where the tol cannot be met within
+    max_panels.
     """
     k, C = _prefactor(p)
     if 2 * k == p:
@@ -278,7 +301,6 @@ def abs_moment(p: float, gap: Callable, taylor: Callable, tail: Callable, lower:
     coefficients = math.fsum(map(abs, taylor_terms + poly_terms))
     absolute = coefficients + mid
 
-    width = 1.0
     ratio = _RATIO
     for _ in range(_REFINE + 1):
         edges = _edges(reach, ratio, width)
@@ -319,6 +341,7 @@ class SumPlan(NamedTuple):
     reach: float  # R, 0 where no quadrature runs
     panels: int
     tol: float
+    width: float = 1.0  # the panel width on [1, R] (see _band_width)
 
 
 def _series_power(f: np.ndarray, k: int, n: int) -> tuple[np.ndarray, int]:
@@ -415,6 +438,17 @@ def _sum_gap(terms: tuple, t0: float, spread: float) -> Callable:
     return gap
 
 
+def _band_width(terms: tuple, t0: float) -> float:
+    """The panel width for phi_X, X = t0 S: max(1, _PANEL_PHASE / B) where every
+    law has a support bound b_j, so that |X| <= B = t0 sum_j k_j c_j b_j, and 1
+    where one has none."""
+    bounds = [getattr(term.law, "support_bound", lambda: None)() for term in terms]
+    if None in bounds:
+        return 1.0
+    band = t0 * math.fsum(term.count * term.scale * b for term, b in zip(terms, bounds))
+    return max(1.0, _PANEL_PHASE / band)
+
+
 def plan_sum(p: float, terms, tol: float = 1e-9) -> SumPlan:
     """The route, unit and reach of E|S|^p for S the sum of the terms, sized
     before any quadrature (see the module docstring)."""
@@ -440,9 +474,10 @@ def plan_sum(p: float, terms, tol: float = 1e-9) -> SumPlan:
     if 2 * k == p:
         return SumPlan("fourier", p, live, t0, spread, lower, 0.0, 0, tol)
     reach = _reach(p, _sum_tail(p, live, t0), lower, tol)
-    panels = _edges(reach, _RATIO, 1.0).size - 1
+    width = _band_width(live, t0)
+    panels = _edges(reach, _RATIO, width).size - 1
     route = "fourier" if panels <= MAX_SUM_PANELS else "grid"
-    return SumPlan(route, p, live, t0, spread, lower, reach, panels, tol)
+    return SumPlan(route, p, live, t0, spread, lower, reach, panels, tol, width)
 
 
 def sum_abs_moment(plan: SumPlan) -> ConstantResult:
@@ -460,13 +495,14 @@ def sum_abs_moment(plan: SumPlan) -> ConstantResult:
         err = (rel + 2.0 * _EPS) * value
     else:
         res = abs_moment(p, _sum_gap(terms, t0, plan.spread), taylor, _sum_tail(p, terms, t0),
-                         plan.lower, plan.tol, MAX_SUM_PANELS)
+                         plan.lower, plan.tol, MAX_SUM_PANELS, plan.width)
         value, err = res.value, res.error_bound
         if not err < abs(value):
             # the alternating Taylor sums cancel past all accuracy (bounded laws at large p)
             raise DomainError(f"the Fourier sum at p = {p!r} has a bound {err * t0 ** -p:.3g} "
                               f"not below its value {value * t0 ** -p:.3g}; use a smaller p")
-        diag.update({"fourier_panels": res.panels, "fourier_reach": res.reach / t0})
+        diag.update({"fourier_panels": res.panels, "fourier_reach": res.reach / t0,
+                     "fourier_width": plan.width})
     scale = t0 ** -p
     diag["t0"] = t0
     return ConstantResult(value * scale, "sum_fourier",
@@ -478,7 +514,9 @@ def sum_abs_moment(plan: SumPlan) -> ConstantResult:
 
 # The panel cap of each sub-plan.  tools/sum_routes.py --search (36 uniform candidates
 # at p = 3 for each of search seeds 0, 6 and 1234) took 0.70, 0.39, 0.29, 0.32, 0.40
-# and 0.62 s in all at caps 128, 256, 512, 1,024, 2,048 and 8,192 (2-core x86-64)
+# and 0.62 s in all at caps 128, 256, 512, 1,024, 2,048 and 8,192 on unit panels, and
+# 0.17, 0.12, 0.11, 0.10, 0.12 and 0.25 s on panels sized by the band limit
+# (_PANEL_PHASE = 16; 0.35, 0.14 and 0.09 s at 1, 8 and 32), 2-core x86-64
 SUBPLAN_PANELS = 512
 
 

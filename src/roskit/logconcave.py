@@ -260,7 +260,7 @@ class TruncatedExpDensity:
             return 1.0 / (2.0 * self.alpha)
         if self.limit == "exponential":
             return self.gamma / 2.0
-        return self.gamma / (2.0 * (1.0 - math.exp(-self.alpha * self.gamma)))
+        return self.gamma / (2.0 * -math.expm1(-self.alpha * self.gamma))
 
     def pdf(self, x: float) -> float:
         ax = abs(x)
@@ -277,8 +277,8 @@ class TruncatedExpDensity:
         elif self.limit == "exponential":
             upper = 1.0 - 0.5 * np.exp(-self.gamma * ax)
         else:
-            num = 1.0 - np.exp(-self.gamma * np.minimum(ax, self.alpha))
-            den = 1.0 - math.exp(-self.alpha * self.gamma)
+            num = -np.expm1(-self.gamma * np.minimum(ax, self.alpha))
+            den = -math.expm1(-self.alpha * self.gamma)
             upper = 0.5 + 0.5 * num / den
         return np.where(x < 0.0, 1.0 - upper, upper)[()]
 
@@ -296,7 +296,7 @@ class TruncatedExpDensity:
             return math.exp(r * math.log(self.alpha) + math.log(kappa * kummer / (r + 1.0))
                             - math.log(-math.expm1(-kappa)))
         p_reg = specfun.reg_lower_inc_gamma(r + 1.0, kappa)
-        return math.exp(log_val) * p_reg / (1.0 - math.exp(-kappa))
+        return math.exp(log_val) * p_reg / -math.expm1(-kappa)
 
     def atoms(self) -> dict:
         return {}
@@ -337,9 +337,9 @@ class TruncatedExpDensity:
             return fourier.laplace_gap(g, t)
         if self.limit == "uniform":
             return fourier.cap_split_gap(self, t, lambda t: 1.0 - np.sin(a * t) / (a * t))
-        m = math.exp(-a * g)
+        m, one_minus_m = math.exp(-a * g), -math.expm1(-a * g)
         return fourier.cap_split_gap(self, t, lambda t: 1.0 - g * (
-            g - m * (g * np.cos(a * t) - t * np.sin(a * t))) / ((1.0 - m) * (g * g + t * t)))
+            g - m * (g * np.cos(a * t) - t * np.sin(a * t))) / (one_minus_m * (g * g + t * t)))
 
     def char_envelope(self, t) -> np.ndarray:
         """|phi(t)| <= [gamma^2 + gamma e^-kappa sqrt(gamma^2 + t^2)]
@@ -348,8 +348,8 @@ class TruncatedExpDensity:
         a, g = self.alpha, self.gamma
         if self.limit == "uniform":
             return fourier.uniform_envelope(a, t)
-        m = 0.0 if self.limit == "exponential" else math.exp(-a * g)
-        return np.minimum(1.0, g * (g + m * np.hypot(g, t)) / ((1.0 - m) * (g * g + t * t)))
+        m, one_minus_m = math.exp(-a * g), -math.expm1(-a * g)  # 0 and 1 for the exponential
+        return np.minimum(1.0, g * (g + m * np.hypot(g, t)) / (one_minus_m * (g * g + t * t)))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         signs = rng.integers(0, 2, size=n) * 2 - 1
@@ -358,7 +358,7 @@ class TruncatedExpDensity:
             return signs * self.alpha * u
         if self.limit == "exponential":
             return signs * rng.exponential(1.0 / self.gamma, size=n)
-        mags = -np.log1p(-u * (1.0 - math.exp(-self.alpha * self.gamma))) / self.gamma
+        mags = -np.log1p(u * np.expm1(-self.alpha * self.gamma)) / self.gamma
         return signs * mags
 
     def to_record(self) -> dict:
@@ -809,7 +809,7 @@ def match_density_plus(target: MatchTarget) -> TruncatedExpDensity:
     return _match(target, feasibility_interval_density,
                   {"lo": lambda a: TruncatedExpDensity(math.sqrt(3.0) * a, 0.0),
                    "hi": lambda a: TruncatedExpDensity(math.inf, math.sqrt(2.0) / a)},
-                  _fplus_path, (1e-8, 500.0))
+                  _fplus_path, (1e-12, 500.0))
 
 
 # tail family -> (end members, path, root bracket), the last three arguments of _match

@@ -323,6 +323,15 @@ class TestMatchCommand:
         assert res.exit_code == 0
         assert parse_json_lines(res.output)[0]["command"] == "match"
 
+    def test_near_the_uniform_end_at_p_20(self):
+        # 1e-9 above the uniform end: exited 2 with "matched member failed the
+        # moment check" while the truncated exponential's moments lost digits
+        res = run_cli("match", "--family", "fplus", "--p", "20", "--a", "1",
+                      "--b", "1.487474958163516")
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["achieved_mp"] == pytest.approx(1.487474958163516**20, rel=1e-8)
+
     def test_interior_record(self):
         res = run_cli("match", "--family", "fminus", "--p", "4", "--a", "1",
                       "--b", "1.35")

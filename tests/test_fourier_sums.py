@@ -165,6 +165,7 @@ CHAR_LAWS = [
     lc.PlateauExpDensity(4.0, 0.2),
     lc.TruncatedExpDensity(1.9, 1.7), lc.TruncatedExpDensity(0.4, 0.3), lc.TruncatedExpDensity(3.0, 20.0),
     lc.TruncatedExpDensity(math.inf, 0.9),
+    lc._fplus_path(1e-12, 1.0),  # kappa = 1e-12 from the uniform end, the fplus bracket's reach
     lc.TailLawMinus(1.7, 0.6), lc.TailLawMinus(30.0, 2.0), lc.TailLawMinus(0.8, 0.0),
     lc.TailLawPlus(1.4, 1.1), lc.TailLawPlus(5.0, 3.0), lc.TailLawPlus(0.0, 1.2),
 ]
@@ -482,8 +483,9 @@ def test_panel_budget_at_the_measured_crossover():
 @pytest.mark.parametrize("seed", [0, 1, 6, 1234])
 def test_search_candidates_against_oracle(p, seed):
     # a plan past fourier.SUBPLAN_PANELS is conditioned on its widest thinned
-    # summands, and every sub-plan then fits that cap: none takes the grid
-    depths = set()
+    # summands, and every sub-plan then fits that cap: none takes the grid.  The
+    # uniform summands are bounded, so most plans take panels wider than 1
+    depths, wide = set(), 0
     for _, scales, activations in vf._candidates(p, UNIFORM, 0.7, 1.0, 6, 30, seed):
         res = ct._thinned_sum_moment(p, UNIFORM, scales, activations, 1e-6, 1_000_000)
         want = thinned_uniform_oracle(p, scales, activations)
@@ -495,5 +497,118 @@ def test_search_candidates_against_oracle(p, seed):
         assert (res.diagnostics["depth"] > 0) == (plan.panels > fourier.SUBPLAN_PANELS)
         assert res.diagnostics["fourier_panels"] <= fourier.SUBPLAN_PANELS
         depths.add(res.diagnostics["depth"])
+        wide += plan.width > 1.0
     if p == 3.0:  # the wide-ratio hazard: some candidates are conditioned
         assert max(depths) >= 1
+    assert wide > 0
+
+
+# ---------------------------------------------------------------------------
+# the panel width: a sum of bounded summands, |X| <= B, takes panels
+# fourier._PANEL_PHASE / B wide where that exceeds 1
+
+
+def _at_unit_width(plan):
+    """The plan on unit panels, whatever its panel count."""
+    unit = fourier._edges(plan.reach, fourier._RATIO, 1.0).size - 1
+    return plan._replace(route="fourier", width=1.0, panels=unit)
+
+
+def test_width_from_the_support_bounds():
+    terms = [Term(UNIFORM, 2.1, 0.05), Term(bd.uniform(0.5), 0.4, 0.6, 3),
+             Term(bd.symmetric_atoms([(0.0, 0.5), (1.5, 0.5)]), 1.3)]
+    plan = fourier.plan_sum(4.5, terms, 1e-9)
+    band = plan.t0 * (2.1 * 1.0 + 3 * 0.4 * 0.5 + 1.3 * 1.5)
+    assert plan.width == pytest.approx(fourier._PANEL_PHASE / band, rel=1e-15)
+    assert plan.panels == fourier._edges(plan.reach, fourier._RATIO, plan.width).size - 1
+
+
+@pytest.mark.parametrize("p", [3.0, 4.5, 7.3])
+@pytest.mark.parametrize("scales,activations", [
+    ([1.0], [1.0]),
+    ([2.1, 0.4, 1.3], [0.05, 0.6, 1.0]),
+    ([0.5, 0.9, 1.7, 0.2, 1.1], [1e-3, 0.2, 0.01, 0.5, 0.7]),
+])
+def test_wide_panels_against_oracle(p, scales, activations):
+    plan = fourier.plan_sum(p, [Term(UNIFORM, c, mu) for c, mu in zip(scales, activations)], 1e-9)
+    assert plan.width > 1.0
+    res = fourier.sum_abs_moment(plan)
+    assert res.diagnostics["fourier_width"] == plan.width
+    assert abs(res.value - thinned_uniform_oracle(p, scales, activations)) <= res.error_bound
+    assert res.error_bound <= 1e-9 * res.value
+    unit = fourier.sum_abs_moment(_at_unit_width(plan))
+    assert res.diagnostics["fourier_panels"] < unit.diagnostics["fourier_panels"]
+
+
+@pytest.mark.parametrize("p", [3.0, 5.0])
+def test_planned_panels_are_the_panels_that_run(p, monkeypatch):
+    # without refinement, abs_moment integrates on the very edges plan_sum counts:
+    # search candidates on wide panels, and sums with a Gaussian on unit panels
+    monkeypatch.setattr(fourier, "_REFINE", 0)
+    plans = [fourier.plan_sum(p, [Term(UNIFORM, c, mu, k) for (c, mu), k in
+                                  collections.Counter(zip(scales, activations)).items()], 1e-6)
+             for _, scales, activations in vf._candidates(p, UNIFORM, 0.7, 1.0, 6, 30, 0)]
+    plans += [fourier.plan_sum(p, [Term(bd.gaussian(), c, mu), Term(UNIFORM, 1.0, 0.5)], 1e-9)
+              for c, mu in ((0.3, 1.0), (2.0, 0.1), (40.0, 0.01))]
+    for plan in plans:
+        if plan.route == "fourier":
+            assert fourier.sum_abs_moment(plan).diagnostics["fourier_panels"] == plan.panels
+    assert {plan.width > 1.0 for plan in plans} == {False, True}
+
+
+@pytest.mark.parametrize("p,terms,panels", [
+    (5.0, [Term(bd.gaussian(), 1.0, 1.0, 3)], 8),
+    (3.0, [Term(bd.gaussian(), 1.0, 0.3, 2), Term(UNIFORM, 2.0, 0.5)], 343),
+    (7.3, [Term(vf.GaussianSource(), count=4)], 7),
+    (4.5, [Term(lc.TruncatedExpDensity(1.9, 1.7), 1.0, 0.5, 2)], None),
+], ids=["gaussian", "gaussian-and-uniform", "gaussian-source", "truncated-exponential"])
+def test_unbounded_or_unknown_bounds_keep_unit_panels(p, terms, panels):
+    # the Gaussian has no support bound, and a law without support_bound (the
+    # sources, the family members) is not taken to have one: unit panels, as many
+    # as before panels were sized by the band limit
+    plan = fourier.plan_sum(p, terms, 1e-9)
+    assert plan.width == 1.0
+    assert plan.panels == (panels or fourier._edges(plan.reach, fourier._RATIO, 1.0).size - 1)
+    res = fourier.sum_abs_moment(plan)
+    assert res.diagnostics["fourier_width"] == 1.0
+    assert res.diagnostics["fourier_panels"] == plan.panels
+
+
+@st.composite
+def bounded_thinned_sums(draw):
+    p = draw(st.one_of(st.floats(2.05, 9.95), st.sampled_from([2.5, 3.0, 5.0])))
+    laws = [bd.cosine_projection(), UNIFORM]
+    n = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(n):
+        law = draw(st.sampled_from(laws + ["atoms"]))
+        if law == "atoms":  # three points: 0 and +-a
+            zero = draw(st.floats(0.05, 0.9))
+            law = bd.symmetric_atoms([(0.0, zero), (draw(st.floats(0.3, 3.0)), 1.0 - zero)])
+        scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+        mu = draw(st.one_of(st.just(1.0), st.floats(-8.0, -0.05).map(lambda e: 10.0**e)))
+        terms.append(Term(law, scale, mu, draw(st.integers(1, 3))))
+    return p, terms
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bounded_thinned_sums())
+def test_conditioned_sweep_at_wide_panels(case):
+    # cosine, uniform and three-point atomic summands on panels wider than 1:
+    # conditioned or not, the value agrees with the same plan on unit panels
+    # wherever that fits MAX_SUM_PANELS
+    p, terms = case
+    plan = fourier.plan_sum(p, terms, 1e-9)
+    assume(plan.width > 1.0)
+    try:
+        cond = fourier.plan_conditioned(p, terms, 1e-9)
+    except InputError as exc:
+        assert plan.route == "grid" and "MAX_SUM_PANELS = 8192" in str(exc)
+        return
+    assert all(sub.route == "fourier" for *_, sub in cond.parts)
+    res = fourier.conditioned_abs_moment(cond)
+    assert res.error_bound < res.value
+    unit = _at_unit_width(plan)
+    if unit.panels <= fourier.MAX_SUM_PANELS:
+        ref = fourier.sum_abs_moment(unit)
+        assert abs(res.value - ref.value) <= res.error_bound + ref.error_bound

@@ -1,5 +1,5 @@
 """Time and error bound of the routes of a sum moment, to place
-fourier.MAX_SUM_PANELS and fourier.SUBPLAN_PANELS.
+fourier.MAX_SUM_PANELS, fourier.SUBPLAN_PANELS and fourier._PANEL_PHASE.
 
 For each sum the script prints the panel count fourier.plan_sum sizes, the
 route it picks, and for each route the wall time and the error bound
@@ -19,16 +19,19 @@ With ``--search`` it prints, for every candidate of verify.search_sup_U on
 the uniform law at p = 3 (A = 0.7, B = 1, n_max = 6, 30 trials, tol 1e-6)
 for search seeds 0, 6 and 1234, whose summand scales differ by up to four
 orders of magnitude, what constants._thinned_sum_moment does with it: the
-panels of its unconditioned plan, the depth m that fourier.plan_conditioned
-conditions on, the sub-plan count, the largest sub-plan's panels, the wall
-time and the bound relative to the value.  Then, for each sub-plan cap in
-``--caps`` (fourier.SUBPLAN_PANELS set to each in turn), the seeds' total
-time, the count of candidates per depth, the largest sub-plan and the
-largest relative bound.  The script imports roskit from the ``src``
-directory next to it:
+panel width of its unconditioned plan (wider than 1 where the sum's band
+limit allows, fourier._PANEL_PHASE radians of its top frequency per panel),
+that plan's panels and its panels at unit width, the depth m that
+fourier.plan_conditioned conditions on, the sub-plan count, the largest
+sub-plan's panels, the wall time and the bound relative to the value.
+Then, for each sub-plan cap in ``--caps`` (fourier.SUBPLAN_PANELS set to
+each in turn) and each phase in ``--kappas`` (fourier._PANEL_PHASE set to
+each in turn, the other at its default), the seeds' total time, the count
+of candidates per depth, the largest sub-plan and the largest relative
+bound.  The script imports roskit from the ``src`` directory next to it:
 
     python tools/sum_routes.py
-    python tools/sum_routes.py --search --caps 128,512,2048,8192
+    python tools/sum_routes.py --search --caps 128,512,2048,8192 --kappas 1,8,16,32
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def _conditioned(p, scales, activations):
     return res, elapsed
 
 
-def search(caps):
+def search(caps, kappas):
     seeds = (0, 6, 1234)
     cases = [(seed, *candidate) for seed in seeds
              for candidate in verify._candidates(3.0, basedist.uniform(1.0), 0.7, 1.0, 6, 30, seed)]
@@ -116,15 +119,20 @@ def search(caps):
         groups = Counter(zip(scales, activations))
         plan = fourier.plan_sum(3.0, [fourier.Term(basedist.uniform(1.0), c, mu, k)
                                       for (c, mu), k in groups.items()], 1e-6)
+        unit = fourier._edges(plan.reach, fourier._RATIO, 1.0).size - 1
         live = [c for c, mu in zip(scales, activations) if c > 0.0 and mu > 0.0]
         res, elapsed = _conditioned(3.0, scales, activations)
         diag = res.diagnostics
         print(f"seed {seed:4d} trial {trial:2d} n {len(live)} ratio {max(live) / min(live):9.3g}"
-              f" | unconditioned {plan.panels:6d} panels | depth {diag['depth']}"
-              f" sub-plans {diag.get('subplans', 1):2d} largest {diag['fourier_panels']:5d}"
+              f" | width {plan.width:6.2f} panels {plan.panels:6d} (unit {unit:6d})"
+              f" | depth {diag['depth']} sub-plans {diag.get('subplans', 1):2d}"
+              f" largest {diag['fourier_panels']:5d}"
               f" | {1e3 * elapsed:6.1f} ms bound {res.error_bound / res.value:8.1e}", flush=True)
-    for cap in caps:
-        fourier.SUBPLAN_PANELS = cap
+    default_cap, default_kappa = fourier.SUBPLAN_PANELS, fourier._PANEL_PHASE
+    sweeps = [("cap", cap, cap, default_kappa) for cap in caps]
+    sweeps += [("kappa", kappa, default_cap, kappa) for kappa in kappas]
+    for name, level, cap, kappa in sweeps:
+        fourier.SUBPLAN_PANELS, fourier._PANEL_PHASE = cap, kappa
         for seed in seeds:
             total, depths, largest, worst = 0.0, Counter(), 0, 0.0
             for _, _, scales, activations in (c for c in cases if c[0] == seed):
@@ -133,7 +141,7 @@ def search(caps):
                 depths[res.diagnostics["depth"]] += 1
                 largest = max(largest, res.diagnostics["fourier_panels"])
                 worst = max(worst, res.error_bound / res.value)
-            print(f"cap {cap:5d} seed {seed:4d}: {total:6.3f} s, candidates per depth "
+            print(f"{name} {level:5g} seed {seed:4d}: {total:6.3f} s, candidates per depth "
                   f"{dict(sorted(depths.items()))}, largest sub-plan {largest:5d} panels, "
                   f"largest bound {worst:8.1e}", flush=True)
 
@@ -144,8 +152,12 @@ if __name__ == "__main__":
                         help="search candidates at p = 3, search seeds 0, 6 and 1234")
     parser.add_argument("--caps", default=str(fourier.SUBPLAN_PANELS),
                         help="comma-separated sub-plan caps to time with --search")
+    parser.add_argument("--kappas", default="",
+                        help="comma-separated panel phases (radians of the top frequency "
+                             "per panel) to time with --search")
     args = parser.parse_args()
     if args.search:
-        search([int(cap) for cap in args.caps.split(",")])
+        search([int(cap) for cap in args.caps.split(",")],
+               [float(kappa) for kappa in args.kappas.split(",") if kappa])
     else:
         main()
