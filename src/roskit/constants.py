@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     FeasibilityError,
     InputError,
-    UnsupportedMethodError,
 )
 from .result import ConstantResult
 
@@ -313,7 +312,6 @@ def mixture_individual_sup(
     p: float,
     V: BaseDistribution,
     budget: MomentBudget,
-    mode: str = "auto",
     tol: float = 1e-9,
 ) -> ConstantResult:
     """sup E|sum_j X_j|^p over independent V-mixtures with individual
@@ -321,12 +319,13 @@ def mixture_individual_sup(
 
     Attained by Bernoulli-thinned scaled copies of V meeting both budgets
     with equality (for random signs the three-point laws of utev_3point_sup).
-    Mode "auto" evaluates them by _thinned_sum_moment: exact enumeration for
-    atomic V with at most MAX_ENUM_SUMMANDS summands, else von Bahr's integral
-    over the product of the summands' characteristic functions (method
-    "fourier"), conditioned on summand activity where that plan passes
-    fourier.SUBPLAN_PANELS panels.  Mode "grid", the spectral grid sum on 8,192
-    cells, is the reference route.
+    They are evaluated by _thinned_sum_moment: exact enumeration for atomic V
+    with at most MAX_ENUM_SUMMANDS summands, else von Bahr's integral over the
+    product of the summands' characteristic functions (method "fourier"),
+    conditioned on summand activity where that plan passes
+    fourier.SUBPLAN_PANELS panels.  The reference route, the spectral grid sum
+    of the returned scales and activations, is _thinned_grid_result, called by
+    name.
     """
     if p < 4.0:
         raise DomainError("per-summand budgets require p >= 4")
@@ -345,75 +344,60 @@ def mixture_individual_sup(
         )
     activations = [min(mu, 1.0) for mu in activations]
     diag = {"n": len(scales), "scales": scales, "activations": activations, "V": V.kind}
-    if mode not in ("auto", "grid"):
-        raise UnsupportedMethodError(f"unknown mode {mode!r}")
-    if mode == "grid":
-        res = _thinned_grid_result(p, V, scales, activations, tol, 8192)
-    else:
-        res = _thinned_sum_moment(p, V, scales, activations, tol, 2_000_000)
+    res = _thinned_sum_moment(p, V, scales, activations, tol, 2_000_000)
     diag.update({key: res.diagnostics[key]
                  for key in ("fourier_panels", "fourier_reach", "fourier_width", "t0", "depth",
-                             "subplans", "n_cells", "support")
+                             "subplans", "support")
                  if key in res.diagnostics})
     # this function tags the Fourier route "fourier"
     method = "fourier" if res.method == "sum_fourier" else res.method
     return ConstantResult(res.value, method, res.error_bound, diag)
 
 
-def _thinned_grid_sum(p: float, V: BaseDistribution, L: float, groups: Counter, n_cells: int,
+def _thinned_grid_sum(p: float, V: BaseDistribution, L: float, terms, n_cells: int,
                       tol: float):
-    """(SpectralMoment, window and wrap tail, summands, fine step) of the sum of count
-    theta c V per (c, mu): count, P(theta = 1) = mu, on the finest summand's
-    edge_steps(n_cells / 2), over a period sized by the window (gridconv.window_radii)."""
+    """(E|S|^p on the grid, the indices of the rare terms) for S the sum of the
+    terms, on the finest summand's edge_steps(n_cells / 2), by gridconv.grid_moment.
+    A rare term, whose active mass per fine cell mu / (2 reach + 1) is at most the
+    sum's noise floor, is zeroed with the noise, so the caller conditions on it."""
+    if not terms:
+        return ConstantResult(0.0, "grid", 0.0), []
     # activation mu thins c V: mass 1 - mu at 0, the centre of a cell; an atomic V
     # enters as its thinned atoms, without a CDF
-    summands = [gridconv.Summand(None, c * L, _thinned_atoms(V, c, mu), k) if V.is_atomic
-                else gridconv.Summand(lambda x, c=c, mu=mu: mu * V.cdf(x / c), c * L,
-                                      {0.0: 1.0 - mu}, k)
-                for (c, mu), k in groups.items()]
-    steps = gridconv.sum_steps(summands, gridconv.edge_steps(min(groups)[0] * L, n_cells // 2))
+    summands = [gridconv.Summand(None, t.scale * L, _thinned_atoms(V, t.scale, t.activation),
+                                 t.count) if V.is_atomic
+                else gridconv.Summand(lambda x, c=t.scale, mu=t.activation: mu * V.cdf(x / c),
+                                      t.scale * L, {0.0: 1.0 - t.activation}, t.count)
+                for t in terms]
+    steps = gridconv.sum_steps(summands,
+                               gridconv.edge_steps(min(t.scale for t in terms) * L, n_cells // 2))
     # Hoeffding: each summand is symmetric with |c theta V| <= c L
     sigma2 = math.fsum(s.count * s.half**2 for s in summands)
-    full = math.fsum(s.count * s.half for s in summands)
-    T, T2, tail = gridconv.window_radii(p, sigma2, tol, full)
-    return gridconv.spectral_abs_moment(summands, steps, p, T, T2), tail, summands, steps[0]
-
-
-def _thinned_grid_moment(p: float, V: BaseDistribution, scales, activations, n_cells: int,
-                         tol: float):
-    """(fine, coarse, certified terms) of E|sum_j c_j theta_j V_j|^p.
-
-    A rare summand, whose active mass per fine cell mu / (2 reach + 1) is at most the
-    thinned sum's noise floor, would be zeroed with the noise: the sum is conditioned on
-    the active counts of the rare summands (fourier.condition), each pattern a grid sum."""
-    bound = V.support_bound()
-    L = bound if bound is not None else basedist._gaussian_grid_halfwidth(1, max(p, 6.0), tol)
-    groups = Counter((c, mu) for c, mu in zip(scales, activations) if c > 0.0 and mu > 0.0)
-    res, tail, summands, h = _thinned_grid_sum(p, V, L, groups, n_cells, tol)
-    rare = [i for i, ((c, mu), s) in enumerate(zip(groups, summands))
-            if mu / (2 * s.reach(h) + 1) <= res.floor]
-    if not rare:
-        return res.fine, res.coarse, tail + res.hidden
-    terms = [fourier.Term(V, c, mu, k) for (c, mu), k in groups.items()]
-    # E|S|^p >= sum_j E|X_j|^p for p >= 2
-    lower = math.fsum(t.count * t.activation * t.scale**p for t in terms) * V.abs_moment(p)
-    cond = fourier.condition(p, terms, rare, tol, 0.1 * tol * lower)
-    total = np.array([0.0, 0.0, cond.truncation])
-    for weight, rel, sub in cond.parts:
-        if sub.terms:
-            res, tail, _, _ = _thinned_grid_sum(p, V, L, Counter(
-                {(t.scale, t.activation): t.count for t in sub.terms}), n_cells, tol)
-            total += weight * np.array([res.fine, res.coarse, tail + res.hidden + rel * res.fine])
-    return tuple(float(x) for x in total)
+    grid = gridconv.grid_moment(summands, steps, p, sigma2, tol,
+                                math.fsum(s.count * s.half for s in summands))
+    rare = [i for i, (t, s) in enumerate(zip(terms, summands))
+            if t.activation / (2 * s.reach(steps[0]) + 1) <= grid.spectral.floor]
+    return ConstantResult(grid.value, "grid", grid.error_bound), rare
 
 
 def _thinned_grid_result(p: float, V: BaseDistribution, scales, activations, tol: float,
                          n_cells: int) -> ConstantResult:
-    """_thinned_grid_moment's fine value, with 3 x the coarse/fine gap and its
-    certified terms as the bound."""
-    fine, coarse, cert = _thinned_grid_moment(p, V, scales, activations, n_cells, tol)
-    return ConstantResult(fine, "grid", 3.0 * abs(fine - coarse) + cert + 1e-13 * abs(fine),
-                          {"n_cells": n_cells})
+    """E|sum_j c_j theta_j V_j|^p on the spectral grid, the reference route that no
+    production call picks.  A sum with rare terms is conditioned on their active
+    counts (fourier.condition), each pattern a grid sum summed by
+    fourier.conditioned_abs_moment."""
+    bound = V.support_bound()
+    L = bound if bound is not None else basedist._gaussian_grid_halfwidth(1, max(p, 6.0), tol)
+    terms = [fourier.Term(V, c, mu, k) for (c, mu), k in Counter(zip(scales, activations)).items()
+             if c > 0.0 and mu > 0.0]
+    res, rare = _thinned_grid_sum(p, V, L, terms, n_cells, tol)
+    if rare:
+        # E|S|^p >= sum_j E|X_j|^p for p >= 2
+        lower = math.fsum(t.count * t.activation * t.scale**p for t in terms) * V.abs_moment(p)
+        res = fourier.conditioned_abs_moment(
+            fourier.condition(p, terms, rare, tol, 0.1 * tol * lower),
+            lambda sub: _thinned_grid_sum(p, V, L, sub.terms, n_cells, tol)[0])
+    return ConstantResult(res.value, "grid", res.error_bound, {"n_cells": n_cells})
 
 
 # the route of a thinned sum: exact enumeration for atomic V within the summand cap,

@@ -133,10 +133,15 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int
     """Whole-series value by the spectral kernel with exp(lam (phi - 1)),
     two transforms per resolution, on a grid whose period holds the window
     |x| <= T and keeps sums of up to K + 3 jumps out of it up to a second
-    radius T2; the error bound sums the terms documented below."""
+    radius T2; gridconv.grid_moment's bound plus the series tail and the
+    alias documented below."""
     lam = spec.lam
     base = spec.jump.base
     bound = base.support_bound()
+    if bound is None:
+        raise UnsupportedMethodError(
+            f"the compound Poisson grid takes bounded and atomic jumps, not {base.kind!r} ones; "
+            "Gaussian jumps have the exact route, cp_abs_moment")
     sigma2 = base.variance_proxy()
     steps = gridconv.edge_steps(bound, _GRID_BASE)
     jump = (gridconv.Summand(None, bound, base.signed_atoms()) if base.is_atomic
@@ -151,10 +156,6 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int
     gridconv.grid_size(math.ceil(gridconv.grid_period([jump], steps, least, least, K + 3)
                                  / steps[0]))
     weights = _poisson_weights(lam, K + 3)
-    # window |x| <= T, with sum_{k<=K} w_k E[|S_k|^p; |S_k| > T] certified < tol / 100;
-    # sums of up to K + 3 jumps wrap into the window only from beyond T2, and
-    # window_tail bounds both
-    T, T2, window_tail = gridconv.window_radii(p, sigma2, tol, bound, weights[:K], weights)
 
     def poissonise(phi):
         # exp(lam (phi - 1)) less the k = 0 atom e^-lam at 0, in place: it weighs
@@ -168,14 +169,14 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int
         phi[down] = math.exp(-lam) * np.expm1(lam * phi[down])
         return phi
 
-    res = gridconv.spectral_abs_moment([jump], steps, p, T, T2, poissonise, K + 3)
-    # 3 x the coarse/fine gap (conservative for convergence order >= 1) plus
-    # the measured round-off term
-    err = 3.0 * abs(res.fine - res.coarse) + res.hidden
+    # window |x| <= T, with sum_{k<=K} w_k E[|S_k|^p; |S_k| > T] certified < tol / 100;
+    # sums of up to K + 3 jumps wrap into the window only from beyond T2
+    grid = gridconv.grid_moment([jump], steps, p, sigma2, tol, bound, weights[:K], weights,
+                                poissonise, K + 3)
     # sums of more than K + 3 jumps may wrap into the window too, weighing <= T^p there
-    alias = T**p * specfun.reg_lower_inc_gamma(K + 4.0, lam)
+    alias = grid.T**p * specfun.reg_lower_inc_gamma(K + 4.0, lam)
     # the series tail beyond K counts once: terms K < k <= K + 3 on the grid only fall short
-    return res.fine, err + window_tail + tail + alias, {}
+    return grid.value, grid.error_bound + tail + alias, {}
 
 
 def _cumulant_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
@@ -291,8 +292,10 @@ def cp_abs_moment(
 
 
 def _grid_abs_moment(spec: CompoundPoissonSpec, p: float, tol: float = 1e-9) -> ConstantResult:
-    """E|T|^p on the spectral grid, the independent second route that no
-    production call picks: InputError past MAX_GRID_CELLS."""
+    """E|T|^p on the spectral grid (gridconv.grid_moment), the independent
+    second route that no production call picks, for bounded and atomic
+    jumps: UnsupportedMethodError for Gaussian ones, InputError past
+    MAX_GRID_CELLS."""
     return _abs_moment(spec, p, tol, "atoms_char_grid" if spec.jump.base.is_atomic else "grid")
 
 

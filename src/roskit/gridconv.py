@@ -5,27 +5,29 @@ Every grid route of the package runs on the kernels here: exact cell
 masses from a CDF (from_cdf), the sub-Gaussian truncation radius with its
 certified tail (truncation_radius) and the pair of radii that sizes a
 grid's period (window_radii), the |x|^p moment of a mass window with the
-measured FFT noise floor clamped (window_abs_moment), and the spectral
-kernel (spectral_abs_moment).  The kernel puts each independent Summand's
-masses on one wrap-around grid of even length N.  Every summand is
-symmetric about 0, so its characteristic vector is real: the cosine
+measured FFT noise floor clamped (window_abs_moment), the spectral kernel
+(spectral_abs_moment), and the one grid estimate whose value and bound
+every grid route takes (grid_moment).  The kernel puts each independent
+Summand's masses on one wrap-around grid of even length N.  Every summand
+is symmetric about 0, so its characteristic vector is real: the cosine
 transform of its one-sided masses, DCT-I for cells centred on multiples of
 the step and DCT-II for cells half a step off, one per distinct summand.
 Their product (k copies enter as phi^k), its map when the count is random
 (exp(lam (phi - 1)) for a Poisson count) and one inverse cosine transform
 run on float64 vectors of N/2 + 1 entries and give the sum's one-sided
 masses, each point weighed for itself and its mirror.  Each runs at a fine
-and a coarse step that each caller turns into its own error estimate:
-steps with a law's support ends on cell edges (edge_steps), or h and 2 h
-for a GridLaw; a sum of unequal summands coarsens its finest summand's
-steps until it fits SUM_GRID_CELLS cells (sum_steps).
+and a coarse step: steps with a law's support ends on cell edges
+(edge_steps), or h and 2 h for a GridLaw; a sum of unequal summands
+coarsens its finest summand's steps until it fits SUM_GRID_CELLS cells
+(sum_steps).  grid_moment returns the fine value, bounded by 3 x the
+coarse/fine gap (conservative for convergence of order 1 or more), the
+measured round-off, the window and wrap tails and 1e-13 of the value.
 
 The grid's period comes from the window the moment reads, |x| <= T: a
 period of T + T2, one step per summand and one summand's width (grid_period)
 lets mass wrap into the window only from sums beyond a second radius T2,
 whose certified tail bounds what that mass adds (window_radii).  A
-fixed-count sum never takes a period longer than its whole sum, the
-default.
+fixed-count sum never takes a period longer than its whole sum.
 
 Every CDF in the package is an array function, cdf(edges: ndarray) ->
 ndarray, that also accepts a scalar; from_cdf calls it once per grid.
@@ -43,9 +45,10 @@ from scipy.special import gammaincc
 
 from .errors import InputError
 
-__all__ = ["GridLaw", "MAX_GRID_CELLS", "SUM_GRID_CELLS", "SpectralMoment", "Summand",
-           "edge_steps", "from_cdf", "grid_period", "grid_size", "spectral_abs_moment", "sum_steps",
-           "truncation_radius", "window_abs_moment", "window_radii"]
+__all__ = ["GridLaw", "GridMoment", "MAX_GRID_CELLS", "SUM_GRID_CELLS", "SpectralMoment",
+           "Summand", "edge_steps", "from_cdf", "grid_moment", "grid_period", "grid_size",
+           "spectral_abs_moment", "sum_steps", "truncation_radius", "window_abs_moment",
+           "window_radii"]
 
 MAX_GRID_CELLS = 1 << 23  # longest spectral grid: 64 MB per float64 vector
 SUM_GRID_CELLS = MAX_GRID_CELLS >> 5  # a sum of unequal summands coarsens its step to fit
@@ -262,7 +265,7 @@ def grid_period(summands: list[Summand], steps: tuple[float, float], T: float, T
 
 
 def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: float,
-                        T: float, T2: float = math.inf, transform=None,
+                        T: float, T2: float, transform=None,
                         jumps: int | None = None) -> SpectralMoment:
     """E|S|^p over |S| <= T for the sum S of independent symmetric summands, on
     one wrap-around grid at each of the (fine, coarse) steps.
@@ -272,12 +275,11 @@ def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: 
     for a Poisson(lam) count of such sums; the offsets must then be 0), and
     its inverse cosine transform gives S's one-sided masses.  Each grid spans
     grid_period(summands, steps, T, T2, jumps), or the summands' whole sum
-    when that is shorter: a fixed-count sum with T2 = inf takes its whole
-    sum, and a transform's random count, which has none, needs a finite T2
-    and jumps, the most summands whose sums T2 bounds.  The window tail, and
-    what wraps into the window from beyond T2 (window_radii), are the
-    caller's to bound.  A grid longer than MAX_GRID_CELLS raises InputError
-    before it is allocated.
+    when that is shorter; a transform's random count, which has no whole
+    sum, needs jumps, the most summands whose sums T2 bounds.  The window
+    tail, and what wraps into the window from beyond T2 (window_radii), are
+    the caller's to bound.  A grid longer than MAX_GRID_CELLS raises
+    InputError before it is allocated.
     """
     period = grid_period(summands, steps, T, T2, jumps)
     offset = math.fmod(sum(s.count * s.offset for s in summands), 1.0)  # S sits at (j + offset) step
@@ -304,3 +306,23 @@ def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: 
         vals.append((value * scale, hidden * scale, floor, mass))
     (fine, hidden, floor, mass), (coarse, *_) = vals
     return SpectralMoment(fine, coarse, hidden, mass, floor)
+
+
+class GridMoment(NamedTuple):
+    value: float  # the windowed moment at the fine step
+    error_bound: float
+    spectral: SpectralMoment
+    T: float  # the window's radius
+
+
+def grid_moment(summands: list[Summand], steps: tuple[float, float], p: float, sigma2: float,
+                tol: float, full: float, weights=(1.0,), wrap_weights=None, transform=None,
+                jumps: int | None = None) -> GridMoment:
+    """E|S|^p on the spectral grid: spectral_abs_moment over the window that
+    window_radii(p, sigma2, tol, full, weights, wrap_weights) sizes, its fine
+    value bounded by 3 x the coarse/fine gap, the measured round-off, the
+    window and wrap tails and 1e-13 of the value."""
+    T, T2, tails = window_radii(p, sigma2, tol, full, weights, wrap_weights)
+    res = spectral_abs_moment(summands, steps, p, T, T2, transform, jumps)
+    err = 3.0 * abs(res.fine - res.coarse) + res.hidden + tails + 1e-13 * abs(res.fine)
+    return GridMoment(res.fine, err, res, T)

@@ -213,11 +213,11 @@ def grid_density(law, n_cells: int = 8192) -> GridDensity:
     return GridDensity(-L, L, cells.h, cells.masses / cells.h, atoms)
 
 
-def _nfold_value(laws, p: float, tol: float):
-    """E|sum of independent grid laws|^p at the finest law's step h and at 2 h, and the
-    certified truncation and round-off terms; k equal laws enter once, as phi^k.  Leaked
-    mass raises GridTooSmallError; a sum wider than MAX_GRID_CELLS cells of step h raises
-    InputError (coarsened that far, it would blur its summands)."""
+def _nfold_value(laws, p: float, tol: float) -> gridconv.GridMoment:
+    """E|sum of independent grid laws|^p by gridconv.grid_moment at the finest law's step h
+    and at 2 h (both coarsened to fit gridconv.SUM_GRID_CELLS); k equal laws enter once, as
+    phi^k.  Leaked mass raises GridTooSmallError; a sum wider than MAX_GRID_CELLS cells of
+    step h raises InputError (coarsened that far, it would blur its summands)."""
     counts: dict = {}
     for law in laws:
         key = (law.x0, law.h, law.masses.tobytes(), tuple(sorted(law.atoms.items())))
@@ -231,38 +231,32 @@ def _nfold_value(laws, p: float, tol: float):
                          f"cells of step {h:.3g}, past the cap MAX_GRID_CELLS = "
                          f"{gridconv.MAX_GRID_CELLS}")
     # Hoeffding: each summand is symmetric with |X| <= half
-    T, tail = gridconv.truncation_radius(
-        p, math.fsum(s.half**2 * s.count for s in summands), tol, reach)
-    res = gridconv.spectral_abs_moment(summands, gridconv.sum_steps(summands, (h, 2.0 * h)), p, T)
-    leak = abs(res.mass - 1.0)
+    grid = gridconv.grid_moment(summands, gridconv.sum_steps(summands, (h, 2.0 * h)), p,
+                                math.fsum(s.half**2 * s.count for s in summands), tol, reach)
+    leak = abs(grid.spectral.mass - 1.0)
     if leak > 1e-6:
         raise GridTooSmallError(f"mass leak {leak:.3e} beyond the grid exceeds tolerance 1e-06")
-    return res.fine, res.coarse, tail + res.hidden
+    return grid
 
 
 def nfold_moment(densities: list[GridDensity], p: float, tol: float = 1e-9) -> ConstantResult:
-    """E|X_1 + ... + X_n|^p of independent grid densities by the spectral kernel, at the
-    finest density's step and at twice it (both coarsened to fit gridconv.SUM_GRID_CELLS):
-    their second-order Richardson extrapolation, with 1.5 x their gap (conservative even
-    for first-order convergence at density edges) plus the certified terms as its bound.
+    """E|X_1 + ... + X_n|^p of independent grid densities on the spectral grid
+    (_nfold_value): the value at the finest density's step, with gridconv.grid_moment's
+    bound.
     """
     if not densities:
         raise DomainError("need at least one density")
     if not p > 0.0:
         raise DomainError("nfold_moment requires p > 0")
-    fine_value, coarse_value, certified = _nfold_value(
-        (d.to_mass_law() for d in densities), p, tol)
-    diff = fine_value - coarse_value
-    value = fine_value + diff / 3.0
-    err = 1.5 * abs(diff) + certified + 1e-13 * abs(value)
+    grid = _nfold_value((d.to_mass_law() for d in densities), p, tol)
     diag = {
         "n": len(densities),
         "p": p,
         "steps": [d.step for d in densities],
-        "fine_value": fine_value,
-        "coarse_value": coarse_value,
+        "fine_value": grid.spectral.fine,
+        "coarse_value": grid.spectral.coarse,
     }
-    return ConstantResult(value, "nfold_grid", err, diag)
+    return ConstantResult(grid.value, "nfold_grid", grid.error_bound, diag)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from roskit import basedist as bd
 from roskit import constants as ct
 from roskit import cpoisson, fourier, specfun, verify
-from roskit.errors import DomainError, FeasibilityError, InputError, UnsupportedMethodError
+from roskit.errors import DomainError, FeasibilityError, InputError
 
 EZ3 = specfun.gaussian_abs_moment(3.0)
 THREE_ATOMS = bd.symmetric_atoms([(0.0, 0.3), (1.0, 0.4), (2.5, 0.3)])
@@ -287,6 +287,12 @@ def _even_sum_moments(V, scales, activations):
     return fourth, sixth
 
 
+def _grid_reference(p, V, res, tol):
+    """The spectral grid reference on 8,192 cells for the extremisers of res."""
+    return ct._thinned_grid_result(p, V, res.diagnostics["scales"],
+                                   res.diagnostics["activations"], tol, 8192)
+
+
 class TestMixtureIndividual:
     def test_atomic_past_the_cap_p4_closed_form(self):
         # thirty four-atom summands with unequal budgets, past MAX_ENUM_SUMMANDS: at
@@ -319,16 +325,10 @@ class TestMixtureIndividual:
         # the grid takes an atomic law as its thinned atoms, without a CDF
         budget = ct.MomentBudget.per_pair(5.0, [1.0, 0.7, 0.4], [1.6, 1.4, 0.9])
         exact = ct.mixture_individual_sup(5.0, THREE_ATOMS, budget)
-        grid = ct.mixture_individual_sup(5.0, THREE_ATOMS, budget, mode="grid", tol=1e-6)
+        grid = _grid_reference(5.0, THREE_ATOMS, exact, 1e-6)
         assert exact.method == "exact_enum" and grid.method == "grid"
         assert abs(grid.value - exact.value) <= grid.error_bound + exact.error_bound
         assert grid.error_bound <= 1e-3 * grid.value
-
-    @pytest.mark.parametrize("mode", ["monte_carlo", "exact_enum"])
-    def test_unknown_mode(self, mode):
-        budget = ct.MomentBudget.per_pair(5.0, [1.0], [1.3])
-        with pytest.raises(UnsupportedMethodError, match="unknown mode"):
-            ct.mixture_individual_sup(5.0, bd.rademacher(), budget, mode=mode)
 
     def test_rademacher_reduces_to_three_point(self):
         budget = ct.MomentBudget.per_pair(4.0, [1.0, 0.9], [1.2, 1.1])
@@ -364,7 +364,7 @@ class TestMixtureIndividual:
         b = 1.05 * specfun.gaussian_abs_moment(p) ** (1.0 / p)
         budget = ct.MomentBudget.per_pair(p, [1.0, 1.0], [b, b])
         auto = ct.mixture_individual_sup(p, bd.gaussian(), budget)
-        grid = ct.mixture_individual_sup(p, bd.gaussian(), budget, mode="grid")
+        grid = _grid_reference(p, bd.gaussian(), auto, 1e-9)
         assert auto.method == "fourier" and grid.method == "grid"
         assert abs(auto.value - grid.value) <= auto.error_bound + grid.error_bound
 
@@ -393,7 +393,7 @@ class TestMixtureIndividual:
         assert time.perf_counter() - t0 < 5.0
         assert res.method == "fourier"
         assert res.error_bound <= 1e-9 * res.value
-        grid = ct.mixture_individual_sup(5.0, bd.uniform(1.0), budget, mode="grid")
+        grid = _grid_reference(5.0, bd.uniform(1.0), res, 1e-9)
         assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
 
     def test_grid_bound_covers_rare_summand(self):
@@ -406,8 +406,8 @@ class TestMixtureIndividual:
         shares = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
         scales, activations = verify._solve_candidate(3.0, V, 0.7, 1.0, *shares)
         assert activations[3] < 1e-12 and scales[3] > 1e4
-        fine, coarse, cert = ct._thinned_grid_moment(3.0, V, scales, activations, 8192, 1e-9)
-        assert 3.0 * abs(fine - coarse) + cert < 1e-6
+        grid = ct._thinned_grid_result(3.0, V, scales, activations, 1e-9, 8192)
+        assert grid.error_bound < 1e-6
 
     @pytest.mark.parametrize("a", [0.03, 0.01])
     def test_wide_rare_gaussians(self, a):
@@ -426,7 +426,7 @@ class TestMixtureIndividual:
     def test_rarer_gaussians_against_grid(self):
         budget = ct.MomentBudget.per_pair(5.0, [1e-5] * 30 + [1.0], [1.0] * 30 + [1.5])
         res = ct.mixture_individual_sup(5.0, bd.gaussian(), budget, tol=1e-6)
-        grid = ct.mixture_individual_sup(5.0, bd.gaussian(), budget, mode="grid", tol=1e-6)
+        grid = _grid_reference(5.0, bd.gaussian(), res, 1e-6)
         assert res.method == "fourier" and grid.method == "grid"
         assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
 

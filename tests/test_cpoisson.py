@@ -306,6 +306,12 @@ class TestHonestBound:
         assert math.isfinite(res.value) and math.isfinite(res.error_bound)
         assert abs(res.value - cp.cp_even_moment_cumulant(spec, 8)) <= res.error_bound
 
+    def test_gaussian_jumps_refused(self):
+        # the grid needs a support bound; Gaussian jumps have the exact route
+        spec = cp.CompoundPoissonSpec(1.0, bd.condition_nonzero(bd.gaussian()))
+        with pytest.raises(UnsupportedMethodError, match="bounded and atomic jumps"):
+            cp._grid_abs_moment(spec, 5.0, 1e-6)
+
     def test_grid_cap(self):
         # lambda ~ 158,000: even the least grid the window |x| <= T could take
         # passes MAX_GRID_CELLS, and is refused before it is allocated

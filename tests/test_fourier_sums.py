@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from roskit import basedist as bd
 from roskit import constants as ct
-from roskit import fourier
+from roskit import fourier, gridconv
 from roskit import logconcave as lc
 from roskit import specfun
 from roskit import verify as vf
@@ -440,6 +440,30 @@ def test_law_without_char_gap_takes_the_grid():
     assert res.value == pytest.approx(2**2.5 * specfun.gaussian_abs_moment(5.0), rel=1e-4)
 
 
+GRID_LAWS = [UNIFORM, bd.cosine_projection(), bd.symmetric_atoms([(0.0, 0.4), (1.0, 0.6)])]
+
+
+@pytest.mark.parametrize("law", GRID_LAWS, ids=["uniform", "cosine", "three-point"])
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
+def test_grid_moment_against_even_moments(law, k, p):
+    # the one grid estimate of every grid route, against (2k)! a_k at even p
+    half = law.support_bound()
+    summand = (gridconv.Summand(None, half, law.signed_atoms(), k) if law.is_atomic
+               else gridconv.Summand(law.cdf, half, count=k))
+    grid = gridconv.grid_moment([summand], gridconv.edge_steps(half, 4096), p,
+                                k * law.variance_proxy(), 1e-9, k * half)
+    exact = fourier.sum_abs_moment(fourier.plan_sum(p, [Term(law, count=k)]))
+    assert abs(grid.value - exact.value) <= grid.error_bound
+    assert grid.error_bound >= 3.0 * abs(grid.spectral.fine - grid.spectral.coarse)
+
+
+def _grid_reference(p, res):
+    """The spectral grid reference on 8,192 cells for the uniform extremisers of res."""
+    return ct._thinned_grid_result(p, UNIFORM, res.diagnostics["scales"],
+                                   res.diagnostics["activations"], 1e-9, 8192)
+
+
 def test_far_apart_scales_are_conditioned():
     # thirty rare summands 1,000 times wider than the one that carries the sum:
     # unconditioned, the sum keeps phi near 1 - mu far past the panel budget;
@@ -457,7 +481,7 @@ def test_far_apart_scales_are_conditioned():
                            for j in range(4))
     assert abs(res.value - want) <= res.error_bound
     assert res.error_bound <= 1e-9 * res.value
-    grid = ct.mixture_individual_sup(p, UNIFORM, budget, mode="grid")
+    grid = _grid_reference(p, res)
     assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
 
 
@@ -469,7 +493,7 @@ def test_panel_budget_at_the_measured_crossover():
     res = ct.mixture_individual_sup(5.0, UNIFORM, budget)
     assert res.method == "fourier"
     assert res.diagnostics["fourier_panels"] <= fourier.MAX_SUM_PANELS
-    grid = ct.mixture_individual_sup(5.0, UNIFORM, budget, mode="grid")
+    grid = _grid_reference(5.0, res)
     assert res.error_bound < 1e-5 * res.value < grid.error_bound
     assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
 

@@ -19,8 +19,9 @@ sums, exact atomic routes (for compound Poisson sums the reference route
 ``atoms_exact``, by name where a commit has ``cpoisson._abs_moment``), the
 spectral grid for compound Poisson sums
 (through ``cpoisson._grid_abs_moment``, the second route, where a commit has
-it) and k-fold powers, the individual-budget Fourier, grid and
-enumeration routes (thirty thinned uniforms among them), the witness's
+it) and k-fold powers, the individual-budget Fourier and enumeration
+routes with the grid reference (``constants._thinned_grid_result``, by
+name; thirty thinned uniforms among them), the witness's
 moment, a hash of compound Poisson draws), the randomized search, n-fold sums of grid densities, both ordering checks (the density ordering also at 2, 32 and 200 summands on
 16,384 cells), and the stdout of the seven CLI invocations of acceptance
 criterion 10.  The grid sums include summands whose scales differ 35-fold
@@ -223,10 +224,12 @@ def routes():
         else:
             show(f"individual auto {name}", routed, ct.mixture_individual_sup, 5.0, V, wide,
                  tol=1e-6)
-    # two summands whose scales differ 35-fold share one grid
+    # two summands whose scales differ 35-fold share one grid: the reference
+    # route, called by name on the extremisers' scales and activations
     apart = ct.MomentBudget.per_pair(5.0, [1.0, 0.01], [1.6, 0.03])
-    show("individual grid uniform scale ratio 35", ct.mixture_individual_sup, 5.0,
-         BASES["uniform"], apart, mode="grid", tol=1e-6)
+    diag = ct.mixture_individual_sup(5.0, BASES["uniform"], apart, tol=1e-6).diagnostics
+    show("individual grid uniform scale ratio 35", routed, ct._thinned_grid_result, 5.0,
+         BASES["uniform"], diag["scales"], diag["activations"], 1e-6, 8192)
     # thirty thinned uniforms of activation near 4e-7 (a = 0.01, b = 1)
     thirty = ct.MomentBudget.per_pair(5.0, [0.01] * 30, [1.0] * 30)
     show("individual auto uniform 30 thinned budgets", routed, ct.mixture_individual_sup, 5.0,

@@ -101,7 +101,7 @@ def main():
     for a in (1e-2, 1e-3, 5e-4, 3e-4, 2e-4, 1e-4, 1e-5):
         budget = constants.MomentBudget.per_pair(P, [a] * 30 + [1.0], [1.0] * 30 + [1.5])
         diag = constants.mixture_individual_sup(P, basedist.uniform(1.0), budget,
-                                                mode="grid", tol=1e-6).diagnostics
+                                                tol=1e-6).diagnostics
         individual(f"30 rare (a = {a:g}) and one", diag["scales"], diag["activations"])
 
 
