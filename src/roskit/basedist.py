@@ -491,8 +491,8 @@ def kfold_abs_moment(
         for n_cells in (8192, 16384, 32768):
             try:
                 val, err, *_ = gridconv.grid_moment(
-                    [gridconv.Summand(base.cdf, L, count=k)], gridconv.edge_steps(L, n_cells), p,
-                    k * base.variance_proxy(), tol, k * L)
+                    [gridconv.Summand(base.cdf, L, count=k, proxy=base.variance_proxy())],
+                    gridconv.edge_steps(L, n_cells), p, tol)
             except InputError:  # a refinement past the grid cap keeps the coarser value
                 if n_cells == 8192:
                     raise

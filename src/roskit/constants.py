@@ -371,12 +371,9 @@ def _thinned_grid_sum(p: float, V: BaseDistribution, L: float, terms, n_cells: i
                 for t in terms]
     steps = gridconv.sum_steps(summands,
                                gridconv.edge_steps(min(t.scale for t in terms) * L, n_cells // 2))
-    # Hoeffding: each summand is symmetric with |c theta V| <= c L
-    sigma2 = math.fsum(s.count * s.half**2 for s in summands)
-    grid = gridconv.grid_moment(summands, steps, p, sigma2, tol,
-                                math.fsum(s.count * s.half for s in summands))
+    grid = gridconv.grid_moment(summands, steps, p, tol)  # Hoeffding: |c theta V| <= c L
     rare = [i for i, (t, s) in enumerate(zip(terms, summands))
-            if t.activation / (2 * s.reach(steps[0]) + 1) <= grid.spectral.floor]
+            if t.activation / (2 * s.reach(steps[0]) + 1) <= grid.floor]
     return ConstantResult(grid.value, "grid", grid.error_bound), rare
 
 
@@ -453,8 +450,6 @@ def witness_construction(
     B: float,
     n: int,
     alpha: float,
-    rng: np.random.Generator | None = None,
-    n_samples: int = 1_000_000,
     estimate_moment: bool = True,
 ):
     """Build the two-block witness and compute its p-th moment.
@@ -466,8 +461,7 @@ def witness_construction(
     each count is the Fourier sum of n copies of (alpha / sqrt n) V and j of
     gamma V, and for random signs, whose |phi| never decays, the exact lattice
     sum over the two walks.  An atomic V but random signs at small p can need
-    more than fourier.MAX_SUM_PANELS panels: an InputError names that cap.
-    rng and n_samples are accepted and unused.  Returns
+    more than fourier.MAX_SUM_PANELS panels: an InputError names that cap.  Returns
     (WitnessSpec, ConstantResult | None).
     """
     if not 2.0 < p < 4.0:

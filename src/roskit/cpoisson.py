@@ -144,8 +144,8 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int
             "Gaussian jumps have the exact route, cp_abs_moment")
     sigma2 = base.variance_proxy()
     steps = gridconv.edge_steps(bound, _GRID_BASE)
-    jump = (gridconv.Summand(None, bound, base.signed_atoms()) if base.is_atomic
-            else gridconv.Summand(base.cdf, bound))
+    jump = (gridconv.Summand(None, bound, base.signed_atoms(), proxy=sigma2) if base.is_atomic
+            else gridconv.Summand(base.cdf, bound, proxy=sigma2))
     # T and T2 are at least 3 root mean proxies of the sums of 1..K jumps, by
     # E[xi | 1 <= xi <= K] = lam P(xi <= K - 1) / P(1 <= xi <= K), the latter
     # without cancellation for small lam: a grid past the cap is refused
@@ -171,8 +171,7 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int
 
     # window |x| <= T, with sum_{k<=K} w_k E[|S_k|^p; |S_k| > T] certified < tol / 100;
     # sums of up to K + 3 jumps wrap into the window only from beyond T2
-    grid = gridconv.grid_moment([jump], steps, p, sigma2, tol, bound, weights[:K], weights,
-                                poissonise, K + 3)
+    grid = gridconv.grid_moment([jump], steps, p, tol, weights[:K], weights, poissonise, K + 3)
     # sums of more than K + 3 jumps may wrap into the window too, weighing <= T^p there
     alias = grid.T**p * specfun.reg_lower_inc_gamma(K + 4.0, lam)
     # the series tail beyond K counts once: terms K < k <= K + 3 on the grid only fall short

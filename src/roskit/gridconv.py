@@ -5,10 +5,11 @@ Every grid route of the package runs on the kernels here: exact cell
 masses from a CDF (from_cdf), the sub-Gaussian truncation radius with its
 certified tail (truncation_radius) and the pair of radii that sizes a
 grid's period (window_radii), the |x|^p moment of a mass window with the
-measured FFT noise floor clamped (window_abs_moment), the spectral kernel
-(spectral_abs_moment), and the one grid estimate whose value and bound
-every grid route takes (grid_moment).  The kernel puts each independent
-Summand's masses on one wrap-around grid of even length N.  Every summand
+measured FFT noise floor clamped (window_abs_moment), and the one grid
+estimate whose value and bound every grid route takes (grid_moment).  A
+grid reference is a list of independent Summands, each a CDF and atoms
+with its own variance proxy; grid_moment sizes its window from them and
+puts their masses on one wrap-around grid of even length N.  Every summand
 is symmetric about 0, so its characteristic vector is real: the cosine
 transform of its one-sided masses, DCT-I for cells centred on multiples of
 the step and DCT-II for cells half a step off, one per distinct summand.
@@ -17,9 +18,9 @@ Their product (k copies enter as phi^k), its map when the count is random
 run on float64 vectors of N/2 + 1 entries and give the sum's one-sided
 masses, each point weighed for itself and its mirror.  Each runs at a fine
 and a coarse step: steps with a law's support ends on cell edges
-(edge_steps), or h and 2 h for a GridLaw; a sum of unequal summands
-coarsens its finest summand's steps until it fits SUM_GRID_CELLS cells
-(sum_steps).  grid_moment returns the fine value, bounded by 3 x the
+(edge_steps), or a grid density's step h and 2 h; a sum of unequal
+summands coarsens its finest summand's steps until it fits SUM_GRID_CELLS
+cells (sum_steps).  grid_moment returns the fine value, bounded by 3 x the
 coarse/fine gap (conservative for convergence of order 1 or more), the
 measured round-off, the window and wrap tails and 1e-13 of the value.
 
@@ -45,10 +46,9 @@ from scipy.special import gammaincc
 
 from .errors import InputError
 
-__all__ = ["GridLaw", "GridMoment", "MAX_GRID_CELLS", "SUM_GRID_CELLS", "SpectralMoment",
-           "Summand", "edge_steps", "from_cdf", "grid_moment", "grid_period", "grid_size",
-           "spectral_abs_moment", "sum_steps", "truncation_radius", "window_abs_moment",
-           "window_radii"]
+__all__ = ["GridMoment", "MAX_GRID_CELLS", "SUM_GRID_CELLS", "Summand", "edge_steps",
+           "from_cdf", "grid_moment", "grid_period", "grid_size", "sum_steps",
+           "truncation_radius", "window_abs_moment", "window_radii"]
 
 MAX_GRID_CELLS = 1 << 23  # longest spectral grid: 64 MB per float64 vector
 SUM_GRID_CELLS = MAX_GRID_CELLS >> 5  # a sum of unequal summands coarsens its step to fit
@@ -60,7 +60,8 @@ class Summand:
 
     cdf, or None, is the CDF of its continuous part, which lies in
     [-half, half]; its cells are centred on (j + offset) h, offset 0 or 1/2.
-    atoms is a {location: mass} dict with every |location| <= half.
+    atoms is a {location: mass} dict with every |location| <= half.  proxy is
+    the variance proxy of one copy, Hoeffding's half ** 2 when None.
     """
 
     cdf: Callable | None
@@ -68,6 +69,7 @@ class Summand:
     atoms: dict = field(default_factory=dict)
     count: int = 1
     offset: float = 0.0
+    proxy: float | None = None
 
     def reach(self, h: float) -> int:
         """Largest |j| of a grid point (j + offset) h that can carry mass."""
@@ -85,7 +87,7 @@ class Summand:
         r = self.reach(h)
         if self.cdf is not None:
             lo = (self.offset - r - 0.5) * h
-            cells = from_cdf(self.cdf, lo, lo + (2 * r + 1) * h, 2 * r + 1).masses  # j = -r..r
+            cells = from_cdf(self.cdf, lo, lo + (2 * r + 1) * h, 2 * r + 1)  # j = -r..r
             out[: r + 1] = cells[r:]
             out[size - r :] = cells[:r]
             # a cell cut by -+half keeps its mass at the middle of its part inside,
@@ -100,39 +102,14 @@ class Summand:
         return out
 
 
-@dataclass
-class GridLaw:
-    """Cell masses at x0 + j h (cell j is [x0 + (j - 1/2) h, x0 + (j + 1/2) h])
-    plus a {location: mass} dict of exact atoms kept off the grid."""
-
-    x0: float
-    h: float
-    masses: np.ndarray
-    atoms: dict = field(default_factory=dict)
-
-    def total_mass(self) -> float:
-        return float(self.masses.sum()) + math.fsum(self.atoms.values())
-
-    def summand(self, count: int = 1) -> Summand:
-        """The law, symmetric about 0, as a spectral summand: its cells as the
-        piecewise-constant density they describe, so that at steps h and 2 h
-        the kernel's cells are this law's cells and their merged pairs."""
-        edges = self.x0 + self.h * (np.arange(self.masses.size + 1) - 0.5)
-        cum = np.concatenate(([0.0], np.cumsum(self.masses)))
-        half = max([-edges[0], edges[-1]] + [abs(loc) for loc in self.atoms])
-        return Summand(lambda x: np.interp(x, edges, cum), half, dict(self.atoms), count,
-                       0.5 if self.masses.size % 2 == 0 else 0.0)
-
-
-def from_cdf(cdf, lo: float, hi: float, n_cells: int) -> GridLaw:
-    """Exact cell masses of the continuous part described by cdf on [lo, hi].
+def from_cdf(cdf, lo: float, hi: float, n_cells: int) -> np.ndarray:
+    """Exact masses of the n_cells equal cells of [lo, hi] under the continuous
+    part described by cdf.
 
     cdf is called once, on the whole edge vector: cdf(edges: ndarray) -> ndarray.
     """
-    h = (hi - lo) / n_cells
-    edges = lo + h * np.arange(n_cells + 1)
-    masses = np.maximum(np.diff(cdf(edges)), 0.0)
-    return GridLaw(lo + 0.5 * h, h, masses)
+    edges = lo + (hi - lo) / n_cells * np.arange(n_cells + 1)
+    return np.maximum(np.diff(cdf(edges)), 0.0)
 
 
 def edge_steps(b: float, n: int) -> tuple[float, float]:
@@ -183,7 +160,7 @@ def window_radii(p: float, sigma2: float, tol: float, full: float, weights=(1.0,
     """(T, T2, bound) for a grid that reads the window |x| <= T: T is the
     truncation_radius (same arguments), T2 >= T a second one at tol / 1000
     over wrap_weights (weights by default), the counts of every sum the grid
-    holds.  spectral_abs_moment's period lets only mass beyond T2 wrap into
+    holds.  grid_moment's period lets only mass beyond T2 wrap into
     the window, where it weighs at most (T / T2)^p tail(T2); bound is that
     plus the window's own tail."""
     T, tail = truncation_radius(p, sigma2, tol, full, weights)
@@ -205,14 +182,6 @@ def window_abs_moment(masses: np.ndarray, weights: np.ndarray) -> tuple[float, f
     hidden = floor * float(weights.sum())
     masses = np.where(masses > floor, masses, 0.0)
     return float((weights * masses).sum()), hidden, floor
-
-
-class SpectralMoment(NamedTuple):
-    fine: float  # the windowed moment at the fine step
-    coarse: float  # the same at the coarse step
-    hidden: float  # the round-off term of the fine value
-    mass: float  # total mass on the fine grid: the product's DC term
-    floor: float  # the fine grid's measured noise floor: smaller masses were zeroed
 
 
 def grid_size(cells: int) -> int:
@@ -264,23 +233,38 @@ def grid_period(summands: list[Summand], steps: tuple[float, float], T: float, T
     return T + T2 + n * steps[1] + 2.0 * max(s.half for s in summands)
 
 
-def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: float,
-                        T: float, T2: float, transform=None,
-                        jumps: int | None = None) -> SpectralMoment:
+class GridMoment(NamedTuple):
+    value: float  # the windowed moment at the fine step
+    error_bound: float
+    coarse: float  # the same at the coarse step
+    mass: float  # total mass on the fine grid: the product's DC term
+    floor: float  # the fine grid's measured noise floor: smaller masses were zeroed
+    T: float  # the window's radius
+
+
+def grid_moment(summands: list[Summand], steps: tuple[float, float], p: float, tol: float,
+                weights=(1.0,), wrap_weights=None, transform=None,
+                jumps: int | None = None) -> GridMoment:
     """E|S|^p over |S| <= T for the sum S of independent symmetric summands, on
     one wrap-around grid at each of the (fine, coarse) steps.
 
-    The characteristic vector of S is the product of every summand's real
-    phi ** count, mapped by transform when it is given (exp(lam (phi - 1))
-    for a Poisson(lam) count of such sums; the offsets must then be 0), and
-    its inverse cosine transform gives S's one-sided masses.  Each grid spans
-    grid_period(summands, steps, T, T2, jumps), or the summands' whole sum
-    when that is shorter; a transform's random count, which has no whole
-    sum, needs jumps, the most summands whose sums T2 bounds.  The window
-    tail, and what wraps into the window from beyond T2 (window_radii), are
-    the caller's to bound.  A grid longer than MAX_GRID_CELLS raises
-    InputError before it is allocated.
+    The window comes from window_radii(p, sigma2, tol, full, weights,
+    wrap_weights), sigma2 and full the summands' proxies and halves summed
+    over their counts.  The characteristic vector of S is the product of
+    every summand's real phi ** count, mapped by transform when it is given
+    (exp(lam (phi - 1)) for a Poisson(lam) count of such sums, weighed by
+    weights; the offsets must then be 0), and its inverse cosine transform
+    gives S's one-sided masses.  Each grid spans grid_period(summands, steps,
+    T, T2, jumps), or the summands' whole sum when that is shorter; a
+    transform's random count, which has no whole sum, needs jumps, the most
+    summands whose sums T2 bounds.  The fine value is bounded by 3 x the
+    coarse/fine gap, the measured round-off, the window and wrap tails and
+    1e-13 of the value.  A grid longer than MAX_GRID_CELLS raises InputError
+    before it is allocated.
     """
+    sigma2 = math.fsum(s.count * (s.half**2 if s.proxy is None else s.proxy) for s in summands)
+    full = math.fsum(s.count * s.half for s in summands)
+    T, T2, tails = window_radii(p, sigma2, tol, full, weights, wrap_weights)
     period = grid_period(summands, steps, T, T2, jumps)
     offset = math.fmod(sum(s.count * s.offset for s in summands), 1.0)  # S sits at (j + offset) step
     vals = []
@@ -305,24 +289,5 @@ def spectral_abs_moment(summands: list[Summand], steps: tuple[float, float], p: 
         scale = float(step) ** p
         vals.append((value * scale, hidden * scale, floor, mass))
     (fine, hidden, floor, mass), (coarse, *_) = vals
-    return SpectralMoment(fine, coarse, hidden, mass, floor)
-
-
-class GridMoment(NamedTuple):
-    value: float  # the windowed moment at the fine step
-    error_bound: float
-    spectral: SpectralMoment
-    T: float  # the window's radius
-
-
-def grid_moment(summands: list[Summand], steps: tuple[float, float], p: float, sigma2: float,
-                tol: float, full: float, weights=(1.0,), wrap_weights=None, transform=None,
-                jumps: int | None = None) -> GridMoment:
-    """E|S|^p on the spectral grid: spectral_abs_moment over the window that
-    window_radii(p, sigma2, tol, full, weights, wrap_weights) sizes, its fine
-    value bounded by 3 x the coarse/fine gap, the measured round-off, the
-    window and wrap tails and 1e-13 of the value."""
-    T, T2, tails = window_radii(p, sigma2, tol, full, weights, wrap_weights)
-    res = spectral_abs_moment(summands, steps, p, T, T2, transform, jumps)
-    err = 3.0 * abs(res.fine - res.coarse) + res.hidden + tails + 1e-13 * abs(res.fine)
-    return GridMoment(res.fine, err, res, T)
+    err = 3.0 * abs(fine - coarse) + hidden + tails + 1e-13 * abs(fine)
+    return GridMoment(fine, err, coarse, mass, floor, T)

@@ -39,9 +39,6 @@ __all__ = [
     "match_density_minus",
     "match_density_plus",
     "match_tail",
-    "density_eval",
-    "tail_eval",
-    "sample",
 ]
 
 _BOUNDARY_RTOL = 1e-12
@@ -832,19 +829,3 @@ def match_tail(target: MatchTarget, family: str):
     if family not in _TAIL_PATHS:
         raise DomainError(f"unknown tail family {family!r}; use 'minus' or 'plus'")
     return _match(target, feasibility_interval_tail, *_TAIL_PATHS[family])
-
-
-# ---------------------------------------------------------------------------
-# spec-named thin wrappers
-
-
-def density_eval(f, x: float) -> float:
-    return f.pdf(x)
-
-
-def tail_eval(law, t: float) -> float:
-    return law.survival(t)
-
-
-def sample(law, rng: np.random.Generator, n: int) -> np.ndarray:
-    return law.sample(rng, n)

@@ -185,13 +185,13 @@ class GridDensity:
     def support_halfwidth(self) -> float:
         return self.upper
 
-    def to_mass_law(self) -> gridconv.GridLaw:
-        return gridconv.GridLaw(
-            self.lower + 0.5 * self.step,
-            self.step,
-            self.values * self.step,
-            {loc: m for loc, m in self.atom_list},
-        )
+    def summand(self, count: int = 1) -> gridconv.Summand:
+        """count copies as a spectral summand whose cells at the step h are this
+        density's cells; at 2 h each merges two of them (for an odd cell count,
+        one cell and the halves of its two neighbours)."""
+        half = max([-self.lower, self.upper] + [abs(loc) for loc, _ in self.atom_list])
+        return gridconv.Summand(self.cdf, half, self.atoms(), count,
+                                0.5 if self.values.size % 2 == 0 else 0.0)
 
 
 def grid_density(law, n_cells: int = 8192) -> GridDensity:
@@ -206,34 +206,33 @@ def grid_density(law, n_cells: int = 8192) -> GridDensity:
     cont_mass = 1.0 - math.fsum(m for _, m in atoms)
     if cont_mass <= 1e-15:
         return GridDensity(-L, L, 2.0 * L / max(n_cells, 1), np.zeros(n_cells), atoms)
-    cells = gridconv.from_cdf(law.cdf, -L, L, n_cells)
-    total = cells.masses.sum()
+    masses = gridconv.from_cdf(law.cdf, -L, L, n_cells)
+    total = masses.sum()
     if total > 0.0:
-        cells.masses *= cont_mass / total  # absorb the truncated 1e-16-level tail
-    return GridDensity(-L, L, cells.h, cells.masses / cells.h, atoms)
+        masses *= cont_mass / total  # absorb the truncated 1e-16-level tail
+    step = 2.0 * L / n_cells
+    return GridDensity(-L, L, step, masses / step, atoms)
 
 
-def _nfold_value(laws, p: float, tol: float) -> gridconv.GridMoment:
-    """E|sum of independent grid laws|^p by gridconv.grid_moment at the finest law's step h
-    and at 2 h (both coarsened to fit gridconv.SUM_GRID_CELLS); k equal laws enter once, as
-    phi^k.  Leaked mass raises GridTooSmallError; a sum wider than MAX_GRID_CELLS cells of
-    step h raises InputError (coarsened that far, it would blur its summands)."""
+def _nfold_value(densities, p: float, tol: float) -> gridconv.GridMoment:
+    """E|sum of independent grid densities|^p by gridconv.grid_moment at the finest
+    density's step h and at 2 h (both coarsened to fit gridconv.SUM_GRID_CELLS); k equal
+    densities enter once, as phi^k.  Leaked mass raises GridTooSmallError; a sum wider than
+    MAX_GRID_CELLS cells of step h raises InputError (coarsened that far, it would blur its
+    summands)."""
     counts: dict = {}
-    for law in laws:
-        key = (law.x0, law.h, law.masses.tobytes(), tuple(sorted(law.atoms.items())))
-        counts.setdefault(key, [law, 0])[1] += 1
-    summands = [law.summand(k) for law, k in counts.values()]
-    h = min(law.h for law, _ in counts.values())
-    reach = math.fsum(s.half * s.count for s in summands)
-    cells = round(2.0 * reach / h)
+    for d in densities:
+        key = (d.lower, d.step, d.values.tobytes(), d.atom_list)
+        counts.setdefault(key, [d, 0])[1] += 1
+    summands = [d.summand(k) for d, k in counts.values()]
+    h = min(d.step for d, _ in counts.values())
+    cells = round(2.0 * math.fsum(s.half * s.count for s in summands) / h)
     if cells > gridconv.MAX_GRID_CELLS:
-        raise InputError(f"a sum of {sum(s.count for s in summands)} grid laws spans {cells} "
-                         f"cells of step {h:.3g}, past the cap MAX_GRID_CELLS = "
+        raise InputError(f"a sum of {sum(s.count for s in summands)} grid densities spans "
+                         f"{cells} cells of step {h:.3g}, past the cap MAX_GRID_CELLS = "
                          f"{gridconv.MAX_GRID_CELLS}")
-    # Hoeffding: each summand is symmetric with |X| <= half
-    grid = gridconv.grid_moment(summands, gridconv.sum_steps(summands, (h, 2.0 * h)), p,
-                                math.fsum(s.half**2 * s.count for s in summands), tol, reach)
-    leak = abs(grid.spectral.mass - 1.0)
+    grid = gridconv.grid_moment(summands, gridconv.sum_steps(summands, (h, 2.0 * h)), p, tol)
+    leak = abs(grid.mass - 1.0)
     if leak > 1e-6:
         raise GridTooSmallError(f"mass leak {leak:.3e} beyond the grid exceeds tolerance 1e-06")
     return grid
@@ -248,13 +247,12 @@ def nfold_moment(densities: list[GridDensity], p: float, tol: float = 1e-9) -> C
         raise DomainError("need at least one density")
     if not p > 0.0:
         raise DomainError("nfold_moment requires p > 0")
-    grid = _nfold_value((d.to_mass_law() for d in densities), p, tol)
+    grid = _nfold_value(densities, p, tol)
     diag = {
         "n": len(densities),
         "p": p,
         "steps": [d.step for d in densities],
-        "fine_value": grid.spectral.fine,
-        "coarse_value": grid.spectral.coarse,
+        "coarse_value": grid.coarse,
     }
     return ConstantResult(grid.value, "nfold_grid", grid.error_bound, diag)
 

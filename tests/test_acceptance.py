@@ -162,10 +162,7 @@ def test_criterion_06_extremality_never_violated():
                 failures.append(f"{rep.details['violations']} violations at p={p}")
             if rep.best_value > rep.theorem_value * (1.0 + 1e-6):
                 failures.append(f"best {rep.best_value!r} beats theorem at p={p}")
-    spec, est = ct.witness_construction(
-        3.0, bd.rademacher(), 1.0, 1.0, 10_000, 0.98,
-        rng=np.random.default_rng(0), n_samples=1_000_000,
-    )
+    spec, est = ct.witness_construction(3.0, bd.rademacher(), 1.0, 1.0, 10_000, 0.98)
     threshold = 0.95 * (1.0 + specfun.gaussian_abs_moment(3.0))
     if est.value + est.error_bound < threshold:
         failures.append(

@@ -133,6 +133,6 @@ def test_from_cdf_calls_cdf_once():
         calls.append(edges.shape)
         return bd.uniform(1.0).cdf(edges)
 
-    law = gridconv.from_cdf(cdf, -1.0, 1.0, 64)
+    masses = gridconv.from_cdf(cdf, -1.0, 1.0, 64)
     assert calls == [(65,)]
-    assert law.masses.sum() == 1.0
+    assert masses.sum() == 1.0

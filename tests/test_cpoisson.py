@@ -512,8 +512,8 @@ class TestPythonFloats:
         # numpy scalars in, Python floats out
         half = np.float64(1.0)
         law = bd.uniform(1.0)
-        res = gridconv.spectral_abs_moment([gridconv.Summand(law.cdf, half, count=3)],
-                                           gridconv.edge_steps(half, 512), 5.0, 2.5, 6.0 * half)
+        res = gridconv.grid_moment([gridconv.Summand(law.cdf, half, count=3)],
+                                   gridconv.edge_steps(half, 512), 5.0, 1e-6)
         assert all(type(x) is float for x in res)
 
     @pytest.mark.parametrize("V", [bd.uniform(1.0), bd.rademacher()])

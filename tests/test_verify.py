@@ -29,8 +29,6 @@ class TestGridDensity:
     def test_builder_roundtrip(self):
         dens = vf.grid_density(GAUSS, 4096)
         assert dens.total_mass() == pytest.approx(1.0, abs=1e-10)
-        law = dens.to_mass_law()
-        assert law.total_mass() == pytest.approx(1.0, abs=1e-10)
 
     def test_atom_carrying_law(self):
         plus = lc.TailLawPlus(1.0, 2.0)
@@ -38,6 +36,45 @@ class TestGridDensity:
         atom_mass = sum(m for _, m in dens.atom_list)
         assert atom_mass == pytest.approx(math.exp(-2.0), rel=1e-12)
         assert dens.total_mass() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    @pytest.mark.parametrize("atoms", [(), ((-0.5, 0.1), (0.5, 0.1))])
+    def test_summand_cells(self, n, atoms):
+        # at the density's step the kernel's cells are the density's cells, at twice
+        # it their merged pairs; for an odd count each coarse cell takes a whole
+        # centre cell and half of each neighbour, and the cut end cells are moved
+        step, size = 0.25, 64
+        shape = np.minimum(np.arange(1, n + 1), np.arange(n, 0, -1)).astype(float)
+        cells = shape * (1.0 - sum(m for _, m in atoms)) / shape.sum()
+        dens = vf.GridDensity(-0.5 * n * step, 0.5 * n * step, step, cells / step, atoms)
+        s = dens.summand()
+        assert s.offset == (0.5 if n % 2 == 0 else 0.0)
+
+        def placed(h, masses, first):  # masses at (first + i + offset) h, atoms split
+            out = np.zeros(size)
+            np.add.at(out, (first + np.arange(masses.size)) % size, masses)
+            for loc, m in atoms:
+                x = loc / h - s.offset
+                base = math.floor(x)
+                out[base % size] += m * (1.0 - (x - base))
+                out[(base + 1) % size] += m * (x - base)
+            return out
+
+        np.testing.assert_allclose(s.masses(step, size), placed(step, cells, -8),
+                                   rtol=0.0, atol=1e-15)
+        got = s.masses(2.0 * step, size)
+        if n % 2 == 0:
+            np.testing.assert_allclose(got, placed(2.0 * step, cells.reshape(-1, 2).sum(1), -4),
+                                       rtol=0.0, atol=1e-15)
+        else:
+            padded = np.concatenate(([0.0], cells, [0.0]))
+            want = placed(2.0 * step,
+                          0.5 * padded[:-2:2] + padded[1:-1:2] + 0.5 * padded[2::2], -4)
+            inner = np.r_[0:3, size - 2 : size]
+            np.testing.assert_allclose(got[inner], want[inner], rtol=0.0, atol=1e-15)
+            for ends in ([3, 4], [-4, -3]):
+                assert got[ends].sum() == pytest.approx(want[ends].sum(), rel=0.0, abs=1e-15)
+        assert got.sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
     def test_two_point_law_is_pure_atoms(self):
         dens = vf.grid_density(lc.TailLawMinus(math.inf, 1.5), 512)
@@ -72,11 +109,10 @@ class TestNfoldMoment:
         assert abs(res.value - want) <= res.error_bound
 
     def test_mass_leak_raises(self):
-        dens = vf.grid_density(GAUSS, 4096)
-        laws = [dens.to_mass_law() for _ in range(3)]
-        laws[0].masses = laws[0].masses * (1.0 - 2e-6)  # leaked mass
+        densities = [vf.grid_density(GAUSS, 4096) for _ in range(3)]
+        densities[0].values = densities[0].values * (1.0 - 2e-6)  # leaked mass
         with pytest.raises(GridTooSmallError):
-            vf._nfold_value(laws, 4.0, 1e-9)
+            vf._nfold_value(densities, 4.0, 1e-9)
         with pytest.raises(GridTooSmallError):
             # a grid cut inside the support fails at construction
             vf.GridDensity(-1.0, 1.0, 2.0 / 64, np.full(64, 0.4))

@@ -235,8 +235,7 @@ def routes():
     show("individual auto uniform 30 thinned budgets", routed, ct.mixture_individual_sup, 5.0,
          BASES["uniform"], thirty)
     for name in ("rademacher", "gaussian"):
-        show(f"witness {name}", witness, 3.0, BASES[name], 1.0, 1.0, 500, 0.9,
-             rng=np.random.default_rng(9), n_samples=20_000)
+        show(f"witness {name}", witness, 3.0, BASES[name], 1.0, 1.0, 500, 0.9)
 
     # verification routes
     for name in ("rademacher", "uniform"):
