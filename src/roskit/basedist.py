@@ -436,12 +436,13 @@ def atomic_kfold_moments(law: dict, ks, p: float, max_support: int):
     """
     wanted = set(ks)
     values = {}
-    acc = {0.0: 1.0}
+    pair = discrete._pair(law)
+    acc = np.zeros(1), np.ones(1)
     for k in range(1, max(wanted) + 1):
-        acc = discrete.convolve_atoms(acc, law, max_support=max_support)
+        acc = discrete._nfold([acc, pair], max_support)
         if k in wanted:
-            values[k] = discrete.enum_abs_moment(acc, p, [law] * k)
-    return values, len(acc)
+            values[k] = discrete._enum_moment(*acc, p, [pair] * k)
+    return values, acc[0].size
 
 
 def kfold_abs_moment(

@@ -51,7 +51,6 @@ __all__ = [
     "ordering_report",
     "sum_moment",
     "check_easy_lower_bound",
-    "atomic_law",
 ]
 
 
@@ -287,13 +286,12 @@ class SearchReport:
         }
 
 
-def _solve_candidate(p, V, A, B, shares_2, shares_p):
-    """Per-summand (scale, activation) hitting the allocated budget shares.
+def _solve_candidate(p, A, B, nv2, nvp, shares_2, shares_p):
+    """Per-summand (scale, activation) hitting the allocated budget shares,
+    for a base law of norms ||V||_2 = nv2 and ||V||_p = nvp.
 
     Activation above 1 is clamped to 1 with the 2-norm share kept exact,
     so every candidate stays feasible."""
-    nv2 = math.sqrt(basedist.abs_moment(V, 2.0))
-    nvp = basedist.abs_moment(V, p) ** (1.0 / p)
     scales, activations = [], []
     for s2, sp in zip(shares_2, shares_p):
         budget_2 = float(s2) * A * A / nv2**2
@@ -322,8 +320,10 @@ def _candidates(p, V, A, B, n_max: int, trials: int, seed: int):
         n = int(rng.integers(1, n_max + 1))
         shares.append((trial, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))))
     shares += [(-1, np.full(n, 1.0 / n), np.full(n, 1.0 / n)) for n in range(1, n_max + 1)]
+    nv2 = math.sqrt(basedist.abs_moment(V, 2.0))
+    nvp = basedist.abs_moment(V, p) ** (1.0 / p)
     for trial, shares_2, shares_p in shares:
-        yield (trial, *_solve_candidate(p, V, A, B, shares_2, shares_p))
+        yield (trial, *_solve_candidate(p, A, B, nv2, nvp, shares_2, shares_p))
 
 
 def search_sup_U(
@@ -400,11 +400,6 @@ def search_sup_U(
 # Poissonisation and the elementary lower bound
 
 
-def atomic_law(V: basedist.BaseDistribution) -> dict:
-    """Signed atomic law of a base distribution, as a plain dict."""
-    return V.signed_atoms()
-
-
 def _validate_symmetric_atomic(law: dict) -> dict:
     total = math.fsum(law.values())
     if abs(total - 1.0) > 1e-10:
@@ -415,6 +410,12 @@ def _validate_symmetric_atomic(law: dict) -> dict:
     return law
 
 
+def _sum_abs_moment(laws: list[dict], p: float) -> float:
+    """E|sum X_j|^p for independent atomic X_j, by exact enumeration."""
+    locs, masses = discrete._nfold([discrete._pair(law) for law in laws])
+    return discrete._power_sum(np.abs(locs), masses, p)
+
+
 def check_poissonisation(laws: list[dict], p: float, tol: float = 1e-9):
     """E|sum X_j|^p <= E|T|^p for the compound Poisson T accumulating the
     nonzero parts of the X_j; needs p >= 3 so the |x|^p test function has a
@@ -422,7 +423,7 @@ def check_poissonisation(laws: list[dict], p: float, tol: float = 1e-9):
     if p < 3.0:
         raise DomainError("poissonisation check requires p >= 3")
     laws = [_validate_symmetric_atomic(law) for law in laws]
-    left = discrete.abs_moment_atoms(discrete.nfold_atoms(list(laws)), p)
+    left = _sum_abs_moment(laws, p)
     lam = math.fsum(
         mass for law in laws for loc, mass in law.items() if loc != 0.0
     )
@@ -446,7 +447,7 @@ def check_poissonisation(laws: list[dict], p: float, tol: float = 1e-9):
 def check_easy_lower_bound(laws: list[dict], p: float):
     """E|sum X_j|^p >= max((sum ||X_j||_2^2)^(p/2), sum ||X_j||_p^p)."""
     laws = [_validate_symmetric_atomic(law) for law in laws]
-    left = discrete.abs_moment_atoms(discrete.nfold_atoms(list(laws)), p)
+    left = _sum_abs_moment(laws, p)
     sum_2 = math.fsum(discrete.abs_moment_atoms(law, 2.0) for law in laws)
     sum_p = math.fsum(discrete.abs_moment_atoms(law, p) for law in laws)
     right = max(sum_2 ** (p / 2.0), sum_p)

@@ -237,7 +237,7 @@ def test_criterion_08_lemma_suite():
 def test_criterion_09_poissonisation():
     t0 = time.perf_counter()
     failures = []
-    rad = vf.atomic_law(bd.rademacher())
+    rad = bd.rademacher().signed_atoms()
     holds, left, right = vf.check_poissonisation([rad, rad], 4.0)
     if not holds or abs(left - 8.0) > 1e-10 or abs(right - 14.0) > 1e-6:
         failures.append(f"exact pair gave ({left!r}, {right!r}) instead of (8, 14)")

@@ -401,10 +401,7 @@ class TestMixtureIndividual:
         # seed=6): the summand of activation 2e-13 at scale 19,653 adds 0.378 to
         # E|S|^3, and the grid's conditioning on it keeps the bound below 1e-6
         V = bd.uniform(1.0)
-        rng = np.random.default_rng(np.random.SeedSequence(6).spawn(30)[2])
-        n = int(rng.integers(1, 7))
-        shares = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
-        scales, activations = verify._solve_candidate(3.0, V, 0.7, 1.0, *shares)
+        _, scales, activations = list(verify._candidates(3.0, V, 0.7, 1.0, 6, 30, 6))[2]
         assert activations[3] < 1e-12 and scales[3] > 1e4
         grid = ct._thinned_grid_result(3.0, V, scales, activations, 1e-9, 8192)
         assert grid.error_bound < 1e-6

@@ -5,15 +5,19 @@ magnitudes a takes the values n . a for the lattice vectors n in Z^m with
 |n|_1 <= k and |n|_1 = k mod 2, and distinct vectors give distinct values.
 The reference convolves the lattice vectors themselves (a dict keyed by
 integer tuples, so no two paths to one point can split) and evaluates each
-n . a and |n . a|^p in mpmath.
+n . a and |n . a|^p in mpmath.  Thinned tuples, the laws of exact enumeration
+in constants, are checked against a 40-digit sum over every path of atoms.
 """
 
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
+from roskit import basedist as bd
+from roskit import constants as ct
 from roskit import discrete
 from roskit.errors import SupportOverflowError
 
@@ -133,3 +137,95 @@ def test_convolve_atoms_support_cap():
     with pytest.raises(SupportOverflowError, match="exceeds cap 4"):
         discrete.convolve_atoms(law, law, max_support=4)
     assert discrete.convolve_atoms({}, law) == {}
+
+
+# ---------------------------------------------------------------------------
+# thinned tuples on arrays: the laws constants._thinned_enum_result enumerates
+
+RANDOM_SIGN = bd.rademacher()
+FIVE_POINT = bd.symmetric_atoms([(0.0, 0.2), (0.7, 0.5), (1.3, 0.3)])
+
+
+def _thinned_tuple(V, n, seed):
+    rng = np.random.default_rng(seed)
+    return [ct._thinned_atoms(V, float(c), float(mu))
+            for c, mu in zip(rng.uniform(0.3, 2.0, n), rng.uniform(0.1, 0.9, n))]
+
+
+def _path_moment(laws, p):
+    """E|S|^p summed over every path of atoms, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        atoms = [[(mpmath.mpf(x), mpmath.mpf(m)) for x, m in zip(*law)] for law in laws]
+        total = mpmath.mpf(0)
+        for path in itertools.product(*atoms):
+            total += mpmath.fprod(m for _, m in path) * abs(mpmath.fsum(x for x, _ in path)) ** p
+        return float(total)
+
+
+@pytest.mark.parametrize("V,n", [(RANDOM_SIGN, 1), (RANDOM_SIGN, 4), (RANDOM_SIGN, 6),
+                                 (FIVE_POINT, 2), (FIVE_POINT, 5), (FIVE_POINT, 6)])
+@pytest.mark.parametrize("p", [4.0, 5.37])
+def test_thinned_tuple_against_every_path(V, n, p):
+    laws = _thinned_tuple(V, n, 28 + n)
+    locs, masses = discrete._nfold(laws)
+    value, bound = discrete._enum_moment(locs, masses, p, laws)
+    assert abs(value - _path_moment(laws, p)) <= bound
+    assert locs.size == laws[0][0].size ** n and list(locs) == sorted(locs)
+
+
+@pytest.mark.parametrize("chunk", [2, 7, 1 << 16])
+def test_deferred_and_chunked_merges_agree(monkeypatch, chunk):
+    # equal scales merge and generic ones do not; with a chunk of 1 << 16 the
+    # whole product is merged once, with 2 or 7 every factor is chunked
+    rng = np.random.default_rng(5)
+    laws = ([ct._thinned_atoms(RANDOM_SIGN, 0.8, 0.4)] * 4
+            + [ct._thinned_atoms(FIVE_POINT, float(c), 0.6) for c in rng.uniform(0.3, 2.0, 3)])
+    whole = discrete._nfold(laws)
+    monkeypatch.setattr(discrete, "_CHUNK_PAIRS", chunk)
+    locs, masses = discrete._nfold(laws)
+    reach = np.cumsum([np.abs(x).max() for x, _ in laws])
+    delta = (discrete.MERGE_RTOL + 2.0 * np.finfo(float).eps) * reach.sum()
+    assert locs.size == whole[0].size == 9 * 5**3
+    assert np.abs(locs - whole[0]).max() <= delta
+    assert np.abs(masses - whole[1]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("chunk,cap", [(1 << 16, 26), (9, 8)])
+def test_cap_at_a_deferred_merge(monkeypatch, chunk, cap):
+    # three generic three-point laws: 27 points merged once at the end, or, with
+    # a chunk of 9, nine points merged before the third factor
+    monkeypatch.setattr(discrete, "_CHUNK_PAIRS", chunk)
+    laws = _thinned_tuple(RANDOM_SIGN, 3, 3)
+    with pytest.raises(SupportOverflowError, match=f"exceeds cap {cap}$"):
+        discrete._nfold(laws, max_support=cap)
+    assert discrete._nfold(laws, max_support=27)[0].size == 27
+
+
+@pytest.mark.parametrize("V,n", [(RANDOM_SIGN, 1), (RANDOM_SIGN, 10), (FIVE_POINT, 3),
+                                 (FIVE_POINT, 7)])
+def test_enum_support_of_generic_scales(V, n):
+    rng = np.random.default_rng(n)
+    res = ct._thinned_enum_result(5.0, V, rng.uniform(0.3, 2.0, n), rng.uniform(0.1, 0.9, n),
+                                  10**6)
+    # a thinned law is the nonzero atoms of V and zero
+    assert res.diagnostics["support"] == len(set(V.signed_atoms()) | {0.0}) ** n
+
+
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_enum_support_of_equal_random_signs(n):
+    res = ct._thinned_enum_result(5.0, RANDOM_SIGN, [0.7] * n, [0.3] * n, 10**6)
+    assert res.diagnostics["support"] == 2 * n + 1
+
+
+def test_run_sums_are_pairwise():
+    # every run's sum is within ceil(log2 n) roundings of its exact sum; the
+    # last run, 1 and then 999 masses of 0.3 eps, loses 300 eps added in order
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(2)
+    lengths = np.append(rng.integers(1, 300, 40), 1000)
+    masses = np.append(rng.uniform(0.0, 1.0, lengths[:-1].sum()), [1.0] + [0.3 * eps] * 999)
+    starts = np.cumsum(lengths) - lengths
+    sums = discrete._run_sums(masses, starts)
+    for start, n, got in zip(starts, lengths, sums):
+        exact = math.fsum(masses[start:start + n].tolist())
+        assert abs(got - exact) <= math.ceil(math.log2(n)) * eps * exact

@@ -14,7 +14,7 @@ from roskit import verify as vf
 from roskit.errors import DomainError, GridTooSmallError, InputError, InvalidComparisonError
 
 GAUSS = vf.GaussianSource()
-RAD_LAW = vf.atomic_law(bd.rademacher())
+RAD_LAW = bd.rademacher().signed_atoms()
 
 
 class TestGridDensity:
