@@ -426,25 +426,6 @@ def _gaussian_grid_halfwidth(k: int, p: float, tol: float) -> float:
     return L
 
 
-def atomic_kfold_moments(law: dict, ks, p: float, max_support: int):
-    """E|S_k|^p for each requested k by exact convolution powers of a
-    signed atomic law.
-
-    Returns ({k: (value, error bound)}, support size of the largest power),
-    the bound from discrete.enum_abs_moment; raises SupportOverflowError once
-    a power's support exceeds max_support.
-    """
-    wanted = set(ks)
-    values = {}
-    pair = discrete._pair(law)
-    acc = np.zeros(1), np.ones(1)
-    for k in range(1, max(wanted) + 1):
-        acc = discrete._nfold([acc, pair], max_support)
-        if k in wanted:
-            values[k] = discrete._enum_moment(*acc, p, [pair] * k)
-    return values, acc[0].size
-
-
 def kfold_abs_moment(
     V: ConditionedBase,
     k: int,
@@ -482,9 +463,7 @@ def kfold_abs_moment(
 
     if method == "grid":
         if base.is_atomic:
-            values, support = atomic_kfold_moments(
-                base.signed_atoms(), [k], p, max_support=2_000_000
-            )
+            values, support = discrete.enum_powers(base.signed_atoms(), [k], p, 2_000_000)
             diag["support"] = support
             val, err = values[k]
             return ConstantResult(val, "grid/atoms_exact", err, diag)

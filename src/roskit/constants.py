@@ -293,15 +293,13 @@ def utev_3point_sup(p: float, budget: MomentBudget, tol: float = 1e-9):
     return res, list(zip(res.diagnostics["scales"], res.diagnostics["activations"]))
 
 
-def _thinned_atoms(V: BaseDistribution, c: float, mu: float):
-    """The signed atomic law of c theta V, P(theta = 1) = mu, for atomic V, as
-    (locs, masses): c x at mu times its mass for each nonzero atom x of V, then
-    zero at the rest."""
-    law = V.signed_atoms()
-    nonzero = [(x, m) for x, m in law.items() if x != 0.0]
-    locs = np.array([c * x for x, _ in nonzero] + [0.0])
-    masses = np.array([mu * m for _, m in nonzero] + [law.get(0.0, 0.0) * mu + (1.0 - mu)])
-    return locs, masses
+def _thinned_atoms(V: BaseDistribution, c: float, mu: float) -> dict:
+    """The signed atomic law of c theta V, P(theta = 1) = mu, for atomic V: mass
+    1 - mu at zero, and mu times its mass at c x for each atom x of V."""
+    out = {0.0: 1.0 - mu}
+    for x, m in V.signed_atoms().items():
+        out[c * x] = out.get(c * x, 0.0) + mu * m
+    return out
 
 
 def _thinned_enum_result(p: float, V: BaseDistribution, scales, activations,
@@ -309,9 +307,8 @@ def _thinned_enum_result(p: float, V: BaseDistribution, scales, activations,
     """E|sum_j c_j theta_j V_j|^p for atomic V by exact enumeration of the thinned
     atom laws, with the support size; SupportOverflowError past max_support."""
     laws = [_thinned_atoms(V, c, mu) for c, mu in zip(scales, activations)]
-    locs, masses = discrete._nfold(laws, max_support)
-    value, err = discrete._enum_moment(locs, masses, p, laws)
-    return ConstantResult(value, "exact_enum", err, {"support": locs.size})
+    value, err, support = discrete.enum_sum(laws, p, max_support)
+    return ConstantResult(value, "exact_enum", err, {"support": support})
 
 
 def mixture_individual_sup(
@@ -370,8 +367,7 @@ def _thinned_grid_sum(p: float, V: BaseDistribution, L: float, terms, n_cells: i
         return ConstantResult(0.0, "grid", 0.0), []
     # activation mu thins c V: mass 1 - mu at 0, the centre of a cell; an atomic V
     # enters as its thinned atoms, without a CDF
-    summands = [gridconv.Summand(None, t.scale * L,
-                                 discrete._as_dict(*_thinned_atoms(V, t.scale, t.activation)),
+    summands = [gridconv.Summand(None, t.scale * L, _thinned_atoms(V, t.scale, t.activation),
                                  t.count) if V.is_atomic
                 else gridconv.Summand(lambda x, c=t.scale, mu=t.activation: mu * V.cdf(x / c),
                                       t.scale * L, {0.0: 1.0 - t.activation}, t.count)

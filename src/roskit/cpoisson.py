@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, ive
 
-from . import basedist, fourier, gridconv, specfun
+from . import basedist, discrete, fourier, gridconv, specfun
 from .basedist import BaseDistribution, ConditionedBase
 from .errors import DomainError, InputError, UnsupportedMethodError
 from .gridconv import MAX_GRID_CELLS
@@ -209,8 +209,7 @@ def _gaussian_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, ta
 
 def _enum_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
     ks = range(1, K + 1)
-    per_k = basedist.atomic_kfold_moments(spec.jump.base.signed_atoms(), ks, p,
-                                          _ATOM_SUPPORT_CAP)[0]
+    per_k = discrete.enum_powers(spec.jump.base.signed_atoms(), ks, p, _ATOM_SUPPORT_CAP)[0]
     weights = _poisson_weights(spec.lam, K)
     terms = np.array([w * per_k[k][0] for k, w in zip(ks, weights)])
     err = tail + math.fsum(w * per_k[k][1] for k, w in zip(ks, weights))

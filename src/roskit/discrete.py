@@ -1,22 +1,22 @@
 """Exact arithmetic with finite atomic laws.
 
-A law is a pair of arrays (locs, masses); the public functions take and
-return plain dicts {location: mass}.  The law of a sum of independent laws
-is multiplied out factor by factor: every point of the partial sum plus
-every atom of the next law, every mass times every mass.  One support point
-reached along different paths comes out as float sums that differ in their
-last bits, so the sums are sorted and every run of them that stays within a
-merge radius (MERGE_RTOL times the reach, the sum of max |x| over the laws
-taken so far: far above that noise, far below the gaps between distinct
-points) is merged, and the sum holds its true support.  A run that chains
-past the radius keeps its distinct sums apart.  A merged key is the point of
-its run nearest zero, so sums of symmetric laws stay exactly symmetric.
+A law is a plain dict {location: mass}.  The law of a sum of independent
+laws is multiplied out inside this module on (locs, masses) arrays, one
+factor at a time: every point of the partial sum plus every atom of the next
+law, every mass times every mass.  One support point reached along different
+paths comes out as float sums that differ in their last bits, so each
+factor's pair sums are sorted and every run of them that stays within a
+merge radius (MERGE_RTOL times the largest possible |sum|: far above that
+noise, far below the gaps between distinct points) is merged, and the sum
+holds its true support.  A run that chains past the radius keeps its
+distinct sums apart.  A merged key is the point of its run nearest zero, so
+sums of symmetric laws stay exactly symmetric.
 
-The merge is deferred while the product stays within _CHUNK_PAIRS pairs: a
-tuple is merged once at the end, to count its support and apply the cap, and
-before any factor that would take the product past _CHUNK_PAIRS, which is
-then convolved in chunks of that many pairs.  A merge moves a key by at most
-its own radius, so enum_abs_moment's bound holds whichever levels merge.
+Merging at every factor keeps each partial sum as small as its support (n
+equal random signs stay at 2n + 1 points).  The pairs are taken atom-major,
+so a factor's sums are len(law) ascending runs, which a stable sort merges.
+enum_sum and enum_powers turn the radius and the rounding into an error
+bound on the p-th absolute moment.
 """
 
 from __future__ import annotations
@@ -36,78 +36,58 @@ def _pair(law: dict) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.fromiter(v, float, len(law)) for v in (law.keys(), law.values()))
 
 
-def _as_dict(locs: np.ndarray, masses: np.ndarray) -> dict:
-    return dict(zip(locs.tolist(), masses.tolist()))
-
-
-def _run_sums(masses: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """np.add.reduceat(masses, starts), summed pairwise: a run of n terms is
-    added along a tree of depth ceil(log2 n)."""
-    if masses.size == starts.size:
-        return masses
-    run = np.zeros(masses.size, np.intp)
-    run[starts[1:]] = 1
-    run = np.cumsum(run)
-    masses = masses.copy()
-    while masses.size > starts.size:
-        offset = np.arange(masses.size) - starts[run]
-        odd = np.flatnonzero(offset % 2)
-        masses[odd - 1] += masses[odd]
-        keep = offset % 2 == 0
-        masses, run = masses[keep], run[keep]
-        starts = np.flatnonzero(np.diff(run, prepend=-1))
-    return masses
-
-
 def _merge_runs(sums: np.ndarray, masses: np.ndarray, radius: float):
     """Keys and summed masses of the runs of sorted sums whose gaps and whole
     width stay within radius; each key is its run's point nearest zero."""
     gap = np.diff(sums, prepend=-np.inf)
     starts = np.flatnonzero(gap > radius)
+    if starts.size == sums.size:  # no two sums within radius
+        return sums, masses
     ends = np.append(starts[1:], sums.size)
     wide = sums[ends - 1] - sums[starts] > radius
     if wide.any():  # a chain of close points: only equal sums merge there
         starts = np.flatnonzero((gap > radius) | (np.repeat(wide, ends - starts) & (gap > 0.0)))
         ends = np.append(starts[1:], sums.size)
-    return np.clip(0.0, sums[starts], sums[ends - 1]), _run_sums(masses, starts)
+    return np.clip(0.0, sums[starts], sums[ends - 1]), np.add.reduceat(masses, starts)
 
 
 def _check_cap(support: int, max_support: int | None) -> None:
     if max_support is not None and support > max_support:
-        raise SupportOverflowError(f"atomic convolution support {support} exceeds cap {max_support}")
+        raise SupportOverflowError(
+            f"atomic convolution support {support} exceeds cap {max_support}")
 
 
-def _merge(locs: np.ndarray, masses: np.ndarray, radius: float, max_support: int | None):
-    order = np.argsort(locs)
-    keys, sums = _merge_runs(locs[order], masses[order], radius)
-    _check_cap(keys.size, max_support)
-    return keys, sums
+def _sorted_pairs(x1, m1, x2, m2):
+    """Every sum x1 + x2, sorted, and its mass product.  Taken x2-major, the
+    sums are x2.size runs that ascend when x1 does."""
+    sums = np.add.outer(x2, x1).ravel()
+    order = np.argsort(sums, kind="stable")
+    return sums[order], np.multiply.outer(m2, m1).ravel()[order]
 
 
-def _convolve_chunked(x1, m1, x2, m2, radius: float, max_support: int | None):
-    """The merged sum of a merged law (x1, m1), keys ascending, and (x2, m2).
+def _convolve(x1, m1, x2, m2, max_support: int | None):
+    """The merged law of the sum of a merged law (x1, m1), keys ascending, and
+    (x2, m2), both nonempty.
 
-    Pairs are taken x1-major in chunks of _CHUNK_PAIRS.  A chunk's sums within
-    radius of a key found in an earlier chunk join the nearest such key; the
-    rest merge among themselves and are inserted in order.  The cap is checked
-    as keys are inserted.
+    Pairs are taken in chunks of _CHUNK_PAIRS, a slice of x1 at a time.  A
+    chunk's sums within the merge radius of a key found in an earlier chunk
+    join the nearest such key; the rest merge among themselves and are
+    inserted in order.  The cap is checked as keys are inserted.
     """
-    keys, masses = np.zeros(0), np.zeros(0)
+    radius = MERGE_RTOL * (max(-x1[0], x1[-1]) + np.abs(x2).max())
     rows = max(1, _CHUNK_PAIRS // x2.size)
-    for start in range(0, x1.size, rows):
-        sums = np.add.outer(x1[start:start + rows], x2).ravel()
-        order = np.argsort(sums)
-        sums = sums[order]
-        products = np.multiply.outer(m1[start:start + rows], m2).ravel()[order]
-        if keys.size:
-            above = np.searchsorted(keys, sums).clip(max=keys.size - 1)
-            below = (above - 1).clip(min=0)
-            near = np.where(sums - keys[below] <= keys[above] - sums, below, above)
-            hit = np.abs(keys[near] - sums) <= radius
-            masses += np.bincount(near[hit], products[hit], minlength=keys.size)
-            sums, products = sums[~hit], products[~hit]
-            if not sums.size:
-                continue
+    keys, masses = _merge_runs(*_sorted_pairs(x1[:rows], m1[:rows], x2, m2), radius)
+    _check_cap(keys.size, max_support)
+    for start in range(rows, x1.size, rows):
+        sums, products = _sorted_pairs(x1[start:start + rows], m1[start:start + rows], x2, m2)
+        above = np.searchsorted(keys, sums).clip(max=keys.size - 1)
+        below = (above - 1).clip(min=0)
+        near = np.where(sums - keys[below] <= keys[above] - sums, below, above)
+        hit = np.abs(keys[near] - sums) <= radius
+        masses += np.bincount(near[hit], products[hit], minlength=keys.size)
+        sums, products = sums[~hit], products[~hit]
+        if not sums.size:
+            continue
         new_keys, new_masses = _merge_runs(sums, products, radius)
         _check_cap(keys.size + new_keys.size, max_support)
         at = np.searchsorted(keys, new_keys)
@@ -115,50 +95,41 @@ def _convolve_chunked(x1, m1, x2, m2, radius: float, max_support: int | None):
     return keys, masses
 
 
-def _nfold(laws, max_support: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(locs, masses) of the sum of independent laws, each a (locs, masses)
-    pair, with its keys ascending.
-
-    The product is multiplied out unmerged while it stays within _CHUNK_PAIRS
-    pairs, and merged (radius MERGE_RTOL times the reach so far) only before a
-    factor that would take it past that, which is then convolved in chunks,
-    and once at the end.  Raises SupportOverflowError (an OverflowError) once
-    a merged support exceeds max_support.
-    """
+def _partial_sums(laws: list[dict], max_support: int | None):
+    """Yield (locs, masses) of the sum of laws[:i], keys ascending, for i = 0,
+    1, ..., len(laws); SupportOverflowError once a support exceeds
+    max_support."""
     locs, masses = np.zeros(1), np.ones(1)
-    reach, merged = 0.0, True
-    for x, m in laws:
-        if not x.size:
-            return np.zeros(0), np.zeros(0)
-        if locs.size * x.size > _CHUNK_PAIRS and not merged:
-            locs, masses = _merge(locs, masses, MERGE_RTOL * reach, max_support)
-        reach += float(np.abs(x).max())
-        if locs.size * x.size > _CHUNK_PAIRS:
-            locs, masses = _convolve_chunked(locs, masses, x, m, MERGE_RTOL * reach, max_support)
-            merged = True
+    yield locs, masses
+    for law in laws:
+        if locs.size and law:
+            locs, masses = _convolve(locs, masses, *_pair(law), max_support)
         else:
-            locs, masses = np.add.outer(locs, x).ravel(), np.multiply.outer(masses, m).ravel()
-            merged = False
-    if not merged:
-        locs, masses = _merge(locs, masses, MERGE_RTOL * reach, max_support)
+            locs, masses = np.zeros(0), np.zeros(0)
+        yield locs, masses
+
+
+def _nfold(laws: list[dict], max_support: int | None) -> tuple[np.ndarray, np.ndarray]:
+    for locs, masses in _partial_sums(laws, max_support):
+        pass
     return locs, masses
 
 
-def _power_sum(ax: np.ndarray, masses: np.ndarray, p: float) -> float:
+def _abs_moment(ax: np.ndarray, masses: np.ndarray, p: float) -> float:
     """The sum of masses |x|^p over the nonzero |x| = ax, exactly rounded."""
     keep = ax != 0.0
     return math.fsum((masses[keep] * ax[keep] ** p).tolist())
 
 
-def _enum_moment(locs: np.ndarray, masses: np.ndarray, p: float, laws) -> tuple[float, float]:
-    """enum_abs_moment on (locs, masses) pairs: the law of the sum, from
-    _nfold(laws), and the laws themselves."""
+def _enum_moment(locs: np.ndarray, masses: np.ndarray, p: float, laws: list[dict]):
+    """The moment of the enumerated sum (locs, masses) of laws, and its bound
+    (see enum_sum)."""
     ax = np.abs(locs)
-    value = _power_sum(ax, masses, p)
-    reach = np.cumsum([np.abs(x).max() for x, _ in laws])
+    value = _abs_moment(ax, masses, p)
+    reach = np.cumsum([max(map(abs, law)) for law in laws])
     delta = (MERGE_RTOL + 2.0 * _EPS) * float(reach.sum())
     shift = p * delta * float((masses * (ax + delta) ** (p - 1.0)).sum())
-    rounding = (sum(x.size + 1 for x, _ in laws) + 3) * _EPS * value
+    rounding = (sum(len(law) + 1 for law in laws) + 3) * _EPS * value
     return value, shift + rounding
 
 
@@ -166,37 +137,51 @@ def convolve_atoms(d1: dict, d2: dict, max_support: int | None = None) -> dict:
     """Law of X + Y for independent atomic X, Y, keyed in ascending order;
     SupportOverflowError (an OverflowError) once the merged support exceeds
     max_support."""
-    return _as_dict(*_nfold([_pair(d1), _pair(d2)], max_support))
+    return nfold_atoms([d1, d2], max_support)
 
 
 def nfold_atoms(laws: list[dict], max_support: int | None = None) -> dict:
-    """Law of the sum of independent atomic laws, keyed in ascending order,
-    merged once (see _nfold); SupportOverflowError past max_support."""
-    return _as_dict(*_nfold([_pair(law) for law in laws], max_support))
+    """Law of the sum of independent atomic laws, keyed in ascending order;
+    SupportOverflowError once a partial sum's support exceeds max_support."""
+    locs, masses = _nfold(laws, max_support)
+    return dict(zip(locs.tolist(), masses.tolist()))
 
 
 def abs_moment_atoms(d: dict, p: float) -> float:
     locs, masses = _pair(d)
-    return _power_sum(np.abs(locs), masses, p)
+    return _abs_moment(np.abs(locs), masses, p)
 
 
-def enum_abs_moment(dist: dict, p: float, laws) -> tuple[float, float]:
-    """abs_moment_atoms(dist, p) for dist = nfold_atoms(laws), and a bound on
-    its distance from E|S|^p of the exact sum S of the laws.
+def enum_sum(laws: list[dict], p: float,
+             max_support: int | None = None) -> tuple[float, float, int]:
+    """(E|S|^p, error bound, support size) for the sum S of independent atomic
+    laws by exact enumeration; SupportOverflowError once a partial sum's
+    support exceeds max_support.
 
-    Let reach_i be the sum of max |x| over laws[:i+1].  The i-th factor rounds
-    each sum once relative to reach_i (the scaling of a law rounds once more),
-    and a merge at level i, wherever the product is merged, moves each sum to a
-    key within its radius MERGE_RTOL reach_i; merges deferred past a level
-    leave that level's radius unused.  So each key lies within delta =
+    The i-th factor rounds each sum once and merges it into a key within its
+    radius, both relative to reach_i, the sum of max |x| over laws[:i+1] (the
+    scaling of a law rounds once more), so each key lies within delta =
     (MERGE_RTOL + 2 eps) sum_i reach_i of the points it stands for and moves
-    |x|^p by at most p delta (|x| + delta)^(p-1).  A mass is the product of
-    the masses along each path, one rounding per law, summed over the paths a
-    merge joins: at most prod len(law) of them over the levels since the last
-    merge, added pairwise to depth sum ceil(log2 len(law)) <= sum (len(law) -
-    1) (a chunked convolution adds at most len(law) terms per key).  With a
-    law's own masses (a thinned zero atom rounds twice), each mass errs by at
-    most (len(law) + 1) eps relative per law, and each moment term carries a
-    rounded power and product before the exactly rounded fsum.
+    |x|^p by at most p delta (|x| + delta)^(p-1).  Each mass carries one
+    product and a sum of at most len(law) terms per factor (a thinned zero
+    atom rounds twice), and each moment term a rounded power and product
+    before the exactly rounded fsum.
     """
-    return _enum_moment(*_pair(dist), p, [_pair(law) for law in laws])
+    locs, masses = _nfold(laws, max_support)
+    return (*_enum_moment(locs, masses, p, laws), locs.size)
+
+
+def enum_powers(law: dict, ks, p: float, max_support: int) -> tuple[dict, int]:
+    """E|S_k|^p for each requested k >= 1, S_k the sum of k independent
+    copies of law, by exact convolution powers.
+
+    Returns ({k: (value, error bound)}, support size of the largest power),
+    the bound as in enum_sum; SupportOverflowError once a power's support
+    exceeds max_support.
+    """
+    wanted = set(ks)
+    values = {}
+    for k, (locs, masses) in enumerate(_partial_sums([law] * max(wanted), max_support)):
+        if k in wanted:
+            values[k] = _enum_moment(locs, masses, p, [law] * k)
+    return values, locs.size

@@ -410,12 +410,6 @@ def _validate_symmetric_atomic(law: dict) -> dict:
     return law
 
 
-def _sum_abs_moment(laws: list[dict], p: float) -> float:
-    """E|sum X_j|^p for independent atomic X_j, by exact enumeration."""
-    locs, masses = discrete._nfold([discrete._pair(law) for law in laws])
-    return discrete._power_sum(np.abs(locs), masses, p)
-
-
 def check_poissonisation(laws: list[dict], p: float, tol: float = 1e-9):
     """E|sum X_j|^p <= E|T|^p for the compound Poisson T accumulating the
     nonzero parts of the X_j; needs p >= 3 so the |x|^p test function has a
@@ -423,7 +417,7 @@ def check_poissonisation(laws: list[dict], p: float, tol: float = 1e-9):
     if p < 3.0:
         raise DomainError("poissonisation check requires p >= 3")
     laws = [_validate_symmetric_atomic(law) for law in laws]
-    left = _sum_abs_moment(laws, p)
+    left = discrete.enum_sum(laws, p)[0]
     lam = math.fsum(
         mass for law in laws for loc, mass in law.items() if loc != 0.0
     )
@@ -447,7 +441,7 @@ def check_poissonisation(laws: list[dict], p: float, tol: float = 1e-9):
 def check_easy_lower_bound(laws: list[dict], p: float):
     """E|sum X_j|^p >= max((sum ||X_j||_2^2)^(p/2), sum ||X_j||_p^p)."""
     laws = [_validate_symmetric_atomic(law) for law in laws]
-    left = _sum_abs_moment(laws, p)
+    left = discrete.enum_sum(laws, p)[0]
     sum_2 = math.fsum(discrete.abs_moment_atoms(law, 2.0) for law in laws)
     sum_p = math.fsum(discrete.abs_moment_atoms(law, p) for law in laws)
     right = max(sum_2 ** (p / 2.0), sum_p)

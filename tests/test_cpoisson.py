@@ -14,6 +14,7 @@ from scipy import special
 from roskit import basedist as bd
 from roskit import constants as ct
 from roskit import cpoisson as cp
+from roskit import discrete
 from roskit import gridconv
 from roskit import verify as vf
 from roskit.errors import DomainError, InputError, UnsupportedMethodError
@@ -452,7 +453,7 @@ class TestFourierRoute:
         assert res.method == "cp_series/fourier"
         law = jump.base.signed_atoms() if jump.base.is_atomic else None
         per_k = ([bd.abs_moment(jump.base, 5.5), 2.0**6.5 / (6.5 * 7.5)] if law is None else
-                 [bd.atomic_kfold_moments(law, [k], 5.5, 10**6)[0][k][0] for k in (1, 2)])
+                 [discrete.enum_powers(law, [k], 5.5, 10**6)[0][k][0] for k in (1, 2)])
         ref = math.exp(-lam) * (lam * per_k[0] + 0.5 * lam**2 * per_k[1])
         assert abs(res.value - ref) <= res.error_bound + 1e-15 * ref <= 1e-9 * ref
 

@@ -86,7 +86,8 @@ def test_keys_and_moment_within_the_bound(p):
     law = _signed(jump)
     dist = _power(law, k)
     pts = _lattice_law(jump, k)
-    value, bound = discrete.enum_abs_moment(dist, p, [law] * k)
+    value, bound, support = discrete.enum_sum([law] * k, p)
+    assert support == len(dist)
     reach = max(law) * k * (k + 1) / 2.0
     delta = (discrete.MERGE_RTOL + 2.0 * np.finfo(float).eps) * reach
     moved = max(abs(float(x) - key) for (x, _), key in zip(pts, dist))
@@ -105,7 +106,7 @@ def test_chunks_give_the_single_chunk_law(monkeypatch):
     assert len(chunked) == len(whole) == len(_lattice_power(GENERIC, 9))
     for (x, m), (y, w) in zip(whole.items(), chunked.items()):
         assert abs(x - y) <= 1e-12 * 9 * max(law) and m == pytest.approx(w, rel=1e-13)
-    value, bound = discrete.enum_abs_moment(chunked, 5.0, [law] * 9)
+    value, bound, _ = discrete.enum_sum([law] * 9, 5.0)
     assert abs(value - _lattice_moment(_lattice_law(GENERIC, 9), 5.0)) <= bound
 
 
@@ -140,7 +141,7 @@ def test_convolve_atoms_support_cap():
 
 
 # ---------------------------------------------------------------------------
-# thinned tuples on arrays: the laws constants._thinned_enum_result enumerates
+# thinned tuples: the laws constants._thinned_enum_result enumerates
 
 RANDOM_SIGN = bd.rademacher()
 FIVE_POINT = bd.symmetric_atoms([(0.0, 0.2), (0.7, 0.5), (1.3, 0.3)])
@@ -155,7 +156,7 @@ def _thinned_tuple(V, n, seed):
 def _path_moment(laws, p):
     """E|S|^p summed over every path of atoms, in 40-digit arithmetic."""
     with mpmath.workdps(40):
-        atoms = [[(mpmath.mpf(x), mpmath.mpf(m)) for x, m in zip(*law)] for law in laws]
+        atoms = [[(mpmath.mpf(x), mpmath.mpf(m)) for x, m in law.items()] for law in laws]
         total = mpmath.mpf(0)
         for path in itertools.product(*atoms):
             total += mpmath.fprod(m for _, m in path) * abs(mpmath.fsum(x for x, _ in path)) ** p
@@ -167,38 +168,38 @@ def _path_moment(laws, p):
 @pytest.mark.parametrize("p", [4.0, 5.37])
 def test_thinned_tuple_against_every_path(V, n, p):
     laws = _thinned_tuple(V, n, 28 + n)
-    locs, masses = discrete._nfold(laws)
-    value, bound = discrete._enum_moment(locs, masses, p, laws)
+    value, bound, support = discrete.enum_sum(laws, p)
     assert abs(value - _path_moment(laws, p)) <= bound
-    assert locs.size == laws[0][0].size ** n and list(locs) == sorted(locs)
+    assert support == len(laws[0]) ** n
+    assert list(discrete.nfold_atoms(laws)) == sorted(discrete.nfold_atoms(laws))
 
 
-@pytest.mark.parametrize("chunk", [2, 7, 1 << 16])
-def test_deferred_and_chunked_merges_agree(monkeypatch, chunk):
-    # equal scales merge and generic ones do not; with a chunk of 1 << 16 the
-    # whole product is merged once, with 2 or 7 every factor is chunked
+@pytest.mark.parametrize("chunk", [2, 7, 729])
+def test_chunked_factors_agree(monkeypatch, chunk):
+    # equal scales merge and generic ones do not; a chunk of 729 splits only the
+    # last factor, of 225 x 5 pairs, and chunks of 2 or 7 split every factor
     rng = np.random.default_rng(5)
     laws = ([ct._thinned_atoms(RANDOM_SIGN, 0.8, 0.4)] * 4
             + [ct._thinned_atoms(FIVE_POINT, float(c), 0.6) for c in rng.uniform(0.3, 2.0, 3)])
-    whole = discrete._nfold(laws)
+    whole = discrete.nfold_atoms(laws)
     monkeypatch.setattr(discrete, "_CHUNK_PAIRS", chunk)
-    locs, masses = discrete._nfold(laws)
-    reach = np.cumsum([np.abs(x).max() for x, _ in laws])
+    chunked = discrete.nfold_atoms(laws)
+    reach = np.cumsum([max(map(abs, law)) for law in laws])
     delta = (discrete.MERGE_RTOL + 2.0 * np.finfo(float).eps) * reach.sum()
-    assert locs.size == whole[0].size == 9 * 5**3
-    assert np.abs(locs - whole[0]).max() <= delta
-    assert np.abs(masses - whole[1]).max() <= 1e-13
+    assert len(chunked) == len(whole) == 9 * 5**3
+    for (x, m), (y, w) in zip(whole.items(), chunked.items()):
+        assert abs(x - y) <= delta and abs(m - w) <= 1e-13
 
 
-@pytest.mark.parametrize("chunk,cap", [(1 << 16, 26), (9, 8)])
-def test_cap_at_a_deferred_merge(monkeypatch, chunk, cap):
-    # three generic three-point laws: 27 points merged once at the end, or, with
-    # a chunk of 9, nine points merged before the third factor
+@pytest.mark.parametrize("chunk", [1 << 16, 9])
+def test_cap_in_a_chunked_factor(monkeypatch, chunk):
+    # three generic three-point laws: the third factor's 27 sums come in one
+    # chunk, or, with a chunk of 9, in three, and the last passes the cap
     monkeypatch.setattr(discrete, "_CHUNK_PAIRS", chunk)
     laws = _thinned_tuple(RANDOM_SIGN, 3, 3)
-    with pytest.raises(SupportOverflowError, match=f"exceeds cap {cap}$"):
-        discrete._nfold(laws, max_support=cap)
-    assert discrete._nfold(laws, max_support=27)[0].size == 27
+    with pytest.raises(SupportOverflowError, match="support 27 exceeds cap 26$"):
+        discrete.enum_sum(laws, 5.0, max_support=26)
+    assert discrete.enum_sum(laws, 5.0, max_support=27)[2] == 27
 
 
 @pytest.mark.parametrize("V,n", [(RANDOM_SIGN, 1), (RANDOM_SIGN, 10), (FIVE_POINT, 3),
@@ -215,17 +216,17 @@ def test_enum_support_of_generic_scales(V, n):
 def test_enum_support_of_equal_random_signs(n):
     res = ct._thinned_enum_result(5.0, RANDOM_SIGN, [0.7] * n, [0.3] * n, 10**6)
     assert res.diagnostics["support"] == 2 * n + 1
+    # every partial sum is merged, so none holds more than its 2i + 1 points
+    law = ct._thinned_atoms(RANDOM_SIGN, 0.7, 0.3)
+    sizes = [locs.size for locs, _ in discrete._partial_sums([law] * n, None)]
+    assert sizes == [2 * i + 1 for i in range(n + 1)]
 
 
-def test_run_sums_are_pairwise():
-    # every run's sum is within ceil(log2 n) roundings of its exact sum; the
-    # last run, 1 and then 999 masses of 0.3 eps, loses 300 eps added in order
-    eps = np.finfo(float).eps
-    rng = np.random.default_rng(2)
-    lengths = np.append(rng.integers(1, 300, 40), 1000)
-    masses = np.append(rng.uniform(0.0, 1.0, lengths[:-1].sum()), [1.0] + [0.3 * eps] * 999)
-    starts = np.cumsum(lengths) - lengths
-    sums = discrete._run_sums(masses, starts)
-    for start, n, got in zip(starts, lengths, sums):
-        exact = math.fsum(masses[start:start + n].tolist())
-        assert abs(got - exact) <= math.ceil(math.log2(n)) * eps * exact
+def test_powers_are_the_sums_of_copies():
+    law = _signed(GENERIC)
+    values, support = discrete.enum_powers(law, [1, 4, 6], 5.0, 10**6)
+    assert sorted(values) == [1, 4, 6] and support == len(_lattice_power(GENERIC, 6))
+    for k, got in values.items():
+        assert got == discrete.enum_sum([law] * k, 5.0)[:2]
+    with pytest.raises(SupportOverflowError, match="exceeds cap 40$"):
+        discrete.enum_powers(law, [6], 5.0, 40)
