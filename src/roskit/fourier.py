@@ -257,7 +257,8 @@ def _reach(p: float, tail: Callable, lower: float, tol: float) -> float:
 
 
 def abs_moment(p: float, gap: Callable, taylor: Callable, tail: Callable, lower: float,
-               tol: float, max_panels: int = MAX_PANELS, width: float = 1.0) -> FourierMoment:
+               tol: float, max_panels: int = MAX_PANELS, width: float = 1.0,
+               reach: float | None = None, series: tuple | None = None) -> FourierMoment:
     """E|X|^p of a symmetric X at non-even p > 0 from phi.
 
     gap(u) returns 1 - phi(u) and a bound on its evaluation error, both on an
@@ -273,7 +274,8 @@ def abs_moment(p: float, gap: Callable, taylor: Callable, tail: Callable, lower:
     the rules' gap is most of it, every panel is halved, up to _REFINE times
     and max_panels panels.  So the work stays bounded at any tol, and the
     bound exceeds tol |value| only where the tol cannot be met within
-    max_panels.
+    max_panels.  A caller that has sized R already (plan_sum) passes it as
+    reach, and taylor(2k + 16), where it has it, as series.
     """
     k, C = _prefactor(p)
     if 2 * k == p:
@@ -282,8 +284,8 @@ def abs_moment(p: float, gap: Callable, taylor: Callable, tail: Callable, lower:
     # [0, 1]: the Taylor remainder term by term, to the first J whose next
     # coefficient certifies what is left below tol lower / 100
     n = 2 * k + 16
+    a, rel = series or taylor(n)
     while True:
-        a, rel = taylor(n)
         J = next((j for j in range(k + 1, n)
                   if C * a[j + 1] / (2 * j + 2 - p) <= 0.01 * tol * lower), None)
         if J is not None:
@@ -291,11 +293,13 @@ def abs_moment(p: float, gap: Callable, taylor: Callable, tail: Callable, lower:
         if n >= _MAX_TAYLOR:
             raise ValueError(f"{n} Taylor coefficients do not reach the remainder")
         n *= 2
+        a, rel = taylor(n)
     taylor_terms = [(-1.0) ** j * float(a[j]) / (2 * j - p) for j in range(k + 1, J + 1)]
     remainder = float(a[J + 1]) / (2 * J + 2 - p)
     # [1, inf): the polynomial part in closed form, and the caller's tail beyond R
     poly_terms = [-((-1.0) ** j) * float(a[j]) / (p - 2 * j) for j in range(1, k + 1)]
-    reach = _reach(p, tail, lower, tol)
+    if reach is None:
+        reach = _reach(p, tail, lower, tol)
     mid, half = (float(x[0]) for x in tail(np.array([reach])))
     closed = math.fsum(taylor_terms + poly_terms) - mid
     coefficients = math.fsum(map(abs, taylor_terms + poly_terms))
@@ -342,6 +346,7 @@ class SumPlan(NamedTuple):
     panels: int
     tol: float
     width: float = 1.0  # the panel width on [1, R] (see _band_width)
+    series: tuple | None = None  # _sum_taylor at order k for even p, 2k + 16 otherwise
 
 
 def _series_power(f: np.ndarray, k: int, n: int) -> tuple[np.ndarray, int]:
@@ -464,20 +469,21 @@ def plan_sum(p: float, terms, tol: float = 1e-9) -> SumPlan:
                     for term in live)
     t0 = min([math.sqrt(0.25 * p / var)] + [term.law.char_cap(p) / term.scale for term in live])
     k = int(p // 2)
+    # the series sum_abs_moment starts from: a_k itself at even p, else abs_moment's first order
+    series = _sum_taylor(live, t0, k if 2 * k == p else 2 * k + 16)
     # E|X|^p >= max(sum_j E|X_j|^p, (E X^(2k))^(p / 2k)) for independent symmetric X_j, p >= 2
     single = math.fsum(term.count * term.activation * term.law.abs_moment(p)
                        * (t0 * term.scale) ** p for term in live)
-    lower = max(single, (float(_sum_taylor(live, t0, k)[0][k]) * math.factorial(2 * k))
-                ** (p / (2 * k)))
+    lower = max(single, (float(series[0][k]) * math.factorial(2 * k)) ** (p / (2 * k)))
     spread = t0 * math.fsum(term.count * term.activation * term.scale * term.law.abs_moment(1.0)
                             for term in live)
     if 2 * k == p:
-        return SumPlan("fourier", p, live, t0, spread, lower, 0.0, 0, tol)
+        return SumPlan("fourier", p, live, t0, spread, lower, 0.0, 0, tol, series=series)
     reach = _reach(p, _sum_tail(p, live, t0), lower, tol)
     width = _band_width(live, t0)
     panels = _edges(reach, _RATIO, width).size - 1
     route = "fourier" if panels <= MAX_SUM_PANELS else "grid"
-    return SumPlan(route, p, live, t0, spread, lower, reach, panels, tol, width)
+    return SumPlan(route, p, live, t0, spread, lower, reach, panels, tol, width, series)
 
 
 def sum_abs_moment(plan: SumPlan) -> ConstantResult:
@@ -488,14 +494,14 @@ def sum_abs_moment(plan: SumPlan) -> ConstantResult:
     if not terms:
         return ConstantResult(0.0, "sum_fourier", 0.0, diag)
     k = int(p // 2)
-    taylor = functools.partial(_sum_taylor, terms, t0)
     if 2 * k == p:
-        a, rel = taylor(k)
+        a, rel = plan.series
         value = float(a[k]) * math.factorial(2 * k)
         err = (rel + 2.0 * _EPS) * value
     else:
-        res = abs_moment(p, _sum_gap(terms, t0, plan.spread), taylor, _sum_tail(p, terms, t0),
-                         plan.lower, plan.tol, MAX_SUM_PANELS, plan.width)
+        res = abs_moment(p, _sum_gap(terms, t0, plan.spread),
+                         functools.partial(_sum_taylor, terms, t0), _sum_tail(p, terms, t0),
+                         plan.lower, plan.tol, MAX_SUM_PANELS, plan.width, plan.reach, plan.series)
         value, err = res.value, res.error_bound
         if not err < abs(value):
             # the alternating Taylor sums cancel past all accuracy (bounded laws at large p)

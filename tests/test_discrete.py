@@ -230,3 +230,75 @@ def test_powers_are_the_sums_of_copies():
         assert got == discrete.enum_sum([law] * k, 5.0)[:2]
     with pytest.raises(SupportOverflowError, match="exceeds cap 40$"):
         discrete.enum_powers(law, [6], 5.0, 40)
+
+
+# ---------------------------------------------------------------------------
+# the moment's pairwise sum and its bound
+
+
+def _halvings(n):
+    return math.ceil(math.log2(n)) if n > 1 else 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 31, 32, 33, 4095, 4096, 4097])
+def test_pairwise_sum_within_its_depth(n):
+    # nonnegative terms spread over 30 decades
+    rng = np.random.default_rng(n)
+    terms = rng.uniform(0.5, 1.0, n) * 10.0 ** rng.uniform(-15.0, 15.0, n)
+    got = discrete._pairwise_sum(terms)
+    with mpmath.workdps(40):
+        want = mpmath.fsum(mpmath.mpf(float(t)) for t in terms)
+        assert abs(mpmath.mpf(got) - want) <= _halvings(n) * np.finfo(float).eps * want
+    if n <= 1:
+        assert got == math.fsum(terms.tolist())
+
+
+def _exact_moment(laws, p):
+    """E|S|^p over every path, the path sums exact as integers of one binary
+    unit, |S| and the masses in 40-digit arithmetic."""
+    unit = min(math.frexp(x)[1] for law in laws for x in law if x) - 53
+    with mpmath.workdps(40):
+        acc = {0: mpmath.mpf(1)}
+        for law in laws:
+            steps = [(int(math.ldexp(x, -unit)), mpmath.mpf(m)) for x, m in law.items()]
+            out = {}
+            for s, m in acc.items():
+                for step, w in steps:
+                    out[s + step] = out.get(s + step, 0) + m * w
+            acc = out
+        by_abs = {}
+        for s, m in acc.items():
+            by_abs[abs(s)] = by_abs.get(abs(s), 0) + m
+        return float(mpmath.fsum(m * mpmath.ldexp(mpmath.mpf(s), unit) ** p
+                                 for s, m in by_abs.items()))
+
+
+def test_enum_sum_of_ten_generic_laws_within_the_bound():
+    # ten generic three-point laws: 59,049 points, 16 halvings in the moment's sum
+    laws = _thinned_tuple(RANDOM_SIGN, 10, 30)
+    value, bound, support = discrete.enum_sum(laws, 5.37)
+    assert support == 3**10
+    assert abs(value - _exact_moment(laws, 5.37)) <= bound
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5])
+def test_shift_below_p_one(p):
+    # the sums +-(b - 1) = +-9e-13 merge into the key 0, which moves their
+    # terms by (9e-13)^p: more than p delta (|x| + delta)^(p-1) bounds below p = 1
+    b = 1.0 + 9e-13
+    laws = [{1.0: 0.5, -1.0: 0.5}, {b: 0.5, -b: 0.5}]
+    value, bound, support = discrete.enum_sum(laws, p)
+    assert support == 3
+    with mpmath.workdps(50):
+        want = mpmath.fsum(abs(mpmath.mpf(x) + mpmath.mpf(y)) ** p / 4
+                           for x in (1.0, -1.0) for y in (b, -b))
+    assert abs(value - float(want)) <= bound
+
+
+@pytest.mark.parametrize("V,n", [(RANDOM_SIGN, 9), (FIVE_POINT, 6)])
+@pytest.mark.parametrize("p", [2.0, 5.37])
+def test_abs_moment_atoms_against_fsum(V, n, p):
+    law = discrete.nfold_atoms(_thinned_tuple(V, n, n))
+    got = discrete.abs_moment_atoms(law, p)
+    want = math.fsum(m * abs(x) ** p for x, m in law.items())
+    assert abs(got - want) <= _halvings(len(law)) * np.finfo(float).eps * want
