@@ -168,6 +168,11 @@ CHAR_LAWS = [
     lc._fplus_path(1e-12, 1.0),  # kappa = 1e-12 from the uniform end, the fplus bracket's reach
     lc.TailLawMinus(1.7, 0.6), lc.TailLawMinus(30.0, 2.0), lc.TailLawMinus(0.8, 0.0),
     lc.TailLawPlus(1.4, 1.1), lc.TailLawPlus(5.0, 3.0), lc.TailLawPlus(0.0, 1.2),
+    # kappa = 699 and 701, either side of the switch to the plain exponential at _KUMMER_MAX
+    lc.TruncatedExpDensity(349.5, 2.0), lc.TruncatedExpDensity(350.5, 2.0),
+    lc.TailLawPlus(2.0, 349.5), lc.TailLawPlus(2.0, 350.5),
+    # one of the two parts nearly vanishes
+    lc.PlateauExpDensity(1e-12, 1.3), lc.TailLawMinus(1.3, 1e-12),
 ]
 
 
