@@ -22,9 +22,13 @@ spectral grid for compound Poisson sums
 it) and k-fold powers, the individual-budget Fourier and enumeration
 routes with the grid reference (``constants._thinned_grid_result``, by
 name; thirty thinned uniforms among them), the witness's
-moment, a hash of compound Poisson draws), the randomized search, n-fold sums of grid densities, both ordering checks (the density ordering also at 2, 32 and 200 summands on
-16,384 cells), and the stdout of the seven CLI invocations of acceptance
-criterion 10.  The grid sums include summands whose scales differ 35-fold
+moment, a hash of compound Poisson draws), the randomized search, n-fold
+sums of grid densities (one per log-concave family among them), both
+ordering checks (the density ordering also at 2, 32 and 200 summands on
+16,384 cells, the tail ordering on a logistic and a Gaussian source), the
+stdout of the seven CLI invocations of acceptance criterion 10, and
+``roskit match`` for each log-concave family at both ends and the middle of
+its feasible interval.  The grid sums include summands whose scales differ 35-fold
 (individual budgets) and by four orders of magnitude (search seed 6), and
 compound Poisson sums of about 1,000 and 2,000 jumps (lambda = 1000 and
 1964).  It takes 3-5 s; a commit that resamples grid sums to the finest
@@ -83,6 +87,7 @@ from roskit import basedist as bd  # noqa: E402
 from roskit import constants as ct  # noqa: E402
 from roskit import cpoisson as cp  # noqa: E402
 from roskit import discrete as dc  # noqa: E402
+from roskit import logconcave as lc  # noqa: E402
 from roskit import verify as vf  # noqa: E402
 from roskit.cli import CSV_COLUMNS  # noqa: E402
 from roskit.cli import main as cli_main  # noqa: E402
@@ -99,6 +104,18 @@ CLI_INVOCATIONS = [
      "--format", "csv", "--seed", "1"],
     ["extremal", "--p", "3", "--n", "5000", "--alpha", "0.95", "--seed", "12"],
 ]
+
+
+def match_invocations():
+    """roskit match for every family at a = 1, with b at the lower end, the
+    middle and the upper end of the family's feasible interval, at p = 4.5 and 7.3."""
+    for p in (4.5, 7.3):
+        for family in ("fminus", "fplus", "gminus", "gplus"):
+            interval = lc.feasibility_interval_density if family[0] == "f" else lc.feasibility_interval_tail
+            lo, hi = interval(p)
+            for b in (lo, 0.5 * (lo + hi), hi):
+                yield ["match", "--family", family, "--p", repr(p), "--a", "1", "--b", repr(b)]
+
 
 THREE_ATOMS = bd.symmetric_atoms([(0.0, 0.3), (1.0, 0.4), (2.5, 0.3)])
 TEN_ATOMS = bd.symmetric_atoms([(0.3 * i + 0.1, 0.1) for i in range(10)])
@@ -253,6 +270,13 @@ def routes():
             *vf.check_logconcave_ordering(n, vf.GaussianSource(), 5.0, n_cells=16384)))
     show("check_tail_ordering", lambda: Ordering(*vf.check_tail_ordering(
         2, vf.LogisticSource(0.8), 5.0, n_cells=2048)))
+    show("check_tail_ordering gaussian", lambda: Ordering(*vf.check_tail_ordering(
+        2, vf.GaussianSource(), 5.0, n_cells=2048)))
+    # the grid route over each log-concave family's cdf, and the tail-plus law's atoms
+    for member in (lc.PlateauExpDensity(0.7, 2.3), lc.TruncatedExpDensity(1.9, 1.7),
+                   lc.TailLawMinus(1.7, 0.6), lc.TailLawPlus(1.4, 1.1)):
+        show(f"nfold_moment {member!r} n=3 p=5", vf.nfold_moment,
+             [vf.grid_density(member, 4096)] * 3, 5.0)
     three = [{c: m / 2.0, -c: m / 2.0, 0.0: 1.0 - m} for c, m in TRIPLE]
 
     def poissonisation():
@@ -275,7 +299,7 @@ def routes():
 
 def cli():
     runner = CliRunner()
-    for args in CLI_INVOCATIONS:
+    for args in CLI_INVOCATIONS + list(match_invocations()):
         res = runner.invoke(cli_main, args, catch_exceptions=False)
         print(f"cli {' '.join(args)} -> exit {res.exit_code}")
         sys.stdout.write(res.output)
