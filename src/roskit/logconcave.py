@@ -11,14 +11,24 @@ log-concave survival functions.
 Matching a (second, p-th) moment pair to a family member is one monotone
 one-dimensional solve (_match) along a path (t, a) -> member that pins the
 second moment; limits (uniform, exponential, two-point) are handled by
-tags, never by feeding infinities into formulas.  Every law here answers
-pdf, cdf, abs_moment, atoms and support_halfwidth, the calls verify uses,
-and the closed-form characteristic function the Fourier route for sums
-takes (fourier.plan_sum): char_gap, char_taylor, char_envelope and char_cap.
+tags, never by feeding infinities into formulas.
+
+In every family |X| is a mixture of at most two of four pieces: uniform on
+[0, w), an offset plus an exponential (the plain exponential at offset 0),
+an exponential cut at c, and an atom at c.  The plateau density is uniform
+plus offset exponential, the truncated density a cut exponential, the
+tail-minus law an offset exponential and the tail-plus law a cut exponential
+plus an atom; the end members are one-piece mixtures.  _PieceLaw answers,
+once for all four, the calls verify uses (pdf, cdf, atoms and
+support_halfwidth) and the closed-form characteristic function the Fourier
+route for sums takes (fourier.plan_sum: char_gap, char_taylor and
+char_envelope) as weighted sums over the pieces.  Each family states its
+pieces, its own abs_moment (the matchers' moment equation) and its char_cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -66,16 +76,6 @@ def _offset_exp_integral(r: float, offset: float, rate: float) -> float:
     return math.exp(log_j)
 
 
-def _offset_exp_taylor(n: int, offset: float, rate: float) -> tuple[np.ndarray, float]:
-    """E (offset + Y)^(2i) / (2i)! for i = 0..n, Y exponential of the rate:
-    sum_m offset^m / m! rate^-(2i - m), a convolution of nonnegative terms,
-    and its relative error bound."""
-    powers = np.cumprod(np.full(2 * n + 1, 1.0 / rate))
-    powers = np.concatenate(([1.0], powers[:-1]))  # rate^-l, l = 0..2n
-    out = np.convolve(fourier.taylor_exp(offset, 2 * n), powers)[: 2 * n + 1 : 2]
-    return out, (8.0 * n + 4.0) * _EPS
-
-
 def _kummer(b: np.ndarray, kappa: float) -> tuple[np.ndarray, float]:
     """e^-kappa M(1, b, kappa) = sum_l e^-kappa kappa^l / (b)_l for an array of
     b >= 1, each term a running product of ratios below 1 once l > 2 kappa,
@@ -98,11 +98,205 @@ _LOG_SAFE = 600.0
 
 
 # ---------------------------------------------------------------------------
+# the pieces of |X|: each answers cdf and pdf on x >= 0, its reach (a bound
+# on |X| past which the mass is below 1e-16), taylor(n, s) = E (s|X|)^(2i) / (2i)!
+# for i <= n and their relative error bound, gap(t) = 1 - phi(t) in closed
+# form (exact everywhere where exact is set) and envelope(t) >= |phi| from t on
+
+
+class _Uniform:
+    """|X| uniform on [0, width)."""
+
+    exact = False  # 1 - sin(x) / x cancels near 0
+
+    def __init__(self, width: float):
+        self.width = self.reach = width
+
+    def cdf(self, x):
+        return np.minimum(x, self.width) / self.width
+
+    def pdf(self, x: float) -> float:
+        return 1.0 / self.width if x < self.width else 0.0
+
+    def taylor(self, n: int, s: float) -> tuple[np.ndarray, float]:
+        return fourier.taylor_uniform(s * self.width, n)
+
+    def gap(self, t):
+        return 1.0 - np.sin(self.width * t) / (self.width * t)
+
+    def envelope(self, t):
+        return 1.0 / (self.width * t)
+
+
+class _OffsetExp:
+    """|X| = offset + Y, Y exponential of the rate."""
+
+    exact = False
+
+    def __init__(self, rate: float, offset: float = 0.0):
+        self.rate, self.offset = rate, offset
+        self.reach = offset + (_DECAY + 4.0) / rate
+
+    def cdf(self, x):
+        return -np.expm1(-self.rate * np.maximum(x - self.offset, 0.0))
+
+    def pdf(self, x: float) -> float:
+        return self.rate * math.exp(-self.rate * (x - self.offset)) if x >= self.offset else 0.0
+
+    def taylor(self, n: int, s: float) -> tuple[np.ndarray, float]:
+        """sum_m o^m / m! r^-(2i - m) for o = s offset and r = rate / s, a
+        convolution of nonnegative terms."""
+        powers = np.cumprod(np.full(2 * n + 1, 1.0 / (self.rate / s)))
+        powers = np.concatenate(([1.0], powers[:-1]))  # r^-l, l = 0..2n
+        out = np.convolve(fourier.taylor_exp(s * self.offset, 2 * n), powers)[: 2 * n + 1 : 2]
+        return out, (8.0 * n + 4.0) * _EPS
+
+    def gap(self, t):
+        """1 - phi(t) = (t^2 + 2 r^2 sin^2(ot / 2) + r t sin(ot)) / (r^2 + t^2), every term
+        nonnegative while ot <= pi, t^2 / (r^2 + t^2) at offset 0."""
+        r, o = self.rate, self.offset
+        half = np.sin(0.5 * o * t)
+        return (t * t + 2.0 * r * r * half * half + r * t * np.sin(o * t)) / (r * r + t * t)
+
+    def envelope(self, t):
+        return self.rate / np.hypot(self.rate, t)
+
+
+class _Exp(_OffsetExp):
+    """|X| exponential of the rate, the offset exponential at offset 0: its
+    1 - phi is exact everywhere, and |phi| = rate^2 / (rate^2 + t^2) its own envelope."""
+
+    exact = True
+
+    def taylor(self, n: int, s: float) -> tuple[np.ndarray, float]:
+        return fourier.taylor_laplace(s / self.rate, n)
+
+    def envelope(self, t):
+        return self.rate * self.rate / (self.rate * self.rate + t * t)
+
+
+class _CutExp:
+    """|X| exponential of the rate g conditioned below the cutoff c, at
+    kappa = g c <= _KUMMER_MAX, where m = e^-kappa is normal."""
+
+    exact = False
+
+    def __init__(self, rate: float, cutoff: float):
+        self.rate, self.cutoff, self.reach = rate, cutoff, cutoff
+        self.m, self.one_minus_m = math.exp(-rate * cutoff), -math.expm1(-rate * cutoff)
+
+    def cdf(self, x):
+        return -np.expm1(-self.rate * np.minimum(x, self.cutoff)) / self.one_minus_m
+
+    def pdf(self, x: float) -> float:
+        return self.rate * math.exp(-self.rate * x) / self.one_minus_m if x < self.cutoff else 0.0
+
+    def taylor(self, n: int, s: float) -> tuple[np.ndarray, float]:
+        """(s / g)^(2i) P(2i + 1, kappa) / (1 - m), through _kummer at b = 2i + 2."""
+        kappa = self.rate * self.cutoff
+        uniform, uniform_rel = fourier.taylor_uniform(s * self.cutoff, n)
+        kummer, rel = _kummer(2.0 * np.arange(n + 1) + 2.0, kappa)
+        return kappa / self.one_minus_m * uniform * kummer, rel + uniform_rel + 3.0 * _EPS
+
+    def gap(self, t):
+        """1 - phi(t), phi = g [g - m (g cos(ct) - t sin(ct))] / ((1 - m)(g^2 + t^2))."""
+        g, c, m = self.rate, self.cutoff, self.m
+        return 1.0 - g * (g - m * (g * np.cos(c * t) - t * np.sin(c * t))) / (
+            self.one_minus_m * (g * g + t * t))
+
+    def envelope(self, t):
+        g = self.rate
+        return g * (g + self.m * np.hypot(g, t)) / (self.one_minus_m * (g * g + t * t))
+
+
+def _cut_exp(rate: float, cutoff: float):
+    # past _KUMMER_MAX the cut tail e^-kappa is below every rounding
+    return _Exp(rate) if rate * cutoff > _KUMMER_MAX else _CutExp(rate, cutoff)
+
+
+class _Atom:
+    """|X| = at."""
+
+    exact = True
+
+    def __init__(self, at: float):
+        self.at = self.reach = at
+
+    def cdf(self, x):
+        return 0.0  # atoms() reports the atom, cdf the continuous part
+
+    def pdf(self, x: float) -> float:
+        return 0.0
+
+    def taylor(self, n: int, s: float) -> tuple[np.ndarray, float]:
+        return fourier.taylor_cos(s * self.at, n), 3.0 * n * _EPS
+
+    def gap(self, t):
+        return 2.0 * np.sin(0.5 * self.at * t) ** 2
+
+    def envelope(self, t):
+        return np.ones_like(t)
+
+
+class _PieceLaw:
+    """A symmetric law whose |X| is a mixture of the pieces above:
+    self._pieces holds (weight, piece) pairs, built once per law.  pdf and cdf
+    describe the continuous part, atoms() the rest."""
+
+    def _mix(self, answer):
+        """sum_i w_i answer(piece_i), or the one piece's own answer."""
+        pieces = self._pieces
+        if len(pieces) == 1:
+            return answer(pieces[0][1])
+        return sum(w * answer(piece) for w, piece in pieces)
+
+    def pdf(self, x: float) -> float:
+        """Density of the continuous part of the signed law."""
+        ax = abs(x)
+        return 0.5 * self._mix(lambda piece: piece.pdf(ax))
+
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
+        """CDF of the continuous part (the whole law unless it has atoms)."""
+        ax = np.abs(x)
+        half = 0.5 * self._mix(lambda piece: piece.cdf(ax))
+        below = 0.5 * math.fsum(w for w, piece in self._pieces if not isinstance(piece, _Atom))
+        return np.where(x < 0.0, below - half, below + half)[()]
+
+    def atoms(self) -> dict:
+        return {loc: w / 2.0 for w, piece in self._pieces if isinstance(piece, _Atom)
+                for loc in (-piece.at, piece.at)}
+
+    def support_halfwidth(self) -> float:
+        return max(piece.reach for _, piece in self._pieces)
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """E (sX)^(2i) / (2i)!: the pieces' nonnegative coefficients, weighted."""
+        parts = [(w, *piece.taylor(n, s)) for w, piece in self._pieces]
+        if len(parts) == 1:
+            return parts[0][1:]
+        return sum(w * coefs for w, coefs, _ in parts), max(rel for _, _, rel in parts) + 4.0 * _EPS
+
+    def char_gap(self, t) -> np.ndarray:
+        """1 - phi(t), the weighted sum of the pieces' nonnegative gaps: in
+        closed form where every piece's is exact, else split at char_cap()."""
+        if all(piece.exact for _, piece in self._pieces):
+            t = np.asarray(t, dtype=float)
+            return self._mix(lambda piece: piece.gap(t))
+        return fourier.cap_split_gap(self, t, lambda t: self._mix(lambda piece: piece.gap(t)))
+
+    def char_envelope(self, t) -> np.ndarray:
+        """|phi(t)| <= min(1, sum_i w_i e_i(t)) for the pieces' envelopes e_i."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.minimum(1.0, self._mix(lambda piece: piece.envelope(t)))
+
+
+# ---------------------------------------------------------------------------
 # density families
 
 
 @dataclass(frozen=True)
-class PlateauExpDensity:
+class PlateauExpDensity(_PieceLaw):
     """Symmetric density constant on [-alpha, alpha] with exponential decay
     of rate gamma outside; gamma = inf tags the uniform limit, alpha = 0 the
     two-sided exponential limit."""
@@ -127,25 +321,22 @@ class PlateauExpDensity:
             return "exponential"
         return "interior"
 
+    @functools.cached_property
+    def _pieces(self) -> tuple:
+        # uniform on [0, alpha] with probability alpha gamma / (alpha gamma + 1),
+        # else alpha plus an exponential of rate gamma
+        if math.isinf(self.gamma):
+            return ((1.0, _Uniform(self.alpha)),)
+        if self.alpha == 0.0:
+            return ((1.0, _Exp(self.gamma)),)
+        w = self.alpha * self.gamma
+        return ((w / (w + 1.0), _Uniform(self.alpha)),
+                (1.0 / (w + 1.0), _OffsetExp(self.gamma, self.alpha)))
+
     def normalizer(self) -> float:
         if self.limit == "uniform":
             return 1.0 / (2.0 * self.alpha)
         return 1.0 / (2.0 * (self.alpha + 1.0 / self.gamma))
-
-    def pdf(self, x: float) -> float:
-        ax = abs(x)
-        if self.limit == "uniform":
-            return self.normalizer() if ax <= self.alpha else 0.0
-        return self.normalizer() * math.exp(-self.gamma * max(ax - self.alpha, 0.0))
-
-    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        ax = np.abs(x)
-        c = self.normalizer()
-        upper = 0.5 + c * np.minimum(ax, self.alpha)
-        if self.limit != "uniform":
-            decay = np.exp(-self.gamma * np.maximum(ax - self.alpha, 0.0))
-            upper = upper + c / self.gamma * (1.0 - decay)
-        return np.where(x < 0.0, 1.0 - upper, upper)[()]
 
     def abs_moment(self, r: float) -> float:
         if not r > 0.0:
@@ -159,12 +350,6 @@ class PlateauExpDensity:
         )
         return num / (self.alpha + 1.0 / self.gamma)
 
-    def atoms(self) -> dict:
-        return {}
-
-    def support_halfwidth(self) -> float:
-        return self.alpha if self.limit == "uniform" else self.alpha + _DECAY / self.gamma
-
     def char_cap(self, p: float = 4.0) -> float:
         # the plateau's width, and the poles of phi at +-i gamma
         if self.limit == "exponential":
@@ -172,62 +357,12 @@ class PlateauExpDensity:
         # gamma = inf for the uniform limit
         return min(fourier.stretch(p) / self.alpha, 0.5 * self.gamma)
 
-    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
-        """E (sX)^(2i) / (2i)!: |X| is uniform on [0, alpha] with probability
-        alpha gamma / (alpha gamma + 1), else alpha plus an exponential of rate
-        gamma."""
-        uniform, uniform_rel = fourier.taylor_uniform(s * self.alpha, n)
-        if self.limit == "uniform":
-            return uniform, uniform_rel
-        tail, rel = _offset_exp_taylor(n, s * self.alpha, self.gamma / s)
-        w = self.alpha * self.gamma
-        return (w * uniform + tail) / (w + 1.0), max(rel, uniform_rel) + 4.0 * _EPS
-
-    def char_gap(self, t) -> np.ndarray:
-        """1 - phi(t), phi = 2c [sin(alpha t) / t + (gamma cos(alpha t) - t sin(alpha t))
-        / (gamma^2 + t^2)] with 2c = 1 / (alpha + 1 / gamma)."""
-        a, g = self.alpha, self.gamma
-        if self.limit == "exponential":
-            return fourier.laplace_gap(g, t)
-        if self.limit == "uniform":
-            return fourier.cap_split_gap(self, t, lambda t: 1.0 - np.sin(a * t) / (a * t))
-        return fourier.cap_split_gap(self, t, lambda t: 1.0 - g / (a * g + 1.0) * (
-            np.sin(a * t) / t + (g * np.cos(a * t) - t * np.sin(a * t)) / (g * g + t * t)))
-
-    def char_envelope(self, t) -> np.ndarray:
-        """|phi(t)| <= 2c (1 / t + 1 / sqrt(gamma^2 + t^2)), gamma^2 / (gamma^2 + t^2)
-        for the exponential and 1 / (alpha t) for the uniform limit."""
-        t = np.asarray(t, dtype=float)
-        a, g = self.alpha, self.gamma
-        if self.limit == "exponential":
-            return g * g / (g * g + t * t)
-        if self.limit == "uniform":
-            return fourier.uniform_envelope(a, t)
-        with np.errstate(divide="ignore"):
-            return np.minimum(1.0, g / (a * g + 1.0) * (1.0 / t + 1.0 / np.hypot(g, t)))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        signs = rng.integers(0, 2, size=n) * 2 - 1
-        u = rng.random(n)
-        if self.limit == "uniform":
-            return signs * self.alpha * u
-        if self.limit == "exponential":
-            return signs * rng.exponential(1.0 / self.gamma, size=n)
-        plateau_mass = self.alpha / (self.alpha + 1.0 / self.gamma)
-        width = self.alpha + 1.0 / self.gamma
-        mags = np.where(
-            u < plateau_mass,
-            u * width,
-            self.alpha + rng.exponential(1.0 / self.gamma, size=n),
-        )
-        return signs * mags
-
     def to_record(self) -> dict:
         return {"family": "fminus", "alpha": self.alpha, "gamma": self.gamma}
 
 
 @dataclass(frozen=True)
-class TruncatedExpDensity:
+class TruncatedExpDensity(_PieceLaw):
     """Symmetric exponential density of rate gamma truncated to
     [-alpha, alpha]; gamma = 0 tags the uniform limit, alpha = inf the
     two-sided exponential limit."""
@@ -252,32 +387,18 @@ class TruncatedExpDensity:
             return "exponential"
         return "interior"
 
+    @functools.cached_property
+    def _pieces(self) -> tuple:
+        if self.gamma == 0.0:
+            return ((1.0, _Uniform(self.alpha)),)
+        return ((1.0, _cut_exp(self.gamma, self.alpha)),)
+
     def normalizer(self) -> float:
         if self.limit == "uniform":
             return 1.0 / (2.0 * self.alpha)
         if self.limit == "exponential":
             return self.gamma / 2.0
         return self.gamma / (2.0 * -math.expm1(-self.alpha * self.gamma))
-
-    def pdf(self, x: float) -> float:
-        ax = abs(x)
-        if ax > self.alpha:
-            return 0.0
-        if self.limit == "uniform":
-            return self.normalizer()
-        return self.normalizer() * math.exp(-self.gamma * ax)
-
-    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        ax = np.abs(x)
-        if self.limit == "uniform":
-            upper = 0.5 + np.minimum(ax, self.alpha) / (2.0 * self.alpha)
-        elif self.limit == "exponential":
-            upper = 1.0 - 0.5 * np.exp(-self.gamma * ax)
-        else:
-            num = -np.expm1(-self.gamma * np.minimum(ax, self.alpha))
-            den = -math.expm1(-self.alpha * self.gamma)
-            upper = 0.5 + 0.5 * num / den
-        return np.where(x < 0.0, 1.0 - upper, upper)[()]
 
     def abs_moment(self, r: float) -> float:
         if not r > 0.0:
@@ -295,68 +416,10 @@ class TruncatedExpDensity:
         p_reg = specfun.reg_lower_inc_gamma(r + 1.0, kappa)
         return math.exp(log_val) * p_reg / -math.expm1(-kappa)
 
-    def atoms(self) -> dict:
-        return {}
-
-    def support_halfwidth(self) -> float:
-        return _DECAY / self.gamma if self.limit == "exponential" else self.alpha
-
-    @property
-    def _char_limit(self) -> str:
-        # past _KUMMER_MAX the cut tail e^-kappa is below every rounding
-        return "exponential" if self.alpha * self.gamma > _KUMMER_MAX else self.limit
-
     def char_cap(self, p: float = 4.0) -> float:
-        # bounded by alpha, and below half the rate its coefficients fall fourfold
-        if self._char_limit == "uniform":
-            return fourier.stretch(p) / self.alpha
-        if self._char_limit == "exponential":
-            return 0.5 * self.gamma
+        # bounded by alpha, and below half the rate its coefficients fall fourfold;
+        # alpha = inf and gamma = 0 at the limits
         return max(fourier.stretch(p) / self.alpha, 0.5 * self.gamma)
-
-    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
-        """E (sX)^(2i) / (2i)! = (s / gamma)^(2i) P(2i + 1, kappa) / (1 - e^-kappa),
-        kappa = alpha gamma, through _kummer at b = 2i + 2."""
-        if self._char_limit == "exponential":
-            return fourier.taylor_laplace(s / self.gamma, n)
-        uniform, uniform_rel = fourier.taylor_uniform(s * self.alpha, n)
-        if self.limit == "uniform":
-            return uniform, uniform_rel
-        kappa = self.alpha * self.gamma
-        kummer, rel = _kummer(2.0 * np.arange(n + 1) + 2.0, kappa)
-        return kappa / -math.expm1(-kappa) * uniform * kummer, rel + uniform_rel + 3.0 * _EPS
-
-    def char_gap(self, t) -> np.ndarray:
-        """1 - phi(t), phi = gamma [gamma - e^-kappa (gamma cos(alpha t) - t sin(alpha t))]
-        / ((1 - e^-kappa)(gamma^2 + t^2))."""
-        a, g = self.alpha, self.gamma
-        if self._char_limit == "exponential":
-            return fourier.laplace_gap(g, t)
-        if self.limit == "uniform":
-            return fourier.cap_split_gap(self, t, lambda t: 1.0 - np.sin(a * t) / (a * t))
-        m, one_minus_m = math.exp(-a * g), -math.expm1(-a * g)
-        return fourier.cap_split_gap(self, t, lambda t: 1.0 - g * (
-            g - m * (g * np.cos(a * t) - t * np.sin(a * t))) / (one_minus_m * (g * g + t * t)))
-
-    def char_envelope(self, t) -> np.ndarray:
-        """|phi(t)| <= [gamma^2 + gamma e^-kappa sqrt(gamma^2 + t^2)]
-        / ((1 - e^-kappa)(gamma^2 + t^2)), and 1 / (alpha t) for the uniform limit."""
-        t = np.asarray(t, dtype=float)
-        a, g = self.alpha, self.gamma
-        if self.limit == "uniform":
-            return fourier.uniform_envelope(a, t)
-        m, one_minus_m = math.exp(-a * g), -math.expm1(-a * g)  # 0 and 1 for the exponential
-        return np.minimum(1.0, g * (g + m * np.hypot(g, t)) / (one_minus_m * (g * g + t * t)))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        signs = rng.integers(0, 2, size=n) * 2 - 1
-        u = rng.random(n)
-        if self.limit == "uniform":
-            return signs * self.alpha * u
-        if self.limit == "exponential":
-            return signs * rng.exponential(1.0 / self.gamma, size=n)
-        mags = -np.log1p(u * np.expm1(-self.alpha * self.gamma)) / self.gamma
-        return signs * mags
 
     def to_record(self) -> dict:
         return {"family": "fplus", "alpha": self.alpha, "gamma": self.gamma}
@@ -367,7 +430,7 @@ class TruncatedExpDensity:
 
 
 @dataclass(frozen=True)
-class TailLawMinus:
+class TailLawMinus(_PieceLaw):
     """Survival of |X| equal to exp(-rate (t - offset)_+): no mass inside
     (-offset, offset), exponential tail outside.  rate = inf tags the
     two-point law at +-offset."""
@@ -392,6 +455,12 @@ class TailLawMinus:
             return "exponential"
         return "interior"
 
+    @functools.cached_property
+    def _pieces(self) -> tuple:
+        if math.isinf(self.rate):
+            return ((1.0, _Atom(self.offset)),)
+        return ((1.0, _OffsetExp(self.rate, self.offset) if self.offset else _Exp(self.rate)),)
+
     def survival(self, t: float) -> float:
         if t < 0.0:
             raise DomainError("survival is defined on t >= 0")
@@ -408,16 +477,6 @@ class TailLawMinus:
             return math.exp(math.lgamma(r + 1.0) - r * math.log(self.rate))
         return self.offset**r + r * _offset_exp_integral(r - 1.0, self.offset, self.rate)
 
-    def atoms(self) -> dict:
-        if self.limit == "two_point":
-            return {-self.offset: 0.5, self.offset: 0.5}
-        return {}
-
-    def support_halfwidth(self) -> float:
-        if self.limit == "two_point":
-            return self.offset
-        return self.offset + (_DECAY + 4.0) / self.rate
-
     def char_cap(self, p: float = 4.0) -> float:
         # the offset, and the poles of phi at +-i rate
         if self.limit == "exponential":
@@ -425,60 +484,12 @@ class TailLawMinus:
         # rate = inf for the two-point limit
         return min(fourier.stretch(p) / self.offset, 0.5 * self.rate)
 
-    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
-        """E (sX)^(2i) / (2i)! for |X| = offset plus an exponential of the rate."""
-        if self.limit == "two_point":
-            return fourier.taylor_cos(s * self.offset, n), 3.0 * n * _EPS
-        return _offset_exp_taylor(n, s * self.offset, self.rate / s)
-
-    def char_gap(self, t) -> np.ndarray:
-        """1 - phi(t), phi = rate (rate cos(offset t) - t sin(offset t)) / (rate^2 + t^2),
-        cos(offset t) for the two-point law."""
-        t = np.asarray(t, dtype=float)
-        r, o = self.rate, self.offset
-        if self.limit == "two_point":
-            return 2.0 * np.sin(0.5 * o * t) ** 2
-        if self.limit == "exponential":
-            return fourier.laplace_gap(r, t)
-        return fourier.cap_split_gap(self, t, lambda t: 1.0 - r * (
-            r * np.cos(o * t) - t * np.sin(o * t)) / (r * r + t * t))
-
-    def char_envelope(self, t) -> np.ndarray:
-        """|phi(t)| <= rate / sqrt(rate^2 + t^2); 1 for the two-point law."""
-        t = np.asarray(t, dtype=float)
-        if self.limit == "two_point":
-            return np.ones_like(t)
-        return self.rate / np.hypot(self.rate, t)
-
-    def pdf(self, x: float) -> float:
-        """Density of the continuous part of the signed law."""
-        if self.limit == "two_point":
-            return 0.0
-        ax = abs(x)
-        if ax < self.offset:
-            return 0.0
-        return 0.5 * self.rate * math.exp(-self.rate * (ax - self.offset))
-
-    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        """CDF of the continuous part (the whole law unless two-point)."""
-        if self.limit == "two_point":
-            return np.zeros(np.shape(x))[()]
-        decay = np.exp(-self.rate * np.maximum(np.abs(x) - self.offset, 0.0))
-        upper = 1.0 - 0.5 * decay
-        return np.where(x < 0.0, 1.0 - upper, upper)[()]
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        signs = rng.integers(0, 2, size=n) * 2 - 1
-        if self.limit == "two_point":
-            return signs * self.offset
-        return signs * (self.offset + rng.exponential(1.0 / self.rate, size=n))
-
     def to_record(self) -> dict:
         return {"family": "gminus", "rate": self.rate, "offset": self.offset}
 
 
 @dataclass(frozen=True)
-class TailLawPlus:
+class TailLawPlus(_PieceLaw):
     """Survival of |X| equal to exp(-rate t) on [0, cutoff), zero beyond:
     |X| = min(exponential, cutoff), with an atom of mass exp(-rate cutoff)
     at the cutoff.  rate = 0 tags the two-point law, cutoff = inf the
@@ -503,6 +514,15 @@ class TailLawPlus:
         if math.isinf(self.cutoff):
             return "exponential"
         return "interior"
+
+    @functools.cached_property
+    def _pieces(self) -> tuple:
+        # the exponential cut at the cutoff with probability 1 - e^-kappa, else the atom
+        if self.rate == 0.0:
+            return ((1.0, _Atom(self.cutoff)),)
+        kappa = self.rate * self.cutoff
+        cut, m = _cut_exp(self.rate, self.cutoff), math.exp(-kappa)
+        return ((1.0, cut),) if m == 0.0 else ((-math.expm1(-kappa), cut), (m, _Atom(self.cutoff)))
 
     def survival(self, t: float) -> float:
         if t < 0.0:
@@ -534,86 +554,10 @@ class TailLawPlus:
             return 0.0
         return math.exp(-self.rate * self.cutoff)
 
-    def atoms(self) -> dict:
-        m = self.atom_mass()
-        if m == 0.0:
-            return {}
-        return {-self.cutoff: m / 2.0, self.cutoff: m / 2.0}
-
-    def support_halfwidth(self) -> float:
-        return _DECAY / self.rate if self.limit == "exponential" else self.cutoff
-
-    @property
-    def _char_limit(self) -> str:
-        # past _KUMMER_MAX the atom e^-kappa is below every rounding
-        return "exponential" if self.rate * self.cutoff > _KUMMER_MAX else self.limit
-
     def char_cap(self, p: float = 4.0) -> float:
-        # bounded by the cutoff, and below half the rate its coefficients fall fourfold
-        if self._char_limit == "two_point":
-            return fourier.stretch(p) / self.cutoff
-        if self._char_limit == "exponential":
-            return 0.5 * self.rate
+        # bounded by the cutoff, and below half the rate its coefficients fall fourfold;
+        # cutoff = inf and rate = 0 at the limits
         return max(fourier.stretch(p) / self.cutoff, 0.5 * self.rate)
-
-    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
-        """E (sX)^(2i) / (2i)! = (s / rate)^(2i) P(2i + 1, kappa) + m (s c)^(2i) / (2i)!,
-        kappa = rate * cutoff c and m = e^-kappa the atom, through _kummer at b = 2i + 2."""
-        if self._char_limit == "exponential":
-            return fourier.taylor_laplace(s / self.rate, n)
-        atom = fourier.taylor_cos(s * self.cutoff, n)
-        if self.limit == "two_point":
-            return atom, 3.0 * n * _EPS
-        kappa = self.rate * self.cutoff
-        kummer, rel = _kummer(2.0 * np.arange(n + 1) + 2.0, kappa)
-        uniform, uniform_rel = fourier.taylor_uniform(s * self.cutoff, n)
-        return kappa * uniform * kummer + math.exp(-kappa) * atom, rel + uniform_rel + 3.0 * _EPS
-
-    def char_gap(self, t) -> np.ndarray:
-        """1 - phi(t), phi = rate (rate - m (rate cos(ct) - t sin(ct))) / (rate^2 + t^2)
-        + m cos(ct) for the cutoff c and the atom m; the atom's part of 1 - phi is
-        2 m sin^2(ct / 2)."""
-        t = np.asarray(t, dtype=float)
-        r, c = self.rate, self.cutoff
-        if self.limit == "two_point":
-            return 2.0 * np.sin(0.5 * c * t) ** 2
-        if self._char_limit == "exponential":
-            return fourier.laplace_gap(r, t)
-        m = self.atom_mass()
-        return fourier.cap_split_gap(self, t, lambda t: (
-            (1.0 - m) + 2.0 * m * np.sin(0.5 * c * t) ** 2
-            - r * (r - m * (r * np.cos(c * t) - t * np.sin(c * t))) / (r * r + t * t)))
-
-    def char_envelope(self, t) -> np.ndarray:
-        """|phi(t)| <= rate^2 / (rate^2 + t^2) + m rate / sqrt(rate^2 + t^2) + m."""
-        t = np.asarray(t, dtype=float)
-        if self.limit == "two_point":
-            return np.ones_like(t)
-        r, m = self.rate, self.atom_mass()
-        return np.minimum(1.0, r * r / (r * r + t * t) + m * r / np.hypot(r, t) + m)
-
-    def pdf(self, x: float) -> float:
-        """Density of the continuous part of the signed law."""
-        ax = abs(x)
-        if self.limit == "two_point" or ax >= self.cutoff:
-            return 0.0
-        return 0.5 * self.rate * math.exp(-self.rate * ax)
-
-    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        """CDF of the continuous part only (atoms reported separately)."""
-        if self.limit == "two_point":
-            return np.zeros(np.shape(x))[()]
-        cont = 1.0 - self.atom_mass()
-        decay = np.exp(-self.rate * np.minimum(np.abs(x), self.cutoff))
-        upper = 0.5 * cont + 0.5 * (1.0 - decay)
-        return np.where(x < 0.0, cont - upper, upper)[()]
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        signs = rng.integers(0, 2, size=n) * 2 - 1
-        if self.limit == "two_point":
-            return signs * self.cutoff
-        mags = rng.exponential(1.0 / self.rate, size=n)
-        return signs * np.minimum(mags, self.cutoff)
 
     def to_record(self) -> dict:
         return {"family": "gplus", "rate": self.rate, "cutoff": self.cutoff}
@@ -636,6 +580,14 @@ class MatchTarget:
             raise DomainError("matching requires p > 2")
         if not (self.a > 0.0 and self.b > 0.0):
             raise DomainError("moment roots a, b must be positive")
+        for name, root, power in (("a^2", self.a, 2.0), ("b^p", self.b, self.p)):
+            try:
+                moment = root**power
+            except OverflowError:
+                moment = math.inf
+            if not 0.0 < moment < math.inf:
+                raise DomainError(f"the target moment {name} = {root!r}^{power!r} is "
+                                  f"{moment!r} in double precision")
 
 
 def feasibility_interval_density(p: float):
@@ -764,9 +716,15 @@ def _match(target: MatchTarget, interval, ends: dict, member_of, bracket):
     if where != "interior":
         return ends[where](target.a)
     bp = target.b**target.p
+
+    def excess(t: float) -> float:
+        try:
+            return member_of(t, target.a).abs_moment(target.p) / bp - 1.0
+        except OverflowError:  # a moment past the float range, so past b^p
+            return sys.float_info.max
+
     try:
-        t = _bracketed_root(
-            lambda t: member_of(t, target.a).abs_moment(target.p) / bp - 1.0, *bracket)
+        t = _bracketed_root(excess, *bracket)
     except FeasibilityError:
         # between an end and the bracket's reach: the end member, where its moments match
         return _check_match(ends["lo" if ratio - lo < hi - ratio else "hi"](target.a), target)

@@ -357,6 +357,33 @@ class TestMatchCommand:
                       "--b", "1.0")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("family", ["fminus", "fplus", "gminus", "gplus"])
+    def test_mid_interval_at_p_200(self, family):
+        # an end of the root bracket has moments past the float range, the
+        # target's fit: exited 1 with an OverflowError traceback from p = 183 on
+        from roskit import logconcave as lc
+
+        interval = lc.feasibility_interval_density if family[0] == "f" else lc.feasibility_interval_tail
+        b = 0.5 * sum(interval(200.0))
+        res = run_cli("match", "--family", family, "--p", "200", "--a", "1", "--b", repr(b))
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["limit"] == "interior"
+        assert rec["achieved_mp"] == pytest.approx(b**200, rel=1e-8)
+
+    @pytest.mark.parametrize("args,case", [
+        (["--family", "gplus", "--p", "1e6", "--a", "1", "--b", "1.3"], "b^p"),
+        (["--family", "gminus", "--p", "400", "--a", "1e-300", "--b", "2e-300"], "a^2"),
+    ])
+    def test_target_past_the_float_range_exit_2(self, args, case):
+        # b^p overflowed (OverflowError) or a^2 and b^p underflowed to 0
+        # (ZeroDivisionError), each an exit 1 with a traceback
+        res = run_cli("match", *args)
+        assert res.exit_code == 2
+        reason = json.loads(res.stderr)
+        assert reason["error"] == "DomainError"
+        assert case in reason["message"]
+
     def test_matcher_looked_up_at_call_time(self, monkeypatch):
         # a wrapper installed on the logconcave module sees the CLI's call
         from roskit import logconcave as lc
