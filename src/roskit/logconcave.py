@@ -125,7 +125,8 @@ class _Uniform:
         return 1.0 - np.sin(self.width * t) / (self.width * t)
 
     def envelope(self, t):
-        return 1.0 / (self.width * t)
+        with np.errstate(divide="ignore"):  # inf at t = 0, which char_envelope clips to 1
+            return 1.0 / (self.width * t)
 
 
 class _OffsetExp:
@@ -287,8 +288,7 @@ class _PieceLaw:
     def char_envelope(self, t) -> np.ndarray:
         """|phi(t)| <= min(1, sum_i w_i e_i(t)) for the pieces' envelopes e_i."""
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.minimum(1.0, self._mix(lambda piece: piece.envelope(t)))
+        return np.minimum(1.0, self._mix(lambda piece: piece.envelope(t)))
 
 
 # ---------------------------------------------------------------------------
