@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from roskit import basedist, constants, cpoisson
+from roskit import basedist, constants, cpoisson, discrete
 from roskit.cli import CSV_COLUMNS, main
 
 
@@ -20,6 +20,21 @@ def run_cli(*args):
 
 def parse_json_lines(output: str):
     return [json.loads(line) for line in output.strip().splitlines() if line]
+
+
+@pytest.fixture
+def cross_terms(monkeypatch):
+    """The term count of every step discrete.enum_sum takes across the halves
+    of a tuple (none where a commit has no such step)."""
+    counts = []
+    kernel = getattr(discrete, "_cross_moment", None)
+
+    def counted(x1, m1, x2, m2, p):
+        counts.append(x1.size * x2.size)
+        return kernel(x1, m1, x2, m2, p)
+
+    monkeypatch.setattr(discrete, "_cross_moment", counted, raising=False)
+    return counts
 
 
 class TestConstantCommand:
@@ -166,7 +181,7 @@ class TestSupCommand:
         assert res.exit_code == 2
         assert "error" in res.stderr
 
-    def test_support_cap_exit_2(self):
+    def test_support_cap_exit_2(self, cross_terms):
         # nine thinned three-atom summands: the exact sum law outgrows its cap
         b = ",".join(repr(round(3.0 + 0.137 * j, 3)) for j in range(9))
         res = run_cli("sup", "--p", "5", "--V", "atoms:0.5:0.3,1:0.3,2:0.4",
@@ -174,6 +189,8 @@ class TestSupCommand:
         assert res.exit_code == 2
         assert json.loads(res.stderr)["error"] == "SupportOverflowError"
         assert "cap 2000000" in res.stderr
+        # refused once the halves are enumerated, before any pair across them is summed
+        assert cross_terms == []
 
     def test_past_grid_cap_finishes(self):
         # lambda ~ 158,000, where even the least spectral grid would pass
@@ -532,13 +549,15 @@ class TestVerifyCommand:
         assert rec["best_config"]["method"] == "sum_fourier" and rec["best_config"]["n"] == 20
         assert rec["holds"] and rec["detail_routes"]["sum_fourier"] > 0
 
-    def test_search_support_cap_exit_2(self):
+    def test_search_support_cap_exit_2(self, cross_terms):
         # within the --n cap, but each candidate summand has 7 support points
         res = run_cli("verify", "search", "--p", "5", "--V", "atoms:0.5:0.3,1:0.3,2:0.4",
                       "--n", "12", "--trials", "3", "--seed", "0")
         assert res.exit_code == 2
         assert json.loads(res.stderr)["error"] == "SupportOverflowError"
         assert "cap 1000000" in res.stderr
+        # no cross step past the cap is taken
+        assert max(cross_terms, default=0) <= 10**6
 
 
 class TestTableCommand:

@@ -9,6 +9,7 @@ n . a and |n . a|^p in mpmath.  Thinned tuples, the laws of exact enumeration
 in constants, are checked against a 40-digit sum over every path of atoms.
 """
 
+import functools
 import itertools
 import math
 
@@ -253,14 +254,15 @@ def test_pairwise_sum_within_its_depth(n):
         assert got == math.fsum(terms.tolist())
 
 
-def _exact_moment(laws, p):
-    """E|S|^p over every path, the path sums exact as integers of one binary
-    unit, |S| and the masses in 40-digit arithmetic."""
-    unit = min(math.frexp(x)[1] for law in laws for x in law if x) - 53
+@functools.lru_cache(maxsize=8)
+def _exact_abs_law(items):
+    """({|S| as an integer of one binary unit: 40-digit mass}, unit) of the sum
+    of the laws given as tuples of their items, the path sums exact."""
+    unit = min(math.frexp(x)[1] for law in items for x, _ in law if x) - 53
     with mpmath.workdps(40):
         acc = {0: mpmath.mpf(1)}
-        for law in laws:
-            steps = [(int(math.ldexp(x, -unit)), mpmath.mpf(m)) for x, m in law.items()]
+        for law in items:
+            steps = [(int(math.ldexp(x, -unit)), mpmath.mpf(m)) for x, m in law]
             out = {}
             for s, m in acc.items():
                 for step, w in steps:
@@ -269,6 +271,14 @@ def _exact_moment(laws, p):
         by_abs = {}
         for s, m in acc.items():
             by_abs[abs(s)] = by_abs.get(abs(s), 0) + m
+    return by_abs, unit
+
+
+def _exact_moment(laws, p):
+    """E|S|^p over every path, the path sums exact as integers of one binary
+    unit, |S| and the masses in 40-digit arithmetic."""
+    by_abs, unit = _exact_abs_law(tuple(tuple(law.items()) for law in laws))
+    with mpmath.workdps(40):
         return float(mpmath.fsum(m * mpmath.ldexp(mpmath.mpf(s), unit) ** p
                                  for s, m in by_abs.items()))
 
@@ -302,3 +312,30 @@ def test_abs_moment_atoms_against_fsum(V, n, p):
     got = discrete.abs_moment_atoms(law, p)
     want = math.fsum(m * abs(x) ** p for x, m in law.items())
     assert abs(got - want) <= _halvings(len(law)) * np.finfo(float).eps * want
+
+
+# ---------------------------------------------------------------------------
+# tuples of four or more laws: both halves' sums, and every pair across them
+
+# the sums of +-1, +-3 and of +-1, +-5 are four points each, but the 16 sums
+# across the halves fall on 11 points (4 + 4 = 3 + 5, ...)
+COLLAPSING = [{1.0: 0.5, -1.0: 0.5}, {3.0: 0.5, -3.0: 0.5}, {1.0: 0.5, -1.0: 0.5},
+              {5.0: 0.5, -5.0: 0.5}]
+CROSS_TUPLES = {
+    "five-point n=4": _thinned_tuple(FIVE_POINT, 4, 35),
+    "five-point n=7": _thinned_tuple(FIVE_POINT, 7, 36),
+    "collapsing": COLLAPSING,
+}
+
+
+# p = 0.5, 1.5 and 3 fall in the three cases of the shift term, 5.37 is not an integer
+@pytest.mark.parametrize("p", [0.5, 1.5, 3.0, 5.37])
+@pytest.mark.parametrize("name", list(CROSS_TUPLES))
+def test_enum_sum_of_four_or_more_laws_within_the_bound(name, p):
+    laws = CROSS_TUPLES[name]
+    value, bound, _ = discrete.enum_sum(laws, p)
+    assert abs(value - _exact_moment(laws, p)) <= bound
+    # the merged enumeration of the whole tuple, the route of tuples of three or fewer
+    locs, masses = discrete._nfold(laws, None)
+    merged, merged_bound = discrete._enum_moment(locs, masses, p, laws)
+    assert abs(value - merged) <= bound + merged_bound
