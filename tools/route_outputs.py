@@ -127,6 +127,8 @@ TRIPLE = [
     (1.1414238828695873, 0.22959026010806696),
 ]
 Ordering = namedtuple("Ordering", "holds value error_bound")
+# an exact enumeration: discrete.enum_sum's moment, bound and support (or term count)
+Exact = namedtuple("Exact", "value error_bound support")
 # what a call returns less its diagnostics, for the calls whose route (and so
 # whose diagnostics) moved by design: individual budgets on continuous laws
 Routed = namedtuple("Routed", "value method error_bound")
@@ -295,6 +297,38 @@ def routes():
         return Ordering(holds, (left, right), bound)
 
     show("check_easy_lower_bound", easy_lower_bound)
+
+    # tuples of four or more laws, enumerated in halves where neither half merges:
+    # generic thinned laws, and +-1, +-3, +-1, +-5, whose 16 sums across the
+    # halves fall on 11 points
+    rng = np.random.default_rng(35)
+    five_point = bd.symmetric_atoms([(0.0, 0.2), (0.7, 0.5), (1.3, 0.3)])
+    tuples = {
+        "seven generic five-point laws": [ct._thinned_atoms(five_point, c, mu) for c, mu in zip(
+            rng.uniform(0.3, 2.0, 7), rng.uniform(0.1, 0.9, 7))],
+        "ten three-point laws": [ct._thinned_atoms(BASES["rademacher"], c, mu) for c, mu in zip(
+            rng.uniform(0.3, 2.0, 10), rng.uniform(0.1, 0.9, 10))],
+        "+-1 +-3 +-1 +-5": [{x: 0.5, -x: 0.5} for x in (1.0, 3.0, 1.0, 5.0)],
+    }
+    for name, laws in tuples.items():
+        show(f"enum_sum {name}", lambda laws=laws: Exact(*dc.enum_sum(laws, 5.37)))
+    seven = ct.MomentBudget.per_pair(5.0, [1.0 - 0.05 * j for j in range(7)],
+                                     [1.6 - 0.03 * j for j in range(7)])
+    show("individual auto atoms3 n=7", ct.mixture_individual_sup, 5.0, THREE_ATOMS, seven)
+    ten = ct.MomentBudget.per_pair(5.0, [1.0 - 0.04 * j for j in range(10)],
+                                   [1.5 - 0.02 * j for j in range(10)])
+    show("utev exact_enum n=10", ct.utev_3point_sup, 5.0, ten)
+    five_pairs = [(0.4 + 0.31 * j, 0.2 + 0.13 * j) for j in range(5)]
+    five_laws = [{c: m / 2.0, -c: m / 2.0, 0.0: 1.0 - m} for c, m in five_pairs]
+    lam = math.fsum(m for _, m in five_pairs)
+    five_cp = cp.CompoundPoissonSpec(lam, bd.condition_nonzero(
+        bd.symmetric_atoms([(c, m / lam) for c, m in five_pairs])))
+
+    def poissonisation_five():
+        holds, left, right = vf.check_poissonisation(five_laws, 5.0, 1e-6)
+        return Ordering(holds, (left, right), cp.cp_abs_moment(five_cp, 5.0, 1e-6).error_bound)
+
+    show("check_poissonisation five laws", poissonisation_five)
 
 
 def cli():
