@@ -21,9 +21,21 @@ and are summed pairwise, in d = ceil(log2 N) vectorised halvings, which
 adds d eps value to the bound's rounding term.  A merged key moves |x|^p
 by at most p delta (|x| + delta)^(p-1) for p >= 1, and by delta^p below,
 where t^p is subadditive.
+
+enum_sum meets in the middle (Horowitz and Sahni, J. ACM 21, 1974) where a
+tuple of n >= 4 laws has nothing to merge: it enumerates the halves
+laws[:n // 2] and laws[n // 2:] as above, and where neither half merged a
+point (each half's support is the product of its laws' sizes) it sums
+m_a m_b |a + b|^p over every pair across them, in chunks of rows, with no
+sort and no merge: |A| + |B| points are enumerated in place of |A| |B|.
+Every other tuple, and enum_powers, takes the merged enumeration of the
+whole tuple.  On that cross route the cap counts the |A| |B| terms and is
+checked before any of them is summed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,10 +65,10 @@ def _merge_runs(sums: np.ndarray, masses: np.ndarray, radius: float):
     return np.clip(0.0, sums[starts], sums[ends - 1]), np.add.reduceat(masses, starts)
 
 
-def _check_cap(support: int, max_support: int | None) -> None:
+def _check_cap(support: int, max_support: int | None, count: str = "support {}") -> None:
     if max_support is not None and support > max_support:
         raise SupportOverflowError(
-            f"atomic convolution support {support} exceeds cap {max_support}")
+            f"atomic convolution {count.format(support)} exceeds cap {max_support}")
 
 
 def _sorted_pairs(x1, m1, x2, m2):
@@ -97,11 +109,13 @@ def _convolve(x1, m1, x2, m2, max_support: int | None):
     return keys, masses
 
 
-def _partial_sums(laws: list[dict], max_support: int | None):
+def _partial_sums(laws: list[dict], max_support: int | None, locs=None, masses=None):
     """Yield (locs, masses) of the sum of laws[:i], keys ascending, for i = 0,
-    1, ..., len(laws); SupportOverflowError once a support exceeds
+    1, ..., len(laws), added to the merged law (locs, masses) if given, else
+    to a point mass at 0; SupportOverflowError once a support exceeds
     max_support."""
-    locs, masses = np.zeros(1), np.ones(1)
+    if locs is None:
+        locs, masses = np.zeros(1), np.ones(1)
     yield locs, masses
     for law in laws:
         if locs.size and law:
@@ -111,9 +125,20 @@ def _partial_sums(laws: list[dict], max_support: int | None):
         yield locs, masses
 
 
-def _nfold(laws: list[dict], max_support: int | None) -> tuple[np.ndarray, np.ndarray]:
-    for locs, masses in _partial_sums(laws, max_support):
+def _nfold(laws: list[dict], max_support: int | None, *start) -> tuple[np.ndarray, np.ndarray]:
+    for locs, masses in _partial_sums(laws, max_support, *start):
         pass
+    return locs, masses
+
+
+def _unmerged(laws: list[dict], max_support: int | None):
+    """(locs, masses) of the sum of laws where no factor merged a point, else
+    None, stopped at the first factor that did."""
+    sums = _partial_sums(laws, max_support)
+    locs, masses = next(sums)
+    for size, (locs, masses) in zip(np.cumprod([len(law) for law in laws]), sums):
+        if locs.size < size:
+            return None
     return locs, masses
 
 
@@ -158,6 +183,46 @@ def _enum_moment(locs: np.ndarray, masses: np.ndarray, p: float, laws: list[dict
     return value, shift + rounding
 
 
+def _cross_moment(x1, m1, x2, m2, p: float) -> tuple[float, int]:
+    """The sum of m1[i] m2[j] |x1[i] + x2[j]|^p over every pair, and the
+    roundings its pairwise sums put each term through.
+
+    The pairs are taken a slice of x1 at a time, _CHUNK_PAIRS of them; each
+    chunk's terms are summed by _pairwise_sum, then the chunk totals are."""
+    rows = max(1, _CHUNK_PAIRS // max(x2.size, 1))
+    totals = []
+    for start in range(0, x1.size, rows):
+        terms = np.abs(np.add.outer(x1[start:start + rows], x2))
+        np.power(terms, p, out=terms)
+        terms *= np.multiply.outer(m1[start:start + rows], m2)
+        totals.append(_pairwise_sum(terms.ravel()))
+    depth = _depth(min(rows, x1.size) * x2.size) + _depth(len(totals))
+    return _pairwise_sum(np.array(totals)), depth
+
+
+def _cross_result(first, second, p: float, laws: list[dict], max_support: int | None):
+    """enum_sum's (value, bound, term count) across the unmerged sums of the
+    halves, first = (locs, masses) and second; SupportOverflowError before
+    any term is summed where the count exceeds max_support."""
+    (x1, m1), (x2, m2) = first, second
+    terms = x1.size * x2.size
+    _check_cap(terms, max_support, "of {} terms")
+    value, depth = _cross_moment(x1, m1, x2, m2, p)
+    rounding = (sum(len(law) + 1 for law in laws) + 3 + depth) * _EPS * value
+    reach = np.cumsum([max(map(abs, law)) for law in laws])
+    delta = (MERGE_RTOL + 2.0 * _EPS) * float(reach.sum())
+    mass = float(m1.sum()) * float(m2.sum())
+    v = value + rounding
+    if p < 1.0:
+        shift = delta ** p * mass
+    elif p < 2.0:  # t^(p-1) is subadditive; Hoelder
+        shift = p * delta * (mass ** (1.0 / p) * v ** ((p - 1.0) / p) + mass * delta ** (p - 1.0))
+    else:  # Minkowski in L^(p-1), then Lyapunov
+        m = mass ** (1.0 / p)
+        shift = p * delta * m * (v ** (1.0 / p) + delta * m) ** (p - 1.0)
+    return value, shift + rounding, terms
+
+
 def convolve_atoms(d1: dict, d2: dict, max_support: int | None = None) -> dict:
     """Law of X + Y for independent atomic X, Y, keyed in ascending order;
     SupportOverflowError (an OverflowError) once the merged support exceeds
@@ -180,8 +245,13 @@ def abs_moment_atoms(d: dict, p: float) -> float:
 def enum_sum(laws: list[dict], p: float,
              max_support: int | None = None) -> tuple[float, float, int]:
     """(E|S|^p, error bound, support size) for the sum S of independent atomic
-    laws by exact enumeration; SupportOverflowError once a partial sum's
-    support exceeds max_support.
+    laws by exact enumeration, p > 0; SupportOverflowError once a partial
+    sum's support, or the term count below, exceeds max_support.
+
+    The route (see the module docstring): a tuple of n >= 4 laws whose halves
+    laws[:n // 2] and laws[n // 2:] merge no point takes the cross route, the
+    sum over every pair of a point a of the first half's sum and b of the
+    second's; any other tuple is enumerated whole, merged at every factor.
 
     The i-th factor rounds each sum once and merges it into a key within its
     radius, both relative to reach_i, the sum of max |x| over laws[:i+1] (the
@@ -195,8 +265,29 @@ def enum_sum(laws: list[dict], p: float,
     nonnegative, are summed pairwise in d = ceil(log2 N) halvings, each term
     through at most d roundings, which adds at most d eps value.  So the
     rounding term is (sum_i (len(law_i) + 1) + 2 + d) eps value.
+
+    On the cross route each sum a + b rounds once more, within eps reach_n,
+    so it too lies within delta of its point.  Each term's mass is one more
+    product m_a m_b, and d is the depth of a chunk's pairwise sum plus that
+    of the sum of the chunk totals: the rounding term is (sum_i (len(law_i)
+    + 1) + 3 + d) eps value.  The shift term is a closed form in the
+    computed value V inflated by that rounding term, and the total mass M,
+    in place of a second power pass over the terms: p delta M^(1/p)
+    (V^(1/p) + delta M^(1/p))^(p-1) for p >= 2 (Minkowski in L^(p-1), then
+    Lyapunov), p delta (M^(1/p) V^((p-1)/p) + M delta^(p-1)) for
+    1 <= p < 2 (t^(p-1) is subadditive), and delta^p M below.  There the
+    third value is the term count |A| |B| of the halves' supports A and B,
+    the support itself for generic laws and an upper bound on it where sums
+    across the halves fall on one point (+-1, +-3, +-1, +-5: 16 terms on 11
+    points); the cap is checked against it before the first term is summed.
     """
-    locs, masses = _nfold(laws, max_support)
+    half = len(laws) // 2
+    first = _nfold(laws[:half], max_support)
+    if half >= 2 and first[0].size == math.prod(len(law) for law in laws[:half]):
+        second = _unmerged(laws[half:], max_support)
+        if second is not None:
+            return _cross_result(first, second, p, laws, max_support)
+    locs, masses = _nfold(laws[half:], max_support, *first)
     return (*_enum_moment(locs, masses, p, laws), locs.size)
 
 

@@ -339,3 +339,50 @@ def test_enum_sum_of_four_or_more_laws_within_the_bound(name, p):
     locs, masses = discrete._nfold(laws, None)
     merged, merged_bound = discrete._enum_moment(locs, masses, p, laws)
     assert abs(value - merged) <= bound + merged_bound
+
+
+def test_cross_route_counts_terms():
+    # the collapsing tuple's halves merge nothing: 16 terms across them, on 11 points
+    value, bound, terms = discrete.enum_sum(COLLAPSING, 3.0)
+    assert terms == 16 and len(discrete.nfold_atoms(COLLAPSING)) == 11
+    assert abs(value - _exact_moment(COLLAPSING, 3.0)) <= bound
+
+
+@pytest.mark.parametrize("chunk", [2, 60])
+def test_cross_route_in_chunks(monkeypatch, chunk):
+    # 25 x 25 pairs, in 25 chunks of one row or 13 of two
+    laws = CROSS_TUPLES["five-point n=4"]
+    whole = discrete.enum_sum(laws, 5.37)
+    monkeypatch.setattr(discrete, "_CHUNK_PAIRS", chunk)
+    value, bound, terms = discrete.enum_sum(laws, 5.37)
+    assert terms == whole[2] == 625
+    assert abs(value - _exact_moment(laws, 5.37)) <= bound
+
+
+def _refuse_cross_steps(monkeypatch):
+    def cross(*args):
+        raise AssertionError("a cross step was taken")
+    monkeypatch.setattr(discrete, "_cross_moment", cross)
+
+
+def test_cross_route_cap_before_the_cross_step(monkeypatch):
+    # seven generic five-point laws: halves of 125 and 625 points
+    laws = CROSS_TUPLES["five-point n=7"]
+    _refuse_cross_steps(monkeypatch)
+    with pytest.raises(SupportOverflowError, match="of 78125 terms exceeds cap 78124$"):
+        discrete.enum_sum(laws, 5.0, max_support=78124)
+    # a half past the cap is refused as that half's support
+    with pytest.raises(SupportOverflowError, match="support 625 exceeds cap 600$"):
+        discrete.enum_sum(laws, 5.0, max_support=600)
+
+
+@pytest.mark.parametrize("equal", ["first", "second"])
+def test_a_merged_half_takes_the_merged_route(monkeypatch, equal):
+    # two equal random signs in one half merge their sums 0.7 - 0.7 and -0.7 + 0.7
+    sign = ct._thinned_atoms(RANDOM_SIGN, 0.7, 0.3)
+    generic = _thinned_tuple(FIVE_POINT, 3, 37)
+    laws = [sign, sign, *generic] if equal == "first" else [*generic[:2], sign, sign, generic[2]]
+    _refuse_cross_steps(monkeypatch)
+    locs, masses = discrete._nfold(laws, None)
+    assert discrete.enum_sum(laws, 5.37) == (*discrete._enum_moment(locs, masses, 5.37, laws),
+                                              locs.size)
