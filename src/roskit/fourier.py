@@ -89,8 +89,8 @@ from .errors import DomainError, InputError
 from .result import ConstantResult
 
 __all__ = ["MAX_PANELS", "MAX_SUM_PANELS", "SUBPLAN_PANELS", "ConditionedPlan", "FourierMoment",
-           "SumPlan", "Term", "abs_moment", "cap_split_gap", "condition", "conditioned_abs_moment",
-           "laplace_gap", "plan_conditioned", "plan_sum", "stretch",
+           "SumPlan", "Term", "abs_moment", "cap_series", "cap_split_gap", "condition",
+           "conditioned_abs_moment", "laplace_gap", "plan_conditioned", "plan_sum", "stretch",
            "sum_abs_moment", "taylor_cos", "taylor_exp", "taylor_laplace", "taylor_uniform",
            "uniform_envelope"]
 
@@ -189,15 +189,21 @@ def _series_gap(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x2 * acc
 
 
-def cap_split_gap(law, t, closed: Callable) -> np.ndarray:
-    """1 - phi(t) of a law: 32 terms of its Taylor series at its cap where
-    |t| <= law.char_cap() (the coefficients there fall at least fourfold),
-    closed(|t|) beyond, where 1 - phi is of order 1."""
+def cap_series(law) -> np.ndarray:
+    """The law's char_taylor coefficients at its cap, the 32 terms that
+    cap_split_gap sums; a law builds them once, as a functools.cached_property."""
+    return law.char_taylor(32, law.char_cap())[0]
+
+
+def cap_split_gap(law, t, closed: Callable, series: np.ndarray) -> np.ndarray:
+    """1 - phi(t) of a law: its Taylor series at its cap, cap_series(law),
+    where |t| <= law.char_cap() (the coefficients there fall at least
+    fourfold), closed(|t|) beyond, where 1 - phi is of order 1."""
     t = np.abs(np.asarray(t, dtype=float))
     cap = law.char_cap()
     near = t <= cap
     out = np.empty_like(t)
-    out[near] = _series_gap(law.char_taylor(32, cap)[0], t[near] / cap)
+    out[near] = _series_gap(series, t[near] / cap)
     out[~near] = closed(t[~near])
     return out
 

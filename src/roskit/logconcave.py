@@ -283,7 +283,10 @@ class _PieceLaw:
         if all(piece.exact for _, piece in self._pieces):
             t = np.asarray(t, dtype=float)
             return self._mix(lambda piece: piece.gap(t))
-        return fourier.cap_split_gap(self, t, lambda t: self._mix(lambda piece: piece.gap(t)))
+        return fourier.cap_split_gap(self, t, lambda t: self._mix(lambda piece: piece.gap(t)),
+                                     self._cap_series)
+
+    _cap_series = functools.cached_property(fourier.cap_series)
 
     def char_envelope(self, t) -> np.ndarray:
         """|phi(t)| <= min(1, sum_i w_i e_i(t)) for the pieces' envelopes e_i."""
@@ -392,13 +395,6 @@ class TruncatedExpDensity(_PieceLaw):
         if self.gamma == 0.0:
             return ((1.0, _Uniform(self.alpha)),)
         return ((1.0, _cut_exp(self.gamma, self.alpha)),)
-
-    def normalizer(self) -> float:
-        if self.limit == "uniform":
-            return 1.0 / (2.0 * self.alpha)
-        if self.limit == "exponential":
-            return self.gamma / 2.0
-        return self.gamma / (2.0 * -math.expm1(-self.alpha * self.gamma))
 
     def abs_moment(self, r: float) -> float:
         if not r > 0.0:

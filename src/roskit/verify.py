@@ -16,6 +16,7 @@ auxiliary functions, and the compound Poisson domination of finite sums.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import Counter
@@ -112,7 +113,10 @@ class LogisticSource:
     def char_gap(self, t) -> np.ndarray:
         """1 - y / sinh(y), y = pi s t: the Taylor series up to char_cap(), and
         1 - 2 y e^-y / (1 - e^-2y) beyond."""
-        return fourier.cap_split_gap(self, t, lambda t: 1.0 - self.char_envelope(t))
+        return fourier.cap_split_gap(self, t, lambda t: 1.0 - self.char_envelope(t),
+                                     self._cap_series)
+
+    _cap_series = functools.cached_property(fourier.cap_series)
 
     def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
         """E (sX)^(2i) / (2i)! = 2 (s scale)^(2i) (1 - 2^(1 - 2i)) zeta(2i), i >= 1."""
