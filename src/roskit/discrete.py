@@ -136,7 +136,9 @@ def _unmerged(laws: list[dict], max_support: int | None):
     None, stopped at the first factor that did."""
     sums = _partial_sums(laws, max_support)
     locs, masses = next(sums)
-    for size, (locs, masses) in zip(np.cumprod([len(law) for law in laws]), sums):
+    size = 1
+    for law, (locs, masses) in zip(laws, sums):
+        size *= len(law)
         if locs.size < size:
             return None
     return locs, masses
@@ -168,13 +170,18 @@ def _abs_moment(ax: np.ndarray, masses: np.ndarray, p: float) -> float:
     return _pairwise_sum(masses[keep] * ax[keep] ** p)
 
 
+def _delta(laws: list[dict]) -> float:
+    """How far a key of the sum of laws may lie from its points (see enum_sum)."""
+    reach = np.cumsum([max(map(abs, law)) for law in laws])
+    return (MERGE_RTOL + 2.0 * _EPS) * float(reach.sum())
+
+
 def _enum_moment(locs: np.ndarray, masses: np.ndarray, p: float, laws: list[dict]):
     """The moment of the enumerated sum (locs, masses) of laws, and its bound
     (see enum_sum)."""
     ax = np.abs(locs)
     value = _abs_moment(ax, masses, p)
-    reach = np.cumsum([max(map(abs, law)) for law in laws])
-    delta = (MERGE_RTOL + 2.0 * _EPS) * float(reach.sum())
+    delta = _delta(laws)
     if p < 1.0:  # t^p is subadditive: | |x'|^p - |x|^p | <= delta^p
         shift = delta ** p * float(masses.sum())
     else:
@@ -209,8 +216,7 @@ def _cross_result(first, second, p: float, laws: list[dict], max_support: int | 
     _check_cap(terms, max_support, "of {} terms")
     value, depth = _cross_moment(x1, m1, x2, m2, p)
     rounding = (sum(len(law) + 1 for law in laws) + 3 + depth) * _EPS * value
-    reach = np.cumsum([max(map(abs, law)) for law in laws])
-    delta = (MERGE_RTOL + 2.0 * _EPS) * float(reach.sum())
+    delta = _delta(laws)
     mass = float(m1.sum()) * float(m2.sum())
     v = value + rounding
     if p < 1.0:
