@@ -25,15 +25,15 @@ def parse_json_lines(output: str):
 @pytest.fixture
 def cross_terms(monkeypatch):
     """The term count of every step discrete.enum_sum takes across the halves
-    of a tuple (none where a commit has no such step)."""
+    of a tuple."""
     counts = []
-    kernel = getattr(discrete, "_cross_moment", None)
+    kernel = discrete._cross_moment
 
     def counted(x1, m1, x2, m2, p):
         counts.append(x1.size * x2.size)
         return kernel(x1, m1, x2, m2, p)
 
-    monkeypatch.setattr(discrete, "_cross_moment", counted, raising=False)
+    monkeypatch.setattr(discrete, "_cross_moment", counted)
     return counts
 
 

@@ -21,7 +21,9 @@ spectral grid for compound Poisson sums
 (through ``cpoisson._grid_abs_moment``, the second route, where a commit has
 it) and k-fold powers, the individual-budget Fourier and enumeration
 routes with the grid reference (``constants._thinned_grid_result``, by
-name; thirty thinned uniforms among them), the witness's
+name; thirty thinned uniforms among them), exact enumeration of tuples of
+four to ten laws (``discrete.enum_sum`` across the halves of generic tuples,
+and on a tuple whose sums across the halves collide), the witness's
 moment, a hash of compound Poisson draws), the randomized search, n-fold
 sums of grid densities (one per log-concave family among them), both
 ordering checks (the density ordering also at 2, 32 and 200 summands on
