@@ -24,13 +24,15 @@ where t^p is subadditive.
 
 enum_sum meets in the middle (Horowitz and Sahni, J. ACM 21, 1974) where a
 tuple of n >= 4 laws has nothing to merge: it enumerates the halves
-laws[:n // 2] and laws[n // 2:] as above, and where neither half merged a
-point (each half's support is the product of its laws' sizes) it sums
+laws[:n // 2] and laws[n // 2:] as above, and where no two laws of the
+tuple are equal (two copies of a law, one in each half, put the sums x + y
+and y + x on one point) and neither half merged a point (each half's
+support is the product of its laws' sizes) it sums
 m_a m_b |a + b|^p over every pair across them, in chunks of rows, with no
 sort and no merge: |A| + |B| points are enumerated in place of |A| |B|.
-Every other tuple, and enum_powers, takes the merged enumeration of the
-whole tuple.  On that cross route the cap counts the |A| |B| terms and is
-checked before any of them is summed.
+Every other tuple, one whose |A| |B| terms exceed the support cap among
+them, and enum_powers take the merged enumeration of the whole tuple, which
+refuses only a support past the cap.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ def _merge_runs(sums: np.ndarray, masses: np.ndarray, radius: float):
     return np.clip(0.0, sums[starts], sums[ends - 1]), np.add.reduceat(masses, starts)
 
 
-def _check_cap(support: int, max_support: int | None, count: str = "support {}") -> None:
+def _check_cap(support: int, max_support: int | None) -> None:
     if max_support is not None and support > max_support:
         raise SupportOverflowError(
-            f"atomic convolution {count.format(support)} exceeds cap {max_support}")
+            f"atomic convolution support {support} exceeds cap {max_support}")
 
 
 def _sorted_pairs(x1, m1, x2, m2):
@@ -207,25 +209,20 @@ def _cross_moment(x1, m1, x2, m2, p: float) -> tuple[float, int]:
     return _pairwise_sum(np.array(totals)), depth
 
 
-def _cross_result(first, second, p: float, laws: list[dict], max_support: int | None):
+def _cross_result(first, second, p: float, laws: list[dict]):
     """enum_sum's (value, bound, term count) across the unmerged sums of the
-    halves, first = (locs, masses) and second; SupportOverflowError before
-    any term is summed where the count exceeds max_support."""
+    halves, first = (locs, masses) and second."""
     (x1, m1), (x2, m2) = first, second
     terms = x1.size * x2.size
-    _check_cap(terms, max_support, "of {} terms")
     value, depth = _cross_moment(x1, m1, x2, m2, p)
     rounding = (sum(len(law) + 1 for law in laws) + 3 + depth) * _EPS * value
     delta = _delta(laws)
     mass = float(m1.sum()) * float(m2.sum())
-    v = value + rounding
     if p < 1.0:
         shift = delta ** p * mass
-    elif p < 2.0:  # t^(p-1) is subadditive; Hoelder
-        shift = p * delta * (mass ** (1.0 / p) * v ** ((p - 1.0) / p) + mass * delta ** (p - 1.0))
-    else:  # Minkowski in L^(p-1), then Lyapunov
+    else:  # Hoelder with exponents p and p / (p - 1), then Minkowski in L^p
         m = mass ** (1.0 / p)
-        shift = p * delta * m * (v ** (1.0 / p) + delta * m) ** (p - 1.0)
+        shift = p * delta * m * ((value + rounding) ** (1.0 / p) + delta * m) ** (p - 1.0)
     return value, shift + rounding, terms
 
 
@@ -252,12 +249,14 @@ def enum_sum(laws: list[dict], p: float,
              max_support: int | None = None) -> tuple[float, float, int]:
     """(E|S|^p, error bound, support size) for the sum S of independent atomic
     laws by exact enumeration, p > 0; SupportOverflowError once a partial
-    sum's support, or the term count below, exceeds max_support.
+    sum's support exceeds max_support.
 
-    The route (see the module docstring): a tuple of n >= 4 laws whose halves
-    laws[:n // 2] and laws[n // 2:] merge no point takes the cross route, the
-    sum over every pair of a point a of the first half's sum and b of the
-    second's; any other tuple is enumerated whole, merged at every factor.
+    The route (see the module docstring): a tuple of n >= 4 distinct laws
+    whose halves laws[:n // 2] and laws[n // 2:] merge no point, and whose
+    halves' supports A and B give at most max_support terms |A| |B|, takes
+    the cross route, the sum over every pair of a point a of the first
+    half's sum and b of the second's; any other tuple is enumerated whole,
+    merged at every factor.
 
     The i-th factor rounds each sum once and merges it into a key within its
     radius, both relative to reach_i, the sum of max |x| over laws[:i+1] (the
@@ -278,21 +277,23 @@ def enum_sum(laws: list[dict], p: float,
     of the sum of the chunk totals: the rounding term is (sum_i (len(law_i)
     + 1) + 3 + d) eps value.  The shift term is a closed form in the
     computed value V inflated by that rounding term, and the total mass M,
-    in place of a second power pass over the terms: p delta M^(1/p)
-    (V^(1/p) + delta M^(1/p))^(p-1) for p >= 2 (Minkowski in L^(p-1), then
-    Lyapunov), p delta (M^(1/p) V^((p-1)/p) + M delta^(p-1)) for
-    1 <= p < 2 (t^(p-1) is subadditive), and delta^p M below.  There the
-    third value is the term count |A| |B| of the halves' supports A and B,
-    the support itself for generic laws and an upper bound on it where sums
-    across the halves fall on one point (+-1, +-3, +-1, +-5: 16 terms on 11
-    points); the cap is checked against it before the first term is summed.
+    in place of a second power pass over the terms: for p >= 1, Hoelder with
+    exponents p and p/(p-1) bounds the sum of m (|x| + delta)^(p-1) by
+    M^(1/p) times the (p-1)-th power of the L^p norm of |x| + delta, and
+    Minkowski that norm by V^(1/p) + delta M^(1/p), so the shift term is
+    p delta M^(1/p) (V^(1/p) + delta M^(1/p))^(p-1); below, delta^p M.
+    There the third value is the term count |A| |B|, the support itself for
+    generic laws and an upper bound on it where sums across the halves fall
+    on one point (+-1, +-2, +-3, +-4: 16 terms on 11 points).
     """
     half = len(laws) // 2
     first = _nfold(laws[:half], max_support)
-    if half >= 2 and first[0].size == math.prod(len(law) for law in laws[:half]):
+    if (half >= 2 and len({frozenset(law.items()) for law in laws}) == len(laws)
+            and first[0].size == math.prod(len(law) for law in laws[:half])):
         second = _unmerged(laws[half:], max_support)
-        if second is not None:
-            return _cross_result(first, second, p, laws, max_support)
+        if second is not None and (max_support is None
+                                   or first[0].size * second[0].size <= max_support):
+            return _cross_result(first, second, p, laws)
     locs, masses = _nfold(laws[half:], max_support, *first)
     return (*_enum_moment(locs, masses, p, laws), locs.size)
 

@@ -189,7 +189,19 @@ class TestSupCommand:
         assert res.exit_code == 2
         assert json.loads(res.stderr)["error"] == "SupportOverflowError"
         assert "cap 2000000" in res.stderr
-        # refused once the halves are enumerated, before any pair across them is summed
+        # the 7^4 x 7^5 terms across the halves pass the cap too: the merged
+        # enumeration refuses, and no pair across the halves is summed
+        assert cross_terms == []
+
+    def test_equal_summands_across_the_halves_within_cap(self, cross_terms):
+        # four generic seven-point summands, each twice: the halves merge
+        # nothing, but their 7^8 sums fall on the 15^4 points of the merged law
+        b = ",".join(["3", "3.137", "3.274", "3.411"] * 2)
+        res = run_cli("sup", "--p", "5", "--V", "atoms:0.5:0.3,1:0.3,2:0.4",
+                      "--a", ",".join(["1"] * 8), "--b", b)
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["method"] == "exact_enum" and rec["support"] == 15**4
         assert cross_terms == []
 
     def test_past_grid_cap_finishes(self):

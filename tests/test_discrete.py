@@ -317,10 +317,9 @@ def test_abs_moment_atoms_against_fsum(V, n, p):
 # ---------------------------------------------------------------------------
 # tuples of four or more laws: both halves' sums, and every pair across them
 
-# the sums of +-1, +-3 and of +-1, +-5 are four points each, but the 16 sums
-# across the halves fall on 11 points (4 + 4 = 3 + 5, ...)
-COLLAPSING = [{1.0: 0.5, -1.0: 0.5}, {3.0: 0.5, -3.0: 0.5}, {1.0: 0.5, -1.0: 0.5},
-              {5.0: 0.5, -5.0: 0.5}]
+# the sums of +-1, +-2 and of +-3, +-4 are four points each, but the 16 sums
+# across the halves fall on 11 points (3 - 7 = -3 - 1, ...)
+COLLAPSING = [{x: 0.5, -x: 0.5} for x in (1.0, 2.0, 3.0, 4.0)]
 CROSS_TUPLES = {
     "five-point n=4": _thinned_tuple(FIVE_POINT, 4, 35),
     "five-point n=7": _thinned_tuple(FIVE_POINT, 7, 36),
@@ -328,7 +327,8 @@ CROSS_TUPLES = {
 }
 
 
-# p = 0.5, 1.5 and 3 fall in the three cases of the shift term, 5.37 is not an integer
+# p = 0.5 falls in the shift term's case below p = 1, 1.5 and 3 on either side
+# of p = 2 in the case above, and 5.37 is not an integer
 @pytest.mark.parametrize("p", [0.5, 1.5, 3.0, 5.37])
 @pytest.mark.parametrize("name", list(CROSS_TUPLES))
 def test_enum_sum_of_four_or_more_laws_within_the_bound(name, p):
@@ -366,23 +366,33 @@ def _refuse_cross_steps(monkeypatch):
 
 
 def test_cross_route_cap_before_the_cross_step(monkeypatch):
-    # seven generic five-point laws: halves of 125 and 625 points
+    # seven generic five-point laws: halves of 125 and 625 points, whose 78,125
+    # terms past the cap leave the tuple to the merged enumeration, which
+    # refuses its support
     laws = CROSS_TUPLES["five-point n=7"]
     _refuse_cross_steps(monkeypatch)
-    with pytest.raises(SupportOverflowError, match="of 78125 terms exceeds cap 78124$"):
+    with pytest.raises(SupportOverflowError, match=r"support \d+ exceeds cap 78124$"):
         discrete.enum_sum(laws, 5.0, max_support=78124)
     # a half past the cap is refused as that half's support
     with pytest.raises(SupportOverflowError, match="support 625 exceeds cap 600$"):
         discrete.enum_sum(laws, 5.0, max_support=600)
 
 
-@pytest.mark.parametrize("equal", ["first", "second"])
-def test_a_merged_half_takes_the_merged_route(monkeypatch, equal):
-    # two equal random signs in one half merge their sums 0.7 - 0.7 and -0.7 + 0.7
+@pytest.mark.parametrize("case", ["first", "second", "across", "commensurate"])
+def test_a_merged_half_takes_the_merged_route(monkeypatch, case):
+    # two equal random signs in one half merge their sums 0.7 - 0.7 and
+    # -0.7 + 0.7.  Across the halves: a, b, c, d, a, b, c, d has halves of
+    # four distinct generic five-point laws that merge nothing, but its 5^8
+    # terms fall on the 13^4 points of the merged law; the distinct signs
+    # +-1, +-2, +-4, +-8 and three times them give 16 points a half and 256
+    # terms on 61 points.  Each fits a cap of its merged support.
     sign = ct._thinned_atoms(RANDOM_SIGN, 0.7, 0.3)
     generic = _thinned_tuple(FIVE_POINT, 3, 37)
-    laws = [sign, sign, *generic] if equal == "first" else [*generic[:2], sign, sign, generic[2]]
+    laws = {"first": [sign, sign, *generic], "second": [*generic[:2], sign, sign, generic[2]],
+            "across": _thinned_tuple(FIVE_POINT, 4, 38) * 2,
+            "commensurate": [{x: 0.5, -x: 0.5} for x in (1.0, 2.0, 4.0, 8.0, 3.0, 6.0, 12.0, 24.0)],
+            }[case]
     _refuse_cross_steps(monkeypatch)
     locs, masses = discrete._nfold(laws, None)
-    assert discrete.enum_sum(laws, 5.37) == (*discrete._enum_moment(locs, masses, 5.37, laws),
-                                              locs.size)
+    assert discrete.enum_sum(laws, 5.37, max_support=locs.size) == (
+        *discrete._enum_moment(locs, masses, 5.37, laws), locs.size)

@@ -23,7 +23,8 @@ it) and k-fold powers, the individual-budget Fourier and enumeration
 routes with the grid reference (``constants._thinned_grid_result``, by
 name; thirty thinned uniforms among them), exact enumeration of tuples of
 four to ten laws (``discrete.enum_sum`` across the halves of generic tuples,
-and on a tuple whose sums across the halves collide), the witness's
+on a tuple whose sums across the halves collide, and on one that repeats
+a law), the witness's
 moment, a hash of compound Poisson draws), the randomized search, n-fold
 sums of grid densities (one per log-concave family among them), both
 ordering checks (the density ordering also at 2, 32 and 200 summands on
@@ -300,9 +301,10 @@ def routes():
 
     show("check_easy_lower_bound", easy_lower_bound)
 
-    # tuples of four or more laws, enumerated in halves where neither half merges:
-    # generic thinned laws, and +-1, +-3, +-1, +-5, whose 16 sums across the
-    # halves fall on 11 points
+    # tuples of four or more laws, enumerated in halves where the laws are
+    # distinct and neither half merges: generic thinned laws, and +-1, +-2,
+    # +-3, +-4, whose 16 sums across the halves fall on 11 points; +-1, +-3,
+    # +-1, +-5 repeats a law and is enumerated whole
     rng = np.random.default_rng(35)
     five_point = bd.symmetric_atoms([(0.0, 0.2), (0.7, 0.5), (1.3, 0.3)])
     tuples = {
@@ -310,6 +312,7 @@ def routes():
             rng.uniform(0.3, 2.0, 7), rng.uniform(0.1, 0.9, 7))],
         "ten three-point laws": [ct._thinned_atoms(BASES["rademacher"], c, mu) for c, mu in zip(
             rng.uniform(0.3, 2.0, 10), rng.uniform(0.1, 0.9, 10))],
+        "+-1 +-2 +-3 +-4": [{x: 0.5, -x: 0.5} for x in (1.0, 2.0, 3.0, 4.0)],
         "+-1 +-3 +-1 +-5": [{x: 0.5, -x: 0.5} for x in (1.0, 3.0, 1.0, 5.0)],
     }
     for name, laws in tuples.items():
