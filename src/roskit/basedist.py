@@ -1,17 +1,17 @@
 """Symmetric base laws of mixtures.
 
-A BaseDistribution stores the law of |V| for a symmetric variable V;
-signs are always independent fair signs.  Supported kinds are the random
+A BaseDistribution is the law of a symmetric V (independent fair signs),
+one small subclass per kind, each answering its own methods: the random
 sign, the symmetric uniform, the standard Gaussian, the real projection
 cos(2*pi*U) of a Steinhaus variable, and finite symmetric atomic laws.
-These cover every closed-form example the constants need while keeping
-all moments exact, and each has a closed-form real characteristic
-function (char_fn; char_gap is 1 - phi to full relative accuracy).
+These cover every closed-form example the constants need while keeping all
+moments exact, and each has a closed-form real characteristic function
+(char_fn; char_gap is 1 - phi to full relative accuracy).
 
 k-fold sum moments E|V~_1 + ... + V~_k|^p come from closed forms, exact
 atomic convolution powers, or the gridconv spectral kernel with phi^k in
-place of the compound Poisson exp(lambda (phi - 1)).  The samplers serve
-cpoisson.cp_sample; walk_law gives the exact law of a random-sign walk.
+place of the compound Poisson exp(lambda (phi - 1)); walk_law gives the
+exact law of a random-sign walk.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
@@ -30,163 +31,36 @@ from .result import ConstantResult
 
 __all__ = [
     "BaseDistribution",
+    "RandomSign", "Uniform", "Gaussian", "Cosine", "Atoms",
     "ConditionedBase",
-    "rademacher",
-    "uniform",
-    "gaussian",
-    "cosine_projection",
-    "symmetric_atoms",
+    "rademacher", "uniform", "gaussian", "cosine_projection", "symmetric_atoms",
     "parse_base_spec",
     "abs_moment",
     "condition_nonzero",
-    "sample_abs",
-    "sample_signed",
     "kfold_abs_moment",
 ]
 
-_KINDS = ("rademacher", "uniform", "gaussian", "cosine", "atoms")
 _EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class BaseDistribution:
-    kind: str
-    half_width: float = 1.0  # uniform only
-    atoms: tuple = ()        # atoms only: ((location, mass), ...), locations >= 0
+    """The law of a symmetric V; each kind is a subclass.  Equality and hashing
+    go by class and fields (_gap_series caches by the law)."""
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown base kind {self.kind!r}")
-        if self.kind == "uniform" and not 0.0 < self.half_width < math.inf:
-            raise DomainError(f"uniform half_width must be finite and positive: {self.half_width}")
-        if self.kind == "atoms":
-            if not self.atoms:
-                raise DomainError("atomic law needs at least one atom")
-            locs = [a[0] for a in self.atoms]
-            masses = [a[1] for a in self.atoms]
-            if not all(map(math.isfinite, locs + masses)):
-                raise DomainError(f"atom locations and masses must be finite, got {self.atoms!r}")
-            if any(loc < 0 for loc in locs):
-                raise DomainError("atom locations must be nonnegative")
-            if any(l2 <= l1 for l1, l2 in zip(locs, locs[1:])):
-                raise DomainError("atom locations must be strictly increasing")
-            if any(m <= 0 for m in masses):
-                raise DomainError("atom masses must be positive")
-            if abs(math.fsum(masses) - 1.0) > 1e-12:
-                raise DomainError("atom masses must sum to 1")
-            if self.zero_mass >= 1.0:
-                raise DegenerateLawError("law is identically zero")
-
-    @property
-    def zero_mass(self) -> float:
-        if self.kind == "atoms" and self.atoms[0][0] == 0.0:
-            return self.atoms[0][1]
-        return 0.0
-
-    @property
-    def is_atomic(self) -> bool:
-        return self.kind in ("rademacher", "atoms")
-
-    def support_bound(self) -> float | None:
-        """Largest possible |V|, or None for unbounded support."""
-        if self.kind in ("rademacher", "cosine"):
-            return 1.0
-        if self.kind == "uniform":
-            return self.half_width
-        if self.kind == "atoms":
-            return self.atoms[-1][0]
-        return None
-
-    def variance_proxy(self) -> float:
-        """The tightest s^2 used here with E exp(tV) <= exp(s^2 t^2 / 2)."""
-        if self.is_atomic:
-            return _atomic_variance_proxy(self.signed_atoms())
-        # sinh(tb) / (tb) <= exp(t^2 b^2 / 6); I_0(t) <= exp(t^2 / 4)
-        return {"uniform": self.half_width**2 / 3.0, "cosine": 0.5, "gaussian": 1.0}[self.kind]
-
-    def signed_atoms(self) -> dict:
-        """Signed law as {location: mass} for atomic kinds."""
-        if self.kind == "rademacher":
-            return {-1.0: 0.5, 1.0: 0.5}
-        if self.kind != "atoms":
-            raise UnsupportedMethodError(f"{self.kind} law is not atomic")
-        out: dict = {}
-        for loc, mass in self.atoms:
-            if loc == 0.0:
-                out[0.0] = mass
-            else:
-                out[loc] = mass / 2.0
-                out[-loc] = mass / 2.0
-        return out
-
-    def scaled(self, c: float) -> "BaseDistribution":
-        """The law of c V, c > 0: uniform and atomic laws scale, the rest only by 1."""
-        if c == 1.0:
-            return self
-        if self.kind == "uniform":
-            return uniform(self.half_width * c)
-        if self.is_atomic:
-            return symmetric_atoms((loc * c, mass) for loc, mass in self.atoms or ((1.0, 1.0),))
-        raise UnsupportedMethodError(f"no scaled {self.kind} law")
-
-    def char_gap(self, t: np.ndarray) -> np.ndarray:
-        """1 - phi(t), phi = E cos(tV) the real characteristic function, to
-        full relative accuracy also where phi is near 1: 2 sum m sin^2(a t / 2)
-        for atoms, -expm1(-t^2 / 2) for the Gaussian, and for uniform and
-        cosine laws their Taylor series in the even moments below |t| b = 1."""
-        t = np.abs(np.asarray(t, dtype=float))
-        if self.is_atomic:
-            out = np.zeros_like(t)
-            for loc, mass in self.atoms or ((1.0, 1.0),):
-                out += 2.0 * mass * np.sin(0.5 * loc * t) ** 2
-            return out
-        if self.kind == "gaussian":
-            return -np.expm1(-0.5 * t * t)
-        out = np.empty_like(t)
-        b = self.support_bound()
-        near = t * b < 1.0
-        x = t[~near]
-        # sin(w t) / (w t) for the uniform law, J0(t) for cos(2 pi U)
-        out[~near] = 1.0 - (np.sin(b * x) / (b * x) if self.kind == "uniform" else special.j0(x))
-        t2 = t[near] ** 2
-        terms = [coef * t2**j for j, coef in _gap_series(self)]
-        series = terms[0]
-        for term in terms[1:]:  # in order, in place: np.sum's additions over the stacked
-            series += term      # terms, without stacking them
-        out[near] = series
-        return out
+    kind: ClassVar[str]
+    cp_route: ClassVar[str] = "fourier"  # cpoisson's route at non-even p
+    is_atomic: ClassVar[bool] = False
+    zero_mass: ClassVar[float] = 0.0
 
     def abs_moment(self, r: float) -> float:
         """E|V|^r (the module's abs_moment)."""
         return abs_moment(self, r)
 
-    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
-        """E (sV)^(2i) / (2i)! for i = 0..n, and a bound on their relative error:
-        sum m (s a)^(2i) / (2i)! for atoms, (s w)^(2i) / (2i + 1)! for the uniform
-        law, (s^2 / 2)^i / i! for the Gaussian and ((s / 2)^i / i!)^2 for cosine."""
-        if self.is_atomic:
-            out = sum(mass * fourier.taylor_cos(s * loc, n)
-                      for loc, mass in self.atoms or ((1.0, 1.0),))
-            return out, (3.0 * n + len(self.atoms) + 2.0) * _EPS
-        if self.kind == "uniform":
-            return fourier.taylor_uniform(s * self.half_width, n)
-        if self.kind == "gaussian":
-            return fourier.taylor_exp(0.5 * s * s, n), (2.0 * n + 2.0) * _EPS
-        return fourier.taylor_exp(0.5 * s, n) ** 2, (4.0 * n + 2.0) * _EPS
-
-    def char_envelope(self, t: np.ndarray) -> np.ndarray:
-        """A nonincreasing bound on |phi| from t >= 0 on: 1 for atoms, 1 / (w t) for
-        the uniform law, exp(-t^2 / 2) for the Gaussian and sqrt(2 / (pi t)) for
-        J0 (x (J0^2 + Y0^2) increases to 2 / pi)."""
-        t = np.asarray(t, dtype=float)
-        if self.is_atomic:
-            return np.ones_like(t)
-        if self.kind == "gaussian":
-            return np.exp(-0.5 * t * t)
-        if self.kind == "uniform":
-            return fourier.uniform_envelope(self.half_width, t)
-        with np.errstate(divide="ignore"):
-            return np.minimum(1.0, np.sqrt(2.0 / (math.pi * t)))
+    def char_fn(self, t: np.ndarray) -> np.ndarray:
+        """phi(t) = E cos(tV): cos t, sin(wt) / (wt), exp(-t^2 / 2), J0(t) or
+        sum m cos(a t), to an absolute error of a few ulps."""
+        return 1.0 - self.char_gap(t)
 
     def char_cap(self, p: float = 4.0) -> float:
         """The largest t at which the Fourier sum route takes the Taylor series of
@@ -201,22 +75,256 @@ class BaseDistribution:
             return 2.0 * math.sqrt(fourier.stretch(p))
         return fourier.stretch(p) / bound
 
-    def char_fn(self, t: np.ndarray) -> np.ndarray:
-        """phi(t) = E cos(tV): cos t, sin(wt) / (wt), exp(-t^2 / 2), J0(t) or
-        sum m cos(a t), to an absolute error of a few ulps."""
-        return 1.0 - self.char_gap(t)
+    def scaled(self, c: float) -> "BaseDistribution":
+        """The law of c V, c > 0: uniform and atomic laws scale, the rest only by 1."""
+        if c == 1.0:
+            return self
+        raise UnsupportedMethodError(f"no scaled {self.kind} law")
+
+    def signed_atoms(self) -> dict:
+        """Signed law as {location: mass} for atomic kinds."""
+        raise UnsupportedMethodError(f"{self.kind} law is not atomic")
 
     def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """CDF of the signed law (continuous kinds only), elementwise:
         cdf(edges: ndarray) -> ndarray, and a scalar for a scalar."""
-        if self.kind == "uniform":
-            w = self.half_width
-            return np.clip((x + w) / (2.0 * w), 0.0, 1.0)
-        if self.kind == "gaussian":
-            return 0.5 * special.erfc(-x / math.sqrt(2.0))
-        if self.kind == "cosine":
-            return 1.0 - np.arccos(np.clip(x, -1.0, 1.0)) / math.pi
         raise UnsupportedMethodError(f"no continuous CDF for kind {self.kind!r}")
+
+    def kfold_exact(self, k: int, p: float) -> tuple[float, str, float]:
+        """(E|S_k|^p, method tag, error bound) from a closed form, k >= 1."""
+        raise UnsupportedMethodError(f"no exact k-fold moment for kind {self.kind!r}; use grid")
+
+
+@dataclass(frozen=True)
+class Atoms(BaseDistribution):
+    """A finite symmetric atomic law: |V| = location with its mass."""
+
+    atoms: tuple  # ((location, mass), ...), locations >= 0 increasing
+    kind = "atoms"
+    is_atomic = True
+
+    def __post_init__(self):
+        if not self.atoms:
+            raise DomainError("atomic law needs at least one atom")
+        locs, masses = zip(*self.atoms)
+        if not all(map(math.isfinite, locs + masses)):
+            raise DomainError(f"atom locations and masses must be finite, got {self.atoms!r}")
+        if any(loc < 0 for loc in locs):
+            raise DomainError("atom locations must be nonnegative")
+        if any(l2 <= l1 for l1, l2 in zip(locs, locs[1:])):
+            raise DomainError("atom locations must be strictly increasing")
+        if any(m <= 0 for m in masses):
+            raise DomainError("atom masses must be positive")
+        if abs(math.fsum(masses) - 1.0) > 1e-12:
+            raise DomainError("atom masses must sum to 1")
+        if self.zero_mass >= 1.0:
+            raise DegenerateLawError("law is identically zero")
+
+    @property
+    def zero_mass(self) -> float:
+        return self.atoms[0][1] if self.atoms[0][0] == 0.0 else 0.0
+
+    def support_bound(self) -> float | None:
+        """Largest possible |V|, or None for unbounded support."""
+        return self.atoms[-1][0]
+
+    def variance_proxy(self) -> float:
+        """s^2 with E exp(tV) <= exp(s^2 t^2 / 2): a certified s^2 >= sup_t 2 L(t)
+        / t^2, L(t) = log E cosh(tV), near E V^2 = m2 where Hoeffding gives b^2 =
+        max V^2.  Below t = 0.1 / b, L(t) <= m2 (cosh(tb) - 1) / b^2 termwise;
+        above 2 b / m2, L(t) <= tb; between, L increases, so 2 L(t_{j+1}) / t_j^2
+        bounds the ratio on [t_j, t_{j+1}] of a geometric grid."""
+        law = self.signed_atoms()
+        locs, masses = np.array(list(law)), np.array(list(law.values()))
+        b, m2 = float(locs.max()), float((masses * locs**2).sum())
+        t = (0.1 / b) * 1.001 ** np.arange(int(math.log(20.0 * b * b / m2) / math.log(1.001)) + 3)
+        L = special.logsumexp(np.outer(t[1:], locs), axis=1, b=masses)
+        return max(m2 * (math.cosh(0.1) - 1.0) / 0.005, float((2.0 * L / t[:-1] ** 2).max()))
+
+    def signed_atoms(self) -> dict:
+        out: dict = {}
+        for loc, mass in self.atoms:
+            if loc == 0.0:
+                out[0.0] = mass
+            else:
+                out[loc] = mass / 2.0
+                out[-loc] = mass / 2.0
+        return out
+
+    def scaled(self, c: float) -> "BaseDistribution":
+        return self if c == 1.0 else symmetric_atoms((loc * c, mass) for loc, mass in self.atoms)
+
+    def char_gap(self, t: np.ndarray) -> np.ndarray:
+        """1 - phi(t) = 2 sum m sin^2(a t / 2), to full relative accuracy."""
+        t = np.abs(np.asarray(t, dtype=float))
+        out = np.zeros_like(t)
+        for loc, mass in self.atoms:
+            out += 2.0 * mass * np.sin(0.5 * loc * t) ** 2
+        return out
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """sum m (s a)^(2i) / (2i)! for i = 0..n, and a bound on their relative error."""
+        out = sum(mass * fourier.taylor_cos(s * loc, n) for loc, mass in self.atoms)
+        return out, (3.0 * n + len(self.atoms) + 2.0) * _EPS
+
+    def char_envelope(self, t: np.ndarray) -> np.ndarray:
+        """A nonincreasing bound on |phi| from t >= 0 on: 1."""
+        return np.ones_like(np.asarray(t, dtype=float))
+
+    def _moment(self, r: float) -> float:
+        return math.fsum(mass * loc**r for loc, mass in self.atoms)
+
+
+@dataclass(frozen=True)
+class RandomSign(Atoms):
+    """V = +-1 with probability 1/2 each: its signed law and moments in closed form."""
+
+    atoms: tuple = field(default=((1.0, 1.0),), init=False, repr=False)
+    kind = "rademacher"
+    cp_route = "exact_walk"
+
+    def signed_atoms(self) -> dict:
+        return {-1.0: 0.5, 1.0: 0.5}
+
+    def _moment(self, r: float) -> float:
+        return 1.0
+
+    def kfold_exact(self, k: int, p: float) -> tuple[float, str, float]:
+        x, w, rel = walk_law(k)
+        val = float(w @ np.abs(x) ** p)
+        return val, "exact/binomial_walk", (rel + 4.0 * (p + 2.0) * _EPS) * val
+
+
+@dataclass(frozen=True)
+class Gaussian(BaseDistribution):
+    """The standard Gaussian, also verify's matching source (pdf, atoms, support_halfwidth)."""
+
+    kind = "gaussian"
+    cp_route = "exact_gaussian"
+
+    def support_bound(self) -> float | None:
+        return None
+
+    def variance_proxy(self) -> float:
+        return 1.0
+
+    def char_gap(self, t: np.ndarray) -> np.ndarray:
+        return -np.expm1(-0.5 * np.square(np.asarray(t, dtype=float)))
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """(s^2 / 2)^i / i! for i = 0..n, and a bound on their relative error."""
+        return fourier.taylor_exp(0.5 * s * s, n), (2.0 * n + 2.0) * _EPS
+
+    def char_envelope(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(-0.5 * np.square(np.asarray(t, dtype=float)))
+
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
+        return 0.5 * special.erfc(-x / math.sqrt(2.0))
+
+    def pdf(self, x: float) -> float:
+        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    def atoms(self) -> dict:
+        return {}
+
+    def support_halfwidth(self) -> float:
+        return 10.0  # density below 1e-16 of the peak beyond ~8.6
+
+    def _moment(self, r: float) -> float:
+        return specfun.gaussian_abs_moment(r)
+
+    def kfold_exact(self, k: int, p: float) -> tuple[float, str, float]:
+        val = k ** (p / 2.0) * specfun.gaussian_abs_moment(p)
+        return val, "exact/gaussian_scaling", 1e-14 * val
+
+
+@dataclass(frozen=True)
+class _SeriesGap(BaseDistribution):
+    """A bounded continuous law: 1 - phi(t) is the Taylor series in the even
+    moments below |t| b = 1, b the support bound, and _far_gap above."""
+
+    def char_gap(self, t: np.ndarray) -> np.ndarray:
+        t = np.abs(np.asarray(t, dtype=float))
+        out = np.empty_like(t)
+        near = t * self.support_bound() < 1.0
+        out[~near] = self._far_gap(t[~near])
+        t2 = t[near] ** 2
+        terms = [coef * t2**j for j, coef in _gap_series(self)]
+        series = terms[0]
+        for term in terms[1:]:  # in order, in place: np.sum's additions over the stacked
+            series += term      # terms, without stacking them
+        out[near] = series
+        return out
+
+
+@dataclass(frozen=True)
+class Uniform(_SeriesGap):
+    """The uniform law on [-w, w], w = half_width."""
+
+    half_width: float = 1.0
+    kind = "uniform"
+
+    def __post_init__(self):
+        if not 0.0 < self.half_width < math.inf:
+            raise DomainError(f"uniform half_width must be finite and positive: {self.half_width}")
+
+    def support_bound(self) -> float | None:
+        return self.half_width
+
+    def variance_proxy(self) -> float:
+        return self.half_width**2 / 3.0  # sinh(tb) / (tb) <= exp(t^2 b^2 / 6)
+
+    def scaled(self, c: float) -> "BaseDistribution":
+        return self if c == 1.0 else uniform(self.half_width * c)
+
+    def _far_gap(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 - np.sin(self.half_width * x) / (self.half_width * x)
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """(s w)^(2i) / (2i + 1)! for i = 0..n, and a bound on their relative error."""
+        return fourier.taylor_uniform(s * self.half_width, n)
+
+    def char_envelope(self, t: np.ndarray) -> np.ndarray:
+        """A nonincreasing bound on |phi| from t >= 0 on: 1 / (w t)."""
+        return fourier.uniform_envelope(self.half_width, np.asarray(t, dtype=float))
+
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
+        return np.clip((x + self.half_width) / (2.0 * self.half_width), 0.0, 1.0)
+
+    def _moment(self, r: float) -> float:
+        return self.half_width**r / (r + 1.0)
+
+
+@dataclass(frozen=True)
+class Cosine(_SeriesGap):
+    """cos(2 pi U), U uniform on [0, 1]: the real projection of a Steinhaus variable."""
+
+    kind = "cosine"
+
+    def support_bound(self) -> float | None:
+        return 1.0
+
+    def variance_proxy(self) -> float:
+        return 0.5  # I_0(t) <= exp(t^2 / 4)
+
+    def _far_gap(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 - special.j0(x)
+
+    def char_taylor(self, n: int, s: float = 1.0) -> tuple[np.ndarray, float]:
+        """((s / 2)^i / i!)^2 for i = 0..n, and a bound on their relative error."""
+        return fourier.taylor_exp(0.5 * s, n) ** 2, (4.0 * n + 2.0) * _EPS
+
+    def char_envelope(self, t: np.ndarray) -> np.ndarray:
+        """min(1, sqrt(2 / (pi t))) >= |J0(t)|: x (J0^2 + Y0^2) increases to 2 / pi."""
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.minimum(1.0, np.sqrt(2.0 / (math.pi * t)))
+
+    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
+        return 1.0 - np.arccos(np.clip(x, -1.0, 1.0)) / math.pi
+
+    def _moment(self, r: float) -> float:
+        return 1.0 / specfun.steinhaus_beta(r)
 
 
 @functools.lru_cache(maxsize=256)
@@ -227,38 +335,24 @@ def _gap_series(V: BaseDistribution) -> tuple:
                  for j in range(12, 0, -1))
 
 
-def _atomic_variance_proxy(law: dict) -> float:
-    """A certified s^2 >= sup_t 2 L(t) / t^2, L(t) = log E cosh(tV), for a
-    finite symmetric law {location: mass}: near E V^2 = m2 where Hoeffding
-    gives b^2 = max V^2.  Below t = 0.1 / b, L(t) <= m2 (cosh(tb) - 1) / b^2
-    termwise; above 2 b / m2, L(t) <= tb; between, L increases, so 2 L(t_{j+1})
-    / t_j^2 bounds the ratio on [t_j, t_{j+1}] of a geometric grid."""
-    locs, masses = np.array(list(law)), np.array(list(law.values()))
-    b, m2 = float(locs.max()), float((masses * locs**2).sum())
-    t = (0.1 / b) * 1.001 ** np.arange(int(math.log(20.0 * b * b / m2) / math.log(1.001)) + 3)
-    L = special.logsumexp(np.outer(t[1:], locs), axis=1, b=masses)
-    return max(m2 * (math.cosh(0.1) - 1.0) / 0.005, float((2.0 * L / t[:-1] ** 2).max()))
-
-
 def rademacher() -> BaseDistribution:
-    return BaseDistribution("rademacher")
+    return RandomSign()
 
 
 def uniform(half_width: float = 1.0) -> BaseDistribution:
-    return BaseDistribution("uniform", half_width=float(half_width))
+    return Uniform(float(half_width))
 
 
 def gaussian() -> BaseDistribution:
-    return BaseDistribution("gaussian")
+    return Gaussian()
 
 
 def cosine_projection() -> BaseDistribution:
-    return BaseDistribution("cosine")
+    return Cosine()
 
 
 def symmetric_atoms(atoms) -> BaseDistribution:
-    pairs = tuple(sorted((float(loc), float(mass)) for loc, mass in atoms))
-    return BaseDistribution("atoms", atoms=pairs)
+    return Atoms(tuple(sorted((float(loc), float(mass)) for loc, mass in atoms)))
 
 
 def parse_number(chunk: str, context: str) -> float:
@@ -325,9 +419,8 @@ class ConditionedBase:
         return abs_moment(self.base, r)
 
     def char_fn(self, t: np.ndarray) -> np.ndarray:
-        """(phi - z) / (1 - z) for the base's phi and zero mass z (0 here by construction)."""
-        z = self.base.zero_mass
-        return (self.base.char_fn(t) - z) / (1.0 - z)
+        """The base's phi: the base carries no mass at zero."""
+        return self.base.char_fn(t)
 
 
 def abs_moment(V: BaseDistribution, r: float) -> float:
@@ -337,15 +430,7 @@ def abs_moment(V: BaseDistribution, r: float) -> float:
     if r == 0:
         return 1.0
     try:
-        if V.kind == "rademacher":
-            return 1.0
-        if V.kind == "uniform":
-            return V.half_width**r / (r + 1.0)
-        if V.kind == "gaussian":
-            return specfun.gaussian_abs_moment(r)
-        if V.kind == "cosine":
-            return 1.0 / specfun.steinhaus_beta(r)
-        return math.fsum(mass * loc**r for loc, mass in V.atoms)
+        return V._moment(r)
     except OverflowError:
         raise DomainError(f"E|V|^{r:g} of {format_base_spec(V)} overflows a float") from None
 
@@ -358,42 +443,7 @@ def condition_nonzero(V: BaseDistribution) -> ConditionedBase:
         return ConditionedBase(V)
     keep = 1.0 - V.zero_mass
     scaled = tuple((loc, mass / keep) for loc, mass in V.atoms if loc != 0.0)
-    return ConditionedBase(BaseDistribution("atoms", atoms=scaled))
-
-
-def sample_abs(V: BaseDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws of |V|; deterministic given the generator state."""
-    if n < 0:
-        raise DomainError("sample count must be nonnegative")
-    if V.kind == "rademacher":
-        return np.ones(n)
-    if V.kind == "uniform":
-        return V.half_width * rng.random(n)
-    if V.kind == "gaussian":
-        return np.abs(rng.standard_normal(n))
-    if V.kind == "cosine":
-        return np.abs(np.cos(2.0 * np.pi * rng.random(n)))
-    locs = np.array([a[0] for a in V.atoms])
-    masses = np.array([a[1] for a in V.atoms])
-    return rng.choice(locs, size=n, p=masses / masses.sum())
-
-
-def sample_signed(V: BaseDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws of V itself (independent fair signs applied to |V|)."""
-    mags = sample_abs(V, rng, n)
-    signs = rng.integers(0, 2, size=n) * 2 - 1
-    return mags * signs
-
-
-def sample_count_sums(
-    V: BaseDistribution, rng: np.random.Generator, counts: np.ndarray
-) -> np.ndarray:
-    """Entry i is the sum of counts[i] independent draws of V."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(counts.size)
-    idx = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(idx, weights=sample_signed(V, rng, total), minlength=counts.size)
+    return ConditionedBase(Atoms(scaled))
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +499,7 @@ def kfold_abs_moment(
         return ConstantResult(0.0, method="empty_sum", error_bound=0.0, diagnostics=diag)
 
     if method == "exact":
-        if base.kind == "rademacher":
-            x, w, rel = walk_law(k)
-            val = float(w @ np.abs(x) ** p)
-            return ConstantResult(val, "exact/binomial_walk", (rel + 4.0 * (p + 2.0) * _EPS) * val,
-                                  diag)
-        if base.kind == "gaussian":
-            val = k ** (p / 2.0) * specfun.gaussian_abs_moment(p)
-            return ConstantResult(val, "exact/gaussian_scaling", 1e-14 * val, diag)
-        raise UnsupportedMethodError(
-            f"no exact k-fold moment for kind {base.kind!r}; use grid"
-        )
+        return ConstantResult(*base.kfold_exact(k, p), diag)
 
     if method == "grid":
         if base.is_atomic:

@@ -3,7 +3,7 @@
 T is the sum of a Poisson(lambda) number of i.i.d. symmetric jumps with
 law given by a conditioned base distribution, and phi_T(t) = exp(lambda
 (phi_V(t) - 1)) its closed-form characteristic function.  cp_abs_moment
-picks one route from a table (_ROUTES), by p and the jump kind alone:
+picks one route from a table (_ROUTES), by p and the jump law's cp_route:
 
 - even integer p: the cumulants kappa_2j = lambda E V^(2j) mapped back to
   E T^p by a recursion of nonnegative terms, exact up to rounding
@@ -45,7 +45,6 @@ __all__ = [
     "CompoundPoissonSpec",
     "cp_abs_moment",
     "cp_even_moment_cumulant",
-    "cp_sample",
     "poisson_power_moment",
 ]
 
@@ -262,9 +261,6 @@ _ROUTES = {
     "grid": _cp_char_grid_moment,
     "atoms_char_grid": _cp_char_grid_moment,
 }
-# the production route at non-even p, by jump kind
-_KIND_ROUTES = {"rademacher": "exact_walk", "gaussian": "exact_gaussian", "atoms": "fourier",
-                "uniform": "fourier", "cosine": "fourier"}
 
 
 def _is_even(p: float) -> bool:
@@ -274,7 +270,7 @@ def _is_even(p: float) -> bool:
 def cp_abs_moment(
     spec: CompoundPoissonSpec, p: float, tol: float = 1e-9
 ) -> ConstantResult:
-    """E|T|^p, by the route the jump kind and p pick.
+    """E|T|^p, by the route p and the jump law's cp_route pick.
 
     Even integer p takes the exact cumulant recursion (rounding bound only).
     At every other p, random signs take the Skellam sum and Gaussian jumps
@@ -315,7 +311,7 @@ def _abs_moment(spec: CompoundPoissonSpec, p: float, tol: float,
     sigma2 = lam * spec.jump.abs_moment(2.0)
     lower = max(lam * math.exp(-lam) * m_p, min(1.0, sigma2) ** (0.5 * p))
     K, tail = _truncation_depth(lam, p, m_p, tol * min(1.0, lower))
-    route = route or ("cumulant" if _is_even(p) else _KIND_ROUTES[spec.jump.base.kind])
+    route = route or ("cumulant" if _is_even(p) else spec.jump.base.cp_route)
     diag.update({"K": K, "per_k_method": route, "jump_p_moment": m_p, "tail_bound": tail})
     value, err, extra = _ROUTES[route](spec, p, tol, K, tail)
     if not (math.isfinite(value) and math.isfinite(err)):
@@ -356,13 +352,6 @@ def cp_even_moment_cumulant(spec: CompoundPoissonSpec, p: int) -> float:
         raise UnsupportedMethodError(f"the cumulant recursion needs an even integer p > 0, got {p}")
     n = int(p) // 2
     return _taylor_coefficients(spec.lam, spec.jump.base, 1.0, n)[n] * math.factorial(2 * n)
-
-
-def cp_sample(spec: CompoundPoissonSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws of T; deterministic given the generator state."""
-    if n < 0:
-        raise DomainError("sample count must be nonnegative")
-    return basedist.sample_count_sums(spec.jump.base, rng, rng.poisson(spec.lam, size=n))
 
 
 def poisson_power_moment(lam: float, p: float, tol: float = 1e-9) -> ConstantResult:

@@ -1,8 +1,8 @@
 """Special functions backing the closed-form constant formulas.
 
-Pure deterministic functions: log-gamma is ``math.lgamma`` (the package
-calls it directly; ``log_gamma`` adds the domain check), the regularized
-incomplete gamma functions are ``scipy.special.gammainc`` / ``gammaincc``.
+Pure deterministic functions: the package calls ``math.lgamma`` for
+log-gamma directly, and the regularized incomplete gamma functions are
+``scipy.special.gammainc`` / ``gammaincc``.
 Written here is only what scipy lacks: the exponentially scaled upper gamma
 e^x Gamma(s) Q(s, x), whose e^x overflows past x ~ 709.  Also absolute
 moments of a standard Gaussian and the normalizer 1/E|cos(2*pi*U)|^p of the
@@ -18,7 +18,6 @@ from scipy.special import gammainc, gammaincc
 from .errors import DomainError
 
 __all__ = [
-    "log_gamma",
     "reg_lower_inc_gamma",
     "reg_upper_inc_gamma",
     "log_upper_gamma_exp_scaled",
@@ -34,13 +33,6 @@ def _check(name: str, s: float, x: float) -> None:
         raise DomainError(f"{name} requires s > 0, got {s!r}")
     if x < 0.0:
         raise DomainError(f"{name} requires x >= 0, got {x!r}")
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def reg_lower_inc_gamma(s: float, x: float) -> float:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from . import basedist, constants, cpoisson, discrete, fourier, gridconv, logconcave, specfun
+from . import basedist, constants, cpoisson, discrete, fourier, gridconv, logconcave
 from .errors import DomainError, GridTooSmallError, InputError, InvalidComparisonError
 from .result import ConstantResult
 
@@ -60,30 +60,7 @@ _EPS = sys.float_info.epsilon
 # ---------------------------------------------------------------------------
 # sources (closed-form symmetric log-concave densities that are not members)
 
-_GAUSSIAN = basedist.gaussian()
-
-
-class GaussianSource:
-    """Standard Gaussian as a matching source, with basedist.gaussian()'s
-    CDF and characteristic function."""
-
-    cdf = staticmethod(_GAUSSIAN.cdf)
-    char_gap = staticmethod(_GAUSSIAN.char_gap)
-    char_taylor = staticmethod(_GAUSSIAN.char_taylor)
-    char_envelope = staticmethod(_GAUSSIAN.char_envelope)
-    char_cap = staticmethod(_GAUSSIAN.char_cap)
-
-    def pdf(self, x: float) -> float:
-        return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-    def abs_moment(self, r: float) -> float:
-        return specfun.gaussian_abs_moment(r)
-
-    def atoms(self) -> dict:
-        return {}
-
-    def support_halfwidth(self) -> float:
-        return 10.0  # density below 1e-16 of the peak beyond ~8.6
+GaussianSource = basedist.Gaussian  # the standard Gaussian as a matching source
 
 
 class LogisticSource:

@@ -33,9 +33,9 @@ SIX_ATOMS = bd.condition_nonzero(bd.symmetric_atoms(
 
 
 def _kind_route(spec, p, tol):
-    """E|T|^p by the route the jump kind takes at non-even p, the spectral grid
+    """E|T|^p by the route the jump law takes at non-even p, the spectral grid
     standing in for the Fourier integral, which needs a non-even p."""
-    route = cp._KIND_ROUTES[spec.jump.base.kind]
+    route = spec.jump.base.cp_route
     if route == "fourier":
         return cp._grid_abs_moment(spec, p, tol)
     return cp._abs_moment(spec, p, tol, route)
@@ -156,6 +156,15 @@ class TestExactRoutes:
         res = cp._abs_moment(spec, float(p), 1e-9, "exact_walk")
         oracle = cp.cp_even_moment_cumulant(spec, p)
         assert abs(res.value - oracle) <= res.error_bound <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("jump,route", [
+        (RAD, "exact_walk"), (GAUSS, "exact_gaussian"), (UNIF, "fourier"), (COSINE, "fourier"),
+        (ATOMS, "fourier")], ids=["rademacher", "gaussian", "uniform", "cosine", "atoms"])
+    def test_route_by_jump_law(self, jump, route):
+        # at non-even p each of the five kinds picks its own route
+        res = cp.cp_abs_moment(cp.CompoundPoissonSpec(1.8, jump), 5.5, tol=1e-9)
+        assert res.method == f"cp_series/{route}"
+        assert res.diagnostics["per_k_method"] == route
 
     @pytest.mark.parametrize("jump,lam,route", [
         (SIX_ATOMS, 1.7, "atoms_exact"),  # every k-fold support within _ATOM_SUPPORT_CAP
@@ -582,26 +591,6 @@ class TestCumulantOracle:
                                    for k in range(1, 61))
             got = cp.cp_even_moment_cumulant(cp.CompoundPoissonSpec(lam, jump), p)
             assert abs(got - float(want)) <= (p + 6) * p * sys.float_info.epsilon * got
-
-
-class TestSampling:
-    def test_zero_intensity_all_zero(self):
-        draws = cp.cp_sample(cp.CompoundPoissonSpec(0.0, RAD), np.random.default_rng(1), 50)
-        assert np.all(draws == 0.0)
-
-    def test_empirical_moments(self):
-        rng = np.random.default_rng(99)
-        draws = cp.cp_sample(cp.CompoundPoissonSpec(1.0, RAD), rng, 1_000_000)
-        for power, want in ((2, 1.0), (4, 4.0)):
-            obs = draws**power
-            se = obs.std(ddof=1) / math.sqrt(obs.size)
-            assert abs(obs.mean() - want) <= 3.0 * se
-
-    def test_deterministic(self):
-        spec = cp.CompoundPoissonSpec(1.3, UNIF)
-        a = cp.cp_sample(spec, np.random.default_rng(7), 1000)
-        b = cp.cp_sample(spec, np.random.default_rng(7), 1000)
-        assert np.array_equal(a, b)
 
 
 class TestPoissonPowerMoment:

@@ -10,37 +10,6 @@ from roskit import specfun
 from roskit.errors import DomainError
 
 
-class TestLogGamma:
-    def test_known_values(self):
-        assert specfun.log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert specfun.log_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-13)
-        assert specfun.log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-
-    def test_accuracy_on_range(self):
-        # reference: scipy's independent implementation
-        xs = np.linspace(0.5, 200.0, 4001)
-        for x in xs:
-            ref = special.gammaln(x)
-            got = specfun.log_gamma(float(x))
-            assert abs(got - ref) <= 1e-13 * max(abs(ref), 0.1)
-
-    def test_recurrence(self):
-        # |lg(x+1) - lg(x) - ln x| <= 1e-12 on [0.5, 100]
-        for x in np.linspace(0.5, 100.0, 997):
-            x = float(x)
-            lhs = specfun.log_gamma(x + 1.0) - specfun.log_gamma(x) - math.log(x)
-            assert abs(lhs) <= 1e-12
-
-    def test_returns_float(self):
-        assert type(specfun.log_gamma(2.5)) is float
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            specfun.log_gamma(0.0)
-        with pytest.raises(DomainError):
-            specfun.log_gamma(-3.2)
-
-
 class TestRegLowerIncGamma:
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
     def test_exponential_cdf(self, x):
