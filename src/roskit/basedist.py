@@ -437,8 +437,6 @@ def abs_moment(V: BaseDistribution, r: float) -> float:
 
 def condition_nonzero(V: BaseDistribution) -> ConditionedBase:
     """The law of V conditioned on V != 0 (atom at zero removed)."""
-    if V.zero_mass >= 1.0:
-        raise DegenerateLawError("cannot condition the zero law on being nonzero")
     if V.zero_mass == 0.0:
         return ConditionedBase(V)
     keep = 1.0 - V.zero_mass

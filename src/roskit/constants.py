@@ -304,8 +304,8 @@ def _thinned_atoms(V: BaseDistribution, c: float, mu: float) -> dict:
 
 def _thinned_enum_result(p: float, V: BaseDistribution, scales, activations,
                          max_support: int) -> ConstantResult:
-    """E|sum_j c_j theta_j V_j|^p for atomic V by exact enumeration of the thinned
-    atom laws, with the support size; SupportOverflowError past max_support."""
+    """E|sum_j c_j theta_j V_j|^p for atomic V by discrete.enum_sum on the thinned
+    atom laws, with its support size or term count; SupportOverflowError past max_support."""
     laws = [_thinned_atoms(V, c, mu) for c, mu in zip(scales, activations)]
     value, err, support = discrete.enum_sum(laws, p, max_support)
     return ConstantResult(value, "exact_enum", err, {"support": support})

@@ -12,6 +12,7 @@ in constants, are checked against a 40-digit sum over every path of atoms.
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -87,7 +88,10 @@ def test_keys_and_moment_within_the_bound(p):
     law = _signed(jump)
     dist = _power(law, k)
     pts = _lattice_law(jump, k)
-    value, bound, support = discrete.enum_sum([law] * k, p)
+    # the merged enumeration, by name: enum_sum takes the even-p series at p = 2 and 8
+    locs, masses = discrete._nfold([law] * k, None)
+    value, bound = discrete._enum_moment(locs, masses, p, [law] * k)
+    support = locs.size
     assert support == len(dist)
     reach = max(law) * k * (k + 1) / 2.0
     delta = (discrete.MERGE_RTOL + 2.0 * np.finfo(float).eps) * reach
@@ -215,8 +219,9 @@ def test_enum_support_of_generic_scales(V, n):
 
 @pytest.mark.parametrize("n", [1, 6, 12])
 def test_enum_support_of_equal_random_signs(n):
+    # the outer pass reports its 3^n terms, the merged enumeration its 2n + 1 points
     res = ct._thinned_enum_result(5.0, RANDOM_SIGN, [0.7] * n, [0.3] * n, 10**6)
-    assert res.diagnostics["support"] == 2 * n + 1
+    assert res.diagnostics["support"] == (3**n if 3**n <= discrete._OUTER_TERMS else 2 * n + 1)
     # every partial sum is merged, so none holds more than its 2i + 1 points
     law = ct._thinned_atoms(RANDOM_SIGN, 0.7, 0.3)
     sizes = [locs.size for locs, _ in discrete._partial_sums([law] * n, None)]
@@ -228,7 +233,8 @@ def test_powers_are_the_sums_of_copies():
     values, support = discrete.enum_powers(law, [1, 4, 6], 5.0, 10**6)
     assert sorted(values) == [1, 4, 6] and support == len(_lattice_power(GENERIC, 6))
     for k, got in values.items():
-        assert got == discrete.enum_sum([law] * k, 5.0)[:2]
+        # the merged enumeration, by name: enum_sum takes the outer pass at k = 1 and 4
+        assert got == discrete._enum_moment(*discrete._nfold([law] * k, None), 5.0, [law] * k)
     with pytest.raises(SupportOverflowError, match="exceeds cap 40$"):
         discrete.enum_powers(law, [6], 5.0, 40)
 
@@ -297,8 +303,10 @@ def test_shift_below_p_one(p):
     # terms by (9e-13)^p: more than p delta (|x| + delta)^(p-1) bounds below p = 1
     b = 1.0 + 9e-13
     laws = [{1.0: 0.5, -1.0: 0.5}, {b: 0.5, -b: 0.5}]
-    value, bound, support = discrete.enum_sum(laws, p)
-    assert support == 3
+    # the merged enumeration, by name: enum_sum takes the outer pass, which merges nothing
+    locs, masses = discrete._nfold(laws, None)
+    value, bound = discrete._enum_moment(locs, masses, p, laws)
+    assert locs.size == 3
     with mpmath.workdps(50):
         want = mpmath.fsum(abs(mpmath.mpf(x) + mpmath.mpf(y)) ** p / 4
                            for x in (1.0, -1.0) for y in (b, -b))
@@ -396,3 +404,140 @@ def test_a_merged_half_takes_the_merged_route(monkeypatch, case):
     locs, masses = discrete._nfold(laws, None)
     assert discrete.enum_sum(laws, 5.37, max_support=locs.size) == (
         *discrete._enum_moment(locs, masses, 5.37, laws), locs.size)
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 2, 60])
+def test_cross_route_past_the_outer_pass(monkeypatch, chunk):
+    # with the outer pass capped below the 625 paths of four generic five-point
+    # laws, they meet in the middle across halves of 25 paths, in one chunk,
+    # 25 chunks of one row or 13 of two
+    laws = CROSS_TUPLES["five-point n=4"]
+    monkeypatch.setattr(discrete, "_OUTER_TERMS", 1)
+    monkeypatch.setattr(discrete, "_CHUNK_PAIRS", chunk)
+    steps = []
+    kernel = discrete._cross_moment
+    monkeypatch.setattr(discrete, "_cross_moment", lambda *a: steps.append(a) or kernel(*a))
+    value, bound, terms = discrete.enum_sum(laws, 5.37)
+    assert terms == 625 and len(steps) == 1
+    assert abs(value - _exact_moment(laws, 5.37)) <= bound
+
+
+def test_a_half_with_close_sums_takes_the_merged_route(monkeypatch):
+    # the distinct signs +-1, +-2, +-3 put 1 + 2 - 3 and -1 - 2 + 3 on 0: the
+    # first half's merged enumeration finds it, and the tuple is enumerated
+    # whole, going on from that half: six factors, not nine
+    laws = [{x: 0.5, -x: 0.5} for x in (1.0, 2.0, 3.0, 5.0, 7.0, 11.0)]
+    locs, masses = discrete._nfold(laws, None)
+    monkeypatch.setattr(discrete, "_OUTER_TERMS", 1)
+    _refuse_cross_steps(monkeypatch)
+    factors = []
+    convolve = discrete._convolve
+    monkeypatch.setattr(discrete, "_convolve", lambda *a: factors.append(a) or convolve(*a))
+    assert discrete.enum_sum(laws, 5.37) == (
+        *discrete._enum_moment(locs, masses, 5.37, laws), locs.size)
+    assert len(factors) == 6
+
+
+# ---------------------------------------------------------------------------
+# the outer pass and the even-p series
+
+ROUTE_TUPLES = {
+    "generic": CROSS_TUPLES["five-point n=4"],
+    "equal": [ct._thinned_atoms(RANDOM_SIGN, 0.7, 0.3)] * 6,  # 729 paths on 13 points
+    "collapsing": COLLAPSING,
+}
+
+
+def _refuse(monkeypatch, *names):
+    def refuse(*args):
+        raise AssertionError("another route was taken")
+    for name in names:
+        monkeypatch.setattr(discrete, name, refuse)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5, 3.0, 5.37])
+@pytest.mark.parametrize("name", list(ROUTE_TUPLES))
+def test_outer_pass_within_the_bound(monkeypatch, name, p):
+    laws = ROUTE_TUPLES[name]
+    merged = discrete._enum_moment(*discrete._nfold(laws, None), p, laws)
+    _refuse(monkeypatch, "_nfold", "_cross_moment")
+    value, bound, terms = discrete.enum_sum(laws, p)
+    assert terms == math.prod(map(len, laws))
+    assert abs(value - _exact_moment(laws, p)) <= bound
+    # rounding alone: no merge radius in the bound
+    assert bound < merged[1]
+
+
+def _fraction_moment(laws, j):
+    """E S^j in exact rationals, by the binomial expansion of (S' + X)^j a law at a time."""
+    moments = [Fraction(1)] + [Fraction(0)] * j
+    for law in laws:
+        own = [sum(Fraction(m) * Fraction(x) ** i for x, m in law.items()) for i in range(j + 1)]
+        moments = [sum(math.comb(i, l) * moments[l] * own[i - l] for l in range(i + 1))
+                   for i in range(j + 1)]
+    return moments[j]
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+@pytest.mark.parametrize("name", [*ROUTE_TUPLES, "ten generic", "twelve generic"])
+def test_even_series_within_the_bound(monkeypatch, name, p):
+    laws = {**ROUTE_TUPLES, "ten generic": _thinned_tuple(RANDOM_SIGN, 10, 30),
+            "twelve generic": _thinned_tuple(FIVE_POINT, 12, 41)}[name]
+    _refuse(monkeypatch, "_outer", "_nfold", "_cross_moment")
+    value, bound, terms = discrete.enum_sum(laws, p)
+    assert terms == math.prod(map(len, laws))
+    want = _fraction_moment(laws, int(p))
+    assert abs(Fraction(value) - want) <= Fraction(bound) and bound < 1e-13 * value
+    if name != "twelve generic":  # 5^12 paths
+        assert abs(value - _exact_moment(laws, p)) <= bound
+
+
+def test_outer_pass_up_to_its_cap(monkeypatch):
+    # a point mass and a law of T or T + 1 generic atoms: T paths take the outer
+    # pass, T + 1 the merged enumeration, bit for bit
+    rng = np.random.default_rng(43)
+    T = discrete._OUTER_TERMS
+
+    def law(size):
+        return dict(zip(rng.uniform(-2.0, 2.0, size).tolist(), [1.0 / size] * size))
+
+    at_cap, past = [{0.37: 1.0}, law(T)], [{0.37: 1.0}, law(T + 1)]
+    locs, masses = discrete._nfold(past, None)
+    assert discrete.enum_sum(past, 5.37) == (
+        *discrete._enum_moment(locs, masses, 5.37, past), locs.size)
+    _refuse(monkeypatch, "_nfold")
+    value, bound, terms = discrete.enum_sum(at_cap, 5.37)
+    assert terms == T
+    assert abs(value - _exact_moment(at_cap, 5.37)) <= bound
+
+
+def test_even_p_enumerates_a_nonsymmetric_tuple(monkeypatch):
+    # one mass off by an ulp, or one law off zero, and the series is not taken
+    half = math.nextafter(0.2, 1.0)
+    spied = []
+    outer = discrete._outer
+    monkeypatch.setattr(discrete, "_outer", lambda laws: spied.append(laws) or outer(laws))
+    for laws in ([{-1.0: 0.3, 2.0: 0.7}, {1.5: 0.5, -1.5: 0.5}],
+                 [{0.0: 0.6, 0.4: 0.2, -0.4: half}, {1.5: 0.5, -1.5: 0.5}]):
+        assert discrete._even_moment(laws, 2) is None
+        value, bound, terms = discrete.enum_sum(laws, 4.0)
+        assert spied.pop() == laws and terms == math.prod(map(len, laws))
+        assert abs(value - _exact_moment(laws, 4.0)) <= bound
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+@pytest.mark.parametrize("null", [{}, {1.0: 0.0, -1.0: 0.0}], ids=["empty", "massless"])
+def test_a_law_without_mass_gives_zero(null, p):
+    # no atom of positive mass: the series has no least term and leaves the
+    # tuple to the outer pass, which sums no mass
+    laws = [null, {1.5: 0.5, -1.5: 0.5}]
+    assert discrete._even_moment(laws, 2) is None
+    assert discrete.enum_sum(laws, p) == (0.0, 0.0, math.prod(map(len, laws)))
+
+
+def test_even_series_leaves_the_normal_floats_to_enumeration():
+    # (1e-80)^8 underflows: the series would lose that term's relative accuracy
+    laws = [{1e-80: 0.5, -1e-80: 0.5}, {1.0: 0.5, -1.0: 0.5}]
+    assert discrete._even_moment(laws, 4) is None
+    value, bound, terms = discrete.enum_sum(laws, 8.0)
+    assert terms == 4 and abs(value - _exact_moment(laws, 8.0)) <= bound

@@ -176,6 +176,12 @@ CHAR_LAWS = [
 ]
 
 
+def _law_id(law):
+    """A stable test id: the law's repr, but a logistic source by its scale (its
+    repr carries the object's address)."""
+    return f"logistic:{law.scale!r}" if isinstance(law, vf.LogisticSource) else repr(law)
+
+
 def _moment_mp(law, r):
     """E|X|^r: closed forms for the Gaussian and the uniform law, quadrature of
     the density at 40 digits (plus atoms) for the rest."""
@@ -220,7 +226,7 @@ def _pdf_mp(law, x):
     return r / 2 * mpmath.exp(-r * x)
 
 
-@pytest.mark.parametrize("law", CHAR_LAWS, ids=repr)
+@pytest.mark.parametrize("law", CHAR_LAWS, ids=_law_id)
 def test_char_gap_within_its_rounding(law):
     # 1 - phi within _GAP_ULPS ulps up to the cap and _GAP_ABS ulps absolute
     # beyond, apart from the rounding of its argument: phi moves by at most
@@ -238,7 +244,7 @@ def test_char_gap_within_its_rounding(law):
             assert abs(g - want) <= allowed, (t, g, want)
 
 
-@pytest.mark.parametrize("law", CHAR_LAWS, ids=repr)
+@pytest.mark.parametrize("law", CHAR_LAWS, ids=_law_id)
 def test_char_envelope_bounds_phi_from_t_on(law):
     ts = np.geomspace(1e-3, 1e3, 120)
     env = law.char_envelope(ts)
@@ -249,7 +255,7 @@ def test_char_envelope_bounds_phi_from_t_on(law):
                 assert abs(_phi_mp(law, u)) <= e * (1 + 1e-12) + 1e-300
 
 
-@pytest.mark.parametrize("law", CHAR_LAWS, ids=repr)
+@pytest.mark.parametrize("law", CHAR_LAWS, ids=_law_id)
 def test_char_taylor_within_its_relative_bound(law):
     s = 0.7 * min(1.0, law.char_cap())
     coefs, rel = law.char_taylor(10, s)

@@ -24,7 +24,8 @@ routes with the grid reference (``constants._thinned_grid_result``, by
 name; thirty thinned uniforms among them), exact enumeration of tuples of
 four to ten laws (``discrete.enum_sum`` across the halves of generic tuples,
 on a tuple whose sums across the halves collide, and on one that repeats
-a law), the witness's
+a law; small tuples at p = 0.5 and 5, and tuples at even p = 4 and 6), the
+witness's
 moment), the randomized search, n-fold
 sums of grid densities (one per log-concave family among them), both
 ordering checks (the density ordering also at 2, 32 and 200 summands on
@@ -302,7 +303,8 @@ def routes():
     # tuples of four or more laws, enumerated in halves where the laws are
     # distinct and neither half merges: generic thinned laws, and +-1, +-2,
     # +-3, +-4, whose 16 sums across the halves fall on 11 points; +-1, +-3,
-    # +-1, +-5 repeats a law and is enumerated whole
+    # +-1, +-5 repeats a law and is enumerated whole (where a commit has the
+    # outer pass, it takes every tuple of at most 8,192 paths: the last two)
     rng = np.random.default_rng(35)
     five_point = bd.symmetric_atoms([(0.0, 0.2), (0.7, 0.5), (1.3, 0.3)])
     tuples = {
@@ -315,6 +317,14 @@ def routes():
     }
     for name, laws in tuples.items():
         show(f"enum_sum {name}", lambda laws=laws: Exact(*dc.enum_sum(laws, 5.37)))
+    # small tuples, multiplied out in one pass where a commit has the outer pass,
+    # and even p, from the moment series where a commit has it
+    equal = [ct._thinned_atoms(BASES["rademacher"], 0.7, 0.3)] * 6
+    cases = [("six equal three-point laws", equal, 5.0), ("six equal three-point laws", equal, 6.0),
+             ("four three-point laws", tuples["ten three-point laws"][:4], 0.5),
+             ("ten three-point laws", tuples["ten three-point laws"], 4.0)]
+    for name, laws, p in cases:
+        show(f"enum_sum {name} p={p:g}", lambda laws=laws, p=p: Exact(*dc.enum_sum(laws, p)))
     seven = ct.MomentBudget.per_pair(5.0, [1.0 - 0.05 * j for j in range(7)],
                                      [1.6 - 0.03 * j for j in range(7)])
     show("individual auto atoms3 n=7", ct.mixture_individual_sup, 5.0, THREE_ATOMS, seven)
