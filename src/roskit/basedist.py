@@ -50,6 +50,7 @@ class BaseDistribution:
 
     kind: ClassVar[str]
     cp_route: ClassVar[str] = "fourier"  # cpoisson's route at non-even p
+    thinned_route: ClassVar[str] = "fourier"  # constants' route of a short thinned sum
     is_atomic: ClassVar[bool] = False
     zero_mass: ClassVar[float] = 0.0
 
@@ -102,6 +103,7 @@ class Atoms(BaseDistribution):
     atoms: tuple  # ((location, mass), ...), locations >= 0 increasing
     kind = "atoms"
     is_atomic = True
+    thinned_route = "exact_enum"
 
     def __post_init__(self):
         if not self.atoms:
@@ -263,6 +265,7 @@ class Uniform(_SeriesGap):
 
     half_width: float = 1.0
     kind = "uniform"
+    thinned_route = "exact_uniform"
 
     def __post_init__(self):
         if not 0.0 < self.half_width < math.inf:

@@ -188,15 +188,28 @@ def _cumulant_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, ta
 def _skellam_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
     # T = N1 - N2 for independent Poisson(lam / 2) counts, so P(|T| = n) =
     # 2 e^-lam I_n(lam) (Skellam), and |T| <= xi leaves at most the series
-    # tail; ive errs by about 1e-13 relative out at n = 10 sqrt(lam)
+    # tail; ive errs by about 1e-13 relative out at n = 10 sqrt(lam).  The terms
+    # n^p e^-lam I_n(lam) are taken in log space, as in _poisson_terms, so that
+    # n^p stays finite at large p
     n = np.arange(1.0, K + 1)
     lam = spec.lam
-    # ive underflows to 0 below lam ~ 1e-304; below 1e-150, e^-lam I_n(lam) is
-    # (lam / 2)^n / n! up to a relative lam, and exp rounds it within 1e-13
-    probs = (ive(n, lam) if lam > 1e-150
-             else np.exp(n * math.log(0.5 * lam) - gammaln(n + 1.0)))
-    value = 2.0 * math.fsum((n**p * probs).tolist())
-    return value, tail + 1e-13 * value, {}
+    # (lam / 2)^n / n! <= e^-lam I_n(lam) e^lam <= that times e^(lam^2 / (4 (n + 1)));
+    # below lam = 1e-150 the first is e^-lam I_n(lam) up to a relative lam
+    log_series = n * math.log(0.5 * lam) - gammaln(n + 1.0)
+    probs = ive(n, lam) if lam > 1e-150 else np.exp(log_series)
+    # where ive underflows, its terms go into the bound, by the second or by
+    # twice the smallest normal float
+    normal = probs >= sys.float_info.min
+    log_probs = np.where(normal, np.log(np.where(normal, probs, 1.0)),
+                         np.minimum(log_series + lam * lam / (4.0 * (n + 1.0)) - lam,
+                                    math.log(2.0 * sys.float_info.min)))
+    power = p * np.log(n)
+    terms = np.exp(power + log_probs)
+    value = 2.0 * math.fsum(terms[normal].tolist())
+    lost = 2.0 * math.fsum(terms[~normal].tolist())
+    # exp turns the exponent's absolute rounding into the term's relative one (as in _rounding)
+    rounding = 8.0 * _EPS * float((terms * (1.0 + power + np.abs(log_probs)))[normal].sum())
+    return value, tail + lost + rounding + 1e-13 * value, {}
 
 
 def _gaussian_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):

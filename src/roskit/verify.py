@@ -6,8 +6,8 @@ integral over phi^n on the Fourier route, fourier.plan_sum and
 sum_abs_moment, and n-fold grid densities on the gridconv spectral kernel
 where the plan's route is "grid": a law without char_gap, or a sum past
 fourier.MAX_SUM_PANELS panels), the moments of search candidates
-(constants._thinned_sum_moment: exact enumeration for atomic ones within
-the summand cap, else the Fourier route, conditioned on summand activity
+(constants._thinned_sum_moment: exact enumeration for atomic ones and the
+signed path sum for uniform ones within the summand cap, else the Fourier route, conditioned on summand activity
 past fourier.SUBPLAN_PANELS), randomized search over
 feasible tuples against the theorem-side suprema, sign-change counting
 for density differences, convexity and determinant checks for the
@@ -323,9 +323,11 @@ def search_sup_U(
     shape of the extremisers), with both budget rows allocated by random
     Dirichlet shares and enforced exactly.  Each candidate's moment is
     constants._thinned_sum_moment's (at most 1,000,000 enumerated support
-    points): atomic candidates are enumerated exactly, and the rest take the
-    Fourier route, conditioned on the activity of their widest thinned
-    summands where the plan passes fourier.SUBPLAN_PANELS panels.  The report
+    points): atomic candidates are enumerated exactly, uniform ones summed
+    over their activity and sign paths (exact_uniform) where that bound meets
+    tol, and the rest take the Fourier route, conditioned on the activity of
+    their widest thinned summands where the plan passes fourier.SUBPLAN_PANELS
+    panels.  The report
     records the best value found and its
     method, the theorem value, equal-split diagnostics and the count of
     candidates per method (details["routes"]); the invariant

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 
 from roskit import basedist, constants, cpoisson, discrete
 from roskit.cli import CSV_COLUMNS, main
+from roskit.errors import DomainError
 
 
 def run_cli(*args):
@@ -29,9 +31,9 @@ def cross_terms(monkeypatch):
     counts = []
     kernel = discrete._cross_moment
 
-    def counted(x1, m1, x2, m2, p):
+    def counted(x1, m1, x2, m2, *rest):
         counts.append(x1.size * x2.size)
-        return kernel(x1, m1, x2, m2, p)
+        return kernel(x1, m1, x2, m2, *rest)
 
     monkeypatch.setattr(discrete, "_cross_moment", counted)
     return counts
@@ -159,21 +161,53 @@ class TestSupCommand:
         return (",".join(map(repr, a)), ",".join(repr(ratio * x) for x in a))
 
     def test_uniform_budgets_at_large_p(self):
+        # the exact uniform route answers to 1e-13; the Fourier route, called by
+        # name on the same extremisers, carries 1e-3 to 2e-2 of its value here
         a, b = self._uniform_budgets_at(40.5)
         res = run_cli("sup", "--p", "40.5", "--V", "uniform:w=1", "--a", a, "--b", b)
         assert res.exit_code == 0
         rec = parse_json_lines(res.output)[0]
-        assert rec["method"] == "fourier" and rec["value"] > 0.0
-        assert 1e-3 * rec["value"] < rec["error_bound"] < 2e-2 * rec["value"]
+        assert rec["method"] == "exact_uniform" and rec["value"] > 0.0
+        assert rec["error_bound"] < 1e-12 * rec["value"]
+        ref = constants._thinned_fourier_result(40.5, basedist.uniform(1.0), rec["scales"],
+                                                rec["activations"], 1e-6)
+        assert 1e-3 * ref.value < ref.error_bound < 2e-2 * ref.value
+        assert abs(rec["value"] - ref.value) <= rec["error_bound"] + ref.error_bound
 
-    @pytest.mark.parametrize("p", ["45.5", "60.5"])
-    def test_uniform_budgets_past_all_accuracy_exit_2(self, p):
-        # the Taylor sums cancel: -5.6e38 +- 7.0e43 at p = 60.5 was printed with exit 0
+    @pytest.mark.parametrize("p", ["45.5", "60.5", "100.5", "150.5"])
+    def test_uniform_budgets_past_the_fourier_accuracy(self, p):
+        # the Taylor sums cancel: -5.6e38 +- 7.0e43 at p = 60.5 was printed with
+        # exit 0, then refused by the Fourier route with exit 2; the exact
+        # uniform route answers
         a, b = self._uniform_budgets_at(float(p))
         res = run_cli("sup", "--p", p, "--V", "uniform:w=1", "--a", a, "--b", b)
+        assert res.exit_code == 0 and res.stderr == ""
+        rec = parse_json_lines(res.output)[0]
+        assert rec["method"] == "exact_uniform" and 0.0 < rec["error_bound"] < 2e-13 * rec["value"]
+        with pytest.raises(DomainError, match=f"p = {p}"):
+            constants._thinned_fourier_result(float(p), basedist.uniform(1.0), rec["scales"],
+                                              rec["activations"], 1e-6)
+
+    @pytest.mark.parametrize("p", ["100.5", "150.5"])
+    def test_uniform_budgets_past_all_accuracy_exit_2(self, p):
+        # fifteen summands, past MAX_ENUM_SUMMANDS, take the Fourier route, whose
+        # Taylor sums cancel past all accuracy: exit 2 naming p
+        a, b = self._uniform_budgets_at(float(p))
+        res = run_cli("sup", "--p", p, "--V", "uniform:w=1", "--a", ",".join([a] * 5),
+                      "--b", ",".join([b] * 5))
         assert res.exit_code == 2
         err = json.loads(res.stderr)
         assert err["error"] == "DomainError" and f"p = {p}" in err["message"]
+
+    def test_random_signs_at_large_p(self):
+        # the Skellam sum's n^p overflowed past p ~ 150: two RuntimeWarnings and
+        # exit 2, though E|T|^150.5 = 3.28e182 (a 30-digit sum of 2 e^-1 I_n(1) n^150.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_cli("sup", "--p", "150.5", "--V", "rademacher", "--A", "1", "--B", "1")
+        assert res.exit_code == 0 and res.stderr == ""
+        rec = parse_json_lines(res.output)[0]
+        assert abs(rec["value"] - 3.2817793472469327e182) <= rec["error_bound"] <= 1e-11 * rec["value"]
 
     @pytest.mark.parametrize("a,b", [("1.5", "1.0"), ("1,x", "1,2")])
     def test_infeasible_budgets_exit_2(self, a, b):
@@ -530,10 +564,11 @@ class TestVerifyCommand:
                                        "--A", "0.7", "--n", "6", "--trials", "30",
                                        "--seed", "6").output)[0]
         # trial 2, scales 3.5e4 apart, went to the grid before conditioning on
-        # summand activity; the best candidate against the grid reference
-        assert rec["detail_routes"] == {"sum_fourier": 36}
+        # summand activity; its exact uniform bound passes tol, so it takes the
+        # Fourier route.  The best candidate against the grid reference
+        assert rec["detail_routes"] == {"exact_uniform": 35, "sum_fourier": 1}
         best = rec["best_config"]
-        assert best["method"] == "sum_fourier"
+        assert best["method"] == "exact_uniform"
         grid = constants._thinned_grid_result(3.0, basedist.uniform(1.0), best["scales"],
                                               best["activations"], 1e-6, 2048)
         assert abs(rec["best_value"] - grid.value) <= rec["best_error_bound"] + grid.error_bound

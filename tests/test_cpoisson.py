@@ -150,6 +150,19 @@ class TestExactRoutes:
         assert res.method == "cp_series/exact_walk"
         assert abs(res.value - ref) <= res.error_bound <= 1e-12 + 2e-13 * ref
 
+    @pytest.mark.parametrize("p", [100.5, 150.5, 169.9])
+    def test_skellam_at_large_p(self, p):
+        # n^p overflowed a float past p ~ 150 where ive had underflowed to 0:
+        # inf * 0, two RuntimeWarnings and a DomainError; against a 30-digit sum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = cp.cp_abs_moment(cp.CompoundPoissonSpec(1.0, RAD), p, 1e-9)
+        assert res.method == "cp_series/exact_walk"
+        with mpmath.workdps(30):
+            ref = 2 * mpmath.exp(-1) * mpmath.nsum(
+                lambda n: mpmath.besseli(n, 1) * n ** mpmath.mpf(p), [1, mpmath.inf])
+        assert abs(res.value - ref) <= res.error_bound <= 1e-11 * res.value
+
     @pytest.mark.parametrize("p", [4, 6, 8])
     def test_skellam_large_intensity(self, p):
         spec = cp.CompoundPoissonSpec(84_300.0, RAD)

@@ -541,3 +541,55 @@ def test_even_series_leaves_the_normal_floats_to_enumeration():
     assert discrete._even_moment(laws, 4) is None
     value, bound, terms = discrete.enum_sum(laws, 8.0)
     assert terms == 4 and abs(value - _exact_moment(laws, 8.0)) <= bound
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+def test_powers_at_even_p_are_the_series_of_copies(monkeypatch, p):
+    # a symmetric law's k-fold powers at even p: enum_sum's series on k copies,
+    # bit for bit, with nothing enumerated; within the bound of exact rationals
+    # and of the merged enumeration, called by name
+    law = _signed([(0.3 * i + 0.1, 0.1) for i in range(10)])
+    merged = {k: discrete._enum_moment(*discrete._nfold([law] * k, None), p, [law] * k)
+              for k in (1, 4, 8)}
+    _refuse(monkeypatch, "_partial_sums", "_nfold", "_outer")
+    values, support = discrete.enum_powers(law, [1, 4, 8], p, 10)
+    assert sorted(values) == [1, 4, 8] and support == len(law) ** 8
+    for k, (value, bound) in values.items():
+        assert (value, bound) == discrete.enum_sum([law] * k, p)[:2]
+        assert abs(Fraction(value) - _fraction_moment([law] * k, int(p))) <= Fraction(bound)
+        assert bound < 1e-13 * value and bound < merged[k][1]
+        assert abs(value - merged[k][0]) <= bound + merged[k][1]
+
+
+def test_powers_at_even_p_enumerate_a_nonsymmetric_law():
+    law = {-1.0: 0.3, 2.0: 0.7}
+    values, support = discrete.enum_powers(law, [3], 4.0, 10**6)
+    locs, masses = discrete._nfold([law] * 3, None)
+    assert values[3] == discrete._enum_moment(locs, masses, 4.0, [law] * 3)
+    assert support == locs.size
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5])
+@pytest.mark.parametrize("route", ["outer", "cross"])
+@pytest.mark.parametrize("name", ["signs", "thinned", "collapsing"])
+def test_shift_below_p_one_per_point(monkeypatch, name, route, p):
+    # p delta (|x| - delta)^(p-1) a point away from zero, delta^p only within
+    # delta of it, where delta^p M charged every path: generic signs put no
+    # path there, and their bound is rounding-sized; thinned laws put their
+    # all-off path on 0, and +-1, +-2, +-3, +-4 two of 16 paths, which keep
+    # delta^p.  Against 40-digit path sums, on both unmerged routes
+    laws = {"signs": [{x: 0.5, -x: 0.5} for x, _ in GENERIC] + [{0.7071: 0.5, -0.7071: 0.5}],
+            "thinned": CROSS_TUPLES["five-point n=4"], "collapsing": COLLAPSING}[name]
+    if route == "cross":
+        monkeypatch.setattr(discrete, "_OUTER_TERMS", 1)
+        _refuse(monkeypatch, "_outer")
+    else:
+        _refuse(monkeypatch, "_cross_moment")
+    value, bound, terms = discrete.enum_sum(laws, p)
+    assert terms == math.prod(map(len, laws))
+    assert abs(value - _exact_moment(laws, p)) <= bound
+    delta = discrete._delta(laws, 0.0)
+    at_zero = {"signs": 0.0, "thinned": math.prod(law.get(0.0, 0.0) for law in laws),
+               "collapsing": 0.125}[name]
+    assert delta**p * at_zero <= bound < delta**p * at_zero + 1e-12 * value
+    assert bound < 0.2 * delta**p * math.prod(sum(law.values()) for law in laws)

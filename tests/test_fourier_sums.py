@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from roskit import basedist as bd
 from roskit import constants as ct
+from roskit import discrete as dc
 from roskit import fourier, gridconv
 from roskit import logconcave as lc
 from roskit import specfun
 from roskit import verify as vf
-from roskit.errors import InputError
+from roskit.errors import DomainError, InputError, RoskitError
 from roskit.fourier import Term
 
 EPS = sys.float_info.epsilon
@@ -511,7 +512,8 @@ def test_panel_budget_at_the_measured_crossover():
 
 # ---------------------------------------------------------------------------
 # search candidates: thinned uniforms whose scales differ by up to four orders
-# of magnitude at p = 3 (search seed 6), on both routes of one entry
+# of magnitude at p = 3 (search seed 6), on the Fourier route, called by name,
+# and on the program's route
 
 
 @pytest.mark.parametrize("p", [3.0, 5.0])
@@ -519,11 +521,12 @@ def test_panel_budget_at_the_measured_crossover():
 def test_search_candidates_against_oracle(p, seed):
     # a plan past fourier.SUBPLAN_PANELS is conditioned on its widest thinned
     # summands, and every sub-plan then fits that cap: none takes the grid.  The
-    # uniform summands are bounded, so most plans take panels wider than 1
-    depths, wide = set(), 0
+    # uniform summands are bounded, so most plans take panels wider than 1.  The
+    # program takes the exact uniform route wherever its bound meets tol
+    depths, wide, routes = set(), 0, collections.Counter()
     for _, scales, activations in vf._candidates(p, UNIFORM, 0.7, 1.0, 6, 30, seed):
-        res = ct._thinned_sum_moment(p, UNIFORM, scales, activations, 1e-6, 1_000_000)
         want = thinned_uniform_oracle(p, scales, activations)
+        res = ct._thinned_fourier_result(p, UNIFORM, scales, activations, 1e-6)
         assert abs(res.value - want) <= res.error_bound
         assert res.method == "sum_fourier"
         groups = collections.Counter(zip(scales, activations))
@@ -533,9 +536,135 @@ def test_search_candidates_against_oracle(p, seed):
         assert res.diagnostics["fourier_panels"] <= fourier.SUBPLAN_PANELS
         depths.add(res.diagnostics["depth"])
         wide += plan.width > 1.0
+        chosen = ct._thinned_sum_moment(p, UNIFORM, scales, activations, 1e-6, 1_000_000)
+        assert abs(chosen.value - want) <= chosen.error_bound <= 1e-6 * chosen.value
+        assert abs(chosen.value - res.value) <= chosen.error_bound + res.error_bound
+        routes[chosen.method] += 1
     if p == 3.0:  # the wide-ratio hazard: some candidates are conditioned
         assert max(depths) >= 1
     assert wide > 0
+    assert routes["exact_uniform"] >= 35 and set(routes) <= {"exact_uniform", "sum_fourier"}
+
+
+# ---------------------------------------------------------------------------
+# the exact uniform route: discrete.uniform_sum, the signed sum over the 3^n
+# activity and sign paths, against the oracle and the Fourier route
+
+
+def _exact_or_fourier(p, scales, activations, tol):
+    """What constants._thinned_sum_moment should return: the exact uniform sum
+    where its bound meets tol, else the Fourier route, or the error it raises."""
+    exact = dc.uniform_sum(scales, activations, p, 1.0, ct._UNIFORM_PATHS)
+    if exact is not None and exact[1] <= tol * exact[0]:
+        return "exact_uniform", exact[:2]
+    try:
+        res = ct._thinned_fourier_result(p, UNIFORM, scales, activations, tol)
+    except RoskitError as exc:
+        return "sum_fourier", repr(exc)
+    return res.method, (res.value, res.error_bound)
+
+
+def _chosen(p, scales, activations, tol):
+    try:
+        res = ct._thinned_sum_moment(p, UNIFORM, scales, activations, tol, 1_000_000)
+    except RoskitError as exc:
+        return "sum_fourier", repr(exc)
+    return res.method, (res.value, res.error_bound)
+
+
+@st.composite
+def uniform_tuples(draw):
+    p = draw(st.one_of(st.floats(2.0, 170.0, exclude_min=True),
+                       st.sampled_from([3.0, 4.0, 5.0, 6.0, 170.0])))
+    n = draw(st.integers(1, 8))
+    scales = [10.0 ** draw(st.floats(-4.0, 0.0)) for _ in range(n)]
+    top = max(scales)  # the widest summand at scale 1: no overflow at p = 170
+    activations = [draw(st.one_of(st.just(1.0), st.floats(-6.0, 0.0).map(lambda e: 10.0**e)))
+                   for _ in range(n)]
+    return p, [c / top for c in scales], activations, draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(uniform_tuples())
+def test_exact_uniform_sweep(case):
+    # up to eight thinned uniforms, scales up to 1e4 apart, activations down to
+    # 1e-6, 2 < p <= 170: within its bound of the oracle, within both bounds of
+    # the Fourier route wherever that one answers, and the program falls back to
+    # the Fourier route exactly where the bound passes tol
+    p, scales, activations, tol = case
+    value, bound, paths = dc.uniform_sum(scales, activations, p)
+    assert paths == math.prod(2 if mu == 1.0 else 3 for mu in activations)
+    assert abs(value - thinned_uniform_oracle(p, scales, activations)) <= bound
+    try:
+        res = ct._thinned_fourier_result(p, UNIFORM, scales, activations, 1e-6)
+    except (DomainError, InputError):
+        pass
+    else:
+        assert abs(value - res.value) <= bound + res.error_bound
+    assert _chosen(p, scales, activations, tol) == _exact_or_fourier(p, scales, activations, tol)
+
+
+@pytest.mark.parametrize("p", [40.5, 60.5, 100.5, 150.5])
+def test_exact_uniform_budgets_at_large_p(p):
+    # b_j = 1.3 (||V||_p / ||V||_2) a_j, a = (1, 0.7, 0.5): past p = 45 the
+    # Fourier route's Taylor sums cancel past all accuracy
+    ratio = 1.3 * (p + 1.0) ** (-1.0 / p) * math.sqrt(3.0)
+    a = [1.0, 0.7, 0.5]
+    res = ct.mixture_individual_sup(p, UNIFORM, ct.MomentBudget.per_pair(
+        p, a, [ratio * x for x in a]))
+    assert res.method == "exact_uniform" and res.diagnostics["paths"] == 27
+    assert res.error_bound <= 2e-13 * res.value
+    want = thinned_uniform_oracle(p, res.diagnostics["scales"], res.diagnostics["activations"])
+    assert abs(res.value - want) <= res.error_bound
+
+
+def test_exact_uniform_falls_back_where_its_bound_passes_tol():
+    # trial 2 of search seed 6 at p = 3: scales 3.5e4 apart, whose signed paths
+    # cancel to a bound of 2.6e-5 of the value; the Fourier route meets 1e-6
+    _, scales, activations = list(vf._candidates(3.0, UNIFORM, 0.7, 1.0, 6, 30, 6))[2]
+    value, bound, _ = dc.uniform_sum(scales, activations, 3.0)
+    assert 1e-6 * value < bound < 1e-4 * value
+    res = ct._thinned_sum_moment(3.0, UNIFORM, scales, activations, 1e-6, 1_000_000)
+    assert res.method == "sum_fourier" and res.error_bound <= 1e-6 * res.value
+    assert abs(res.value - value) <= res.error_bound + bound
+    assert abs(res.value - thinned_uniform_oracle(3.0, scales, activations)) <= res.error_bound
+
+
+@pytest.mark.parametrize("n,mu,route", [
+    (8, 0.5, "exact_uniform"),     # 3^8 = 6,561 paths: the cap
+    (9, 0.5, "sum_fourier"),       # 19,683
+    (12, 1.0, "exact_uniform"),    # unthinned: 2^12 = 4,096
+])
+def test_exact_uniform_up_to_its_path_cap(n, mu, route):
+    assert ct._UNIFORM_PATHS == 3**8
+    scales = [0.3 + 0.17 * j for j in range(n)]
+    res = ct._thinned_sum_moment(5.0, UNIFORM, scales, [mu] * n, 1e-9, 1_000_000)
+    assert res.method == route and res.error_bound <= 1e-9 * res.value
+    ref = ct._thinned_fourier_result(5.0, UNIFORM, scales, [mu] * n, 1e-9)
+    assert abs(res.value - ref.value) <= res.error_bound + ref.error_bound
+
+
+def test_exact_uniform_scales_by_the_half_width():
+    # E|sum c_j theta_j U[-w, w]|^p = w^p E|sum c_j theta_j U[-1, 1]|^p
+    scales, activations = [1.0, 0.37, 2.2], [0.3, 1.0, 0.05]
+    res = ct._thinned_sum_moment(7.3, bd.uniform(2.5), scales, activations, 1e-9, 1_000_000)
+    assert res.method == "exact_uniform"
+    want = thinned_uniform_oracle(7.3, [2.5 * c for c in scales], activations)
+    assert abs(res.value - want) <= res.error_bound
+
+
+@pytest.mark.parametrize("scales,activations,why", [
+    ([1.0, 1e-310], [0.5, 0.5], "a scale below the normal floats"),
+    ([1.0, 0.5], [1e-200, 1e-200], "a weight below the normal floats"),
+])
+def test_exact_uniform_leaves_what_floats_cannot_hold(scales, activations, why):
+    assert dc.uniform_sum(scales, activations, 5.0) is None, why
+
+
+def test_exact_uniform_drops_empty_summands():
+    # a zero budget share gives scale and activation 0: no path
+    assert dc.uniform_sum([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], 5.0) == dc.uniform_sum([1.0], [1.0], 5.0)
+    assert dc.uniform_sum([], [], 5.0) == (0.0, 0.0, 1)
 
 
 # ---------------------------------------------------------------------------

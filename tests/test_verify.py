@@ -183,8 +183,8 @@ class TestSearch:
         assert rep.best_value <= rep.theorem_value * (1.0 + 1e-6)
 
     @pytest.mark.parametrize("V,p,routes", [
-        (bd.uniform(1.0), 5.0, {"sum_fourier": 26}),
-        (bd.uniform(1.0), 3.0, {"sum_fourier": 26}),
+        (bd.uniform(1.0), 5.0, {"exact_uniform": 26}),
+        (bd.uniform(1.0), 3.0, {"exact_uniform": 26}),
         (bd.rademacher(), 5.0, {"exact_enum": 26}),
     ])
     def test_routes_counted(self, V, p, routes):

@@ -61,8 +61,11 @@ The same holds for an individual-budget line whose ``method`` moved between
 and bound without the diagnostics, which differ between the two routes), and
 for a witness line whose ``NAME/two_block`` tag moved (the witness prints
 ``Routed`` too, and the CLI's ``estimated_moment`` counts as its value).
-The search lines print the total of ``details["routes"]``, since candidates
-moved between the routes by design.
+The same holds for a ``method`` that moved among ``grid``, ``fourier``,
+``sum_fourier`` and ``exact_uniform`` (thinned uniform sums and the search's
+best candidate), and the CLI search's ``detail_routes`` is compared by its
+total, its move reported.  The search lines print the total of
+``details["routes"]``, since candidates moved between the routes by design.
 For each differing line it prints the relative change of its values ("value
 unchanged" where only bounds or diagnostics moved), apart from the largest
 relative change among its other numbers, and how far each moved value went,
@@ -265,6 +268,18 @@ def routes():
                  n_max=3, trials=4, seed=2)
     show("search_sup_U p=3.0 uniform seed 6", searched, 3.0, BASES["uniform"], 0.7, 1.0,
          n_max=6, trials=30, seed=6)
+    # uniform search candidates and per-summand budgets on the exact uniform route
+    # where a commit has it: trial 2 of search seed 6, scales 3.5e4 apart, falls
+    # back to the Fourier route; p = 40.5 is near the Fourier route's last accuracy
+    candidates = list(vf._candidates(3.0, BASES["uniform"], 0.7, 1.0, 6, 30, 6))
+    for trial in (2, 26):
+        _, scales, activations = candidates[trial]
+        show(f"thinned uniform seed 6 trial {trial}", routed, ct._thinned_sum_moment, 3.0,
+             BASES["uniform"], scales, activations, 1e-6, 1_000_000)
+    for p in (5.0, 40.5):
+        ratio = 1.3 * (p + 1.0) ** (-1.0 / p) * math.sqrt(3.0)
+        show(f"individual uniform p={p}", routed, ct.mixture_individual_sup, p, BASES["uniform"],
+             ct.MomentBudget.per_pair(p, [1.0, 0.7, 0.5], [ratio, 0.7 * ratio, 0.5 * ratio]))
     show("nfold_moment logistic n=4 p=8", vf.nfold_moment,
          [vf.grid_density(vf.LogisticSource(1.0718), 16384)] * 4, 8.0)
     show("check_logconcave_ordering", lambda: Ordering(*vf.check_logconcave_ordering(
@@ -356,8 +371,12 @@ def cli():
 # a route tag: compound Poisson's cp_series/NAME or per_k_method entry, the grid
 # and Fourier routes of individual budgets, or the witness's NAME/two_block
 ROUTE = re.compile(r"(?<=cp_series/)\w+|(?<=per_k_method': ')\w+|(?<=per_k_method\": \")\w+"
-                   r"|(?<=method=')(?:grid|fourier)(?=')|(?<=method=')\w+(?=/two_block')"
-                   r"|(?<=method\": \")\w+(?=/two_block\")")
+                   r"|(?<=method=')(?:grid|fourier|sum_fourier|exact_uniform)(?=')"
+                   r"|(?<=method': ')(?:sum_fourier|exact_uniform)(?=')"
+                   r"|(?<=method\": \")(?:sum_fourier|exact_uniform)(?=\")"
+                   r"|(?<=method=')\w+(?=/two_block')|(?<=method\": \")\w+(?=/two_block\")")
+# the CLI search's count of candidates per route, compared by its total
+ROUTE_COUNTS = re.compile(r'(?<="detail_routes": )\{[^{}]*\}')
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)(?![\w.])")
 # value / error_bound, and the search's best_ and theorem_ pairs, as repr fields or JSON keys
 PREFIX = r"(?<![\w\"])(\"?)(best_|theorem_|)"
@@ -474,14 +493,19 @@ def without_values(line: str, columns: list[str] | None) -> str:
 def compare_line(before: str, after: str, columns: list[str] | None = None) -> tuple[str, bool]:
     """Judge one differing line pair: (report, passed)."""
     note = ""
+    counts = [ROUTE_COUNTS.search(line) for line in (before, after)]
+    if all(counts) and counts[0].group() != counts[1].group():
+        note = f"routes {counts[0].group()} -> {counts[1].group()}; "
+        before, after = (ROUTE_COUNTS.sub(lambda m: str(sum(map(int, NUMBER.findall(m.group())))),
+                                          line) for line in (before, after))
     if columns is None:
         after, added, removed = drop_added(before, after)
         if removed:
             return f"keys removed: {', '.join(removed)}", False
-        note = f"added keys: {', '.join(added)}" if added else ""
+        note += f"added keys: {', '.join(added)}" if added else ""
         if after == before:
             return f"{note}; numbers unchanged", True
-        note = note and f"{note}; "
+        note = note and f"{note.rstrip('; ')}; "
     if NUMBER.sub("#", before) != NUMBER.sub("#", after):
         moved = sorted({f"{a} -> {b}" for a, b in zip(ROUTE.findall(before), ROUTE.findall(after))
                         if a != b})

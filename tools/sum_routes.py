@@ -18,7 +18,9 @@ thousands of panels.
 With ``--search`` it prints, for every candidate of verify.search_sup_U on
 the uniform law at p = 3 (A = 0.7, B = 1, n_max = 6, 30 trials, tol 1e-6)
 for search seeds 0, 6 and 1234, whose summand scales differ by up to four
-orders of magnitude, what constants._thinned_sum_moment does with it: the
+orders of magnitude, what the Fourier route (constants._thinned_fourier_result,
+which uniform candidates take where the exact uniform bound passes tol) does
+with it: the
 panel width of its unconditioned plan (wider than 1 where the sum's band
 limit allows, fourier._PANEL_PHASE radians of its top frequency per panel),
 that plan's panels and its panels at unit width, the depth m that
@@ -106,8 +108,8 @@ def main():
 
 
 def _conditioned(p, scales, activations):
-    res, elapsed = _timed(lambda: constants._thinned_sum_moment(
-        p, basedist.uniform(1.0), scales, activations, 1e-6, 1_000_000))
+    res, elapsed = _timed(lambda: constants._thinned_fourier_result(
+        p, basedist.uniform(1.0), scales, activations, 1e-6))
     return res, elapsed
 
 
