@@ -13,10 +13,13 @@ picks one route from a table (_ROUTES), by p and the jump law's cp_route:
 - uniform, cosine and atomic jumps: von Bahr's integral over phi_T
   (fourier.abs_moment), its Taylor part from the same cumulants.
 
-Every route first finds the series depth K where the crude but rigorous
-bound E|S_k|^p <= (k ||jump||_p)^p certifies the discarded tail, at most
-tol times a lower bound of the value: the series routes stop there, every
-route reports K and the tail, and a depth past MAX_SERIES_TERMS is refused.
+The routes that sum a series over the jump count (the Skellam sum and the
+two references below) find its depth K where the crude but rigorous bound
+E|S_k|^p <= (k ||jump||_p)^p certifies the discarded tail, at most tol
+times a lower bound of the value (_series_depth): they stop there, report K
+and the tail, and refuse a depth past MAX_SERIES_TERMS.  Every route answers
+only where 0 < bound < value; an overflow or a wider bound is a DomainError
+that names p.
 Two independent references stay that only a call by name picks: the series
 E|T|^p = e^-lambda sum_k lambda^k / k! E|S_k|^p with each E|S_k|^p of
 atomic jumps enumerated exactly (atoms_exact), and the gridconv spectral
@@ -128,12 +131,12 @@ def _truncation_depth(lam: float, p: float, m_p: float, tol: float):
     return K, float(suffix[past[-1] + 1])
 
 
-def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float):
     """Whole-series value by the spectral kernel with exp(lam (phi - 1)),
     two transforms per resolution, on a grid whose period holds the window
     |x| <= T and keeps sums of up to K + 3 jumps out of it up to a second
-    radius T2; gridconv.grid_moment's bound plus the series tail and the
-    alias documented below."""
+    radius T2 (K the _series_depth); gridconv.grid_moment's bound plus the
+    series tail and the alias documented below."""
     lam = spec.lam
     base = spec.jump.base
     bound = base.support_bound()
@@ -141,6 +144,7 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int
         raise UnsupportedMethodError(
             f"the compound Poisson grid takes bounded and atomic jumps, not {base.kind!r} ones; "
             "Gaussian jumps have the exact route, cp_abs_moment")
+    K, tail = _series_depth(spec, p, tol)
     sigma2 = base.variance_proxy()
     steps = gridconv.edge_steps(bound, _GRID_BASE)
     jump = (gridconv.Summand(None, bound, base.signed_atoms(), proxy=sigma2) if base.is_atomic
@@ -168,16 +172,18 @@ def _cp_char_grid_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int
         phi[down] = math.exp(-lam) * np.expm1(lam * phi[down])
         return phi
 
-    # window |x| <= T, with sum_{k<=K} w_k E[|S_k|^p; |S_k| > T] certified < tol / 100;
-    # sums of up to K + 3 jumps wrap into the window only from beyond T2
-    grid = gridconv.grid_moment([jump], steps, p, tol, weights[:K], weights, poissonise, K + 3)
+    # window |x| <= T, with sum_{k<=K} w_k E[|S_k|^p; |S_k| > T] certified below tol / 100
+    # times a lower bound of the value; sums of up to K + 3 jumps wrap into the window
+    # only from beyond T2
+    grid = gridconv.grid_moment([jump], steps, p, tol * min(1.0, _lower(spec, p)), weights[:K],
+                                weights, poissonise, K + 3)
     # sums of more than K + 3 jumps may wrap into the window too, weighing <= T^p there
     alias = grid.T**p * specfun.reg_lower_inc_gamma(K + 4.0, lam)
     # the series tail beyond K counts once: terms K < k <= K + 3 on the grid only fall short
-    return grid.value, grid.error_bound + tail + alias, {}
+    return grid.value, grid.error_bound + tail + alias, {"K": K, "tail_bound": tail}
 
 
-def _cumulant_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+def _cumulant_moment(spec: CompoundPoissonSpec, p: float, tol: float):
     # exact: every term of the recursion is nonnegative, so each of the p / 2
     # levels adds a few ulps, the jump moments' (lgamma-based, up to about
     # p ulps) included
@@ -185,51 +191,59 @@ def _cumulant_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, ta
     return value, (p + 6.0) * p * _EPS * value, {}
 
 
-def _skellam_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+def _skellam_moment(spec: CompoundPoissonSpec, p: float, tol: float):
     # T = N1 - N2 for independent Poisson(lam / 2) counts, so P(|T| = n) =
     # 2 e^-lam I_n(lam) (Skellam), and |T| <= xi leaves at most the series
     # tail; ive errs by about 1e-13 relative out at n = 10 sqrt(lam).  The terms
     # n^p e^-lam I_n(lam) are taken in log space, as in _poisson_terms, so that
     # n^p stays finite at large p
+    K, tail = _series_depth(spec, p, tol)
     n = np.arange(1.0, K + 1)
     lam = spec.lam
     # (lam / 2)^n / n! <= e^-lam I_n(lam) e^lam <= that times e^(lam^2 / (4 (n + 1)));
-    # below lam = 1e-150 the first is e^-lam I_n(lam) up to a relative lam
+    # below lam = 1e-150 the first is e^-lam I_n(lam) up to a relative lam, and its
+    # log is taken as it is, so that no probability underflows
     log_series = n * math.log(0.5 * lam) - gammaln(n + 1.0)
-    probs = ive(n, lam) if lam > 1e-150 else np.exp(log_series)
-    # where ive underflows, its terms go into the bound, by the second or by
-    # twice the smallest normal float
-    normal = probs >= sys.float_info.min
-    log_probs = np.where(normal, np.log(np.where(normal, probs, 1.0)),
-                         np.minimum(log_series + lam * lam / (4.0 * (n + 1.0)) - lam,
-                                    math.log(2.0 * sys.float_info.min)))
+    if lam > 1e-150:
+        probs = ive(n, lam)
+        # where ive underflows, its terms go into the bound, by the second or by
+        # twice the smallest normal float
+        normal = probs >= sys.float_info.min
+        log_probs = np.where(normal, np.log(np.where(normal, probs, 1.0)),
+                             np.minimum(log_series + lam * lam / (4.0 * (n + 1.0)) - lam,
+                                        math.log(2.0 * sys.float_info.min)))
+    else:
+        normal, log_probs = np.ones(K, dtype=bool), log_series
     power = p * np.log(n)
     terms = np.exp(power + log_probs)
     value = 2.0 * math.fsum(terms[normal].tolist())
     lost = 2.0 * math.fsum(terms[~normal].tolist())
-    # exp turns the exponent's absolute rounding into the term's relative one (as in _rounding)
-    rounding = 8.0 * _EPS * float((terms * (1.0 + power + np.abs(log_probs)))[normal].sum())
-    return value, tail + lost + rounding + 1e-13 * value, {}
+    # exp turns the exponent's absolute rounding into the term's relative one (as in
+    # _rounding), and a term it takes below the normal floats errs by half a subnormal
+    rounding = (8.0 * _EPS * float((terms * (1.0 + power + np.abs(log_probs)))[normal].sum())
+                + K * 2.0**-1074)
+    return value, tail + lost + rounding + 1e-13 * value, {"K": K, "tail_bound": tail}
 
 
-def _gaussian_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+def _gaussian_moment(spec: CompoundPoissonSpec, p: float, tol: float):
     # S_k = sqrt(k) Z, so E|T|^p = E|Z|^p E[xi^(p/2)]: one Poisson series
     ez = basedist.abs_moment(spec.jump.base, p)
     res = poisson_power_moment(spec.lam, 0.5 * p, tol / ez)
     return ez * res.value, ez * res.error_bound + 4.0 * _EPS * ez * res.value, {}
 
 
-def _enum_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+def _enum_moment(spec: CompoundPoissonSpec, p: float, tol: float):
+    K, tail = _series_depth(spec, p, tol)
     ks = range(1, K + 1)
     per_k = discrete.enum_powers(spec.jump.base.signed_atoms(), ks, p, _ATOM_SUPPORT_CAP)[0]
     weights = _poisson_weights(spec.lam, K)
     terms = np.array([w * per_k[k][0] for k, w in zip(ks, weights)])
     err = tail + math.fsum(w * per_k[k][1] for k, w in zip(ks, weights))
     err += _rounding(spec.lam, 0.0, np.arange(1.0, K + 1), terms)
-    return math.fsum(terms.tolist()), err, {}
+    return math.fsum(terms.tolist()), err, {"K": K, "tail_bound": tail}
 
 
-def _fourier_moment(spec: CompoundPoissonSpec, p: float, tol: float, K: int, tail: float):
+def _fourier_moment(spec: CompoundPoissonSpec, p: float, tol: float):
     """von Bahr's integral over exp(lam (phi_V - 1)) for X = t0 T / b: V / b
     has support bound 1 (b = 1 for the Gaussian), and t0 = min(sqrt(p / 4) /
     sigma, p / 4), sigma^2 = lam E (V / b)^2, makes E|X|^p of the order of
@@ -290,10 +304,10 @@ def cp_abs_moment(
     E|Z|^p E[xi^(p/2)], each bounded by its series tail; uniform, cosine
     and atomic jumps take von Bahr's integral over the closed-form
     characteristic function (fourier.abs_moment).  Each bound is at most
-    tol |value| where it can be met.  The Poisson series depth K comes
-    first on every route, its tail at most tol times a lower bound of the
-    value: K is reported with its tail, and a series past
-    MAX_SERIES_TERMS raises InputError.
+    tol |value| where it can be met.  The series route (random signs) sums
+    to the depth K of _series_depth and reports K with its tail; a series
+    past MAX_SERIES_TERMS raises InputError.  A value that overflows a float,
+    or whose bound is not below it, raises a DomainError naming p.
     """
     return _abs_moment(spec, p, tol)
 
@@ -306,31 +320,51 @@ def _grid_abs_moment(spec: CompoundPoissonSpec, p: float, tol: float = 1e-9) -> 
     return _abs_moment(spec, p, tol, "atoms_char_grid" if spec.jump.base.is_atomic else "grid")
 
 
+def _lower(spec: CompoundPoissonSpec, p: float) -> float:
+    """E|T|^p >= max(E[|T|^p; one jump], (E T^2)^(p / 2)), the latter capped at
+    1 before its power, which cannot overflow then."""
+    lam = spec.lam
+    return max(lam * math.exp(-lam) * spec.jump.abs_moment(p),
+               min(1.0, lam * spec.jump.abs_moment(2.0)) ** (0.5 * p))
+
+
+def _series_depth(spec: CompoundPoissonSpec, p: float, tol: float) -> tuple[int, float]:
+    """The depth K of the series routes, E|T|^p = sum_k P(xi = k) E|S_k|^p, and
+    the tail beyond it: _truncation_depth under the crude but rigorous bound
+    E|S_k|^p <= (k ||jump||_p)^p, at tol times the _lower bound of the value.
+    InputError past MAX_SERIES_TERMS."""
+    return _truncation_depth(spec.lam, p, spec.jump.abs_moment(p),
+                             tol * min(1.0, _lower(spec, p)))
+
+
 def _abs_moment(spec: CompoundPoissonSpec, p: float, tol: float,
                 route: str | None = None) -> ConstantResult:
-    """E|T|^p by the named route of _ROUTES, the production one by default."""
+    """E|T|^p by the named route of _ROUTES, the production one by default: a
+    DomainError naming p where the route overflows a float or its bound is not
+    below its value."""
     if not 2.0 < p <= 170.0:
         raise DomainError(f"cp_abs_moment requires 2 < p <= 170 (Gamma(p + 1) and p! stay "
                           f"finite floats), got p = {p!r}")
     lam = spec.lam
-    diag: dict = {"lambda": lam, "p": p}
     if lam == 0.0:
-        return ConstantResult(0.0, "cp_series/empty", 0.0, diag)
+        return ConstantResult(0.0, "cp_series/empty", 0.0, {"lambda": lam, "p": p})
     m_p = spec.jump.abs_moment(p)
     if not math.isfinite(m_p):
         raise DomainError("jump law has no finite p-th moment")
-    # E|T|^p >= max(E[|T|^p; one jump], (E T^2)^(p / 2)), the latter capped at
-    # 1 before its power, which cannot overflow then
-    sigma2 = lam * spec.jump.abs_moment(2.0)
-    lower = max(lam * math.exp(-lam) * m_p, min(1.0, sigma2) ** (0.5 * p))
-    K, tail = _truncation_depth(lam, p, m_p, tol * min(1.0, lower))
     route = route or ("cumulant" if _is_even(p) else spec.jump.base.cp_route)
-    diag.update({"K": K, "per_k_method": route, "jump_p_moment": m_p, "tail_bound": tail})
-    value, err, extra = _ROUTES[route](spec, p, tol, K, tail)
+    try:
+        value, err, extra = _ROUTES[route](spec, p, tol)
+    except OverflowError:
+        value = err = math.inf
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"E|T|^{p:g} at intensity {lam:.6g} on the {route} route "
                           "overflows a float")
-    diag.update(extra)
+    if not 0.0 < err < value:
+        # the alternating Taylor sums cancel past all accuracy (bounded jumps at large p)
+        raise DomainError(f"E|T|^p at p = {p!r}, intensity {lam:.6g}, on the {route} route has "
+                          f"a bound {err:.3g} not below its value {value:.3g}; use a smaller p")
+    depth = {"K": extra.pop("K")} if "K" in extra else {}  # a series route's K leads its record
+    diag = {"lambda": lam, "p": p, **depth, "per_k_method": route, "jump_p_moment": m_p, **extra}
     return ConstantResult(value, f"cp_series/{route}", err, diag)
 
 

@@ -279,20 +279,6 @@ def _even_moment(laws: list[dict], k: int):
     return None if out is None else out[len(laws)]
 
 
-def convolve_atoms(d1: dict, d2: dict, max_support: int | None = None) -> dict:
-    """Law of X + Y for independent atomic X, Y, keyed in ascending order;
-    SupportOverflowError (an OverflowError) once the merged support exceeds
-    max_support."""
-    return nfold_atoms([d1, d2], max_support)
-
-
-def nfold_atoms(laws: list[dict], max_support: int | None = None) -> dict:
-    """Law of the sum of independent atomic laws, keyed in ascending order;
-    SupportOverflowError once a partial sum's support exceeds max_support."""
-    locs, masses = _nfold(laws, max_support)
-    return dict(zip(locs.tolist(), masses.tolist()))
-
-
 def abs_moment_atoms(d: dict, p: float) -> float:
     locs, masses = _pair(d)
     return _abs_moment(np.abs(locs), masses, p)

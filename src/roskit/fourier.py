@@ -63,10 +63,10 @@ and plan_sum sizes the route before any quadrature:
   _PANEL_PHASE / B wide holds at most _PANEL_PHASE radians of its top
   frequency; the width is that, or 1 where it is less or no B is known;
 - R and the panel count, on the very edges sum_abs_moment integrates: past
-  MAX_SUM_PANELS panels, or for a law without char_gap, the plan's route is
-  "grid" (only the ordering sums of verify.sum_moment take a grid then); on
-  the Fourier route the panels are halved only up to MAX_SUM_PANELS, so that
-  budget bounds the work of every sum it admits.
+  MAX_SUM_PANELS panels the plan's route is "grid" (verify.sum_moment then
+  takes the n-fold grid of its law, verify.nfold_moment); on the Fourier
+  route the panels are halved only up to MAX_SUM_PANELS, so that budget
+  bounds the work of every sum it admits.
 
 A thinned factor tends to 1 - mu, not 0, so a rare wide summand keeps |phi_X|
 up and its plan needs thousands of panels.  plan_conditioned then takes
@@ -297,7 +297,8 @@ def abs_moment(p: float, gap: Callable, taylor: Callable, tail: Callable, lower:
         if J is not None:
             break
         if n >= _MAX_TAYLOR:
-            raise ValueError(f"{n} Taylor coefficients do not reach the remainder")
+            raise DomainError(f"von Bahr's integral at p = {p!r}: {n} Taylor coefficients do "
+                              "not reach the remainder")
         n *= 2
         a, rel = taylor(n)
     taylor_terms = [(-1.0) ** j * float(a[j]) / (2 * j - p) for j in range(k + 1, J + 1)]
@@ -461,14 +462,13 @@ def _band_width(terms: tuple, t0: float) -> float:
 
 
 def plan_sum(p: float, terms, tol: float = 1e-9) -> SumPlan:
-    """The route, unit and reach of E|S|^p for S the sum of the terms, sized
-    before any quadrature (see the module docstring)."""
+    """The route ("fourier", or "grid" past MAX_SUM_PANELS panels), unit and
+    reach of E|S|^p for S the sum of the terms, sized before any quadrature
+    (see the module docstring).  Every law answers char_gap."""
     if not 2.0 < p <= 170.0:
         raise DomainError(f"a Fourier sum needs 2 < p <= 170, got p = {p!r}")
     live = tuple(term for term in terms
                  if term.scale > 0.0 and term.activation > 0.0 and term.count > 0)
-    if any(getattr(term.law, "char_gap", None) is None for term in live):
-        return SumPlan("grid", p, live, 0.0, 0.0, 0.0, 0.0, 0, tol)
     if not live:
         return SumPlan("fourier", p, live, 1.0, 0.0, 0.0, 0.0, 0, tol)
     var = math.fsum(term.count * term.activation * term.scale**2 * term.law.abs_moment(2.0)

@@ -18,9 +18,9 @@ Their product (k copies enter as phi^k), its map when the count is random
 run on float64 vectors of N/2 + 1 entries and give the sum's one-sided
 masses, each point weighed for itself and its mirror.  Each runs at a fine
 and a coarse step: steps with a law's support ends on cell edges
-(edge_steps), or a grid density's step h and 2 h; a sum of unequal
-summands coarsens its finest summand's steps until it fits SUM_GRID_CELLS
-cells (sum_steps).  grid_moment returns the fine value, bounded by 3 x the
+(edge_steps), or a law's cell step h and 2 h (verify.nfold_moment); a
+sum of unequal summands coarsens its finest summand's steps until it fits
+SUM_GRID_CELLS cells (sum_steps).  grid_moment returns the fine value, bounded by 3 x the
 coarse/fine gap (conservative for convergence of order 1 or more), the
 measured round-off, the window and wrap tails and 1e-13 of the value.
 

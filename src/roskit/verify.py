@@ -3,8 +3,8 @@
 Everything here double-checks a closed-form claim through a different
 route: the sum moments of the ordering checks (sum_moment: von Bahr's
 integral over phi^n on the Fourier route, fourier.plan_sum and
-sum_abs_moment, and n-fold grid densities on the gridconv spectral kernel
-where the plan's route is "grid": a law without char_gap, or a sum past
+sum_abs_moment, and the n-fold sum of the laws themselves on the gridconv
+spectral kernel, nfold_moment, where the plan's route is "grid": a sum past
 fourier.MAX_SUM_PANELS panels), the moments of search candidates
 (constants._thinned_sum_moment: exact enumeration for atomic ones and the
 signed path sum for uniform ones within the summand cap, else the Fourier route, conditioned on summand activity
@@ -31,11 +31,9 @@ from .errors import DomainError, GridTooSmallError, InputError, InvalidCompariso
 from .result import ConstantResult
 
 __all__ = [
-    "GridDensity",
     "SearchReport",
     "GaussianSource",
     "LogisticSource",
-    "grid_density",
     "nfold_moment",
     "search_sup_U",
     "check_poissonisation",
@@ -120,120 +118,48 @@ class LogisticSource:
 
 
 # ---------------------------------------------------------------------------
-# grid densities
+# n-fold sums on the spectral grid
 
 
-@dataclass
-class GridDensity:
-    """Cell-averaged density values on a symmetric uniform grid, plus exact
-    off-grid atoms.  values[i] belongs to the cell
-    [lower + i*step, lower + (i+1)*step]."""
-
-    lower: float
-    upper: float
-    step: float
-    values: np.ndarray
-    atom_list: tuple = ()
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        n = self.values.size
-        if n and abs(self.lower + n * self.step - self.upper) > 1e-9 * self.step * n:
-            raise DomainError("grid extent does not match the cell count")
-        total = self.total_mass()
-        if abs(total - 1.0) > 1e-8:
-            raise GridTooSmallError(
-                f"grid density mass {total!r} deviates from 1 beyond 1e-8"
-            )
-        sym = self.values - self.values[::-1]
-        if sym.size and float(np.abs(sym).max()) * self.step > 1e-10:
-            raise DomainError("grid density is not symmetric about 0")
-
-    def total_mass(self) -> float:
-        return float(self.values.sum() * self.step) + math.fsum(
-            m for _, m in self.atom_list
-        )
-
-    def cdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        """CDF of the continuous part, linear within each cell."""
-        edges = self.lower + self.step * np.arange(self.values.size + 1)
-        return np.interp(x, edges, np.concatenate(([0.0], np.cumsum(self.values * self.step))))
-
-    def atoms(self) -> dict:
-        return dict(self.atom_list)
-
-    def support_halfwidth(self) -> float:
-        return self.upper
-
-    def summand(self, count: int = 1) -> gridconv.Summand:
-        """count copies as a spectral summand whose cells at the step h are this
-        density's cells; at 2 h each merges two of them (for an odd cell count,
-        one cell and the halves of its two neighbours)."""
-        half = max([-self.lower, self.upper] + [abs(loc) for loc, _ in self.atom_list])
-        return gridconv.Summand(self.cdf, half, self.atoms(), count,
-                                0.5 if self.values.size % 2 == 0 else 0.0)
+def _summands(laws, n_cells: int) -> list[gridconv.Summand]:
+    """One gridconv.Summand per distinct law, k equal laws as one of count k:
+    the law's own cdf (its continuous part) and atoms(), whose cells at the step
+    2 L / n_cells, L = law.support_halfwidth(), cut [-L, L] into n_cells (centred
+    half a step off for an even count); at twice that step each cell merges two
+    of them (for an odd count, one cell and the halves of its two neighbours)."""
+    out = []
+    for law, count in Counter(laws).items():
+        atoms = law.atoms()
+        half = max([law.support_halfwidth(), *map(abs, atoms)])
+        out.append(gridconv.Summand(law.cdf, half, atoms, count, 0.5 if n_cells % 2 == 0 else 0.0))
+    return out
 
 
-def grid_density(law, n_cells: int = 8192) -> GridDensity:
-    """Build the cell-averaged grid density of a symmetric law.
-
-    Cell masses are exact CDF differences of the continuous part over
-    |x| <= law.support_halfwidth(); atoms (two-point limits, truncation
-    atoms) stay exact in atom_list.
+def nfold_moment(laws: list, p: float, tol: float = 1e-9, n_cells: int = 8192) -> ConstantResult:
+    """E|X_1 + ... + X_n|^p of independent symmetric laws by gridconv.grid_moment
+    over their _summands at the finest law's step h = 2 L / n_cells and at 2 h
+    (both coarsened to fit gridconv.SUM_GRID_CELLS): the value at h, with
+    grid_moment's bound.  Each law answers cdf, atoms() and support_halfwidth().
+    A sum wider than MAX_GRID_CELLS cells of step h raises InputError before any
+    grid is built (coarsened that far, it would blur its summands); mass lost
+    beyond the summands' halves, over 1e-6, raises GridTooSmallError.
     """
-    L = law.support_halfwidth()
-    atoms = tuple(sorted(law.atoms().items()))
-    cont_mass = 1.0 - math.fsum(m for _, m in atoms)
-    if cont_mass <= 1e-15:
-        return GridDensity(-L, L, 2.0 * L / max(n_cells, 1), np.zeros(n_cells), atoms)
-    masses = gridconv.from_cdf(law.cdf, -L, L, n_cells)
-    total = masses.sum()
-    if total > 0.0:
-        masses *= cont_mass / total  # absorb the truncated 1e-16-level tail
-    step = 2.0 * L / n_cells
-    return GridDensity(-L, L, step, masses / step, atoms)
-
-
-def _nfold_value(densities, p: float, tol: float) -> gridconv.GridMoment:
-    """E|sum of independent grid densities|^p by gridconv.grid_moment at the finest
-    density's step h and at 2 h (both coarsened to fit gridconv.SUM_GRID_CELLS); k equal
-    densities enter once, as phi^k.  Leaked mass raises GridTooSmallError; a sum wider than
-    MAX_GRID_CELLS cells of step h raises InputError (coarsened that far, it would blur its
-    summands)."""
-    counts: dict = {}
-    for d in densities:
-        key = (d.lower, d.step, d.values.tobytes(), d.atom_list)
-        counts.setdefault(key, [d, 0])[1] += 1
-    summands = [d.summand(k) for d, k in counts.values()]
-    h = min(d.step for d, _ in counts.values())
+    if not laws:
+        raise DomainError("need at least one law")
+    if not p > 0.0:
+        raise DomainError("nfold_moment requires p > 0")
+    steps = [2.0 * law.support_halfwidth() / n_cells for law in laws]
+    summands = _summands(laws, n_cells)
+    h = min(steps)
     cells = round(2.0 * math.fsum(s.half * s.count for s in summands) / h)
     if cells > gridconv.MAX_GRID_CELLS:
-        raise InputError(f"a sum of {sum(s.count for s in summands)} grid densities spans "
-                         f"{cells} cells of step {h:.3g}, past the cap MAX_GRID_CELLS = "
-                         f"{gridconv.MAX_GRID_CELLS}")
+        raise InputError(f"a sum of {len(laws)} laws spans {cells} cells of step {h:.3g}, "
+                         f"past the cap MAX_GRID_CELLS = {gridconv.MAX_GRID_CELLS}")
     grid = gridconv.grid_moment(summands, gridconv.sum_steps(summands, (h, 2.0 * h)), p, tol)
     leak = abs(grid.mass - 1.0)
     if leak > 1e-6:
         raise GridTooSmallError(f"mass leak {leak:.3e} beyond the grid exceeds tolerance 1e-06")
-    return grid
-
-
-def nfold_moment(densities: list[GridDensity], p: float, tol: float = 1e-9) -> ConstantResult:
-    """E|X_1 + ... + X_n|^p of independent grid densities on the spectral grid
-    (_nfold_value): the value at the finest density's step, with gridconv.grid_moment's
-    bound.
-    """
-    if not densities:
-        raise DomainError("need at least one density")
-    if not p > 0.0:
-        raise DomainError("nfold_moment requires p > 0")
-    grid = _nfold_value(densities, p, tol)
-    diag = {
-        "n": len(densities),
-        "p": p,
-        "steps": [d.step for d in densities],
-        "coarse_value": grid.coarse,
-    }
+    diag = {"n": len(laws), "p": p, "steps": steps, "coarse_value": grid.coarse}
     return ConstantResult(grid.value, "nfold_grid", grid.error_bound, diag)
 
 
@@ -626,13 +552,6 @@ class OrderingReport(NamedTuple):
     method: str  # the routes of the three sums, each named once, joined by "+"
 
 
-# the route of a sum of n copies of a law, by the plan's choice
-_SUM_ROUTES = {
-    "fourier": lambda plan, law, n, n_cells: fourier.sum_abs_moment(plan),
-    "grid": lambda plan, law, n, n_cells: nfold_moment([grid_density(law, n_cells)] * n,
-                                                       plan.p, plan.tol),
-}
-
 # The largest p of the ordering checks.  At a non-even p, von Bahr's integral sums
 # Taylor terms whose cancellation grows with p: for two copies of the Gaussian and of
 # its density members the combined error is 3e-5 of the source at p = 40.5 and 0.3 at
@@ -651,10 +570,12 @@ _ORDERING_FAMILIES = {
 
 def sum_moment(law, n: int, p: float, tol: float = 1e-9, n_cells: int = 8192) -> ConstantResult:
     """E|X_1 + ... + X_n|^p for n independent copies of law: the Fourier route
-    (fourier.sum_abs_moment) where plan_sum takes it, else nfold_moment over
-    grid densities of n_cells cells."""
+    (fourier.sum_abs_moment) where plan_sum takes it, else, past
+    fourier.MAX_SUM_PANELS panels, nfold_moment on n_cells cells."""
     plan = fourier.plan_sum(p, [fourier.Term(law, count=n)], tol)
-    return _SUM_ROUTES[plan.route](plan, law, n, n_cells)
+    if plan.route == "grid":
+        return nfold_moment([law] * n, p, tol, n_cells)
+    return fourier.sum_abs_moment(plan)
 
 
 def ordering_report(n: int, source, p: float, family: str = "density", n_cells: int = 8192,

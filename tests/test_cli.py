@@ -258,13 +258,47 @@ class TestSupCommand:
         ("--V", "gaussian", "--A", "100"),
     ])
     def test_series_cap_exit_2(self, args):
-        # each Poisson series would need lambda >= 1e7 terms: refused before any array
+        # each Poisson series would need lambda >= 1e7 terms: refused before any array;
+        # uniform jumps take the Fourier route, which sums no series, and at lambda =
+        # 4.1e233 its value overflows a float
         argv = ["sup", *args] if "--p" in args else ["sup", "--p", "5", *args]
         start = time.perf_counter()
         res = run_cli(*argv)
         assert time.perf_counter() - start < 1.0
         assert res.exit_code == 2
-        assert "MAX_SERIES_TERMS = 8388608" in json.loads(res.stderr)["message"]
+        reason = json.loads(res.stderr)
+        if "uniform:w=1" in args:
+            assert reason["error"] == "DomainError"
+            assert "E|T|^5 at intensity 4.07163e+233" in reason["message"]
+            assert "overflows a float" in reason["message"]
+        else:
+            assert "MAX_SERIES_TERMS = 8388608" in reason["message"]
+
+    def test_fourier_route_past_the_series_cap(self):
+        # lambda = 1.2e8 would need more than MAX_SERIES_TERMS series terms, but the
+        # Fourier route sums no series
+        res = run_cli("sup", "--p", "5.5", "--V", "uniform:w=1", "--A", "300")
+        assert res.exit_code == 0
+        rec = parse_json_lines(res.output)[0]
+        assert rec["cp_method"] == "cp_series/fourier" and rec["lambda"] > 1e8
+        assert 0.0 < rec["error_bound"] <= 1e-6 * rec["value"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [
+        ("--p", "100.5", "--V", "uniform:w=1", "--A", "0.6046"),  # once a negative value
+        ("--p", "40.5", "--V", "cosine", "--A", "0.4"),
+        ("--p", "150.5", "--V", "uniform:w=1", "--A", "1"),
+        ("--p", "40.5", "--V", "uniform:w=1", "--A", "0.35"),  # out of Taylor terms
+        ("--p", "60.5", "--V", "uniform:w=1", "--A", "0.35"),  # the Taylor terms overflow
+    ])
+    def test_compound_poisson_past_its_accuracy_exit_2(self, args):
+        # the Fourier route's Taylor sums cancel past all accuracy at large p: its bound
+        # is not below its value, or it runs out of Taylor terms, or they overflow
+        res = run_cli("sup", *args, "--B", "1")
+        assert res.exit_code == 2
+        reason = json.loads(res.stderr)
+        assert reason["error"] == "DomainError"
+        assert f"p = {args[1]}" in reason["message"] or f"E|T|^{args[1]} " in reason["message"]
 
     @pytest.mark.parametrize("args,quantity", [
         (("--V", "uniform:w=1e70"), "E|V|^5 of uniform:w=1e+70"),

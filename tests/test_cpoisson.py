@@ -440,7 +440,8 @@ class TestFourierRoute:
         res = cp._abs_moment(spec, p, 1e-9, "fourier")
         assert res.error_bound <= 1e-9 * res.value
         route = self.EXACT.get(spec.jump.base.kind)
-        if route == "atoms_exact" and res.diagnostics["K"] > 30:  # past the enumeration's reach
+        # the reference's series depth: past 30 terms, past the enumeration's reach
+        if route == "atoms_exact" and cp._series_depth(spec, p, 1e-9)[0] > 30:
             route = None
         if route is None:
             lo, hi = _lyapunov_bracket(spec, p)

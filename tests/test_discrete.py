@@ -66,11 +66,14 @@ def _lattice_moment(pts, p):
         return float(mpmath.fsum(mass * abs(x) ** p for x, mass in pts))
 
 
+def _law(laws, max_support=None):
+    """The merged enumeration of the sum of laws, as a {location: mass} dict."""
+    locs, masses = discrete._nfold(laws, max_support)
+    return dict(zip(locs.tolist(), masses.tolist()))
+
+
 def _power(law, k):
-    acc = {0.0: 1.0}
-    for _ in range(k):
-        acc = discrete.convolve_atoms(acc, law)
-    return acc
+    return _law([law] * k)
 
 
 @pytest.mark.parametrize("m,k,points", [(1, 9, 10), (2, 12, 169), (3, 7, 344), (3, 18, 4579)])
@@ -128,21 +131,21 @@ def test_walk_merges_to_its_integer_support(monkeypatch, chunk):
 
 def test_float_noise_merges_but_close_chains_stay_apart():
     # 0.1 + 0.2 and 0.3 differ by one ulp: one point
-    dist = discrete.convolve_atoms({0.1: 0.5, 0.3: 0.5}, {0.0: 0.5, 0.2: 0.5})
+    dist = _law([{0.1: 0.5, 0.3: 0.5}, {0.0: 0.5, 0.2: 0.5}])
     assert len(dist) == 3 and dist[0.3] == 0.5
     # three points 0.6e-12 apart chain past the 1e-12 radius: none is merged
     eps = 0.6e-12
-    dist = discrete.convolve_atoms({0.0: 0.5, 1.0: 0.5}, {-eps: 1 / 3, 0.0: 1 / 3, eps: 1 / 3})
+    dist = _law([{0.0: 0.5, 1.0: 0.5}, {-eps: 1 / 3, 0.0: 1 / 3, eps: 1 / 3}])
     assert sorted(dist) == [-eps, 0.0, eps, 1.0 - eps, 1.0, 1.0 + eps]
 
 
 def test_convolve_atoms_support_cap():
     law = {-1.0: 0.25, 0.0: 0.5, 1.0: 0.25}
-    square = discrete.convolve_atoms(law, law, max_support=5)
+    square = _law([law, law], max_support=5)
     assert list(square) == [-2.0, -1.0, 0.0, 1.0, 2.0]
     with pytest.raises(SupportOverflowError, match="exceeds cap 4"):
-        discrete.convolve_atoms(law, law, max_support=4)
-    assert discrete.convolve_atoms({}, law) == {}
+        _law([law, law], max_support=4)
+    assert _law([{}, law]) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ def test_thinned_tuple_against_every_path(V, n, p):
     value, bound, support = discrete.enum_sum(laws, p)
     assert abs(value - _path_moment(laws, p)) <= bound
     assert support == len(laws[0]) ** n
-    assert list(discrete.nfold_atoms(laws)) == sorted(discrete.nfold_atoms(laws))
+    assert list(_law(laws)) == sorted(_law(laws))
 
 
 @pytest.mark.parametrize("chunk", [2, 7, 729])
@@ -186,9 +189,9 @@ def test_chunked_factors_agree(monkeypatch, chunk):
     rng = np.random.default_rng(5)
     laws = ([ct._thinned_atoms(RANDOM_SIGN, 0.8, 0.4)] * 4
             + [ct._thinned_atoms(FIVE_POINT, float(c), 0.6) for c in rng.uniform(0.3, 2.0, 3)])
-    whole = discrete.nfold_atoms(laws)
+    whole = _law(laws)
     monkeypatch.setattr(discrete, "_CHUNK_PAIRS", chunk)
-    chunked = discrete.nfold_atoms(laws)
+    chunked = _law(laws)
     reach = np.cumsum([max(map(abs, law)) for law in laws])
     delta = (discrete.MERGE_RTOL + 2.0 * np.finfo(float).eps) * reach.sum()
     assert len(chunked) == len(whole) == 9 * 5**3
@@ -316,7 +319,7 @@ def test_shift_below_p_one(p):
 @pytest.mark.parametrize("V,n", [(RANDOM_SIGN, 9), (FIVE_POINT, 6)])
 @pytest.mark.parametrize("p", [2.0, 5.37])
 def test_abs_moment_atoms_against_fsum(V, n, p):
-    law = discrete.nfold_atoms(_thinned_tuple(V, n, n))
+    law = _law(_thinned_tuple(V, n, n))
     got = discrete.abs_moment_atoms(law, p)
     want = math.fsum(m * abs(x) ** p for x, m in law.items())
     assert abs(got - want) <= _halvings(len(law)) * np.finfo(float).eps * want
@@ -352,7 +355,7 @@ def test_enum_sum_of_four_or_more_laws_within_the_bound(name, p):
 def test_cross_route_counts_terms():
     # the collapsing tuple's halves merge nothing: 16 terms across them, on 11 points
     value, bound, terms = discrete.enum_sum(COLLAPSING, 3.0)
-    assert terms == 16 and len(discrete.nfold_atoms(COLLAPSING)) == 11
+    assert terms == 16 and len(_law(COLLAPSING)) == 11
     assert abs(value - _exact_moment(COLLAPSING, 3.0)) <= bound
 
 

@@ -369,7 +369,7 @@ def test_sweep_against_the_grid(family, n, p, data):
         law = _member(data.draw, family, p)
     res = vf.sum_moment(law, n, p)
     assert res.method == "sum_fourier"
-    grid = vf.nfold_moment([vf.grid_density(law, 32768)] * n, p)
+    grid = vf.nfold_moment([law] * n, p, n_cells=32768)
     assert abs(res.value - grid.value) <= res.error_bound + grid.error_bound
 
 
@@ -444,10 +444,11 @@ def test_two_point_sums_against_the_binomial(n, p):
     assert abs(res.value - want) <= res.error_bound
 
 
-def test_law_without_char_gap_takes_the_grid():
-    density = vf.grid_density(vf.GaussianSource(), 2048)
-    assert fourier.plan_sum(5.0, [Term(density, count=2)]).route == "grid"
-    res = vf.sum_moment(density, 2, 5.0, n_cells=2048)
+def test_sum_past_the_panel_cap_takes_the_grid(monkeypatch):
+    monkeypatch.setattr(fourier, "MAX_SUM_PANELS", 0)
+    law = vf.GaussianSource()
+    assert fourier.plan_sum(5.0, [Term(law, count=2)]).route == "grid"
+    res = vf.sum_moment(law, 2, 5.0, n_cells=2048)
     assert res.method == "nfold_grid"
     assert res.value == pytest.approx(2**2.5 * specfun.gaussian_abs_moment(5.0), rel=1e-4)
 

@@ -72,3 +72,22 @@ def test_value_move_reported_apart(tmp_path, capsys):
     assert ("value's relative change 7.5e-07; largest relative change of the other "
             "numbers 0.091; value moved 0.75 of the sum of both error_bounds: "
             "within both bounds") in out
+
+
+def test_removed_keys_judged_by_hand(tmp_path, capsys):
+    # a route that no longer sums a series drops K and its tail: the line is judged
+    # without them, counted apart from the failures, and the exit status is 1
+    before = ("cp_abs_moment lam=0.5 uniform: ConstantResult(value=0.3, "
+              "method='cp_series/fourier', error_bound=1e-10, "
+              "diagnostics={'K': 17, 'per_k_method': 'fourier', 'tail_bound': 3e-11})")
+    after = before.replace("'K': 17, ", "").replace(", 'tail_bound': 3e-11", "")
+    assert _compare(tmp_path, [before], [after]) == 1
+    out = capsys.readouterr().out
+    assert ("keys removed, to judge by hand: diagnostics.K, diagnostics.tail_bound; "
+            "numbers unchanged") in out
+    assert out.endswith("1 lines, 1 differ, 1 with keys removed, to judge by hand, 0 fail\n")
+    # a value moved past both bounds still fails the line
+    moved = after.replace("value=0.3", "value=0.31")
+    assert _compare(tmp_path, [before], [moved]) == 1
+    assert capsys.readouterr().out.endswith(
+        "1 lines, 1 differ, 1 with keys removed, to judge by hand, 1 fail\n")

