@@ -8,10 +8,10 @@ These cover every closed-form example the constants need while keeping all
 moments exact, and each has a closed-form real characteristic function
 (char_fn; char_gap is 1 - phi to full relative accuracy).
 
-k-fold sum moments E|V~_1 + ... + V~_k|^p come from closed forms, exact
-atomic convolution powers, or the gridconv spectral kernel with phi^k in
-place of the compound Poisson exp(lambda (phi - 1)); walk_law gives the
-exact law of a random-sign walk.
+A k-fold sum V~_1 + ... + V~_k is the thinned sum of constants at unit
+scales and activations: its moment is constants._thinned_sum_moment's, and
+its spectral grid reference constants._thinned_grid_result's.  walk_law
+gives the exact law of a random-sign walk.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from typing import ClassVar
 import numpy as np
 from scipy import special
 
-from . import discrete, fourier, gridconv, specfun
-from .errors import DegenerateLawError, DomainError, InputError, UnsupportedMethodError
-from .result import ConstantResult
+from . import fourier, specfun
+from .errors import DegenerateLawError, DomainError, UnsupportedMethodError
 
 __all__ = [
     "BaseDistribution",
@@ -37,7 +36,6 @@ __all__ = [
     "parse_base_spec",
     "abs_moment",
     "condition_nonzero",
-    "kfold_abs_moment",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -46,7 +44,7 @@ _EPS = sys.float_info.epsilon
 @dataclass(frozen=True)
 class BaseDistribution:
     """The law of a symmetric V; each kind is a subclass.  Equality and hashing
-    go by class and fields (_gap_series caches by the law)."""
+    go by class and fields."""
 
     kind: ClassVar[str]
     cp_route: ClassVar[str] = "fourier"  # cpoisson's route at non-even p
@@ -90,10 +88,6 @@ class BaseDistribution:
         """CDF of the signed law (continuous kinds only), elementwise:
         cdf(edges: ndarray) -> ndarray, and a scalar for a scalar."""
         raise UnsupportedMethodError(f"no continuous CDF for kind {self.kind!r}")
-
-    def kfold_exact(self, k: int, p: float) -> tuple[float, str, float]:
-        """(E|S_k|^p, method tag, error bound) from a closed form, k >= 1."""
-        raise UnsupportedMethodError(f"no exact k-fold moment for kind {self.kind!r}; use grid")
 
 
 @dataclass(frozen=True)
@@ -191,11 +185,6 @@ class RandomSign(Atoms):
     def _moment(self, r: float) -> float:
         return 1.0
 
-    def kfold_exact(self, k: int, p: float) -> tuple[float, str, float]:
-        x, w, rel = walk_law(k)
-        val = float(w @ np.abs(x) ** p)
-        return val, "exact/binomial_walk", (rel + 4.0 * (p + 2.0) * _EPS) * val
-
 
 @dataclass(frozen=True)
 class Gaussian(BaseDistribution):
@@ -235,32 +224,9 @@ class Gaussian(BaseDistribution):
     def _moment(self, r: float) -> float:
         return specfun.gaussian_abs_moment(r)
 
-    def kfold_exact(self, k: int, p: float) -> tuple[float, str, float]:
-        val = k ** (p / 2.0) * specfun.gaussian_abs_moment(p)
-        return val, "exact/gaussian_scaling", 1e-14 * val
-
 
 @dataclass(frozen=True)
-class _SeriesGap(BaseDistribution):
-    """A bounded continuous law: 1 - phi(t) is the Taylor series in the even
-    moments below |t| b = 1, b the support bound, and _far_gap above."""
-
-    def char_gap(self, t: np.ndarray) -> np.ndarray:
-        t = np.abs(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        near = t * self.support_bound() < 1.0
-        out[~near] = self._far_gap(t[~near])
-        t2 = t[near] ** 2
-        terms = [coef * t2**j for j, coef in _gap_series(self)]
-        series = terms[0]
-        for term in terms[1:]:  # in order, in place: np.sum's additions over the stacked
-            series += term      # terms, without stacking them
-        out[near] = series
-        return out
-
-
-@dataclass(frozen=True)
-class Uniform(_SeriesGap):
+class Uniform(BaseDistribution):
     """The uniform law on [-w, w], w = half_width."""
 
     half_width: float = 1.0
@@ -279,6 +245,13 @@ class Uniform(_SeriesGap):
 
     def scaled(self, c: float) -> "BaseDistribution":
         return self if c == 1.0 else uniform(self.half_width * c)
+
+    def char_gap(self, t: np.ndarray) -> np.ndarray:
+        """1 - sin(wt) / (wt): the Taylor series up to char_cap() = 1 / w, the
+        closed form beyond."""
+        return fourier.cap_split_gap(self, t, self._far_gap, self._cap_series)
+
+    _cap_series = functools.cached_property(fourier.cap_series)
 
     def _far_gap(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - np.sin(self.half_width * x) / (self.half_width * x)
@@ -299,7 +272,7 @@ class Uniform(_SeriesGap):
 
 
 @dataclass(frozen=True)
-class Cosine(_SeriesGap):
+class Cosine(BaseDistribution):
     """cos(2 pi U), U uniform on [0, 1]: the real projection of a Steinhaus variable."""
 
     kind = "cosine"
@@ -309,6 +282,12 @@ class Cosine(_SeriesGap):
 
     def variance_proxy(self) -> float:
         return 0.5  # I_0(t) <= exp(t^2 / 4)
+
+    def char_gap(self, t: np.ndarray) -> np.ndarray:
+        """1 - J0(t): the Taylor series up to char_cap() = 1, the closed form beyond."""
+        return fourier.cap_split_gap(self, t, self._far_gap, self._cap_series)
+
+    _cap_series = functools.cached_property(fourier.cap_series)
 
     def _far_gap(self, x: np.ndarray) -> np.ndarray:
         return 1.0 - special.j0(x)
@@ -328,14 +307,6 @@ class Cosine(_SeriesGap):
 
     def _moment(self, r: float) -> float:
         return 1.0 / specfun.steinhaus_beta(r)
-
-
-@functools.lru_cache(maxsize=256)
-def _gap_series(V: BaseDistribution) -> tuple:
-    """(j, (-1)^(j+1) E V^(2j) / (2j)!) for j = 12..1, the terms of char_gap's
-    series, smallest first: 12 terms reach 1e-24 at |t| b = 1."""
-    return tuple((j, (-1.0) ** (j + 1) * abs_moment(V, 2.0 * j) / math.factorial(2 * j))
-                 for j in range(12, 0, -1))
 
 
 def rademacher() -> BaseDistribution:
@@ -447,10 +418,6 @@ def condition_nonzero(V: BaseDistribution) -> ConditionedBase:
     return ConditionedBase(Atoms(scaled))
 
 
-# ---------------------------------------------------------------------------
-# k-fold sums: E|V~_1 + ... + V~_k|^p
-
-
 def walk_law(k: int) -> tuple[np.ndarray, np.ndarray, float]:
     """(points 2i - k, P(S_k = 2i - k), their relative error) for the simple
     random-sign walk, i = 0..k, the weights from log-gamma."""
@@ -467,61 +434,11 @@ def gaussian_tail_abs_moment(p: float, L: float) -> float:
     )
 
 
-def _gaussian_grid_halfwidth(k: int, p: float, tol: float) -> float:
-    """Single-summand truncation point so the lost moment mass is << tol."""
+def _gaussian_grid_halfwidth(p: float, tol: float) -> float:
+    """Truncation point of a standard Gaussian summand so the lost moment mass is << tol."""
     L = 8.0
-    while k ** (p / 2.0) * gaussian_tail_abs_moment(p, L / math.sqrt(k)) > 0.01 * tol:
+    while gaussian_tail_abs_moment(p, L) > 0.01 * tol:
         L += 1.0
         if L > 60.0:
             break
     return L
-
-
-def kfold_abs_moment(
-    V: ConditionedBase,
-    k: int,
-    p: float,
-    method: str = "exact",
-    tol: float = 1e-9,
-) -> ConstantResult:
-    """E|S_k|^p for S_k the sum of k i.i.d. copies of the conditioned base.
-
-    method "exact" needs a closed form (random sign walk or Gaussian);
-    "grid" takes gridconv.grid_moment of phi^k on 8,192 to 32,768 cells
-    (exact enumeration for atomic kinds).
-    """
-    if p <= 0:
-        raise DomainError("kfold_abs_moment requires p > 0")
-    if k < 0:
-        raise DomainError("k must be a nonnegative count")
-    base = V.base
-    diag = {"k": k, "p": p}
-    if k == 0:
-        return ConstantResult(0.0, method="empty_sum", error_bound=0.0, diagnostics=diag)
-
-    if method == "exact":
-        return ConstantResult(*base.kfold_exact(k, p), diag)
-
-    if method == "grid":
-        if base.is_atomic:
-            values, support = discrete.enum_powers(base.signed_atoms(), [k], p, 2_000_000)
-            diag["support"] = support
-            val, err = values[k]
-            return ConstantResult(val, "grid/atoms_exact", err, diag)
-        L = base.support_bound() or _gaussian_grid_halfwidth(k, p, tol)
-        for n_cells in (8192, 16384, 32768):
-            try:
-                val, err, *_ = gridconv.grid_moment(
-                    [gridconv.Summand(base.cdf, L, count=k, proxy=base.variance_proxy())],
-                    gridconv.edge_steps(L, n_cells), p, tol)
-            except InputError:  # a refinement past the grid cap keeps the coarser value
-                if n_cells == 8192:
-                    raise
-                n_cells //= 2
-                break
-            if err <= tol * max(1.0, abs(val)):
-                break
-        diag["n_cells"] = 2 * n_cells
-        return ConstantResult(val, "grid/fft", err, diag)
-
-    raise UnsupportedMethodError(f"unknown k-fold method {method!r}")

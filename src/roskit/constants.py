@@ -295,8 +295,9 @@ def utev_3point_sup(p: float, budget: MomentBudget, tol: float = 1e-9):
 
 def _thinned_atoms(V: BaseDistribution, c: float, mu: float) -> dict:
     """The signed atomic law of c theta V, P(theta = 1) = mu, for atomic V: mass
-    1 - mu at zero, and mu times its mass at c x for each atom x of V."""
-    out = {0.0: 1.0 - mu}
+    1 - mu at zero (no atom there for mu = 1), and mu times its mass at c x for
+    each atom x of V."""
+    out = {0.0: 1.0 - mu} if mu < 1.0 else {}
     for x, m in V.signed_atoms().items():
         out[c * x] = out.get(c * x, 0.0) + mu * m
     return out
@@ -390,7 +391,7 @@ def _thinned_grid_result(p: float, V: BaseDistribution, scales, activations, tol
     counts (fourier.condition), each pattern a grid sum summed by
     fourier.conditioned_abs_moment."""
     bound = V.support_bound()
-    L = bound if bound is not None else basedist._gaussian_grid_halfwidth(1, max(p, 6.0), tol)
+    L = bound if bound is not None else basedist._gaussian_grid_halfwidth(max(p, 6.0), tol)
     terms = [fourier.Term(V, c, mu, k) for (c, mu), k in Counter(zip(scales, activations)).items()
              if c > 0.0 and mu > 0.0]
     res, rare = _thinned_grid_sum(p, V, L, terms, n_cells, tol)

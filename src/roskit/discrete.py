@@ -150,6 +150,17 @@ def _outer(laws: list[dict]) -> tuple[np.ndarray, np.ndarray]:
     return locs, masses
 
 
+def _path_delta(laws: list[dict]) -> np.ndarray:
+    """Per path of _outer, in its order: how far its float sum may lie from the
+    exact one, 2 eps sum_i reach_i with reach_i the path's own sum of |atom| over
+    laws[:i+1] (see enum_sum); 0 on a path of zeros."""
+    reach, total = np.zeros(1), np.zeros(1)
+    for law in laws:
+        reach = np.add.outer(np.abs(_pair(law)[0]), reach).ravel()
+        total = np.tile(total, len(law)) + reach
+    return 2.0 * _EPS * total
+
+
 def _depth(n: int) -> int:
     """d = ceil(log2 n), the halvings _pairwise_sum takes on n terms (0 for n <= 1)."""
     return max(n - 1, 0).bit_length()
@@ -183,14 +194,15 @@ def _delta(laws: list[dict], rtol: float = MERGE_RTOL) -> float:
     return (rtol + 2.0 * _EPS) * float(reach.sum())
 
 
-def _shift_below_one(ax: np.ndarray, masses: np.ndarray, p: float, delta: float) -> float:
+def _shift_below_one(ax: np.ndarray, masses: np.ndarray, p: float, delta) -> float:
     """For p < 1, the sum of masses times how far |x|^p moves where x moves by
-    delta, |x| = ax: p delta (|x| - delta)^(p-1), the largest slope of the
-    concave t^p on [|x| - delta, |x| + delta], where |x| > delta; delta^p, as
-    t^p is subadditive, within delta of zero."""
+    delta (one for every point, or one per point), |x| = ax: p delta (|x| -
+    delta)^(p-1), the largest slope of the concave t^p on [|x| - delta, |x| +
+    delta], where |x| > delta; delta^p, as t^p is subadditive, within delta of zero."""
+    delta = np.broadcast_to(delta, ax.shape)
     far = ax > delta
-    return (p * delta * float((masses[far] * (ax[far] - delta) ** (p - 1.0)).sum())
-            + delta ** p * float(masses[~far].sum()))
+    return (p * float((masses[far] * delta[far] * (ax[far] - delta[far]) ** (p - 1.0)).sum())
+            + float((masses[~far] * delta[~far] ** p).sum()))
 
 
 def _enum_moment(locs: np.ndarray, masses: np.ndarray, p: float, laws: list[dict]):
@@ -308,7 +320,9 @@ def enum_sum(laws: list[dict], p: float,
 
     Outer pass and cross route.  A point is its path's float sum: n - 1
     roundings (on the cross route the last is a + b) and the scaling of
-    each law keep it within delta = 2 eps sum_i reach_i of the exact sum.
+    each law keep it within delta = 2 eps sum_i reach_i of the exact sum (on
+    the outer pass below p = 1, reach_i the path's own sum of |atom| over
+    laws[:i+1], _path_delta, so a path of zeros is exact).
     A mass is n - 1 products of the laws' masses (each up to two roundings
     from thinning) and a term one more power and product: the rounding term
     is (3 n + 1 + d) eps value, d on the cross route a chunk's depth plus
@@ -338,7 +352,7 @@ def enum_sum(laws: list[dict], p: float,
         locs, masses = _outer(laws)
         ax = np.abs(locs)
         value = _abs_moment(ax, masses, p)
-        shift = _shift_below_one(ax, masses, p, _delta(laws, 0.0)) if p < 1.0 else 0.0
+        shift = _shift_below_one(ax, masses, p, _path_delta(laws)) if p < 1.0 else 0.0
         return value, _path_bound(value, float(masses.sum()), _depth(terms), p, laws, shift), terms
     half = len(laws) // 2
     first = _nfold(laws[:half], max_support)

@@ -90,7 +90,7 @@ from .result import ConstantResult
 
 __all__ = ["MAX_PANELS", "MAX_SUM_PANELS", "SUBPLAN_PANELS", "ConditionedPlan", "FourierMoment",
            "SumPlan", "Term", "abs_moment", "cap_series", "cap_split_gap", "condition",
-           "conditioned_abs_moment", "laplace_gap", "plan_conditioned", "plan_sum", "stretch",
+           "conditioned_abs_moment", "plan_conditioned", "plan_sum", "stretch",
            "sum_abs_moment", "taylor_cos", "taylor_exp", "taylor_laplace", "taylor_uniform",
            "uniform_envelope"]
 
@@ -155,12 +155,6 @@ def taylor_laplace(x: float, n: int) -> tuple[np.ndarray, float]:
     """E (xY)^(2i) / (2i)! = x^(2i) for i = 0..n, Y standard Laplace, and their
     relative error bound."""
     return x ** (2.0 * np.arange(n + 1)), (2.0 * n + 1.0) * _EPS
-
-
-def laplace_gap(rate: float, t) -> np.ndarray:
-    """1 - phi(t) = t^2 / (rate^2 + t^2) of the Laplace law of the rate."""
-    t2 = np.asarray(t, dtype=float) ** 2
-    return t2 / (rate * rate + t2)
 
 
 def uniform_envelope(width: float, t) -> np.ndarray:

@@ -4,6 +4,8 @@ import pytest
 from scipy import special
 
 from roskit import basedist as bd
+from roskit import constants as ct
+from roskit import specfun
 from roskit.errors import DegenerateLawError, DomainError, UnsupportedMethodError
 
 ALL_KINDS = [
@@ -119,59 +121,92 @@ class TestConditionNonzero:
             bd.symmetric_atoms([(0.0, 1.0)])
 
 
+def _kfold(V, k, p, tol=1e-9):
+    """E|V~_1 + ... + V~_k|^p by the thinned-sum route at unit scales and activations."""
+    return ct._thinned_sum_moment(p, V, [1.0] * k, [1.0] * k, tol, 2_000_000)
+
+
+def _kfold_grid(V, k, p, tol=1e-7):
+    """The same power on the spectral grid reference, phi^k as one summand of count k."""
+    return ct._thinned_grid_result(p, V, [1.0] * k, [1.0] * k, tol, 16384)
+
+
+def _closed_form(kind, k, p):
+    """E|S_k|^p of k random signs (the walk's law) or k standard Gaussians (k^(p/2) E|Z|^p)."""
+    if kind == "rademacher":
+        x, w, _ = bd.walk_law(k)
+        return float(w @ np.abs(x) ** p)
+    return k ** (p / 2.0) * specfun.gaussian_abs_moment(p)
+
+
 class TestKfold:
     def test_rademacher_k2_p4(self):
         # enumeration of S_2 in {-2, 0, 2} with masses 1/4, 1/2, 1/4
-        c = bd.condition_nonzero(bd.rademacher())
-        res = bd.kfold_abs_moment(c, 2, 4.0, "exact")
+        res = _kfold(bd.rademacher(), 2, 4.0)
         assert res.value == pytest.approx(8.0, rel=1e-14)
 
     def test_gaussian_variance_additivity(self):
-        c = bd.condition_nonzero(bd.gaussian())
-        res = bd.kfold_abs_moment(c, 4, 2.0, "exact")
-        assert res.value == pytest.approx(4.0, rel=1e-13)
+        # S_4 is centred Gaussian of variance 4, so E S_4^4 = 3 * 4^2 (the Fourier
+        # route takes p > 2; at even p its moment is the Taylor coefficient itself)
+        res = _kfold(bd.gaussian(), 4, 4.0)
+        assert res.value == pytest.approx(48.0, rel=1e-13)
 
     def test_empty_sum(self):
-        c = bd.condition_nonzero(bd.rademacher())
-        for method in ("exact", "grid"):
-            assert bd.kfold_abs_moment(c, 0, 5.0, method).value == 0.0
-
-    def test_exact_unsupported(self):
-        c = bd.condition_nonzero(bd.uniform(1.0))
-        with pytest.raises(UnsupportedMethodError):
-            bd.kfold_abs_moment(c, 3, 4.0, "exact")
+        for route in (_kfold, _kfold_grid):
+            assert route(bd.rademacher(), 0, 5.0).value == 0.0
 
     @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
     @pytest.mark.parametrize("k", [1, 5, 20])
     @pytest.mark.parametrize("p", [4.0, 5.0, 6.5])
     def test_grid_agrees_with_exact(self, kind, k, p):
         base = bd.rademacher() if kind == "rademacher" else bd.gaussian()
-        c = bd.condition_nonzero(base)
-        exact = bd.kfold_abs_moment(c, k, p, "exact")
-        grid = bd.kfold_abs_moment(c, k, p, "grid", tol=1e-7)
-        assert abs(grid.value - exact.value) <= max(
-            grid.error_bound, 1e-11 * exact.value
+        exact = _closed_form(kind, k, p)
+        grid = _kfold_grid(base, k, p)
+        assert abs(grid.value - exact) <= max(
+            grid.error_bound, 1e-11 * exact
         )
+
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    @pytest.mark.parametrize("p", [4.0, 5.0, 6.5])
+    def test_route_agrees_with_exact(self, kind, k, p):
+        base = bd.rademacher() if kind == "rademacher" else bd.gaussian()
+        exact = _closed_form(kind, k, p)
+        res = _kfold(base, k, p, tol=1e-7)
+        enumerated = kind == "rademacher" and k <= ct.MAX_ENUM_SUMMANDS
+        assert res.method == ("exact_enum" if enumerated else "sum_fourier")
+        assert abs(res.value - exact) <= res.error_bound + 1e-14 * exact
+        assert res.error_bound <= 1e-7 * exact
+
+    @pytest.mark.parametrize("k", [1, 6, 12])
+    def test_unthinned_random_signs_take_two_paths_each(self, k):
+        # a unit activation puts no atom at 0: 2^k paths, not 3^k
+        res = _kfold(bd.rademacher(), k, 5.0)
+        assert res.diagnostics["support"] == 2**k
+        exact = _closed_form("rademacher", k, 5.0)
+        assert abs(res.value - exact) <= res.error_bound + 1e-14 * exact
 
     @pytest.mark.parametrize("V", ALL_KINDS)
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_triangle_inequality(self, V, k):
-        # ||S_k||_p <= k ||V~||_p
+        # ||S_k||_p <= k ||V~||_p, on the production route and the grid reference
         p = 4.0
         c = bd.condition_nonzero(V)
-        res = bd.kfold_abs_moment(c, k, p, "grid", tol=1e-7)
-        val = max(res.value - res.error_bound, 0.0)
-        assert val ** (1.0 / p) <= k * c.abs_moment(p) ** (1.0 / p) * (1 + 1e-9)
+        for route in (_kfold, _kfold_grid):
+            res = route(c.base, k, p, tol=1e-7)
+            val = max(res.value - res.error_bound, 0.0)
+            assert val ** (1.0 / p) <= k * c.abs_moment(p) ** (1.0 / p) * (1 + 1e-9)
 
-    def test_atoms_grid_is_exact_enumeration(self):
+    def test_atoms_route_is_exact_enumeration(self):
         c = bd.condition_nonzero(bd.symmetric_atoms([(1.0, 0.6), (2.0, 0.4)]))
-        got = bd.kfold_abs_moment(c, 2, 4.0, "grid").value
+        res = _kfold(c.base, 2, 4.0)
+        assert res.method == "exact_enum"
         # direct enumeration over the 4x4 signed product
         law = {1.0: 0.3, -1.0: 0.3, 2.0: 0.2, -2.0: 0.2}
         want = sum(
             m1 * m2 * abs(x1 + x2) ** 4 for x1, m1 in law.items() for x2, m2 in law.items()
         )
-        assert got == pytest.approx(want, rel=1e-12)
+        assert res.value == pytest.approx(want, rel=1e-12)
 
 
 class TestParseSpec:
@@ -189,7 +224,7 @@ class TestParseSpec:
         v = bd.parse_base_spec(text)
         assert v.kind == kind
         again = bd.parse_base_spec(bd.format_base_spec(v))
-        # equal and hashing alike: _gap_series is an lru_cache keyed by the law
+        # equal and hashing alike, so that a parsed law can serve as a dict key
         assert again == v and hash(again) == hash(v)
         assert isinstance(v, bd.BaseDistribution)
 

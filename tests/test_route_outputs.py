@@ -91,3 +91,17 @@ def test_removed_keys_judged_by_hand(tmp_path, capsys):
     assert _compare(tmp_path, [before], [moved]) == 1
     assert capsys.readouterr().out.endswith(
         "1 lines, 1 differ, 1 with keys removed, to judge by hand, 1 fail\n")
+
+
+@pytest.mark.parametrize("value,code", [("980.0000001", 0), ("980.001", 1)])
+def test_kfold_method_move(tmp_path, capsys, value, code):
+    # a k-fold power that left kfold_abs_moment's closed form for the thinned-sum
+    # enumeration is judged by its numbers: within both bounds, or not
+    before = ("kfold exact k=8 rademacher: Routed(value=980.0, "
+              "method='exact/binomial_walk', error_bound=1e-07)")
+    after = (f"kfold exact k=8 rademacher: Routed(value={value}, "
+             "method='exact_enum', error_bound=2.7e-11)")
+    assert _compare(tmp_path, [before], [after]) == code
+    out = capsys.readouterr().out
+    assert "route moved exact/binomial_walk -> exact_enum" in out
+    assert out.endswith(f"1 lines, 1 differ, {code} fail\n")

@@ -19,9 +19,12 @@ sums, exact atomic routes (for compound Poisson sums the reference route
 ``atoms_exact``, by name where a commit has ``cpoisson._abs_moment``), the
 spectral grid for compound Poisson sums
 (through ``cpoisson._grid_abs_moment``, the second route, where a commit has
-it) and k-fold powers, the individual-budget Fourier and enumeration
-routes with the grid reference (``constants._thinned_grid_result``, by
-name; thirty thinned uniforms among them), exact enumeration of tuples of
+it), k-fold powers (``basedist.kfold_abs_moment`` where a commit has it,
+else the thinned-sum route at unit scales and activations and its grid
+reference; the value, method tag and bound), the individual-budget
+Fourier and enumeration routes with the grid reference
+(``constants._thinned_grid_result``, by name; thirty thinned uniforms
+among them), exact enumeration of tuples of
 four to ten laws (``discrete.enum_sum`` across the halves of generic tuples,
 on a tuple whose sums across the halves collide, and on one that repeats
 a law; small tuples at p = 0.5 and 5, and tuples at even p = 4 and 6), the
@@ -66,8 +69,12 @@ for a witness line whose ``NAME/two_block`` tag moved (the witness prints
 ``Routed`` too, and the CLI's ``estimated_moment`` counts as its value).
 The same holds for a ``method`` that moved among ``grid``, ``fourier``,
 ``sum_fourier`` and ``exact_uniform`` (thinned uniform sums and the search's
-best candidate), and the CLI search's ``detail_routes`` is compared by its
-total, its move reported.  The search lines print the total of
+best candidate), for a k-fold line whose ``method`` moved from a tag of
+``basedist.kfold_abs_moment`` (``exact/binomial_walk``,
+``exact/gaussian_scaling``, ``grid/atoms_exact``, ``grid/fft``) to one of
+the thinned-sum routes (``exact_enum``, ``sum_fourier``, ``grid``), and
+the CLI search's ``detail_routes`` is compared by its total, its move
+reported.  The search lines print the total of
 ``details["routes"]``, since candidates moved between the routes by design.
 For each differing line it prints the relative change of its values ("value
 unchanged" where only bounds or diagnostics moved), apart from the largest
@@ -182,6 +189,21 @@ def nfold(law, n, p, n_cells):
     return vf.nfold_moment([law] * n, p, n_cells=n_cells)
 
 
+def kfold(cond, k, method):
+    """E|S_k|^p at p = 5, tol 1e-6, for S_k the sum of k copies of the conditioned
+    base, less its diagnostics: where a commit has basedist.kfold_abs_moment, by
+    that method; else "exact" by the thinned-sum route at unit scales and
+    activations, constants._thinned_sum_moment, and "grid" by its spectral grid
+    reference, constants._thinned_grid_result on 16,384 cells (the 8,192 of
+    kfold_abs_moment's first grid, counted as the thinned grid counts them)."""
+    if hasattr(bd, "kfold_abs_moment"):
+        return routed(bd.kfold_abs_moment, cond, k, 5.0, method, 1e-6)
+    if method == "exact":
+        return routed(ct._thinned_sum_moment, 5.0, cond.base, [1.0] * k, [1.0] * k, 1e-6,
+                      2_000_000)
+    return routed(ct._thinned_grid_result, 5.0, cond.base, [1.0] * k, [1.0] * k, 1e-6, 16384)
+
+
 def searched(*args, **kwargs):
     rep = vf.search_sup_U(*args, **kwargs)
     rep.details["routes"] = sum(rep.details["routes"].values())
@@ -240,15 +262,15 @@ def routes():
     show("cp atoms_exact six generic atoms", exact, triple, 5.0, 1e-6)
     show("poisson_power_moment", cp.poisson_power_moment, 2.5, 3.5)
 
-    # k-fold sums: exact and grid (atomic and FFT)
+    # k-fold sums: the production route and the grid reference
     for name, V in BASES.items():
         cond = bd.condition_nonzero(V)
         for k in (1, 3):
             if V.kind in ("rademacher", "gaussian"):
-                show(f"kfold exact k={k} {name}", bd.kfold_abs_moment, cond, k, 5.0, "exact")
-            show(f"kfold grid k={k} {name}", bd.kfold_abs_moment, cond, k, 5.0, "grid", 1e-6)
+                show(f"kfold exact k={k} {name}", kfold, cond, k, "exact")
+            show(f"kfold grid k={k} {name}", kfold, cond, k, "grid")
         if name == "gaussian":
-            show(f"kfold grid k=5 {name}", bd.kfold_abs_moment, cond, 5, 5.0, "grid", 1e-6)
+            show(f"kfold grid k=5 {name}", kfold, cond, 5, "grid")
 
     # per-summand budgets: three-point and thinned-mixture extremisers
     budget = ct.MomentBudget.per_pair(5.0, [1.0, 0.7], [1.3, 1.1])
@@ -376,9 +398,11 @@ def cli():
 
 
 # a route tag: compound Poisson's cp_series/NAME or per_k_method entry, the grid
-# and Fourier routes of individual budgets, or the witness's NAME/two_block
+# and Fourier routes of individual budgets, the k-fold tags of kfold_abs_moment
+# and the thinned-sum routes that took them over, or the witness's NAME/two_block
 ROUTE = re.compile(r"(?<=cp_series/)\w+|(?<=per_k_method': ')\w+|(?<=per_k_method\": \")\w+"
-                   r"|(?<=method=')(?:grid|fourier|sum_fourier|exact_uniform)(?=')"
+                   r"|(?<=method=')(?:grid|fourier|sum_fourier|exact_uniform|exact_enum"
+                   r"|exact/binomial_walk|exact/gaussian_scaling|grid/atoms_exact|grid/fft)(?=')"
                    r"|(?<=method': ')(?:sum_fourier|exact_uniform)(?=')"
                    r"|(?<=method\": \")(?:sum_fourier|exact_uniform)(?=\")"
                    r"|(?<=method=')\w+(?=/two_block')|(?<=method\": \")\w+(?=/two_block\")")
